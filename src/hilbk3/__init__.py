@@ -25,6 +25,7 @@ from .bb_lattice import (
     orbit_dimension_d2,
     pullback,
     random_period_triple,
+    restriction_functional,
     su2_generators,
 )
 from .cohomology import (
@@ -40,7 +41,6 @@ from .frobenius import (
     algebra_dimension_pattern,
     build_algebra,
     harmonic_basis,
-    restriction_functional,
 )
 from .invariant_ideals import (
     InvariantIdeal,

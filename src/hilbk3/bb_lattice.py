@@ -213,10 +213,6 @@ def obstruction_coefficient(n: int, l: int) -> Fraction:
     ok, _ = is_triangular(t)
     if not ok:
         raise ValueError(f"quotient {t} is not triangular")
-    if t != 1:
-        # weaker redundant check: the two delta norms cannot agree under the
-        # scaling unless t = 1; provably never fires
-        assert n - 1 != t * (l - 1)
     return Fraction(1, 2 * (l - 1)) - Fraction(t, 2 * (n - 1))
 
 
@@ -262,6 +258,16 @@ def delta_squared_tensor(lat: H2Lattice) -> Sym2Tensor:
     e = [[Fraction(0)] * size for _ in range(size)]
     e[size - 1][size - 1] = Fraction(1)
     return Sym2Tensor(tuple(tuple(r) for r in e), covariant=True)
+
+
+def restriction_functional(lat: H2Lattice) -> Sym2Tensor:
+    """The degree-4 functional f = B + 2(n-1) d^2, covariant; checked to kill (delta, delta)."""
+    b, d2 = bb_form_tensor(lat).rows(), delta_squared_tensor(lat).rows()
+    scale = 2 * (lat.n - 1)
+    f = [[x + scale * y for x, y in zip(rb, rd)] for rb, rd in zip(b, d2)]
+    if f[-1][-1] != 0:
+        raise RuntimeError("restriction functional does not vanish on (delta, delta)")
+    return Sym2Tensor(f, covariant=True)
 
 
 def transported_bb_tensor(src: H2Lattice, dst: H2Lattice) -> Sym2Tensor:
@@ -443,13 +449,7 @@ def h4_obstruction(lat: H2Lattice, triple: PeriodTriple) -> bool:
     if not triple.has_delta_component:
         raise ValueError("period triple is orthogonal to the exceptional class; "
                          "the precondition proj(delta-dual) != 0 fails")
-    size = lat.total_dim
-    f = lat.full_gram()
-    f[size - 1][size - 1] += Fraction(2 * (n - 1))
-    tensor = Sym2Tensor(tuple(tuple(r) for r in f), covariant=True)
-    # by construction f(delta, delta) = -2(n-1) + 2(n-1) = 0
-    assert tensor.entries[size - 1][size - 1] == 0
-    return not is_su2_invariant(lat, tensor, triple)
+    return not is_su2_invariant(lat, restriction_functional(lat), triple)
 
 
 @lru_cache(maxsize=None)

@@ -78,8 +78,14 @@ def _load_gram(path: str | None):
         return None
     with open(path) as fh:
         data = json.load(fh)
+    if not (isinstance(data, dict) and "dim" in data and isinstance(data.get("rows"), list)
+            and all(isinstance(r, list) for r in data["rows"])):
+        raise ValueError('gram file must be a JSON object {"dim": d, "rows": [[...], ...]}')
     dim = data["dim"]
-    rows = [[Fraction(str(x)) for x in row] for row in data["rows"]]
+    try:
+        rows = [[Fraction(str(x)) for x in row] for row in data["rows"]]
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("gram entries must be numbers or 'p/q' strings") from None
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise ValueError("gram file dimensions are inconsistent")
     return rows

@@ -27,7 +27,6 @@ from functools import lru_cache
 from math import comb
 
 from . import linalg
-from .bb_lattice import H2Lattice, Sym2Tensor, bb_form_tensor, delta_squared_tensor
 
 MAX_DIM_V = 6
 MAX_N = 4
@@ -163,7 +162,7 @@ class FrobeniusAlgebra:
         self._quotient_monomials: dict[int, tuple[tuple[int, ...], ...]] = {}
         for i in range(2 * n + 1):
             basis = monomial_basis(dim, i)
-            pivots = {col for col, _ in self._ideal[i].rows} if i in self._ideal else set()
+            pivots = set(self._ideal[i].pivots) if i in self._ideal else set()
             quotient = tuple(m for k, m in enumerate(basis) if k not in pivots)
             if len(quotient) != expected[i]:
                 raise ConstructionError(
@@ -341,23 +340,6 @@ def sym_power_matrix(g, dim: int, degree: int) -> list[list[Fraction]]:
     return [[cols[s][r] for s in range(len(basis))] for r in range(len(basis))]
 
 
-def restriction_functional(lat: H2Lattice) -> Sym2Tensor:
-    """The degree-4 restriction functional B + 2(n-1) d^2 as a covariant tensor.
-
-    Built from the lattice's form tensor and the square of the delta
-    functional; vanishes on (delta, delta) by the choice of coefficient.
-    """
-    b = bb_form_tensor(lat)
-    d2 = delta_squared_tensor(lat)
-    scale = Fraction(2 * (lat.n - 1))
-    size = b.size
-    entries = tuple(
-        tuple(b.entries[i][j] + scale * d2.entries[i][j] for j in range(size))
-        for i in range(size)
-    )
-    return Sym2Tensor(entries, covariant=True)
-
-
 def random_so_element(gram, rng: random.Random) -> list[list[Fraction]]:
     """Random rational element of SO(q) by the Cayley transform.
 
@@ -423,6 +405,7 @@ def random_isotropic(gram, rng: random.Random) -> list[Fraction]:
             continue
         alpha = [x - Fraction(pair(v, v), 2 * buv) * y for x, y in zip(v, u)]
         if any(x != 0 for x in alpha):
-            assert pair(alpha, alpha) == 0
+            if pair(alpha, alpha) != 0:
+                raise RuntimeError("projected vector is not isotropic")
             return alpha
     raise RuntimeError("failed to draw an isotropic vector")

@@ -1,16 +1,22 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals: one sparse elimination core plus
+dense helpers.
 
 Matrices are lists of rows; entries are Fraction or int (ints are promoted
 by arithmetic).  No floats anywhere: ranks, kernels, determinants and
-signatures are exact.
+signatures are exact.  `Echelon` holds the only row-elimination loop, and
+rank, rref, nullspace, det and inverse read their answers off it;
+signatures come from symmetric congruence instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 Vector = list
 Matrix = list
+
+_ZERO = Fraction(0)
 
 
 def identity(n: int) -> Matrix:
@@ -46,76 +52,95 @@ def is_zero_matrix(a: Matrix) -> bool:
     return all(x == 0 for row in a for x in row)
 
 
+def _subtract(x: dict, f, y: dict) -> None:
+    """x -= f * y in place on sparse rows (f != 0); cancelled entries are dropped."""
+    for j, b in y.items():
+        a = x.get(j, 0) - f * b
+        if a:
+            x[j] = a
+        else:
+            del x[j]
+
+
 class Echelon:
-    """Incremental row span kept in reduced echelon form."""
+    """Incremental row span kept in reduced echelon form.
+
+    The package's only row-elimination loop.  Rows are sparse
+    {column: Fraction} dicts with pivot entry 1, each reduced against all the
+    others, so a vector r reduces to r - sum_p r[p] * row_p with every r[p]
+    read straight from the input.  Vectors go in and come out dense.
+    """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: list[tuple[int, list]] = []  # (pivot column, normalized row)
+        self._rows: dict[int, dict] = {}  # pivot column -> row
 
-    def reduce(self, vec: Vector) -> Vector:
-        r = list(vec)
-        for col, row in self.rows:
-            if r[col] != 0:
-                f = r[col]
-                r = [a - f * b for a, b in zip(r, row)]
+    def _reduced(self, vec: Vector) -> dict:
+        r = {j: a for j, a in enumerate(vec) if a}
+        for p in [p for p in r if p in self._rows]:
+            _subtract(r, vec[p], self._rows[p])
         return r
+
+    def _insert(self, vec: Vector) -> tuple[int, Fraction] | None:
+        """Add vec to the span: (pivot column, pivot value), or None if dependent."""
+        r = self._reduced(vec)
+        if not r:
+            return None
+        lead = min(r)
+        value = r[lead]
+        inv = 1 / Fraction(value)
+        r = {j: a * inv for j, a in r.items()}
+        for row in self._rows.values():
+            f = row.get(lead)
+            if f:
+                _subtract(row, f, r)
+        self._rows[lead] = r
+        return lead, value
 
     def add(self, vec: Vector) -> bool:
         """Insert vec into the span; False if it was already there."""
-        r = self.reduce(vec)
-        lead = next((j for j, a in enumerate(r) if a != 0), None)
-        if lead is None:
-            return False
-        inv = Fraction(1) / Fraction(r[lead])
-        r = [a * inv for a in r]
-        for i, (col, row) in enumerate(self.rows):
-            if row[lead] != 0:
-                f = row[lead]
-                self.rows[i] = (col, [a - f * b for a, b in zip(row, r)])
-        self.rows.append((lead, r))
-        self.rows.sort(key=lambda t: t[0])
-        return True
+        return self._insert(vec) is not None
+
+    def reduce(self, vec: Vector) -> Vector:
+        return self._dense(self._reduced(vec))
 
     def contains(self, vec: Vector) -> bool:
-        return all(a == 0 for a in self.reduce(vec))
+        return not self._reduced(vec)
+
+    def _dense(self, row: dict) -> Vector:
+        return [row.get(j, _ZERO) for j in range(self.ncols)]
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def pivots(self) -> list[int]:
+        return sorted(self._rows)
+
+    @property
+    def rows(self) -> list[tuple[int, Vector]]:
+        """(pivot column, dense row) in pivot order."""
+        return [(p, self._dense(self._rows[p])) for p in self.pivots]
+
+
+def _echelon(rows: Matrix, ncols: int) -> Echelon:
+    ech = Echelon(ncols)
+    for row in rows:
+        ech._insert(row)
+    return ech
 
 
 def rank(rows: Matrix, ncols: int | None = None) -> int:
     if not rows:
         return 0
-    ech = Echelon(ncols if ncols is not None else len(rows[0]))
-    for r in rows:
-        ech.add(r)
-    return ech.rank
+    return _echelon(rows, ncols if ncols is not None else len(rows[0])).rank
 
 
 def rref(a: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot columns."""
-    rows = [list(r) for r in a]
-    nr = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        inv = Fraction(1) / Fraction(rows[r][c])
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return rows[:r], pivots
+    rows = _echelon(a, ncols).rows
+    return [row for _, row in rows], [p for p, _ in rows]
 
 
 def nullspace(a: Matrix, ncols: int | None = None) -> list[Vector]:
@@ -124,62 +149,43 @@ def nullspace(a: Matrix, ncols: int | None = None) -> list[Vector]:
         if not a:
             raise ValueError("need ncols for an empty matrix")
         ncols = len(a[0])
-    if not a:
-        return [[Fraction(1) if i == j else Fraction(0) for j in range(ncols)] for i in range(ncols)]
     rows, pivots = rref(a, ncols)
-    pivot_row = {c: i for i, c in enumerate(pivots)}
-    free = [c for c in range(ncols) if c not in pivot_row]
     basis = []
-    for fc in free:
+    for fc in sorted(set(range(ncols)) - set(pivots)):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for c, i in pivot_row.items():
-            v[c] = -rows[i][fc]
+        for c, row in zip(pivots, rows):
+            v[c] = -row[fc]
         basis.append(v)
     return basis
 
 
 def det(a: Matrix) -> Fraction:
-    n = len(a)
-    rows = [[Fraction(x) for x in row] for row in a]
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        p = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            rows[c], rows[p] = rows[p], rows[c]
-            sign = -sign
-        result *= rows[c][c]
-        inv = Fraction(1) / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return result * sign
+    """Sign of the row-to-pivot-column permutation times the pivot values.
+
+    Each row is reduced only against the rows before it, so the reduced rows
+    differ from a by a unit lower-triangular factor and are triangular up to
+    that permutation of columns.
+    """
+    ech = Echelon(len(a))
+    hits = [ech._insert(row) for row in a]
+    if None in hits:
+        return Fraction(0)
+    inversions = sum(p > q for i, (p, _) in enumerate(hits) for q, _ in hits[i + 1:])
+    value = prod((v for _, v in hits), start=Fraction(1))
+    return -value if inversions % 2 else value
 
 
 def inverse(a: Matrix) -> Matrix:
+    """Right half of the reduced echelon form of [a | I]."""
     n = len(a)
-    rows = [[Fraction(x) for x in row] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-            for i, row in enumerate(a)]
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, n) if rows[i][c] != 0), None)
-        if p is None:
+    ech = Echelon(2 * n)
+    for i, row in enumerate(a):
+        # [a_i | e_i] is never dependent; a pivot past column n means a_i
+        # lies in the span of the rows before it
+        if ech._insert(list(row) + [int(i == j) for j in range(n)])[0] >= n:
             raise ValueError("matrix is singular")
-        rows[r], rows[p] = rows[p], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    if r < n:
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in rows]
+    return [row[n:] for _, row in ech.rows]
 
 
 def signature(gram: Matrix) -> tuple[int, int, int]:

@@ -100,6 +100,37 @@ def test_certify_gram_file(tmp_path, capsys):
     assert payload["result"]["verdict"] == "certified"
 
 
+MALFORMED_GRAMS = {
+    "top-level-list": "[[1, 0], [0, 1]]",
+    "top-level-number": "7",
+    "no-dim": '{"rows": [[1, 0], [0, 1]]}',
+    "no-rows": '{"dim": 2}',
+    "rows-not-a-list": '{"dim": 2, "rows": 5}',
+    "rows-not-lists": '{"dim": 2, "rows": [1, 2]}',
+    "non-numeric-entry": '{"dim": 2, "rows": [["a", 0], [0, 1]]}',
+    "null-entry": '{"dim": 2, "rows": [[null, 0], [0, 1]]}',
+    "nested-entry": '{"dim": 2, "rows": [[[1], 0], [0, 1]]}',
+    "zero-denominator": '{"dim": 2, "rows": [["1/0", 0], [0, 1]]}',
+    "shape-disagrees-with-dim": '{"dim": 2, "rows": [[1, 0], [0, 1], [0, 0]]}',
+    "not-json": "{not json",
+}
+
+
+@pytest.mark.parametrize("command", ["certify", "frobenius"])
+@pytest.mark.parametrize("text", MALFORMED_GRAMS.values(), ids=list(MALFORMED_GRAMS))
+def test_malformed_gram_file_is_an_error_payload(tmp_path, capsys, command, text):
+    path = tmp_path / "gram.json"
+    path.write_text(text)
+    argv = [command, "--n", "3", "--gram", str(path)]
+    if command == "frobenius":
+        argv += ["--dimv", "2"]
+    code, payload = run_json(argv, capsys)
+    assert code == 1
+    assert payload["schema"] == SCHEMA
+    assert payload["status"] == "error"
+    assert payload["error"]["message"]
+
+
 def test_certify_rejects_bad_n(capsys):
     code, payload = run_json(["certify", "--n", "0"], capsys)
     assert code == 1

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hilbk3 import linalg
-from hilbk3.bb_lattice import delta_class, k3_lattice, q_norm
+from hilbk3.bb_lattice import delta_class, k3_lattice, q_norm, restriction_functional
 from hilbk3.cohomology import SurfaceBetti, hilbert_poincare
 from hilbk3.frobenius import (
     ConstructionError,
@@ -19,7 +19,6 @@ from hilbk3.frobenius import (
     quadric_element,
     random_isotropic,
     random_so_element,
-    restriction_functional,
     sym_power_matrix,
 )
 

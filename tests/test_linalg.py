@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilbk3 import linalg
 
@@ -152,3 +155,107 @@ def test_congruence_diagonalize_property():
 def test_is_zero_matrix():
     assert linalg.is_zero_matrix([[0, 0], [0, 0]])
     assert not linalg.is_zero_matrix([[0, 0], [0, Fraction(1, 7)]])
+
+
+# Property tests: the elimination core against sympy on small rational
+# matrices, square and not, with zero rows, dependent rows and denominators.
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+ENTRIES = st.one_of(st.just(Fraction(0)),
+                    st.fractions(min_value=-6, max_value=6, max_denominator=4))
+
+
+@st.composite
+def matrices(draw, square=False, min_rows=0):
+    nrows = draw(st.integers(min_rows, 5))
+    ncols = nrows if square else draw(st.integers(1, 5))
+    a = draw(st.lists(st.lists(ENTRIES, min_size=ncols, max_size=ncols),
+                      min_size=nrows, max_size=nrows))
+    if nrows >= 2:
+        i, j, *rest = draw(st.permutations(range(nrows)))
+        k = rest[0] if rest else j
+        c = draw(ENTRIES)
+        kind = draw(st.sampled_from(("full", "zero-row", "dependent-row")))
+        if kind == "zero-row":
+            a[i] = [Fraction(0)] * ncols
+        elif kind == "dependent-row":
+            a[i] = [x + c * y for x, y in zip(a[j], a[k])]
+    return a
+
+
+def _sym(a, ncols):
+    return sympy.Matrix(len(a), ncols,
+                        [sympy.Rational(x.numerator, x.denominator) for row in a for x in row])
+
+
+def _frac(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+def _ncols(a):
+    return len(a[0]) if a else 3
+
+
+@PROPERTY
+@given(matrices())
+def test_rank_and_rref_match_sympy(a):
+    ncols = _ncols(a)
+    expect, expect_pivots = _sym(a, ncols).rref()
+    rows, pivots = linalg.rref(a, ncols)
+    assert linalg.rank(a, ncols) == _sym(a, ncols).rank() == len(expect_pivots)
+    assert pivots == list(expect_pivots)
+    assert rows == [[_frac(x) for x in expect.row(i)] for i in range(len(pivots))]
+
+
+@PROPERTY
+@given(matrices())
+def test_nullspace_matches_sympy_span(a):
+    ncols = _ncols(a)
+    basis = linalg.nullspace(a, ncols)
+    expect = [list(v) for v in _sym(a, ncols).nullspace()]
+    assert len(basis) == len(expect)
+    for v in basis:
+        assert all(x == 0 for x in linalg.mat_vec(a, v))
+    if basis:
+        both = [[_frac(x) for x in v] for v in expect] + basis
+        assert _sym(both, ncols).rank() == len(basis)
+
+
+@PROPERTY
+@given(matrices(square=True))
+def test_det_and_inverse_match_sympy(a):
+    n = len(a)
+    m = _sym(a, n)
+    d = linalg.det(a)
+    assert d == _frac(m.det())
+    if d == 0:
+        with pytest.raises(ValueError):
+            linalg.inverse(a)
+    else:
+        expect = m.inv()
+        assert linalg.inverse(a) == [[_frac(x) for x in expect.row(i)] for i in range(n)]
+
+
+@PROPERTY
+@given(matrices(square=True, min_rows=2), st.data())
+def test_det_changes_sign_under_row_swaps(a, data):
+    i, j = data.draw(st.permutations(range(len(a))))[:2]
+    swapped = list(a)
+    swapped[i], swapped[j] = a[j], a[i]
+    assert linalg.det(swapped) == -linalg.det(a) == -_frac(_sym(a, len(a)).det())
+
+
+@PROPERTY
+@given(matrices(min_rows=1), st.data())
+def test_echelon_contains_matches_sympy_rank(a, data):
+    ncols = len(a[0])
+    ech = linalg.Echelon(ncols)
+    for row in a:
+        ech.add(row)
+    vec = data.draw(st.one_of(
+        st.lists(ENTRIES, min_size=ncols, max_size=ncols),
+        st.sampled_from(a).map(lambda row: [2 * x for x in row]),
+    ))
+    inside = _sym(a + [vec], ncols).rank() == _sym(a, ncols).rank()
+    assert ech.contains(vec) == inside
+    assert ech.pivots == linalg.rref(a, ncols)[1]
