@@ -6,9 +6,14 @@ certificates against trianalytic subvarieties, the model Frobenius algebra
 generated by degree-2 classes, and the invariant-ideal classification
 behind punctual rigidity.  All arithmetic is exact (integers and
 fractions); nothing here floats.
+
+The names below are the ones the six command line reports and the
+certification pipeline call, plus the types they return; everything else
+is reached through the submodules.
 """
 
 from .bb_lattice import (
+    CandidateCertificate,
     CertificationReport,
     H2Class,
     H2Lattice,
@@ -21,49 +26,50 @@ from .bb_lattice import (
     is_su2_invariant,
     k3_lattice,
     obstruction_coefficient,
-    obstruction_coefficient_from_tensors,
-    orbit_dimension_d2,
-    pullback,
     random_period_triple,
     restriction_functional,
     su2_generators,
 )
 from .cohomology import (
     PoincarePolynomial,
+    StratumLedger,
     SurfaceBetti,
     diagonal_poincare,
     hilbert_poincare,
     hilbert_stratum_ledger,
-    symmetric_power_poincare,
 )
-from .frobenius import (
-    FrobeniusAlgebra,
-    algebra_dimension_pattern,
-    build_algebra,
-    harmonic_basis,
-)
+from .frobenius import FrobeniusAlgebra, algebra_dimension_pattern, build_algebra
 from .invariant_ideals import (
     InvariantIdeal,
     MonomialIdeal,
-    TruncatedRing,
     classify_invariant_ideals,
-    irreducibility_certificate,
     punctual_fixed_points,
 )
 from .partitions import (
     CandidateAudit,
-    NaturalShape,
-    SpecialShape,
     YoungDiagram,
     codim_diagonal,
-    deformation_dimension,
-    enumerate_universal_reldim0,
+    diagrams_of,
     fiber_dimension,
     is_triangular,
-    natural_shapes,
-    special_dimension,
     trianalytic_candidates,
     verify_semismall,
 )
+
+__all__ = [
+    # the reports
+    "SurfaceBetti", "hilbert_stratum_ledger", "hilbert_poincare", "diagonal_poincare",
+    "diagrams_of", "codim_diagonal", "fiber_dimension", "verify_semismall", "is_triangular",
+    "certify_no_trianalytic", "classify_invariant_ideals", "punctual_fixed_points",
+    "algebra_dimension_pattern", "build_algebra",
+    # the certification pipeline
+    "trianalytic_candidates", "obstruction_coefficient", "default_k3_gram", "k3_lattice",
+    "random_period_triple", "h4_obstruction", "restriction_functional", "is_su2_invariant",
+    "su2_generators", "bb_pair",
+    # result types
+    "YoungDiagram", "CandidateAudit", "PoincarePolynomial", "StratumLedger",
+    "H2Lattice", "H2Class", "PeriodTriple", "Sym2Tensor", "CandidateCertificate",
+    "CertificationReport", "FrobeniusAlgebra", "InvariantIdeal", "MonomialIdeal",
+]
 
 __version__ = "0.1.0"

@@ -130,18 +130,6 @@ class H2Class:
         return cls(tuple(Fraction(x) for x in v), Fraction(delta))
 
 
-def delta_class(lat: H2Lattice) -> H2Class:
-    if not lat.has_delta:
-        raise ValueError("n = 1 has no exceptional class")
-    return H2Class.make((0,) * lat.dim_v, 1)
-
-
-def basis_class(lat: H2Lattice, i: int) -> H2Class:
-    v = [0] * lat.dim_v
-    v[i] = 1
-    return H2Class.make(v)
-
-
 def _check_member(lat: H2Lattice, x: H2Class) -> None:
     if len(x.v) != lat.dim_v:
         raise ValueError("class has wrong surface dimension")
@@ -152,14 +140,6 @@ def _check_member(lat: H2Lattice, x: H2Class) -> None:
 def coords(lat: H2Lattice, x: H2Class) -> list[Fraction]:
     _check_member(lat, x)
     return list(x.v) + ([x.delta] if lat.has_delta else [])
-
-
-def class_from_coords(lat: H2Lattice, c) -> H2Class:
-    if len(c) != lat.total_dim:
-        raise ValueError("coordinate length mismatch")
-    if lat.has_delta:
-        return H2Class.make(c[:-1], c[-1])
-    return H2Class.make(c, 0)
 
 
 def bb_pair(lat: H2Lattice, x: H2Class, y: H2Class) -> Fraction:
@@ -173,28 +153,6 @@ def bb_pair(lat: H2Lattice, x: H2Class, y: H2Class) -> Fraction:
 
 def q_norm(lat: H2Lattice, x: H2Class) -> Fraction:
     return bb_pair(lat, x, x)
-
-
-def pullback(src: H2Lattice, dst: H2Lattice, x: H2Class) -> H2Class:
-    """Pull a class back along the rational map from the dst Hilbert scheme.
-
-    Defined when dst.n divides src.n with triangular quotient: identity on
-    the surface part, delta_n -> (n/l) delta_l for l >= 2 and delta_n -> 0
-    for l = 1.
-    """
-    if src.gram != dst.gram:
-        raise ValueError("lattices must share the surface gram")
-    n, l = src.n, dst.n
-    if n % l != 0:
-        raise ValueError(f"{l} does not divide {n}")
-    t = n // l
-    ok, _ = is_triangular(t)
-    if not ok:
-        raise ValueError(f"quotient {t} = {n}/{l} is not triangular")
-    _check_member(src, x)
-    if not dst.has_delta:
-        return H2Class.make(x.v, 0)
-    return H2Class.make(x.v, x.delta * Fraction(n, l))
 
 
 def obstruction_coefficient(n: int, l: int) -> Fraction:
@@ -245,11 +203,6 @@ def bb_form_tensor(lat: H2Lattice) -> Sym2Tensor:
     return Sym2Tensor(tuple(tuple(r) for r in lat.full_gram()), covariant=True)
 
 
-def bb_inverse_tensor(lat: H2Lattice) -> Sym2Tensor:
-    inv = linalg.inverse(lat.full_gram())
-    return Sym2Tensor(tuple(tuple(r) for r in inv), covariant=False)
-
-
 def delta_squared_tensor(lat: H2Lattice) -> Sym2Tensor:
     """d tensor d for the delta-coordinate functional d (covariant)."""
     if not lat.has_delta:
@@ -268,47 +221,6 @@ def restriction_functional(lat: H2Lattice) -> Sym2Tensor:
     if f[-1][-1] != 0:
         raise RuntimeError("restriction functional does not vanish on (delta, delta)")
     return Sym2Tensor(f, covariant=True)
-
-
-def transported_bb_tensor(src: H2Lattice, dst: H2Lattice) -> Sym2Tensor:
-    """The BB dual tensor of src transported to dst coordinates.
-
-    Surface block unchanged; the coefficient -1/(2(n-1)) on the exceptional
-    square is carried through the exceptional scaling delta_n -> (n/l)
-    delta_l, picking up one factor n/l.
-"""
-    if src.gram != dst.gram:
-        raise ValueError("lattices must share the surface gram")
-    if not (src.has_delta and dst.has_delta):
-        raise ValueError("both lattices need an exceptional class")
-    n, l = src.n, dst.n
-    if n % l != 0 or not is_triangular(n // l)[0]:
-        raise ValueError("transport needs l | n with triangular quotient")
-    inv = linalg.inverse([list(r) for r in src.gram])
-    size = dst.total_dim
-    out = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(dst.dim_v):
-        for j in range(dst.dim_v):
-            out[i][j] = inv[i][j]
-    out[size - 1][size - 1] = Fraction(n, l) * Fraction(-1, 2 * (n - 1))
-    return Sym2Tensor(tuple(tuple(r) for r in out), covariant=False)
-
-
-def obstruction_coefficient_from_tensors(src: H2Lattice, dst: H2Lattice) -> Fraction:
-    """Independent route to c(n, l): transported BB dual minus the target BB dual.
-
-    The surface blocks must cancel exactly (checked), leaving a pure
-    exceptional-square coefficient.
-    """
-    t = transported_bb_tensor(src, dst)
-    b = bb_inverse_tensor(dst)
-    size = t.size
-    diff = [[t.entries[i][j] - b.entries[i][j] for j in range(size)] for i in range(size)]
-    for i in range(size):
-        for j in range(size):
-            if (i, j) != (size - 1, size - 1) and diff[i][j] != 0:
-                raise RuntimeError("surface block failed to cancel in the transport")
-    return diff[size - 1][size - 1]
 
 
 @dataclass(frozen=True)
@@ -380,61 +292,6 @@ def is_su2_invariant(lat: H2Lattice, tensor: Sym2Tensor, triple: PeriodTriple) -
     return True
 
 
-def _sym_upper(m) -> list:
-    size = len(m)
-    return [m[i][j] for i in range(size) for j in range(i, size)]
-
-
-def orbit_dimension_d2(lat: H2Lattice, triple: PeriodTriple) -> int:
-    """Dimension of the rotation module generated by d^2 inside Sym^2(H^2)*.
-
-    Exact saturation: 1 when the triple is orthogonal to delta, and
-    C(dim V0 + 1, 2) - 1 = 9 otherwise, where V0 is the degree-1 module of d
-    (the span of d^2 picks out only a line inside the two-dimensional trivial
-    isotypic part of Sym^2 V0, hence one less than the full symmetric
-    square).
-    """
-    t0 = _integer_scaled(delta_squared_tensor(lat).rows())
-    ops = [_integer_scaled(op) for op in su2_generators(lat, triple)]
-    size = lat.total_dim
-    ech = linalg.Echelon(size * (size + 1) // 2)
-    frontier = []
-    if ech.add(_sym_upper(t0)):
-        frontier.append(t0)
-    while frontier:
-        grown = []
-        for t in frontier:
-            for op in ops:
-                u = _derivation(op, t, covariant=True)
-                if ech.add(_sym_upper(u)):
-                    grown.append(u)
-        frontier = grown
-    return ech.rank
-
-
-def delta_module_dimension(lat: H2Lattice, triple: PeriodTriple) -> int:
-    """Dimension of the rotation module generated by the functional d."""
-    if not lat.has_delta:
-        raise ValueError("n = 1 has no exceptional class")
-    size = lat.total_dim
-    d = [0] * size
-    d[size - 1] = 1
-    ops = [_integer_scaled(op) for op in su2_generators(lat, triple)]
-    ech = linalg.Echelon(size)
-    frontier = []
-    if ech.add(d):
-        frontier.append(d)
-    while frontier:
-        grown = []
-        for phi in frontier:
-            for op in ops:
-                image = linalg.vec_mat(phi, op)  # phi o L, covariant action
-                if ech.add(image):
-                    grown.append(image)
-        frontier = grown
-    return ech.rank
-
-
 def h4_obstruction(lat: H2Lattice, triple: PeriodTriple) -> bool:
     """Whether f = B + 2(n-1) d^2 fails to be invariant under the triple.
 
@@ -465,60 +322,48 @@ def random_period_triple(lat: H2Lattice, rng: random.Random,
                          with_delta: bool = True) -> PeriodTriple:
     """Deterministic-in-seed random valid triple.
 
-    Random rational mixing of an exact positive basis plus integer noise,
-    repaired to positive norm by scaling, then BB Gram-Schmidt (exact).  If
-    with_delta, delta is mixed into w1 with a scale keeping the norm
-    positive, so the triple has a delta component; otherwise the triple
-    stays inside the surface part.
+    Three independent random rational mixes of an exact positive basis, each
+    plus integer noise, under one common scale doubled until exact BB
+    Gram-Schmidt keeps all three norms positive.  If with_delta, delta is
+    mixed into w1 with a scale keeping the norm positive, so the triple has
+    a delta component; otherwise the triple stays inside the surface part.
     """
+    if with_delta and not lat.has_delta:
+        raise ValueError("n = 1 has no exceptional class")
     basis = _positive_basis(lat)
     dim = lat.dim_v
     for _ in range(256):
-        vs = []
-        ok = True
+        mixes, noise = [], []
         for _ in range(3):
-            mix = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in basis]
-            v = [sum(m * b[i] for m, b in zip(mix, basis)) for i in range(dim)]
-            noise = [Fraction(rng.randint(-1, 1)) for _ in range(dim)]
-            if all(x == 0 for x in v):
-                ok = False
-                break
-            cls = None
-            scale = 1
-            while scale <= 1 << 24:
-                w = H2Class.make([scale * a + z for a, z in zip(v, noise)], 0)
-                if q_norm(lat, w) > 0:
-                    cls = w
-                    break
-                scale *= 2
-            if cls is None:
-                ok = False
-                break
-            vs.append(cls)
-        if not ok:
-            continue
-        # exact Gram-Schmidt; reject as soon as a reduced vector loses
-        # positivity, so every divisor norm below is already checked > 0
+            mixes.append([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in basis])
+            noise.append([Fraction(rng.randint(-1, 1)) for _ in range(dim)])
+        if linalg.rank(mixes) == 3:
+            break
+    else:
+        raise RuntimeError("failed to draw a valid period triple")
+    vs = [[sum(m * b[i] for m, b in zip(mix, basis)) for i in range(dim)] for mix in mixes]
+    # the mixes span a positive-definite 3-space, so the Gram-Schmidt norms
+    # of scale * v + noise are all positive once the scale is large enough
+    scale = 1
+    while True:
         ws: list[H2Class] = []
-        for w in vs:
+        for v, z in zip(vs, noise):
+            w = H2Class.make([scale * a + b for a, b in zip(v, z)])
             for u in ws:
                 coeff = bb_pair(lat, u, w) / q_norm(lat, u)
-                w = H2Class.make([a - coeff * b for a, b in zip(w.v, u.v)],
-                                 w.delta - coeff * u.delta)
+                w = H2Class.make([a - coeff * b for a, b in zip(w.v, u.v)])
             if q_norm(lat, w) <= 0:
                 break
             ws.append(w)
-        if len(ws) < 3:
-            continue
-        if with_delta:
-            if not lat.has_delta:
-                raise ValueError("n = 1 has no exceptional class")
-            scale = 1
-            while scale * scale * q_norm(lat, ws[0]) <= 2 * (lat.n - 1):
-                scale *= 2
-            ws[0] = H2Class.make([scale * a for a in ws[0].v], 1)
-        return PeriodTriple(lat, (ws[0], ws[1], ws[2]))
-    raise RuntimeError("failed to draw a valid period triple")
+        if len(ws) == 3:
+            break
+        scale *= 2
+    if with_delta:
+        scale = 1
+        while scale * scale * q_norm(lat, ws[0]) <= 2 * (lat.n - 1):
+            scale *= 2
+        ws[0] = H2Class.make([scale * a for a in ws[0].v], 1)
+    return PeriodTriple(lat, (ws[0], ws[1], ws[2]))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
+import re
 import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
@@ -19,6 +19,7 @@ from fractions import Fraction
 from . import bb_lattice, cohomology, frobenius, invariant_ideals, partitions
 
 SCHEMA = "hilbk3.report/1"
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _plain(obj):
@@ -73,6 +74,16 @@ def _parse_surface(text: str | None) -> cohomology.SurfaceBetti:
     return cohomology.SurfaceBetti.from_vector((b0, 0, b2, 0, b4))
 
 
+def _gram_entry(x) -> Fraction:
+    # only the documented forms; an exponent string such as "1e999999999"
+    # would ask for an unbounded amount of exact arithmetic
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    if isinstance(x, str) and _RATIONAL.fullmatch(x):
+        return Fraction(x)
+    raise ValueError("gram entries must be integers or 'p/q' strings")
+
+
 def _load_gram(path: str | None):
     if path is None:
         return None
@@ -83,9 +94,9 @@ def _load_gram(path: str | None):
         raise ValueError('gram file must be a JSON object {"dim": d, "rows": [[...], ...]}')
     dim = data["dim"]
     try:
-        rows = [[Fraction(str(x)) for x in row] for row in data["rows"]]
-    except (ValueError, ZeroDivisionError):
-        raise ValueError("gram entries must be numbers or 'p/q' strings") from None
+        rows = [[_gram_entry(x) for x in row] for row in data["rows"]]
+    except ZeroDivisionError:
+        raise ValueError("gram entries must be integers or 'p/q' strings") from None
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise ValueError("gram file dimensions are inconsistent")
     return rows
@@ -122,6 +133,8 @@ def cmd_betti(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_strata(args) -> tuple[dict, list[dict]]:
+    if args.n < 1:
+        raise ValueError("n must be >= 1")
     surface = _parse_surface(args.surface)
     rows = []
     all_semismall = True

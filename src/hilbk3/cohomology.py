@@ -10,6 +10,7 @@ All arithmetic is integer arithmetic.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -141,9 +142,8 @@ def diagonal_poincare(surface: SurfaceBetti, diagram: YoungDiagram) -> PoincareP
     The stratum for a diagram is the product, over distinct part values, of
     the symmetric power of the surface in the multiplicity of that value.
     """
-    ref = diagram.refinement()
     poly = PoincarePolynomial((1,))
-    for mult in ref.multiplicities:
+    for mult in Counter(diagram.parts).values():
         poly = poly * symmetric_power_poincare(surface, mult)
     return poly
 

@@ -21,7 +21,6 @@ form dimension pattern is exposed.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -73,31 +72,12 @@ def laplacian_matrix(gram, dim: int, degree: int) -> list[list[Fraction]]:
     return out
 
 
-def apply_laplacian(gram, dim: int, degree: int, vec):
-    return linalg.mat_vec(laplacian_matrix(gram, dim, degree), list(vec))
-
-
 def harmonic_basis(gram, dim: int, degree: int) -> list[list[Fraction]]:
     """Kernel of the contraction in the given degree."""
     if degree < 2:
         n = len(monomial_basis(dim, degree))
         return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
     return linalg.nullspace(laplacian_matrix(gram, dim, degree), len(monomial_basis(dim, degree)))
-
-
-def quadric_element(gram, dim: int) -> list[Fraction]:
-    """The inverse form as an element of Sym^2 V (the invariant quadric)."""
-    inv = linalg.inverse([list(r) for r in gram])
-    basis = monomial_basis(dim, 2)
-    out = [Fraction(0)] * len(basis)
-    index = {m: k for k, m in enumerate(basis)}
-    for i in range(dim):
-        for j in range(dim):
-            e = [0] * dim
-            e[i] += 1
-            e[j] += 1
-            out[index[tuple(e)]] += inv[i][j]
-    return out
 
 
 def algebra_dimension_pattern(dim_v: int, n: int) -> tuple[int, ...]:
@@ -175,9 +155,6 @@ class FrobeniusAlgebra:
             return len(self._quotient_monomials[i])
         return 0
 
-    def basis_monomials(self, i: int) -> tuple[tuple[int, ...], ...]:
-        return self._quotient_monomials[i]
-
     def reduce(self, i: int, sym_coeffs) -> list[Fraction]:
         """Coordinates in the quotient basis of A_{2i} of a Sym^i vector."""
         if i > 2 * self.n:
@@ -190,14 +167,6 @@ class FrobeniusAlgebra:
             vec = self._ideal[i].reduce(vec)
         index = {m: k for k, m in enumerate(basis)}
         return [vec[index[m]] for m in self._quotient_monomials[i]]
-
-    def _lift(self, i: int, coords) -> list[Fraction]:
-        basis = monomial_basis(self.dim_v, i)
-        index = {m: k for k, m in enumerate(basis)}
-        out = [Fraction(0)] * len(basis)
-        for c, m in zip(coords, self._quotient_monomials[i]):
-            out[index[m]] += Fraction(c)
-        return out
 
     def _reduced_monomial(self, d: int, mono: tuple[int, ...]) -> list[Fraction]:
         # reduction of a single monomial, cached: products of basis elements
@@ -312,100 +281,3 @@ class FrobeniusAlgebra:
 def build_algebra(gram, n: int) -> FrobeniusAlgebra:
     return FrobeniusAlgebra(gram, n)
 
-
-def sym_power_matrix(g, dim: int, degree: int) -> list[list[Fraction]]:
-    """Matrix of Sym^degree of a linear map g on V (columns = image monomials)."""
-    basis = monomial_basis(dim, degree)
-    index = {m: k for k, m in enumerate(basis)}
-    cols = []
-    for mono in basis:
-        poly = {(0,) * dim: Fraction(1)}
-        for var, count in enumerate(mono):
-            for _ in range(count):
-                grown: dict[tuple[int, ...], Fraction] = {}
-                for m, c in poly.items():
-                    for i in range(dim):
-                        gi = Fraction(g[i][var])
-                        if gi == 0:
-                            continue
-                        e = list(m)
-                        e[i] += 1
-                        key = tuple(e)
-                        grown[key] = grown.get(key, Fraction(0)) + c * gi
-                poly = grown
-        col = [Fraction(0)] * len(basis)
-        for m, c in poly.items():
-            col[index[m]] = c
-        cols.append(col)
-    return [[cols[s][r] for s in range(len(basis))] for r in range(len(basis))]
-
-
-def random_so_element(gram, rng: random.Random) -> list[list[Fraction]]:
-    """Random rational element of SO(q) by the Cayley transform.
-
-    S = G^{-1} A with A skew gives a q-skew operator; (I - S)^{-1} (I + S)
-    is then a special orthogonal substitution (retry if I - S is singular).
-    """
-    dim = len(gram)
-    ginv = linalg.inverse([list(map(Fraction, r)) for r in gram])
-    for _ in range(64):
-        a = [[Fraction(0)] * dim for _ in range(dim)]
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                x = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                a[i][j] = x
-                a[j][i] = -x
-        s = linalg.mat_mul(ginv, a)
-        i_minus = linalg.mat_add(linalg.identity(dim), linalg.mat_scale(s, -1))
-        try:
-            inv = linalg.inverse(i_minus)
-        except ValueError:
-            continue
-        return linalg.mat_mul(inv, linalg.mat_add(linalg.identity(dim), s))
-    raise RuntimeError("failed to draw an orthogonal substitution")
-
-
-def find_isotropic(gram) -> list[Fraction] | None:
-    """A nonzero isotropic vector by small search, or None."""
-    dim = len(gram)
-    def q(v):
-        return sum(v[i] * gram[i][j] * v[j] for i in range(dim) for j in range(dim))
-    for i in range(dim):
-        e = [Fraction(0)] * dim
-        e[i] = Fraction(1)
-        if q(e) == 0:
-            return e
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for a in (1, -1, 2, -2):
-                v = [Fraction(0)] * dim
-                v[i] = Fraction(1)
-                v[j] = Fraction(a)
-                if q(v) == 0:
-                    return v
-    return None
-
-
-def random_isotropic(gram, rng: random.Random) -> list[Fraction]:
-    """Random rational isotropic vector (projection from a known one).
-
-    For u isotropic and any v with B(u, v) != 0, v - q(v)/(2 B(u,v)) u is
-    isotropic; drawing v at random sweeps out the quadric.
-    """
-    dim = len(gram)
-    u = find_isotropic(gram)
-    if u is None:
-        raise ValueError("no rational isotropic vector found for this gram")
-    def pair(x, y):
-        return sum(x[i] * gram[i][j] * y[j] for i in range(dim) for j in range(dim))
-    for _ in range(256):
-        v = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(dim)]
-        buv = pair(u, v)
-        if buv == 0:
-            continue
-        alpha = [x - Fraction(pair(v, v), 2 * buv) * y for x, y in zip(v, u)]
-        if any(x != 0 for x in alpha):
-            if pair(alpha, alpha) != 0:
-                raise RuntimeError("projected vector is not isotropic")
-            return alpha
-    raise RuntimeError("failed to draw an isotropic vector")

@@ -30,7 +30,7 @@ MAX_TRUNCATION = 12  # exhaustive 2^N subset sweep stays cheap up to here
 
 
 class TruncatedRing:
-    """Monomial model of C[x, y]/m^N with the three degree-preserving operators."""
+    """Monomial model of C[x, y]/m^N with the degree-preserving operators e and f."""
 
     def __init__(self, truncation: int):
         if not isinstance(truncation, int) or truncation < 1:
@@ -39,11 +39,6 @@ class TruncatedRing:
         self.monomials = tuple(
             (a, l - a) for l in range(truncation) for a in range(l, -1, -1)
         )
-        self.index = {m: k for k, m in enumerate(self.monomials)}
-
-    @property
-    def dim(self) -> int:
-        return len(self.monomials)
 
     def degree_indices(self, l: int) -> tuple[int, ...]:
         return tuple(k for k, (a, b) in enumerate(self.monomials) if a + b == l)
@@ -56,28 +51,6 @@ class TruncatedRing:
     def act_f(self, mono):
         a, b = mono
         return (a, (a - 1, b + 1)) if a >= 1 else None
-
-    def act_h(self, mono):
-        a, b = mono
-        return (a - b, mono)
-
-    def _operator_matrix(self, act) -> list[list[Fraction]]:
-        out = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for k, mono in enumerate(self.monomials):
-            image = act(mono)
-            if image is not None and image[0] != 0:
-                coeff, target = image
-                out[self.index[target]][k] = Fraction(coeff)
-        return out
-
-    def matrix_e(self):
-        return self._operator_matrix(self.act_e)
-
-    def matrix_f(self):
-        return self._operator_matrix(self.act_f)
-
-    def matrix_h(self):
-        return self._operator_matrix(self.act_h)
 
     def matrix_e_on_degree(self, l: int) -> list[list[Fraction]]:
         idx = self.degree_indices(l)
@@ -191,15 +164,6 @@ class MonomialIdeal:
         return frozenset(
             (a, b) for b, part in enumerate(self.staircase.parts) for a in range(part)
         )
-
-    def ideal_monomials_in_window(self) -> frozenset[tuple[int, int]]:
-        window = {
-            (a, b)
-            for a in range(self.truncation)
-            for b in range(self.truncation)
-            if a + b < self.truncation
-        }
-        return frozenset(window - self.quotient_monomials())
 
     def generators(self) -> tuple[tuple[int, int], ...]:
         """Minimal monomial generators (the staircase corners)."""

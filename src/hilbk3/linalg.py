@@ -36,10 +36,6 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def vec_mat(v: Vector, a: Matrix) -> Vector:
-    return [sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0]))]
-
-
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 

@@ -3,8 +3,8 @@
 A partition alpha = (n_1 >= ... >= n_k) of n indexes the diagonal stratum of
 the n-th symmetric power of a surface where exactly k points remain distinct,
 with prescribed multiplicities.  These strata drive the Betti computation,
-and their pinned refinements ("special shapes") drive the candidate pipeline
-for trianalytic subvarieties.
+and the audit of their pinnings drives the candidate pipeline for
+trianalytic subvarieties.
 """
 
 from __future__ import annotations
@@ -34,21 +34,8 @@ class YoungDiagram:
     def length(self) -> int:
         return len(self.parts)
 
-    def refinement(self) -> Refinement:
-        values = sorted(set(self.parts), reverse=True)
-        mults = tuple(self.parts.count(v) for v in values)
-        return Refinement(tuple(values), mults)
-
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
-
-
-@dataclass(frozen=True)
-class Refinement:
-    """Distinct part values of a diagram with their multiplicities."""
-
-    values: tuple[int, ...]
-    multiplicities: tuple[int, ...]
 
 
 def partitions_of(n: int, max_part: int | None = None):
@@ -95,143 +82,6 @@ def is_triangular(m: int) -> tuple[bool, int | None]:
         return False, None
     l = (isqrt(8 * m + 1) - 1) // 2
     return (l * (l + 1) // 2 == m, l if l * (l + 1) // 2 == m else None)
-
-
-def enumerate_universal_reldim0(n: int) -> tuple[YoungDiagram, ...]:
-    """Diagrams of n all of whose parts are triangular numbers.
-
-    These are exactly the strata carrying a universal subvariety of relative
-    dimension zero: each part must be a punctual colength admitting a unique
-    torus-fixed ideal, which happens precisely at triangular colengths.
-    """
-    return tuple(d for d in diagrams_of(n) if all(is_triangular(p)[0] for p in d.parts))
-
-
-@dataclass(frozen=True)
-class SpecialShape:
-    """A diagram plus a set of pinned part indices (1-based).
-
-    Pinned parts sit at chosen fixed points of the surface; free parts move.
-    """
-
-    diagram: YoungDiagram
-    pinned: frozenset[int]
-
-    def __post_init__(self):
-        k = self.diagram.length
-        if not all(isinstance(i, int) and 1 <= i <= k for i in self.pinned):
-            raise ValueError("pinned indices must lie in 1..k")
-
-
-def special_dimension(shape: SpecialShape) -> int:
-    """Complex dimension of the cycle locus: each free part moves in the surface."""
-    return 2 * (shape.diagram.length - len(shape.pinned))
-
-
-def deformation_dimension(shape: SpecialShape) -> int:
-    """Dimension of the local deformations of the shape itself.
-
-    Pinned points may move in the surface (2 each) and the punctual ideal
-    over a pinned part of size n_i may vary in its (n_i - 1)-dimensional
-    fiber.  Zero iff nothing is pinned, i.e. the shape is universal, hence
-    rigid.
-    """
-    a = shape.pinned
-    return 2 * len(a) + sum(shape.diagram.parts[i - 1] - 1 for i in a)
-
-
-@dataclass(frozen=True)
-class NaturalShape:
-    """A set partition of {1..n} with a free/pinned bit per block.
-
-    Canonical form: each block sorted increasingly, blocks ordered by their
-    minimum, marks aligned with blocks.  Use make() to canonicalize.
-    """
-
-    blocks: tuple[tuple[int, ...], ...]
-    pinned: tuple[bool, ...]
-
-    def __post_init__(self):
-        if len(self.blocks) != len(self.pinned):
-            raise ValueError("one mark per block")
-        seen: set[int] = set()
-        for b in self.blocks:
-            if not b or tuple(sorted(b)) != b:
-                raise ValueError("blocks must be sorted nonempty tuples")
-            if seen & set(b):
-                raise ValueError("blocks must be disjoint")
-            seen |= set(b)
-        if seen != set(range(1, len(seen) + 1)):
-            raise ValueError("blocks must partition 1..n")
-        mins = [b[0] for b in self.blocks]
-        if mins != sorted(mins):
-            raise ValueError("blocks must be ordered by minimum; use make()")
-
-    @classmethod
-    def make(cls, blocks, pinned) -> "NaturalShape":
-        items = sorted(
-            ((tuple(sorted(b)), bool(m)) for b, m in zip(blocks, pinned)),
-            key=lambda t: t[0][0],
-        )
-        return cls(tuple(b for b, _ in items), tuple(m for _, m in items))
-
-    @property
-    def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-
-def _set_partitions(n: int):
-    if n == 0:
-        yield ()
-        return
-    for rest in _set_partitions(n - 1):
-        yield rest + ((n,),)
-        for i in range(len(rest)):
-            yield rest[:i] + (rest[i] + (n,),) + rest[i + 1:]
-
-
-def _shapes_by_marking(n: int) -> frozenset[NaturalShape]:
-    out = set()
-    for sp in _set_partitions(n):
-        k = len(sp)
-        for mask in range(1 << k):
-            marks = tuple(bool(mask >> i & 1) for i in range(k))
-            out.add(NaturalShape.make(sp, marks))
-    return frozenset(out)
-
-
-def _shapes_by_grammar(n: int) -> frozenset[NaturalShape]:
-    # closure from n = 1 under: (a) new free singleton, (b) new pinned
-    # singleton, (c) absorb the new point into an existing block, keeping
-    # that block's mark
-    current = {NaturalShape.make(((1,),), (m,)) for m in (False, True)}
-    for m in range(2, n + 1):
-        grown = set()
-        for shape in current:
-            for bit in (False, True):
-                grown.add(NaturalShape.make(shape.blocks + ((m,),), shape.pinned + (bit,)))
-            for i in range(len(shape.blocks)):
-                blocks = list(shape.blocks)
-                blocks[i] = blocks[i] + (m,)
-                grown.add(NaturalShape.make(blocks, shape.pinned))
-        current = grown
-    return frozenset(current)
-
-
-def natural_shapes(n: int, method: str = "grammar") -> frozenset[NaturalShape]:
-    """All marked shapes on n points, by either construction.
-
-    method="grammar" closes the three production rules starting from n = 1;
-    method="marked" enumerates set partitions times markings directly.  The
-    two agree (tested), which is the point.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if method == "grammar":
-        return _shapes_by_grammar(n)
-    if method == "marked":
-        return _shapes_by_marking(n)
-    raise ValueError(f"unknown method {method!r}")
 
 
 @dataclass(frozen=True)
@@ -282,6 +132,3 @@ def trianalytic_candidates(n: int) -> tuple[CandidateAudit, ...]:
         ))
     return tuple(audits)
 
-
-def surviving_candidates(n: int) -> tuple[CandidateAudit, ...]:
-    return tuple(a for a in trianalytic_candidates(n) if a.survives)

@@ -1,13 +1,23 @@
-"""Independent oracles used by the test suite.
+"""Independent oracles and test-only constructions used by the test suite.
 
-Everything here is computed by a different route than the library code it
-checks: generating-function expansions, brute-force multiset enumeration,
-and exhaustive subset scans.  Values frozen in the tests were produced by
-these functions and cross-checked against the literature before freezing.
+The oracles compute by a different route than the library code they check:
+generating-function expansions, brute-force multiset enumeration, and
+exhaustive subset scans.  Values frozen in the tests were produced by these
+functions and cross-checked against the literature before freezing.
+
+The constructions below them exist only so tests can compare or sample
+with them, and the reports never run them: the shape grammar, explicit BB
+classes, the transported inverse tensor, the rotation modules of d and d^2,
+and random isotropic vectors.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
+
+from hilbk3 import linalg
+from hilbk3.bb_lattice import H2Class, Sym2Tensor, su2_generators
+from hilbk3.partitions import is_triangular, partitions_of
 
 
 def _poly_mul(a, b):
@@ -155,8 +165,6 @@ def brute_stable_staircases(i):
     Full scan of every monomial in the degree window, acting by e and f on
     each ideal monomial directly (no corner shortcuts).
     """
-    from hilbk3.partitions import partitions_of
-
     window = {(a, b) for a in range(i + 1) for b in range(i + 1) if a + b <= i}
     hits = []
     for parts in partitions_of(i):
@@ -173,3 +181,191 @@ def brute_stable_staircases(i):
         if stable:
             hits.append(parts)
     return hits
+
+
+def shapes_by_grammar(n):
+    """Marked set partitions of {1..n} by closing three production rules.
+
+    Starting from the two marked shapes on {1}, each new point m becomes a
+    free singleton, a marked singleton, or joins an existing block, keeping
+    that block's mark.  Emits the encoding of brute_set_partitions_with_marks.
+    """
+    current = {frozenset({(frozenset({1}), mark)}) for mark in (False, True)}
+    for m in range(2, n + 1):
+        grown = set()
+        for shape in current:
+            for mark in (False, True):
+                grown.add(shape | {(frozenset({m}), mark)})
+            for block, mark in shape:
+                grown.add((shape - {(block, mark)}) | {(block | {m}, mark)})
+        current = grown
+    return current
+
+
+# Constructions on the BB lattice that only the tests use: explicit classes,
+# the transported inverse tensor behind the pullback coefficient, and the
+# rotation modules generated by d and d^2.
+
+def delta_class(lat):
+    if not lat.has_delta:
+        raise ValueError("n = 1 has no exceptional class")
+    return H2Class.make((0,) * lat.dim_v, 1)
+
+
+def basis_class(lat, i):
+    v = [0] * lat.dim_v
+    v[i] = 1
+    return H2Class.make(v)
+
+
+def bb_inverse_tensor(lat):
+    inv = linalg.inverse(lat.full_gram())
+    return Sym2Tensor(tuple(tuple(r) for r in inv), covariant=False)
+
+
+def transported_bb_tensor(src, dst):
+    """The BB dual tensor of src transported to dst coordinates.
+
+    Surface block unchanged; the coefficient -1/(2(n-1)) on the exceptional
+    square is carried through the exceptional scaling delta_n -> (n/l)
+    delta_l, picking up one factor n/l.
+    """
+    if src.gram != dst.gram:
+        raise ValueError("lattices must share the surface gram")
+    if not (src.has_delta and dst.has_delta):
+        raise ValueError("both lattices need an exceptional class")
+    n, l = src.n, dst.n
+    if n % l != 0 or not is_triangular(n // l)[0]:
+        raise ValueError("transport needs l | n with triangular quotient")
+    inv = linalg.inverse([list(r) for r in src.gram])
+    size = dst.total_dim
+    out = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(dst.dim_v):
+        for j in range(dst.dim_v):
+            out[i][j] = inv[i][j]
+    out[size - 1][size - 1] = Fraction(n, l) * Fraction(-1, 2 * (n - 1))
+    return Sym2Tensor(tuple(tuple(r) for r in out), covariant=False)
+
+
+def obstruction_coefficient_from_tensors(src, dst):
+    """Independent route to c(n, l): transported BB dual minus the target BB dual.
+
+    The surface blocks must cancel exactly (checked), leaving a pure
+    exceptional-square coefficient.
+    """
+    t = transported_bb_tensor(src, dst)
+    b = bb_inverse_tensor(dst)
+    size = t.size
+    diff = [[t.entries[i][j] - b.entries[i][j] for j in range(size)] for i in range(size)]
+    for i in range(size):
+        for j in range(size):
+            if (i, j) != (size - 1, size - 1) and diff[i][j] != 0:
+                raise RuntimeError("surface block failed to cancel in the transport")
+    return diff[size - 1][size - 1]
+
+
+def vec_mat(v, a):
+    return [sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0]))]
+
+
+def _integer_ops(lat, triple):
+    # rescaling an operator does not change the module it generates
+    out = []
+    for op in su2_generators(lat, triple):
+        s = lcm(*(Fraction(x).denominator for row in op for x in row))
+        out.append([[int(x * s) for x in row] for row in op])
+    return out
+
+
+def _saturation_rank(start, ops, act, flat, ncols):
+    ech = linalg.Echelon(ncols)
+    frontier = [start] if ech.add(flat(start)) else []
+    while frontier:
+        grown = []
+        for x in frontier:
+            for op in ops:
+                y = act(x, op)
+                if ech.add(flat(y)):
+                    grown.append(y)
+        frontier = grown
+    return ech.rank
+
+
+def delta_module_dimension(lat, triple):
+    """Dimension of the rotation module generated by the functional d."""
+    if not lat.has_delta:
+        raise ValueError("n = 1 has no exceptional class")
+    size = lat.total_dim
+    d = [0] * (size - 1) + [1]
+    return _saturation_rank(d, _integer_ops(lat, triple), vec_mat, list, size)
+
+
+def orbit_dimension_d2(lat, triple):
+    """Dimension of the rotation module generated by d^2 inside Sym^2(H^2)*.
+
+    1 when the triple is orthogonal to delta, and C(dim V0 + 1, 2) - 1 = 9
+    otherwise, where V0 is the degree-1 module of d (the span of d^2 picks
+    out only a line inside the two-dimensional trivial isotypic part of
+    Sym^2 V0, hence one less than the full symmetric square).
+    """
+    size = lat.total_dim
+    d2 = [[0] * size for _ in range(size)]
+    d2[-1][-1] = 1
+
+    def act(t, op):  # covariant action on a 2-tensor: -(L^T t + t L)
+        lt = linalg.mat_mul(linalg.transpose(op), t)
+        return linalg.mat_scale(linalg.mat_add(lt, linalg.mat_mul(t, op)), -1)
+
+    def upper(t):
+        return [t[i][j] for i in range(size) for j in range(i, size)]
+
+    return _saturation_rank(d2, _integer_ops(lat, triple), act, upper, size * (size + 1) // 2)
+
+
+# Isotropic vectors of a rational quadratic form, for sampling classes with
+# alpha^(n+1) = 0 in the Frobenius models.
+
+def find_isotropic(gram):
+    """A nonzero isotropic vector by small search, or None."""
+    dim = len(gram)
+    def q(v):
+        return sum(v[i] * gram[i][j] * v[j] for i in range(dim) for j in range(dim))
+    for i in range(dim):
+        e = [Fraction(0)] * dim
+        e[i] = Fraction(1)
+        if q(e) == 0:
+            return e
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for a in (1, -1, 2, -2):
+                v = [Fraction(0)] * dim
+                v[i] = Fraction(1)
+                v[j] = Fraction(a)
+                if q(v) == 0:
+                    return v
+    return None
+
+
+def random_isotropic(gram, rng):
+    """Random rational isotropic vector (projection from a known one).
+
+    For u isotropic and any v with B(u, v) != 0, v - q(v)/(2 B(u,v)) u is
+    isotropic; drawing v at random sweeps out the quadric.
+    """
+    dim = len(gram)
+    u = find_isotropic(gram)
+    if u is None:
+        raise ValueError("no rational isotropic vector found for this gram")
+    def pair(x, y):
+        return sum(x[i] * gram[i][j] * y[j] for i in range(dim) for j in range(dim))
+    for _ in range(256):
+        v = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(dim)]
+        buv = pair(u, v)
+        if buv == 0:
+            continue
+        alpha = [x - Fraction(pair(v, v), 2 * buv) * y for x, y in zip(v, u)]
+        if any(x != 0 for x in alpha):
+            if pair(alpha, alpha) != 0:
+                raise RuntimeError("projected vector is not isotropic")
+            return alpha
+    raise RuntimeError("failed to draw an isotropic vector")

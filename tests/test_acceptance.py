@@ -11,35 +11,39 @@ from fractions import Fraction
 from hilbk3 import linalg
 from hilbk3.bb_lattice import (
     H2Lattice,
-    basis_class,
     bb_form_tensor,
     bb_pair,
     certify_no_trianalytic,
-    delta_class,
-    delta_module_dimension,
     delta_squared_tensor,
     h4_obstruction,
     is_su2_invariant,
     k3_lattice,
     obstruction_coefficient,
-    obstruction_coefficient_from_tensors,
-    orbit_dimension_d2,
     q_norm,
     random_period_triple,
 )
 from hilbk3.cohomology import SurfaceBetti, hilbert_poincare, hilbert_stratum_ledger
-from hilbk3.frobenius import algebra_dimension_pattern, build_algebra, random_isotropic
+from hilbk3.frobenius import algebra_dimension_pattern, build_algebra
 from hilbk3.invariant_ideals import classify_invariant_ideals, punctual_fixed_points
 from hilbk3.partitions import (
     YoungDiagram,
     diagrams_of,
-    enumerate_universal_reldim0,
     is_triangular,
-    natural_shapes,
+    trianalytic_candidates,
     verify_semismall,
 )
 
-from oracles import goettsche_betti
+from oracles import (
+    basis_class,
+    brute_set_partitions_with_marks,
+    delta_class,
+    delta_module_dimension,
+    goettsche_betti,
+    obstruction_coefficient_from_tensors,
+    orbit_dimension_d2,
+    random_isotropic,
+    shapes_by_grammar,
+)
 
 K3 = SurfaceBetti.k3()
 
@@ -252,7 +256,7 @@ def test_11_invariant_ideals_and_punctual_fixed_points():
             else:
                 assert pts == ()
         for n in range(1, 9):
-            universal = set(enumerate_universal_reldim0(n))
+            universal = {a.diagram for a in trianalytic_candidates(n) if a.survives}
             for d in diagrams_of(n):
                 expected = all(len(punctual_fixed_points(p)) == 1 for p in d.parts)
                 assert (d in universal) == expected
@@ -266,7 +270,7 @@ def test_11_invariant_ideals_and_punctual_fixed_points():
 def test_12_shape_grammar_closure_is_complete():
     def body():
         for n in range(1, 6):
-            assert natural_shapes(n, method="grammar") == natural_shapes(n, method="marked")
+            assert shapes_by_grammar(n) == brute_set_partitions_with_marks(n)
 
     _report(12, "the three production rules generate exactly the marked set "
                 "partitions for every n <= 5", body)

@@ -8,37 +8,66 @@ from hilbk3.bb_lattice import (
     H2Class,
     H2Lattice,
     PeriodTriple,
-    basis_class,
     bb_form_tensor,
-    bb_inverse_tensor,
     bb_pair,
     certify_no_trianalytic,
-    class_from_coords,
     coords,
     default_k3_gram,
-    delta_class,
-    delta_module_dimension,
     delta_squared_tensor,
     h4_obstruction,
     is_su2_invariant,
     k3_lattice,
     obstruction_coefficient,
-    obstruction_coefficient_from_tensors,
-    orbit_dimension_d2,
-    pullback,
     q_norm,
     random_period_triple,
     su2_generators,
+)
+from hilbk3.partitions import YoungDiagram, is_triangular
+
+from oracles import (
+    basis_class,
+    bb_inverse_tensor,
+    delta_class,
+    delta_module_dimension,
+    obstruction_coefficient_from_tensors,
+    orbit_dimension_d2,
     transported_bb_tensor,
 )
-from hilbk3.partitions import YoungDiagram
 
 # small surface gram with a positive 3-space, for fast tests
 SMALL = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))
 
 
+# signature (3, 1), determinant -144, entries large next to the +-1 noise
+# of the period-triple sampler
+SCRAMBLED = ((-19, 127, 73, 115), (127, -185, -91, -451), (73, -91, -43, -253),
+             (115, -451, -253, -535))
+
+
 def small_lattice(n):
     return k3_lattice(n, SMALL)
+
+
+def pullback(src, dst, x):
+    """Pull a class back along the rational map from the dst Hilbert scheme.
+
+    Defined when dst.n divides src.n with triangular quotient: identity on
+    the surface part, delta_n -> (n/l) delta_l for l >= 2 and delta_n -> 0
+    for l = 1.
+    """
+    if src.gram != dst.gram:
+        raise ValueError("lattices must share the surface gram")
+    n, l = src.n, dst.n
+    if n % l != 0:
+        raise ValueError(f"{l} does not divide {n}")
+    t = n // l
+    ok, _ = is_triangular(t)
+    if not ok:
+        raise ValueError(f"quotient {t} = {n}/{l} is not triangular")
+    coords(src, x)  # membership check
+    if not dst.has_delta:
+        return H2Class.make(x.v, 0)
+    return H2Class.make(x.v, x.delta * Fraction(n, l))
 
 
 def test_default_gram_shape_and_invariants():
@@ -97,7 +126,6 @@ def test_bb_pair_and_coords():
     assert bb_pair(lat, d, d) == -6
     x = H2Class.make((1, 2, 0, 1), Fraction(1, 2))
     assert coords(lat, x) == [1, 2, 0, 1, Fraction(1, 2)]
-    assert class_from_coords(lat, coords(lat, x)) == x
     with pytest.raises(ValueError):
         bb_pair(lat, H2Class.make((1,)), e0)
     with pytest.raises(ValueError):
@@ -267,6 +295,18 @@ def test_h4_obstruction_preconditions():
     flat = random_period_triple(lat3, rng, with_delta=False)
     with pytest.raises(ValueError):
         h4_obstruction(lat3, flat)
+
+
+def test_random_period_triple_on_a_scrambled_gram():
+    lat = k3_lattice(3, SCRAMBLED)
+    assert linalg.det([list(map(Fraction, r)) for r in SCRAMBLED]) == -144
+    assert linalg.signature([list(map(Fraction, r)) for r in SCRAMBLED]) == (3, 1, 0)
+    for seed in range(4):
+        for with_delta in (True, False):
+            triple = random_period_triple(lat, random.Random(seed), with_delta=with_delta)
+            assert triple.has_delta_component == with_delta
+    report = certify_no_trianalytic(3, gram=SCRAMBLED, seed=0)
+    assert report.verdict == "certified"
 
 
 def test_random_period_triple_is_deterministic():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import hilbk3
 from hilbk3.cli import SCHEMA, main
 
 
@@ -73,6 +74,13 @@ def test_strata_command(capsys):
         assert s["codim"] == 2 * sum(p - 1 for p in s["diagram"])
 
 
+def test_strata_rejects_bad_n(capsys):
+    code, payload = run_json(["strata", "--n", "0"], capsys)
+    assert code == 1
+    assert payload["status"] == "error"
+    assert payload["error"]["message"] == "n must be >= 1"
+
+
 def test_certify_command(capsys):
     code, payload = run_json(["certify", "--n", "6"], capsys)
     assert code == 0
@@ -100,6 +108,18 @@ def test_certify_gram_file(tmp_path, capsys):
     assert payload["result"]["verdict"] == "certified"
 
 
+def test_certify_scrambled_gram_file(tmp_path, capsys):
+    # signature (3, 1), determinant -144; large entries next to the +-1
+    # noise of the period-triple sampler
+    rows = [[-19, 127, 73, 115], [127, -185, -91, -451], [73, -91, -43, -253],
+            [115, -451, -253, -535]]
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps({"dim": 4, "rows": rows}))
+    code, payload = run_json(["certify", "--n", "3", "--seed", "0", "--gram", str(path)], capsys)
+    assert code == 0
+    assert payload["result"]["verdict"] == "certified"
+
+
 MALFORMED_GRAMS = {
     "top-level-list": "[[1, 0], [0, 1]]",
     "top-level-number": "7",
@@ -111,6 +131,9 @@ MALFORMED_GRAMS = {
     "null-entry": '{"dim": 2, "rows": [[null, 0], [0, 1]]}',
     "nested-entry": '{"dim": 2, "rows": [[[1], 0], [0, 1]]}',
     "zero-denominator": '{"dim": 2, "rows": [["1/0", 0], [0, 1]]}',
+    "exponent-string": '{"dim": 2, "rows": [["1e3", 0], [0, 1]]}',
+    "float-entry": '{"dim": 2, "rows": [[2.0, 0], [0, 1]]}',
+    "bool-entry": '{"dim": 2, "rows": [[true, 0], [0, 1]]}',
     "shape-disagrees-with-dim": '{"dim": 2, "rows": [[1, 0], [0, 1], [0, 0]]}',
     "not-json": "{not json",
 }
@@ -181,3 +204,20 @@ def test_frobenius_command_dimensions_only(capsys):
 def test_unknown_command_exits_nonzero(capsys):
     with pytest.raises(SystemExit):
         main(["frobble"])
+
+
+def test_package_exports_are_pinned():
+    assert sorted(hilbk3.__all__) == sorted([
+        "SurfaceBetti", "hilbert_stratum_ledger", "hilbert_poincare", "diagonal_poincare",
+        "diagrams_of", "codim_diagonal", "fiber_dimension", "verify_semismall",
+        "is_triangular", "certify_no_trianalytic", "classify_invariant_ideals",
+        "punctual_fixed_points", "algebra_dimension_pattern", "build_algebra",
+        "trianalytic_candidates", "obstruction_coefficient", "default_k3_gram",
+        "k3_lattice", "random_period_triple", "h4_obstruction", "restriction_functional",
+        "is_su2_invariant", "su2_generators", "bb_pair",
+        "YoungDiagram", "CandidateAudit", "PoincarePolynomial", "StratumLedger",
+        "H2Lattice", "H2Class", "PeriodTriple", "Sym2Tensor", "CandidateCertificate",
+        "CertificationReport", "FrobeniusAlgebra", "InvariantIdeal", "MonomialIdeal",
+    ])
+    assert len(set(hilbk3.__all__)) == len(hilbk3.__all__)
+    assert all(hasattr(hilbk3, name) for name in hilbk3.__all__)

@@ -2,24 +2,21 @@ import pytest
 
 from hilbk3.partitions import (
     CandidateAudit,
-    NaturalShape,
-    SpecialShape,
     YoungDiagram,
     codim_diagonal,
-    deformation_dimension,
     diagrams_of,
-    enumerate_universal_reldim0,
     fiber_dimension,
     is_triangular,
-    natural_shapes,
     partitions_of,
-    special_dimension,
-    surviving_candidates,
     trianalytic_candidates,
     verify_semismall,
 )
 
-from oracles import brute_pinning_audit, brute_set_partitions_with_marks
+from oracles import brute_pinning_audit, brute_set_partitions_with_marks, shapes_by_grammar
+
+
+def surviving_candidates(n):
+    return tuple(a for a in trianalytic_candidates(n) if a.survives)
 
 
 def test_young_diagram_validation():
@@ -46,13 +43,6 @@ def test_partitions_respect_max_part():
     for parts in partitions_of(8, max_part=3):
         assert max(parts) <= 3
         assert sum(parts) == 8
-
-
-def test_refinement_groups_multiplicities():
-    d = YoungDiagram((4, 2, 2, 1, 1, 1))
-    ref = d.refinement()
-    assert ref.values == (4, 2, 1)
-    assert ref.multiplicities == (1, 2, 3)
 
 
 def test_codim_and_fiber_dimensions():
@@ -84,50 +74,40 @@ def test_is_triangular():
 
 
 def test_enumerate_universal_reldim0():
-    assert set(enumerate_universal_reldim0(6)) == {
+    # the strata of universal subvarieties of relative dimension zero are the
+    # diagrams whose parts are all triangular: the pipeline's survivors
+    def universal(n):
+        return {a.diagram for a in surviving_candidates(n)}
+
+    assert universal(6) == {
         YoungDiagram((6,)),
         YoungDiagram((3, 3)),
         YoungDiagram((3, 1, 1, 1)),
         YoungDiagram((1, 1, 1, 1, 1, 1)),
     }
     # 4 has no all-triangular partition with a part > 1 except using 3+1
-    assert YoungDiagram((4,)) not in set(enumerate_universal_reldim0(4))
-    assert YoungDiagram((3, 1)) in set(enumerate_universal_reldim0(4))
-
-
-def test_special_shape_dimensions():
-    d = YoungDiagram((3, 2, 1))
-    s = SpecialShape(d, frozenset({1, 3}))
-    # unpinned parts contribute 2 each, pinned contribute 2 + (part - 1)
-    assert special_dimension(s) == 2 * (3 - 2)
-    assert deformation_dimension(s) == 2 * 2 + (3 - 1) + (1 - 1)
-    with pytest.raises(ValueError):
-        SpecialShape(d, frozenset({4}))
-
-
-def test_natural_shape_canonicalization():
-    s = NaturalShape.make([(3,), (2, 1)], (True, False))
-    assert s.blocks == ((1, 2), (3,))
-    assert s.pinned == (False, True)
-    assert s.n == 3
-    t = NaturalShape.make([[1, 2], [3]], [0, 1])
-    assert s == t
-    with pytest.raises(ValueError):
-        NaturalShape(blocks=((2, 1),), pinned=(False,))
-    with pytest.raises(ValueError):
-        NaturalShape(blocks=((1,), (2,)), pinned=(False,))
-    with pytest.raises(ValueError):
-        NaturalShape.make([(1,), (3,)], (False, False))
+    assert YoungDiagram((4,)) not in universal(4)
+    assert YoungDiagram((3, 1)) in universal(4)
 
 
 def test_natural_shapes_grammar_equals_marked():
     for n in range(1, 7):
-        assert natural_shapes(n, method="grammar") == natural_shapes(n, method="marked")
+        assert shapes_by_grammar(n) == brute_set_partitions_with_marks(n)
 
 
 def test_natural_shape_counts_match_brute_force():
+    # sum over k of S(n, k) 2^k: set partitions into k blocks, times the
+    # 2^k ways to mark blocks
+    def stirling2(n, k):
+        if n == k:
+            return 1
+        if k == 0:
+            return 0
+        return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
     for n in range(1, 7):
-        assert len(natural_shapes(n)) == len(brute_set_partitions_with_marks(n))
+        expected = sum(stirling2(n, k) * 2 ** k for k in range(1, n + 1))
+        assert len(shapes_by_grammar(n)) == len(brute_set_partitions_with_marks(n)) == expected
 
 
 def test_candidate_audit_against_brute_force():
