@@ -78,16 +78,10 @@ class H2Lattice:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError("n must be a positive integer")
-        g = tuple(tuple(Fraction(x) for x in row) for row in self.gram)
-        if any(len(row) != len(g) for row in g):
-            raise ValueError("gram must be square")
-        for i in range(len(g)):
-            for j in range(len(g)):
-                if g[i][j] != g[j][i]:
-                    raise ValueError("gram must be symmetric")
-        if linalg.det([list(r) for r in g]) == 0:
+        g = linalg.symmetric_rows(self.gram, "gram")
+        if linalg.det(g) == 0:
             raise ValueError("gram must be nondegenerate")
-        object.__setattr__(self, "gram", g)
+        object.__setattr__(self, "gram", tuple(map(tuple, g)))
 
     @property
     def dim_v(self) -> int:
@@ -182,14 +176,8 @@ class Sym2Tensor:
     covariant: bool
 
     def __post_init__(self):
-        e = tuple(tuple(Fraction(x) for x in row) for row in self.entries)
-        if any(len(row) != len(e) for row in e):
-            raise ValueError("tensor must be square")
-        for i in range(len(e)):
-            for j in range(i):
-                if e[i][j] != e[j][i]:
-                    raise ValueError("tensor must be symmetric")
-        object.__setattr__(self, "entries", e)
+        e = linalg.symmetric_rows(self.entries, "tensor")
+        object.__setattr__(self, "entries", tuple(map(tuple, e)))
 
     @property
     def size(self) -> int:

@@ -16,7 +16,7 @@ import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
-from . import bb_lattice, cohomology, frobenius, invariant_ideals, partitions
+from . import bb_lattice, cohomology, frobenius, invariant_ideals, linalg, partitions
 
 SCHEMA = "hilbk3.report/1"
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -99,10 +99,12 @@ def _load_gram(path: str | None):
         raise ValueError("gram entries must be integers or 'p/q' strings") from None
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise ValueError("gram file dimensions are inconsistent")
-    return rows
+    return linalg.symmetric_rows(rows, "gram")
 
 
 def cmd_betti(args) -> tuple[dict, list[dict]]:
+    if args.max_degree is not None and args.max_degree < 0:
+        raise ValueError("max-degree must be >= 0")
     surface = _parse_surface(args.surface)
     ledger = cohomology.hilbert_stratum_ledger(surface, args.n)
     poly = ledger.total()
@@ -133,22 +135,16 @@ def cmd_betti(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_strata(args) -> tuple[dict, list[dict]]:
-    if args.n < 1:
-        raise ValueError("n must be >= 1")
     surface = _parse_surface(args.surface)
-    rows = []
-    all_semismall = True
-    for d in partitions.diagrams_of(args.n):
-        ok = partitions.verify_semismall(d)
-        all_semismall = all_semismall and ok
-        rows.append({
-            "diagram": _plain(d),
-            "codim": partitions.codim_diagonal(d),
-            "fiber_dimension": partitions.fiber_dimension(d),
-            "semismall": ok,
-            "poincare": list(cohomology.diagonal_poincare(surface, d).betti),
-        })
-    checks = [{"name": "semismall-equality-all-strata", "ok": all_semismall}]
+    ledger = cohomology.hilbert_stratum_ledger(surface, args.n)
+    rows = [{
+        "diagram": _plain(c.diagram),
+        "codim": c.codim,
+        "fiber_dimension": partitions.fiber_dimension(c.diagram),
+        "semismall": partitions.verify_semismall(c.diagram),
+        "poincare": list(c.poincare.betti),
+    } for c in ledger.contributions]
+    checks = [{"name": "semismall-equality-all-strata", "ok": all(r["semismall"] for r in rows)}]
     return {"n": args.n, "surface": _plain(surface), "strata": rows}, checks
 
 

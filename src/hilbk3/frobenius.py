@@ -29,6 +29,7 @@ from . import linalg
 
 MAX_DIM_V = 6
 MAX_N = 4
+_ZERO = Fraction(0)
 
 
 class ConstructionError(RuntimeError):
@@ -75,8 +76,7 @@ def laplacian_matrix(gram, dim: int, degree: int) -> list[list[Fraction]]:
 def harmonic_basis(gram, dim: int, degree: int) -> list[list[Fraction]]:
     """Kernel of the contraction in the given degree."""
     if degree < 2:
-        n = len(monomial_basis(dim, degree))
-        return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+        return linalg.identity(len(monomial_basis(dim, degree)))
     return linalg.nullspace(laplacian_matrix(gram, dim, degree), len(monomial_basis(dim, degree)))
 
 
@@ -87,73 +87,91 @@ def algebra_dimension_pattern(dim_v: int, n: int) -> tuple[int, ...]:
     return tuple(comb(dim_v + min(i, 2 * n - i) - 1, min(i, 2 * n - i)) for i in range(2 * n + 1))
 
 
-class FrobeniusAlgebra:
-    """Multiplication, counit and pairings of the model algebra.
+def _times(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Product of two monomials as exponent tuples."""
+    return tuple(x + y for x, y in zip(a, b))
 
-    Elements of the component A_{2i} are coordinate vectors over the stored
-    quotient basis (non-pivot monomials of Sym^i modulo the ideal).
+
+class FrobeniusAlgebra:
+    """The model algebra as its table of monomial normal forms.
+
+    The basis of A_{2d} is a set of monomials of Sym^d V: those off the
+    pivot columns of the ideal's echelon in degree d.  For every degree
+    d <= 2n the table maps each monomial to its normal form, sparse
+    coordinates ((t, coeff), ...) over that basis.  Below degree n + 1 the
+    ideal is zero and each monomial is its own normal form; in degrees
+    n + 1..2n it is the monomial reduced by the echelon.  Elements of
+    A_{2d} are coordinate vectors over the basis, and reduction, products,
+    pairings and the associativity check all read the one table.
     """
 
     def __init__(self, gram, n: int):
-        gram = [list(map(Fraction, row)) for row in gram]
-        dim = len(gram)
-        if any(len(r) != dim for r in gram):
-            raise ValueError("gram must be square")
-        for i in range(dim):
-            for j in range(dim):
-                if gram[i][j] != gram[j][i]:
-                    raise ValueError("gram must be symmetric")
+        gram = linalg.symmetric_rows(gram, "gram")
         if linalg.det(gram) == 0:
             raise ValueError("gram must be nondegenerate")
         if not isinstance(n, int) or n < 1:
             raise ValueError("n must be a positive integer")
-        if dim > MAX_DIM_V or n > MAX_N:
+        if len(gram) > MAX_DIM_V or n > MAX_N:
             raise ValueError(f"full tables capped at dim V <= {MAX_DIM_V}, n <= {MAX_N}; "
                              f"use algebra_dimension_pattern for larger spaces")
         self.gram = gram
-        self.dim_v = dim
+        self.dim_v = len(gram)
         self.n = n
-        self._ideal: dict[int, linalg.Echelon] = {}
-        self._mono_cache: dict[int, dict[tuple[int, ...], list[Fraction]]] = {}
         self._build()
 
     def _build(self):
         n, dim = self.n, self.dim_v
-        ech = linalg.Echelon(len(monomial_basis(dim, n + 1)))
-        for h in harmonic_basis(self.gram, dim, n + 1):
-            ech.add(h)
-        self._ideal[n + 1] = ech
-        for d in range(n + 2, 2 * n + 1):
-            basis = monomial_basis(dim, d)
-            index = {m: k for k, m in enumerate(basis)}
-            prev_basis = monomial_basis(dim, d - 1)
-            grown = linalg.Echelon(len(basis))
-            for _, row in self._ideal[d - 1].rows:
-                for v in range(dim):
-                    image = [Fraction(0)] * len(basis)
-                    for k, coeff in enumerate(row):
-                        if coeff != 0:
-                            e = list(prev_basis[k])
-                            e[v] += 1
-                            image[index[tuple(e)]] += coeff
-                    grown.add(image)
-            self._ideal[d] = grown
         expected = algebra_dimension_pattern(dim, n)
         self._quotient_monomials: dict[int, tuple[tuple[int, ...], ...]] = {}
-        for i in range(2 * n + 1):
-            basis = monomial_basis(dim, i)
-            pivots = set(self._ideal[i].pivots) if i in self._ideal else set()
-            quotient = tuple(m for k, m in enumerate(basis) if k not in pivots)
-            if len(quotient) != expected[i]:
+        self._forms: dict[int, dict[tuple[int, ...], tuple[tuple[int, Fraction], ...]]] = {}
+        ideal = None  # echelon of the ideal in degree d, once d > n
+        for d in range(2 * n + 1):
+            basis = monomial_basis(dim, d)
+            normal = linalg.identity(len(basis))
+            if d > n:
+                if ideal is None:
+                    generators = harmonic_basis(self.gram, dim, d)
+                else:
+                    # x_v times each row of the ideal in degree d - 1
+                    index = {m: k for k, m in enumerate(basis)}
+                    prev = monomial_basis(dim, d - 1)
+                    generators = []
+                    for _, row in ideal.rows:
+                        for x in monomial_basis(dim, 1):
+                            image = [_ZERO] * len(basis)
+                            for k, coeff in enumerate(row):
+                                if coeff:
+                                    image[index[_times(prev[k], x)]] += coeff
+                            generators.append(image)
+                ideal = linalg.Echelon(len(basis))
+                for g in generators:
+                    ideal.add(g)
+                normal = map(ideal.reduce, normal)
+            pivots = set(ideal.pivots) if ideal else set()
+            quotient = [k for k in range(len(basis)) if k not in pivots]
+            if len(quotient) != expected[d]:
                 raise ConstructionError(
-                    f"degree {2 * i}: got dimension {len(quotient)}, expected {expected[i]}")
-            self._quotient_monomials[i] = quotient
+                    f"degree {2 * d}: got dimension {len(quotient)}, expected {expected[d]}")
+            column = {k: t for t, k in enumerate(quotient)}
+            self._quotient_monomials[d] = tuple(basis[k] for k in quotient)
+            self._forms[d] = {m: tuple((column[k], x) for k, x in enumerate(form) if x)
+                              for m, form in zip(basis, normal)}
 
     def dim(self, i: int) -> int:
         """Dimension of A_{2i} (zero outside 0..2n)."""
         if 0 <= i <= 2 * self.n:
             return len(self._quotient_monomials[i])
         return 0
+
+    def _normal_form(self, d: int, terms) -> list[Fraction]:
+        """Coordinates in A_{2d} of the sum of coeff * mono over (mono, coeff) terms."""
+        # one shared zero: untouched entries of two results compare by identity
+        out = [_ZERO] * self.dim(d)
+        forms = self._forms[d]
+        for mono, coeff in terms:
+            for t, x in forms[mono]:
+                out[t] += coeff * x
+        return out
 
     def reduce(self, i: int, sym_coeffs) -> list[Fraction]:
         """Coordinates in the quotient basis of A_{2i} of a Sym^i vector."""
@@ -163,40 +181,17 @@ class FrobeniusAlgebra:
         vec = [Fraction(x) for x in sym_coeffs]
         if len(vec) != len(basis):
             raise ValueError("coefficient length mismatch")
-        if i in self._ideal:
-            vec = self._ideal[i].reduce(vec)
-        index = {m: k for k, m in enumerate(basis)}
-        return [vec[index[m]] for m in self._quotient_monomials[i]]
-
-    def _reduced_monomial(self, d: int, mono: tuple[int, ...]) -> list[Fraction]:
-        # reduction of a single monomial, cached: products of basis elements
-        # hit the same monomials over and over
-        cache = self._mono_cache.setdefault(d, {})
-        hit = cache.get(mono)
-        if hit is None:
-            basis = monomial_basis(self.dim_v, d)
-            vec = [Fraction(0)] * len(basis)
-            vec[basis.index(mono)] = Fraction(1)
-            hit = cache[mono] = self.reduce(d, vec)
-        return hit
+        return self._normal_form(i, zip(basis, vec))
 
     def multiply(self, i: int, a, j: int, b) -> list[Fraction]:
         """Product A_{2i} x A_{2j} -> A_{2(i+j)} in quotient coordinates."""
         if i + j > 2 * self.n:
             return []
-        out = [Fraction(0)] * self.dim(i + j)
-        for ca, ma in zip(a, self._quotient_monomials[i]):
-            if ca == 0:
-                continue
-            for cb, mb in zip(b, self._quotient_monomials[j]):
-                if cb == 0:
-                    continue
-                c = Fraction(ca) * Fraction(cb)
-                red = self._reduced_monomial(i + j, tuple(x + y for x, y in zip(ma, mb)))
-                for t in range(len(out)):
-                    if red[t] != 0:
-                        out[t] += c * red[t]
-        return out
+        # only nonzero coefficients: pairing_matrix multiplies unit vectors
+        bs = [(mb, cb) for mb, cb in zip(self._quotient_monomials[j], b) if cb]
+        return self._normal_form(i + j, (
+            (_times(ma, mb), ca * cb)
+            for ma, ca in zip(self._quotient_monomials[i], a) if ca for mb, cb in bs))
 
     def counit(self, coords) -> Fraction:
         """Coefficient on the one-dimensional top component A_{4n}."""
@@ -207,16 +202,8 @@ class FrobeniusAlgebra:
     def pairing_matrix(self, i: int) -> list[list[Fraction]]:
         """counit(a_r * b_s) over bases of A_{2i} and A_{2(2n-i)}."""
         j = 2 * self.n - i
-        rows = []
-        da, db = self.dim(i), self.dim(j)
-        for r in range(da):
-            a = [Fraction(1) if t == r else Fraction(0) for t in range(da)]
-            row = []
-            for s in range(db):
-                b = [Fraction(1) if t == s else Fraction(0) for t in range(db)]
-                row.append(self.counit(self.multiply(i, a, j, b)))
-            rows.append(row)
-        return rows
+        return [[self.counit(self.multiply(i, a, j, b)) for b in linalg.identity(self.dim(j))]
+                for a in linalg.identity(self.dim(i))]
 
     def power_of_linear(self, alpha, p: int) -> list[Fraction]:
         """Coordinates of alpha^p in A_{2p} for a vector alpha of V."""
@@ -232,17 +219,12 @@ class FrobeniusAlgebra:
         for _ in range(p):
             grown: dict[tuple[int, ...], Fraction] = {}
             for mono, coeff in current.items():
-                for i, ai in enumerate(alpha):
-                    if ai == 0:
-                        continue
-                    e = list(mono)
-                    e[i] += 1
-                    key = tuple(e)
-                    grown[key] = grown.get(key, Fraction(0)) + coeff * ai
+                for x, ai in zip(monomial_basis(self.dim_v, 1), alpha):
+                    if ai:
+                        key = _times(mono, x)
+                        grown[key] = grown.get(key, _ZERO) + coeff * ai
             current = grown
-        basis = monomial_basis(self.dim_v, p)
-        vec = [current.get(m, Fraction(0)) for m in basis]
-        return self.reduce(p, vec)
+        return self._normal_form(p, current.items())
 
     def check_pairing_nondegenerate(self) -> bool:
         for i in range(2 * self.n + 1):
@@ -253,26 +235,21 @@ class FrobeniusAlgebra:
                 return False
         return True
 
-    def _unit_vectors(self, i: int) -> list[list[Fraction]]:
-        d = self.dim(i)
-        return [[Fraction(1) if t == r else Fraction(0) for t in range(d)] for r in range(d)]
-
     def check_associative(self) -> bool:
         """(ab)c = a(bc) over all basis triples in range; exact."""
-        n = self.n
+        n, basis, forms = self.n, self._quotient_monomials, self._forms
         for i in range(2 * n + 1):
             for j in range(2 * n + 1 - i):
                 for k in range(2 * n + 1 - i - j):
-                    es_i = self._unit_vectors(i)
-                    es_j = self._unit_vectors(j)
-                    es_k = self._unit_vectors(k)
-                    bc_table = [[self.multiply(j, b, k, c) for c in es_k] for b in es_j]
-                    for a in es_i:
-                        for s, b in enumerate(es_j):
-                            ab = self.multiply(i, a, j, b)
-                            for u, c in enumerate(es_k):
-                                left = self.multiply(i + j, ab, k, c)
-                                right = self.multiply(i, a, j + k, bc_table[s][u])
+                    for mb in basis[j]:
+                        for mc in basis[k]:
+                            bc = forms[j + k][_times(mb, mc)]
+                            for ma in basis[i]:
+                                ab = forms[i + j][_times(ma, mb)]
+                                left = self._normal_form(i + j + k, (
+                                    (_times(basis[i + j][t], mc), x) for t, x in ab))
+                                right = self._normal_form(i + j + k, (
+                                    (_times(ma, basis[j + k][t]), x) for t, x in bc))
                                 if left != right:
                                     return False
         return True

@@ -17,10 +17,21 @@ Vector = list
 Matrix = list
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def identity(n: int) -> Matrix:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
+
+
+def symmetric_rows(a: Matrix, name: str = "matrix") -> Matrix:
+    """Fraction rows of a square symmetric matrix; ValueError otherwise."""
+    rows = [[Fraction(x) for x in row] for row in a]
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError(f"{name} must be square")
+    if any(rows[i][j] != rows[j][i] for i in range(len(rows)) for j in range(i)):
+        raise ValueError(f"{name} must be symmetric")
+    return rows
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -201,12 +212,8 @@ def congruence_diagonalize(gram: Matrix) -> tuple[Matrix, list]:
     Symmetric input required.  Zero diagonal pivots are repaired with the
     characteristic-zero trick of adding a row/column pair.
     """
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    for i in range(n):
-        for j in range(n):
-            if a[i][j] != a[j][i]:
-                raise ValueError("matrix is not symmetric")
+    a = symmetric_rows(gram)
+    n = len(a)
     p = identity(n)
 
     def add_col(dst, src, f):

@@ -1,9 +1,10 @@
 """Independent oracles and test-only constructions used by the test suite.
 
 The oracles compute by a different route than the library code they check:
-generating-function expansions, brute-force multiset enumeration, and
-exhaustive subset scans.  Values frozen in the tests were produced by these
-functions and cross-checked against the literature before freezing.
+generating-function expansions, brute-force multiset enumeration,
+exhaustive subset scans, and sympy eliminations.  Values frozen in the tests
+were produced by these functions and cross-checked against the literature
+before freezing.
 
 The constructions below them exist only so tests can compare or sample
 with them, and the reports never run them: the shape grammar, explicit BB
@@ -12,11 +13,14 @@ and random isotropic vectors.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import lcm
+
+import sympy
 
 from hilbk3 import linalg
 from hilbk3.bb_lattice import H2Class, Sym2Tensor, su2_generators
+from hilbk3.frobenius import laplacian_matrix
 from hilbk3.partitions import is_triangular, partitions_of
 
 
@@ -181,6 +185,43 @@ def brute_stable_staircases(i):
         if stable:
             hits.append(parts)
     return hits
+
+
+def ideal_normal_forms(gram, n, d):
+    """Normal forms of the degree-d monomials modulo the ideal, n < d <= 2n.
+
+    A second route to the table of the Frobenius models: the ideal in degree
+    d is spanned directly by h * m for harmonics h of degree n + 1 (a sympy
+    nullspace of the Laplacian) and monomials m of degree d - n - 1, and
+    sympy's RREF of that span, unique for the subspace, gives each monomial
+    its form {quotient monomial: coefficient} over the non-pivot monomials.
+    Monomials are exponent tuples in descending lex order, as in the library.
+    """
+    dim = len(gram)
+
+    def monomials(deg):
+        return sorted((e for e in product(range(deg + 1), repeat=dim) if sum(e) == deg),
+                      reverse=True)
+
+    lap = laplacian_matrix(gram, dim, n + 1)
+    harmonics = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                              for row in lap]).nullspace()
+    low, cols = monomials(n + 1), monomials(d)
+    index = {m: k for k, m in enumerate(cols)}
+    rows = []
+    for h in harmonics:
+        for m in monomials(d - n - 1):
+            row = [0] * len(cols)
+            for c, e in zip(h, low):
+                row[index[tuple(x + y for x, y in zip(e, m))]] += c
+            rows.append(row)
+    rref, pivots = sympy.Matrix(rows).rref()
+    free = [k for k in range(len(cols)) if k not in pivots]
+    forms = {cols[k]: {cols[k]: Fraction(1)} for k in free}
+    for r, p in enumerate(pivots):
+        forms[cols[p]] = {cols[k]: -Fraction(int(rref[r, k].p), int(rref[r, k].q))
+                          for k in free if rref[r, k] != 0}
+    return forms
 
 
 def shapes_by_grammar(n):

@@ -40,6 +40,12 @@ def test_betti_max_degree_truncates(capsys):
     assert len(payload["result"]["betti"]) == 5
 
 
+def test_betti_rejects_negative_max_degree(capsys):
+    code, payload = run_json(["betti", "--n", "2", "--max-degree", "-3"], capsys)
+    assert code == 1
+    assert payload["status"] == "error"
+
+
 def test_betti_custom_surface(capsys):
     code, payload = run_json(["betti", "--n", "2", "--surface", "1,5,1"], capsys)
     assert code == 0
@@ -152,6 +158,17 @@ def test_malformed_gram_file_is_an_error_payload(tmp_path, capsys, command, text
     assert payload["schema"] == SCHEMA
     assert payload["status"] == "error"
     assert payload["error"]["message"]
+
+
+def test_frobenius_rejects_asymmetric_gram_in_dimensions_only_mode(tmp_path, capsys):
+    rows = [[int(i == j) for j in range(7)] for i in range(7)]
+    rows[0][1] = 1
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps({"dim": 7, "rows": rows}))
+    code, payload = run_json(["frobenius", "--dimv", "7", "--n", "2", "--gram", str(path)],
+                             capsys)
+    assert code == 1
+    assert payload["status"] == "error"
 
 
 def test_certify_rejects_bad_n(capsys):

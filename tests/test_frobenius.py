@@ -16,7 +16,7 @@ from hilbk3.frobenius import (
     monomial_basis,
 )
 
-from oracles import delta_class, find_isotropic, random_isotropic
+from oracles import delta_class, find_isotropic, ideal_normal_forms, random_isotropic
 
 U = ((0, 1), (1, 0))
 U2 = ((0, 1, 0), (1, 0, 0), (0, 0, 2))
@@ -153,6 +153,34 @@ def test_algebra_dimensions_and_checks():
         assert alg.check_associative()
 
 
+def test_normal_form_table_matches_sympy_rref():
+    diagonal = ((1, 0, 0), (0, 2, 0), (0, 0, -3))
+    for gram, n in ((U, 2), (U2, 2), (diagonal, 3), (U4, 2)):
+        alg = build_algebra(gram, n)
+        for d in range(n + 1, 2 * n + 1):
+            table = {mono: {alg._quotient_monomials[d][t]: x for t, x in form}
+                     for mono, form in alg._forms[d].items()}
+            assert table == ideal_normal_forms(gram, n, d), (gram, n, d)
+
+
+def test_corrupted_table_entries_are_caught():
+    # raising any one entry of the table above degree n breaks
+    # associativity; emptying the top degree kills the pairing
+    alg = build_algebra(U2, 2)
+    corrupted = 0
+    for d in (3, 4):
+        for mono, form in list(alg._forms[d].items()):
+            for e, (t, x) in enumerate(form):
+                alg._forms[d][mono] = form[:e] + ((t, x + 1),) + form[e + 1:]
+                assert not alg.check_associative(), (d, mono, e)
+                alg._forms[d][mono] = form
+                corrupted += 1
+    assert corrupted == 9
+    assert alg.check_associative() and alg.check_pairing_nondegenerate()
+    alg._forms[4] = {mono: () for mono in alg._forms[4]}
+    assert not alg.check_pairing_nondegenerate()
+
+
 def test_algebra_validation():
     with pytest.raises(ValueError):
         FrobeniusAlgebra(((1, 2), (3, 4)), 2)  # not symmetric
@@ -170,7 +198,7 @@ def test_unit_and_commutativity():
     rng = random.Random(3)
     one = [Fraction(1)]
     for i in range(5):
-        for vec in alg._unit_vectors(i):
+        for vec in linalg.identity(alg.dim(i)):
             assert alg.multiply(0, one, i, vec) == vec
     for i in range(3):
         for j in range(3 - i):
@@ -181,7 +209,7 @@ def test_unit_and_commutativity():
 
 def test_multiplication_truncates_past_top():
     alg = build_algebra(U, 1)
-    top = alg._unit_vectors(2)[0]
+    top = linalg.identity(alg.dim(2))[0]
     assert alg.multiply(2, top, 2, top) == []
 
 
