@@ -4,7 +4,8 @@ certificates, invariant ideal classifications and Frobenius algebra checks.
 Output is deterministic byte-for-byte for fixed arguments: JSON with sorted
 keys (--json) or a flat key: value listing (--table, default).  Rationals
 are serialized as "p/q" strings.  Exit status is 0 iff every reported check
-passed.
+passed; 1 for a failed check ("failed") or bad input ("error"), 2 for a
+usage error, and 3 for an internal failure ("internal-error").
 """
 
 from __future__ import annotations
@@ -99,7 +100,10 @@ def _load_gram(path: str | None):
         raise ValueError("gram entries must be integers or 'p/q' strings") from None
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise ValueError("gram file dimensions are inconsistent")
-    return linalg.symmetric_rows(rows, "gram")
+    gram = linalg.symmetric_rows(rows, "gram")
+    if linalg.det(gram) == 0:
+        raise ValueError("gram must be nondegenerate")
+    return gram
 
 
 def cmd_betti(args) -> tuple[dict, list[dict]]:
@@ -273,16 +277,17 @@ def main(argv=None) -> int:
     }
     try:
         result, checks = _COMMANDS[args.command](args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, RuntimeError) as exc:
+        internal = isinstance(exc, RuntimeError)
         payload = {
             "schema": SCHEMA,
             "command": args.command,
             "parameters": parameters,
-            "status": "error",
+            "status": "internal-error" if internal else "error",
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
         _emit(payload, as_json)
-        return 1
+        return 3 if internal else 1
     ok = all(c["ok"] for c in checks)
     payload = {
         "schema": SCHEMA,

@@ -15,7 +15,11 @@ double-checks.
 
 The same operators in the window a + b < i + 1 detect which monomial ideals
 of colength i are invariant: exactly the staircase m^l when i = l(l+1)/2 is
-triangular, and none otherwise (punctual_fixed_points).
+triangular, and none otherwise (punctual_fixed_points).  Stability is a rule
+between neighbouring staircase rows p_b (p_k = 0 after the last row): e needs
+p_{b+1} >= p_b - 1 and f needs p_b >= p_{b+1} + 1, so a staircase is stable
+iff each row is exactly one shorter than the row above it and the last row
+is 1.  The search walks only the partitions that obey this rule.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from . import linalg
 from .partitions import YoungDiagram, is_triangular, partitions_of
 
 MAX_TRUNCATION = 12  # exhaustive 2^N subset sweep stays cheap up to here
+MAX_COLENGTH = 2000  # the pruned staircase walk stays well under a second up to here
 
 
 class TruncatedRing:
@@ -192,19 +197,28 @@ def _staircase_is_stable(quotient: frozenset[tuple[int, int]]) -> bool:
 def punctual_fixed_points(i: int) -> tuple[MonomialIdeal, ...]:
     """Colength-i monomial ideals stable under e and f, inside the window N = i+1.
 
-    The operators preserve total degree, so the window suffices.  The result
-    is the single staircase (l, l-1, ..., 1) when i = l(l+1)/2 and empty
-    otherwise; an independent colength recheck runs on every hit.
+    The operators preserve total degree, so the window suffices.  Under e a
+    quotient cell (a, b) with a >= 1 needs (a-1, b+1), so p_{b+1} >= p_b - 1;
+    under f a cell (a, b) with b >= 1 needs (a+1, b-1), so p_b >= p_{b+1} + 1
+    (p_k = 0 after the last row): a staircase is stable iff every row is one
+    shorter than the row above it, ending at 1.  Every stable staircase obeys
+    that rule at each pair of rows, so the walk pruned at the first row that
+    breaks it misses none: the result is (l, l-1, ..., 1) when i = l(l+1)/2
+    and empty otherwise.  Each yielded staircase is still checked against
+    the operators and for colength; a failure raises RuntimeError.
     """
     if i < 1:
         raise ValueError("colength must be >= 1")
+    if i > MAX_COLENGTH:
+        raise ValueError(f"staircase search capped at colength {MAX_COLENGTH}")
     truncation = i + 1
     fixed = []
-    for parts in partitions_of(i):
+    for parts in partitions_of(i, admits=lambda previous, part: part == previous - 1):
         ideal = MonomialIdeal(YoungDiagram(parts), truncation)
         quotient = ideal.quotient_monomials()
-        if _staircase_is_stable(quotient):
-            if len(quotient) != i or any(a + b >= truncation for a, b in quotient):
-                raise RuntimeError("colength recheck failed")
-            fixed.append(ideal)
+        if not _staircase_is_stable(quotient):
+            raise RuntimeError(f"row rule admitted the unstable staircase {parts}")
+        if len(quotient) != i or any(a + b >= truncation for a, b in quotient):
+            raise RuntimeError("colength recheck failed")
+        fixed.append(ideal)
     return tuple(fixed)

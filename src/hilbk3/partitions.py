@@ -38,18 +38,31 @@ class YoungDiagram:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-def partitions_of(n: int, max_part: int | None = None):
-    """Yield partitions of n as weakly decreasing tuples, largest part first."""
+def partitions_of(n: int, max_part: int | None = None, *, admits=None):
+    """Yield partitions of n as weakly decreasing tuples, largest part first.
+
+    With `admits`, a row `part` is placed below the row `previous` only if
+    `admits(previous, part)`, and a partition ends after its last row only
+    if `admits(previous, 0)`; the first row is unconstrained.  A rejected
+    prefix is never extended, so the walk yields exactly the partitions
+    whose neighbouring rows are all admitted, in the same order.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if max_part is None:
-        max_part = n
+    yield from _rows(n, n if max_part is None else max_part, None, admits)
+
+
+def _rows(n: int, max_part: int, previous: int | None, admits):
+    # partitions of n with parts <= max_part, placed below the row `previous`
+    # (None above the first row)
     if n == 0:
-        yield ()
+        if previous is None or admits is None or admits(previous, 0):
+            yield ()
         return
     for p in range(min(n, max_part), 0, -1):
-        for rest in partitions_of(n - p, p):
-            yield (p,) + rest
+        if previous is None or admits is None or admits(previous, p):
+            for rest in _rows(n - p, p, p, admits):
+                yield (p,) + rest
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 import hilbk3
+from hilbk3 import bb_lattice
 from hilbk3.cli import SCHEMA, main
 
 
@@ -171,6 +173,32 @@ def test_frobenius_rejects_asymmetric_gram_in_dimensions_only_mode(tmp_path, cap
     assert payload["status"] == "error"
 
 
+@pytest.mark.parametrize("argv, dim", [
+    (["frobenius", "--dimv", "7"], 7),  # dimensions-only mode
+    (["frobenius", "--dimv", "2"], 2),  # full mode
+    (["certify"], 4),
+])
+def test_degenerate_gram_is_rejected_in_every_mode(tmp_path, capsys, argv, dim):
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps({"dim": dim, "rows": [[0] * dim for _ in range(dim)]}))
+    code, payload = run_json(argv + ["--n", "2", "--gram", str(path)], capsys)
+    assert code == 1
+    assert payload["status"] == "error"
+    assert payload["error"]["message"] == "gram must be nondegenerate"
+
+
+def test_internal_failure_is_its_own_status(monkeypatch, capsys):
+    def broken(n, gram=None, seed=0):
+        raise RuntimeError("failed to draw a valid period triple")
+    monkeypatch.setattr(bb_lattice, "certify_no_trianalytic", broken)
+    code, payload = run_json(["certify", "--n", "6"], capsys)
+    assert code == 3
+    assert payload["schema"] == SCHEMA
+    assert payload["status"] == "internal-error"
+    assert payload["error"] == {"type": "RuntimeError",
+                                "message": "failed to draw a valid period triple"}
+
+
 def test_certify_rejects_bad_n(capsys):
     code, payload = run_json(["certify", "--n", "0"], capsys)
     assert code == 1
@@ -200,6 +228,25 @@ def test_punctual_command(capsys):
     code, payload = run_json(["punctual", "--i", "5"], capsys)
     assert code == 0
     assert payload["result"]["fixed_points"] == []
+
+
+def test_punctual_over_budget_is_error(capsys):
+    code, payload = run_json(["punctual", "--i", "1000000000000"], capsys)
+    assert code == 1
+    assert payload["status"] == "error"
+    assert payload["error"]["type"] == "ValueError"
+
+
+def test_punctual_output_bytes_are_pinned(capsys):
+    # SHA-256 over the concatenated `punctual --i i --json` stdout, i = 1..45,
+    # as printed by the exhaustive scan over all p(i) partitions
+    digest = hashlib.sha256()
+    for i in range(1, 46):
+        code, out = run(["punctual", "--i", str(i), "--json"], capsys)
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "321c13aa8dd13fdb9777ab7766b25d92df1a43b0a0c291ee03ef4beaf913922f")
 
 
 def test_frobenius_command_full(capsys):

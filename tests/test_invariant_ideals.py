@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from hilbk3 import linalg
+from hilbk3 import invariant_ideals, linalg, partitions
 from hilbk3.invariant_ideals import (
+    MAX_COLENGTH,
     MAX_TRUNCATION,
     MonomialIdeal,
     TruncatedRing,
@@ -118,7 +119,7 @@ def test_punctual_fixed_points_are_staircases():
 
 
 def test_punctual_fixed_points_match_brute_force():
-    for i in range(1, 13):
+    for i in range(1, 31):
         fast = sorted(tuple(p.staircase.parts) for p in punctual_fixed_points(i))
         brute = sorted(brute_stable_staircases(i))
         assert fast == brute
@@ -127,3 +128,20 @@ def test_punctual_fixed_points_match_brute_force():
 def test_punctual_validation():
     with pytest.raises(ValueError):
         punctual_fixed_points(0)
+    with pytest.raises(ValueError):
+        punctual_fixed_points(MAX_COLENGTH + 1)
+
+
+def test_punctual_fixed_points_at_the_budget():
+    for i in (MAX_COLENGTH, 1953):  # 1953 = 62 * 63 / 2, the last triangular one
+        flag, l = is_triangular(i)
+        pts = punctual_fixed_points(i)
+        assert [p.staircase.parts for p in pts] == ([tuple(range(l, 0, -1))] if flag else [])
+
+
+def test_unstable_staircase_from_the_walk_is_an_invariant_failure(monkeypatch):
+    # a walk that ignores the row rule yields (4,) first, which is not stable
+    monkeypatch.setattr(invariant_ideals, "partitions_of",
+                        lambda n, admits: partitions.partitions_of(n))
+    with pytest.raises(RuntimeError):
+        punctual_fixed_points(4)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilbk3.partitions import (
     CandidateAudit,
@@ -43,6 +45,35 @@ def test_partitions_respect_max_part():
     for parts in partitions_of(8, max_part=3):
         assert max(parts) <= 3
         assert sum(parts) == 8
+
+
+PAIRS = st.sets(st.tuples(st.integers(1, 12), st.integers(0, 12)), max_size=60)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(0, 12), PAIRS, st.booleans())
+def test_admits_prunes_exactly_the_rejected_prefixes(n, pairs, listed_are_admitted):
+    def admits(previous, part):
+        calls.append((previous, part))
+        return ((previous, part) in pairs) == listed_are_admitted
+
+    calls = []
+    pruned = list(partitions_of(n, admits=admits))
+    walked = calls[:]
+    expected = [p for p in partitions_of(n)
+                if all(admits(a, b) for a, b in zip(p, p[1:] + (0,)))]
+    assert pruned == expected
+    assert all(0 <= part <= previous for previous, part in walked)
+
+
+def test_admits_checks_the_end_of_every_partition():
+    # only the rows (3, 2, 1) end in a row that may end a partition
+    def ends_at_one(previous, part):
+        return part == previous - 1
+    assert list(partitions_of(6, admits=ends_at_one)) == [(3, 2, 1)]
+    assert list(partitions_of(5, admits=ends_at_one)) == []
+    assert list(partitions_of(0, admits=ends_at_one)) == [()]
+    assert list(partitions_of(4, admits=lambda previous, part: False)) == []
 
 
 def test_codim_and_fiber_dimensions():
