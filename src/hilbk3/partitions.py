@@ -2,9 +2,15 @@
 
 A partition alpha = (n_1 >= ... >= n_k) of n indexes the diagonal stratum of
 the n-th symmetric power of a surface where exactly k points remain distinct,
-with prescribed multiplicities.  These strata drive the Betti computation,
-and the audit of their pinnings drives the candidate pipeline for
-trianalytic subvarieties.
+with prescribed multiplicities.  These strata drive the Betti computation;
+the diagrams with all parts triangular are the candidates for trianalytic
+subvarieties.
+
+Every list of partitions comes from one walk, `partitions_of`, which places
+rows largest first.  A row rule `rows(previous, remaining)` names the parts
+allowed below each row, so a constrained walk (triangular parts for the
+candidates, one-shorter rows for the punctual staircases) visits only the
+partitions it keeps.
 """
 
 from __future__ import annotations
@@ -38,31 +44,33 @@ class YoungDiagram:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-def partitions_of(n: int, max_part: int | None = None, *, admits=None):
+def partitions_of(n: int, max_part: int | None = None, *, rows=None):
     """Yield partitions of n as weakly decreasing tuples, largest part first.
 
-    With `admits`, a row `part` is placed below the row `previous` only if
-    `admits(previous, part)`, and a partition ends after its last row only
-    if `admits(previous, 0)`; the first row is unconstrained.  A rejected
-    prefix is never extended, so the walk yields exactly the partitions
-    whose neighbouring rows are all admitted, in the same order.
+    Without `rows` every part in 1..min(remaining, previous row or
+    max_part) may come next.  With `rows`, the parts placed below the row
+    `previous` (None above the first row), with `remaining` still to cover,
+    are those `rows(previous, remaining)` yields, largest first; a part
+    outside that range raises ValueError.  A partition ends when nothing
+    remains.  The ruled walk yields the full walk's partitions that the rule
+    allows at every row, in the same order, and never extends a prefix the
+    rule did not allow.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    yield from _rows(n, n if max_part is None else max_part, None, admits)
+    yield from _rows(n, n if max_part is None else max_part, None, rows)
 
 
-def _rows(n: int, max_part: int, previous: int | None, admits):
-    # partitions of n with parts <= max_part, placed below the row `previous`
-    # (None above the first row)
-    if n == 0:
-        if previous is None or admits is None or admits(previous, 0):
-            yield ()
+def _rows(remaining: int, max_part: int, previous: int | None, rows):
+    if remaining == 0:
+        yield ()
         return
-    for p in range(min(n, max_part), 0, -1):
-        if previous is None or admits is None or admits(previous, p):
-            for rest in _rows(n - p, p, p, admits):
-                yield (p,) + rest
+    bound = min(remaining, max_part)
+    for p in range(bound, 0, -1) if rows is None else rows(previous, remaining):
+        if rows is not None and not 0 < p <= bound:
+            raise ValueError(f"row rule yielded {p} outside 1..{bound}")
+        for rest in _rows(remaining - p, p, p, rows):
+            yield (p,) + rest
 
 
 @lru_cache(maxsize=None)
@@ -97,51 +105,19 @@ def is_triangular(m: int) -> tuple[bool, int | None]:
     return (l * (l + 1) // 2 == m, l if l * (l + 1) // 2 == m else None)
 
 
-@dataclass(frozen=True)
-class CandidateAudit:
-    """Per-diagram audit of the trianalytic candidate pipeline.
+def _triangular_rows(previous: int | None, remaining: int):
+    # the triangular numbers up to the bound, largest first
+    top = remaining if previous is None else min(previous, remaining)
+    return (l * (l + 1) // 2 for l in range((isqrt(8 * top + 1) - 1) // 2, 0, -1))
 
-    Of the 2^k ways to pin parts of a k-part diagram: pinnings touching a
-    part of size > 1 are dropped first (pinned parts must be single points),
-    then the remaining nonempty pinnings (pinned shapes deform, so are never
-    trianalytic), leaving only the unpinned shape; the diagram survives iff
-    every part is triangular.
+
+def trianalytic_candidates(n: int) -> tuple[YoungDiagram, ...]:
+    """The diagrams of n whose parts are all triangular, in `diagrams_of` order.
+
+    Of the 2^k ways to pin parts of a k-part diagram, pinnings touching a
+    part of size > 1 are dropped (pinned parts must be single points) and
+    the remaining nonempty pinnings deform, so are never trianalytic: only
+    the unpinned shape is left, and it survives iff every part is
+    triangular.  The walk places triangular rows only.
     """
-
-    diagram: YoungDiagram
-    shapes_total: int
-    dropped_fat_pinned: int
-    dropped_pinned: int
-    survives: bool
-    annotation: str | None
-
-
-def _annotate(diagram: YoungDiagram) -> str:
-    values = set(diagram.parts)
-    if values == {1}:
-        return "improper: the unpinned shape with all parts 1 is the whole space"
-    if len(values) == 1:
-        return f"simple candidate, l={diagram.length}"
-    return "product case (mixed part sizes): excluded by a product-type argument, flagged here"
-
-
-def trianalytic_candidates(n: int) -> tuple[CandidateAudit, ...]:
-    """Run the candidate pipeline over all diagrams of n, with audit counts."""
-    audits = []
-    for d in diagrams_of(n):
-        k = d.length
-        units = sum(1 for p in d.parts if p == 1)
-        total = 1 << k
-        fat = total - (1 << units)
-        pinned = (1 << units) - 1
-        survives = all(is_triangular(p)[0] for p in d.parts)
-        audits.append(CandidateAudit(
-            diagram=d,
-            shapes_total=total,
-            dropped_fat_pinned=fat,
-            dropped_pinned=pinned,
-            survives=survives,
-            annotation=_annotate(d) if survives else None,
-        ))
-    return tuple(audits)
-
+    return tuple(YoungDiagram(p) for p in partitions_of(n, rows=_triangular_rows))

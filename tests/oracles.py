@@ -2,7 +2,8 @@
 
 The oracles compute by a different route than the library code they check:
 generating-function expansions, brute-force multiset enumeration,
-exhaustive subset scans, and sympy eliminations.  Values frozen in the tests
+exhaustive subset scans (the full p(n) pinning audit, the 2^N sweep of
+ideal supports), and sympy eliminations.  Values frozen in the tests
 were produced by these functions and cross-checked against the literature
 before freezing.
 
@@ -12,6 +13,7 @@ classes, the transported inverse tensor, the rotation modules of d and d^2,
 and random isotropic vectors.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import lcm
@@ -21,7 +23,7 @@ import sympy
 from hilbk3 import linalg
 from hilbk3.bb_lattice import H2Class, Sym2Tensor, su2_generators
 from hilbk3.frobenius import laplacian_matrix
-from hilbk3.partitions import is_triangular, partitions_of
+from hilbk3.partitions import YoungDiagram, diagrams_of, is_triangular, partitions_of
 
 
 def _poly_mul(a, b):
@@ -135,6 +137,56 @@ def brute_pinning_audit(part_sizes):
     return total, dropped_fat, dropped_pinned, survivors
 
 
+@dataclass(frozen=True)
+class CandidateAudit:
+    """Per-diagram audit of the trianalytic candidate pipeline.
+
+    Of the 2^k ways to pin parts of a k-part diagram: pinnings touching a
+    part of size > 1 are dropped first (pinned parts must be single points),
+    then the remaining nonempty pinnings (pinned shapes deform, so are never
+    trianalytic), leaving only the unpinned shape; the diagram survives iff
+    every part is triangular.
+    """
+
+    diagram: YoungDiagram
+    shapes_total: int
+    dropped_fat_pinned: int
+    dropped_pinned: int
+    survives: bool
+    annotation: str | None
+
+
+def _annotate(diagram):
+    values = set(diagram.parts)
+    if values == {1}:
+        return "improper: the unpinned shape with all parts 1 is the whole space"
+    if len(values) == 1:
+        return f"simple candidate, l={diagram.length}"
+    return "product case (mixed part sizes): excluded by a product-type argument, flagged here"
+
+
+def full_pinning_audit(n):
+    """The candidate pipeline over all p(n) diagrams of n, with audit counts.
+
+    The exhaustive route to `trianalytic_candidates`: its survivors, in
+    order, are the diagrams that walk yields.
+    """
+    audits = []
+    for d in diagrams_of(n):
+        units = sum(1 for p in d.parts if p == 1)
+        total = 1 << d.length
+        survives = all(is_triangular(p)[0] for p in d.parts)
+        audits.append(CandidateAudit(
+            diagram=d,
+            shapes_total=total,
+            dropped_fat_pinned=total - (1 << units),
+            dropped_pinned=(1 << units) - 1,
+            survives=survives,
+            annotation=_annotate(d) if survives else None,
+        ))
+    return tuple(audits)
+
+
 def brute_set_partitions_with_marks(n):
     """All (partition of {1..n}, marked blocks) pairs, built directly.
 
@@ -185,6 +237,26 @@ def brute_stable_staircases(i):
         if stable:
             hits.append(parts)
     return hits
+
+
+def brute_invariant_supports(truncation):
+    """Degree supports of the proper nonzero invariant ideals of C[x,y]/m^N.
+
+    Sweeps all 2^N - 2 proper nonempty sets of degrees and keeps a set when
+    the span of its monomials is closed under x, y, e = x d/dy and
+    f = y d/dx, checked monomial by monomial.
+    """
+    n = truncation
+    hits = []
+    for mask in range(1, (1 << n) - 1):
+        degrees = tuple(l for l in range(n) if mask >> l & 1)
+        members = {(a, l - a) for l in degrees for a in range(l + 1)}
+        if all((a + b + 1 == n or {(a + 1, b), (a, b + 1)} <= members)
+               and (b == 0 or (a + 1, b - 1) in members)
+               and (a == 0 or (a - 1, b + 1) in members)
+               for a, b in members):
+            hits.append(degrees)
+    return sorted(hits)
 
 
 def ideal_normal_forms(gram, n, d):

@@ -5,6 +5,7 @@ import pytest
 
 from hilbk3 import linalg
 from hilbk3.bb_lattice import (
+    MAX_POINTS,
     H2Class,
     H2Lattice,
     PeriodTriple,
@@ -361,3 +362,8 @@ def test_certify_deterministic_and_seed_stable():
     assert [x.status for x in c.certificates] == [x.status for x in a.certificates]
     with pytest.raises(ValueError):
         certify_no_trianalytic(0)
+
+
+def test_certify_budget():
+    with pytest.raises(ValueError):
+        certify_no_trianalytic(MAX_POINTS + 1)

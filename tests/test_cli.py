@@ -4,7 +4,7 @@ import json
 import pytest
 
 import hilbk3
-from hilbk3 import bb_lattice
+from hilbk3 import bb_lattice, invariant_ideals
 from hilbk3.cli import SCHEMA, main
 
 
@@ -205,6 +205,13 @@ def test_certify_rejects_bad_n(capsys):
     assert payload["status"] == "error"
 
 
+def test_certify_over_budget_is_error(capsys):
+    code, payload = run_json(["certify", "--n", "1000000000000"], capsys)
+    assert code == 1
+    assert payload["status"] == "error"
+    assert payload["error"]["type"] == "ValueError"
+
+
 def test_ideals_command(capsys):
     code, payload = run_json(["ideals", "--N", "6"], capsys)
     assert code == 0
@@ -214,7 +221,7 @@ def test_ideals_command(capsys):
 
 
 def test_ideals_over_cap_is_error(capsys):
-    code, payload = run_json(["ideals", "--N", "13"], capsys)
+    code, payload = run_json(["ideals", "--N", str(invariant_ideals.MAX_TRUNCATION + 1)], capsys)
     assert code == 1
     assert payload["status"] == "error"
 
@@ -237,16 +244,38 @@ def test_punctual_over_budget_is_error(capsys):
     assert payload["error"]["type"] == "ValueError"
 
 
-def test_punctual_output_bytes_are_pinned(capsys):
-    # SHA-256 over the concatenated `punctual --i i --json` stdout, i = 1..45,
-    # as printed by the exhaustive scan over all p(i) partitions
+def output_digest(argvs, capsys):
+    # SHA-256 over the concatenated stdout of the reports, each exiting 0
     digest = hashlib.sha256()
-    for i in range(1, 46):
-        code, out = run(["punctual", "--i", str(i), "--json"], capsys)
+    for argv in argvs:
+        code, out = run(argv, capsys)
         assert code == 0
         digest.update(out.encode())
-    assert digest.hexdigest() == (
+    return digest.hexdigest()
+
+
+def test_punctual_output_bytes_are_pinned(capsys):
+    # `punctual --i i --json`, i = 1..45, as printed by the exhaustive scan
+    # over all p(i) partitions
+    assert output_digest([["punctual", "--i", str(i), "--json"] for i in range(1, 46)],
+                         capsys) == (
         "321c13aa8dd13fdb9777ab7766b25d92df1a43b0a0c291ee03ef4beaf913922f")
+
+
+def test_certify_output_bytes_are_pinned(capsys):
+    # `certify --n n --seed 3 --json`, n = 1..45, as printed by the audit
+    # over all p(n) diagrams
+    assert output_digest([["certify", "--n", str(n), "--seed", "3", "--json"]
+                          for n in range(1, 46)], capsys) == (
+        "e96f1f51665c9ed30ceaf8eed08f93c69b80f5adbc27355cce9022acd56da570")
+
+
+def test_ideals_output_bytes_are_pinned(capsys):
+    # `ideals --N N --json`, N = 1..12, as printed by the sweep over all 2^N
+    # degree supports
+    assert output_digest([["ideals", "--N", str(n), "--json"] for n in range(1, 13)],
+                         capsys) == (
+        "9de9b260cfb2ac2f93051658b71238e0d50fd32c156353f1559079162407f020")
 
 
 def test_frobenius_command_full(capsys):
@@ -279,7 +308,7 @@ def test_package_exports_are_pinned():
         "trianalytic_candidates", "obstruction_coefficient", "default_k3_gram",
         "k3_lattice", "random_period_triple", "h4_obstruction", "restriction_functional",
         "is_su2_invariant", "su2_generators", "bb_pair",
-        "YoungDiagram", "CandidateAudit", "PoincarePolynomial", "StratumLedger",
+        "YoungDiagram", "PoincarePolynomial", "StratumLedger",
         "H2Lattice", "H2Class", "PeriodTriple", "Sym2Tensor", "CandidateCertificate",
         "CertificationReport", "FrobeniusAlgebra", "InvariantIdeal", "MonomialIdeal",
     ])

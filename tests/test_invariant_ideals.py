@@ -15,7 +15,7 @@ from hilbk3.invariant_ideals import (
 )
 from hilbk3.partitions import YoungDiagram, is_triangular
 
-from oracles import brute_stable_staircases
+from oracles import brute_invariant_supports, brute_stable_staircases
 
 
 def act_h(mono):
@@ -95,6 +95,11 @@ def test_classification_is_powers_of_the_maximal_ideal():
             assert ideal.degrees == tuple(range(ideal.degrees[0], n))
 
 
+def test_classification_matches_the_support_sweep():
+    for n in range(1, 13):
+        assert [i.degrees for i in classify_invariant_ideals(n)] == brute_invariant_supports(n)
+
+
 def test_classification_cap():
     with pytest.raises(ValueError):
         classify_invariant_ideals(MAX_TRUNCATION + 1)
@@ -133,7 +138,7 @@ def test_punctual_validation():
 
 
 def test_punctual_fixed_points_at_the_budget():
-    for i in (MAX_COLENGTH, 1953):  # 1953 = 62 * 63 / 2, the last triangular one
+    for i in (MAX_COLENGTH, 99681):  # 99681 = 446 * 447 / 2, the last triangular one
         flag, l = is_triangular(i)
         pts = punctual_fixed_points(i)
         assert [p.staircase.parts for p in pts] == ([tuple(range(l, 0, -1))] if flag else [])
@@ -142,6 +147,6 @@ def test_punctual_fixed_points_at_the_budget():
 def test_unstable_staircase_from_the_walk_is_an_invariant_failure(monkeypatch):
     # a walk that ignores the row rule yields (4,) first, which is not stable
     monkeypatch.setattr(invariant_ideals, "partitions_of",
-                        lambda n, admits: partitions.partitions_of(n))
+                        lambda n, rows: partitions.partitions_of(n))
     with pytest.raises(RuntimeError):
         punctual_fixed_points(4)

@@ -1,9 +1,10 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbk3.partitions import (
-    CandidateAudit,
     YoungDiagram,
     codim_diagonal,
     diagrams_of,
@@ -14,11 +15,17 @@ from hilbk3.partitions import (
     verify_semismall,
 )
 
-from oracles import brute_pinning_audit, brute_set_partitions_with_marks, shapes_by_grammar
+from oracles import (
+    CandidateAudit,
+    brute_pinning_audit,
+    brute_set_partitions_with_marks,
+    full_pinning_audit,
+    shapes_by_grammar,
+)
 
 
 def surviving_candidates(n):
-    return tuple(a for a in trianalytic_candidates(n) if a.survives)
+    return tuple(a for a in full_pinning_audit(n) if a.survives)
 
 
 def test_young_diagram_validation():
@@ -47,33 +54,50 @@ def test_partitions_respect_max_part():
         assert sum(parts) == 8
 
 
-PAIRS = st.sets(st.tuples(st.integers(1, 12), st.integers(0, 12)), max_size=60)
+PAIRS = st.sets(st.tuples(st.none() | st.integers(1, 12), st.integers(1, 12)), max_size=60)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(st.integers(0, 12), PAIRS, st.booleans())
-def test_admits_prunes_exactly_the_rejected_prefixes(n, pairs, listed_are_admitted):
-    def admits(previous, part):
-        calls.append((previous, part))
-        return ((previous, part) in pairs) == listed_are_admitted
+@given(st.integers(0, 12), st.none() | st.integers(1, 12), PAIRS, st.booleans())
+def test_row_rule_walks_exactly_the_allowed_partitions(n, max_part, pairs, listed_are_allowed):
+    def allowed(previous, part):
+        return ((previous, part) in pairs) == listed_are_allowed
 
-    calls = []
-    pruned = list(partitions_of(n, admits=admits))
-    walked = calls[:]
-    expected = [p for p in partitions_of(n)
-                if all(admits(a, b) for a, b in zip(p, p[1:] + (0,)))]
-    assert pruned == expected
-    assert all(0 <= part <= previous for previous, part in walked)
+    def rows(previous, remaining):
+        asked.append((previous, remaining))
+        bound = previous if previous is not None else n if max_part is None else max_part
+        return [part for part in range(min(remaining, bound), 0, -1) if allowed(previous, part)]
+
+    def allowed_throughout(parts):
+        return all(allowed(a, b) for a, b in zip((None,) + parts, parts))
+
+    asked = []
+    walked = list(partitions_of(n, max_part, rows=rows))
+    full = list(partitions_of(n, max_part))
+    assert walked == [p for p in full if allowed_throughout(p)]
+    # the rule is asked once below every allowed prefix with something left,
+    # and never below a prefix it did not allow
+    prefixes = {p[:k] for p in full for k in range(len(p)) if allowed_throughout(p[:k])}
+    assert Counter(asked) == Counter(
+        (q[-1] if q else None, n - sum(q)) for q in prefixes)
 
 
-def test_admits_checks_the_end_of_every_partition():
-    # only the rows (3, 2, 1) end in a row that may end a partition
-    def ends_at_one(previous, part):
-        return part == previous - 1
-    assert list(partitions_of(6, admits=ends_at_one)) == [(3, 2, 1)]
-    assert list(partitions_of(5, admits=ends_at_one)) == []
-    assert list(partitions_of(0, admits=ends_at_one)) == [()]
-    assert list(partitions_of(4, admits=lambda previous, part: False)) == []
+def test_row_rule_edge_cases():
+    def nothing(previous, remaining):
+        return ()
+
+    assert list(partitions_of(0, rows=nothing)) == [()]
+    assert list(partitions_of(4, rows=nothing)) == []
+    # a rule that yields a part outside 1..min(remaining, previous row or
+    # max_part) is rejected, not walked
+    for n, max_part, rule in [
+        (4, None, lambda previous, remaining: (5,)),
+        (4, None, lambda previous, remaining: (0,)),
+        (4, 2, lambda previous, remaining: (3,)),
+        (5, None, lambda previous, remaining: (2,) if previous is None else (remaining,)),
+    ]:
+        with pytest.raises(ValueError):
+            list(partitions_of(n, max_part, rows=rule))
 
 
 def test_codim_and_fiber_dimensions():
@@ -108,7 +132,7 @@ def test_enumerate_universal_reldim0():
     # the strata of universal subvarieties of relative dimension zero are the
     # diagrams whose parts are all triangular: the pipeline's survivors
     def universal(n):
-        return {a.diagram for a in surviving_candidates(n)}
+        return set(trianalytic_candidates(n))
 
     assert universal(6) == {
         YoungDiagram((6,)),
@@ -141,9 +165,16 @@ def test_natural_shape_counts_match_brute_force():
         assert len(shapes_by_grammar(n)) == len(brute_set_partitions_with_marks(n)) == expected
 
 
+def test_trianalytic_candidates_match_the_full_audit():
+    # the triangular-row walk yields the full audit's survivors, in order
+    for n in [*range(1, 31), 36, 45]:
+        survivors = tuple(a.diagram for a in full_pinning_audit(n) if a.survives)
+        assert trianalytic_candidates(n) == survivors
+
+
 def test_candidate_audit_against_brute_force():
     for n in range(1, 9):
-        audits = {a.diagram: a for a in trianalytic_candidates(n)}
+        audits = {a.diagram: a for a in full_pinning_audit(n)}
         assert set(audits) == set(diagrams_of(n))
         for d, audit in audits.items():
             total, fat, pinned, survivors = brute_pinning_audit(d.parts)
@@ -171,7 +202,7 @@ def test_surviving_candidates_n6():
 
 
 def test_candidate_audit_is_frozen_record():
-    audit = trianalytic_candidates(3)[0]
+    audit = full_pinning_audit(3)[0]
     assert isinstance(audit, CandidateAudit)
     with pytest.raises(Exception):
         audit.survives = False
