@@ -195,10 +195,11 @@ def cmd_punctual(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_frobenius(args) -> tuple[dict, list[dict]]:
+    # the pattern first: its budget on dim V also bounds the gram file read
+    pattern = frobenius.algebra_dimension_pattern(args.dimv, args.n)
     gram = _load_gram(args.gram)
     if gram is not None and len(gram) != args.dimv:
         raise ValueError("--dimv disagrees with the gram file")
-    pattern = frobenius.algebra_dimension_pattern(args.dimv, args.n)
     checks = [{"name": "dimension-pattern-palindromic", "ok": pattern == pattern[::-1]}]
     result = {
         "dim_v": args.dimv,

@@ -9,14 +9,17 @@ degrees 0, 2, ..., 4n with
     dim A_{2i} = dim Sym^{min(i, 2n-i)} V,
 
 a pattern the construction validates degree by degree, aborting on any
-mismatch.  Powers of isotropic classes of V vanish exactly above degree 2n,
-the pairing (a, b) -> counit(a*b) is nondegenerate, and special orthogonal
+mismatch.  Associativity is proved, not sampled: the table of normal forms
+fixes the quotient basis and its kernel is closed under multiplication by
+V, so the kernel is an ideal and the table is the quotient map by it.
+Powers of isotropic classes of V vanish exactly above degree 2n, the
+pairing (a, b) -> counit(a*b) is nondegenerate, and special orthogonal
 substitutions act by algebra automorphisms; all of this is exercised by the
 test suite with exact arithmetic.
 
 Full multiplication tables are capped at dim V <= 6 and n <= 4.  For larger
 spaces (e.g. the 23-dimensional H^2 of a Hilbert scheme) only the closed
-form dimension pattern is exposed.
+form dimension pattern is exposed, up to dim V <= 32 and n <= 10,000.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ from . import linalg
 
 MAX_DIM_V = 6
 MAX_N = 4
+# dimensions-only budget: at dim V 32, n 10,000 the pattern prints about
+# 2 MB of JSON in 0.1 s, and a 32 x 32 p/q gram file is validated in 0.5 s
+MAX_PATTERN_DIM_V = 32
+MAX_PATTERN_N = 10_000
 _ZERO = Fraction(0)
 
 
@@ -84,6 +91,9 @@ def algebra_dimension_pattern(dim_v: int, n: int) -> tuple[int, ...]:
     """Closed-form dims of A_0, A_2, ..., A_4n (no construction needed)."""
     if dim_v < 1 or n < 1:
         raise ValueError("need dim_v >= 1 and n >= 1")
+    if dim_v > MAX_PATTERN_DIM_V or n > MAX_PATTERN_N:
+        raise ValueError(f"dimension patterns capped at dim V <= {MAX_PATTERN_DIM_V}, "
+                         f"n <= {MAX_PATTERN_N}")
     return tuple(comb(dim_v + min(i, 2 * n - i) - 1, min(i, 2 * n - i)) for i in range(2 * n + 1))
 
 
@@ -102,7 +112,8 @@ class FrobeniusAlgebra:
     ideal is zero and each monomial is its own normal form; in degrees
     n + 1..2n it is the monomial reduced by the echelon.  Elements of
     A_{2d} are coordinate vectors over the basis, and reduction, products,
-    pairings and the associativity check all read the one table.
+    pairings and the ideal-closure proof of associativity all read the one
+    table.
     """
 
     def __init__(self, gram, n: int):
@@ -236,22 +247,28 @@ class FrobeniusAlgebra:
         return True
 
     def check_associative(self) -> bool:
-        """(ab)c = a(bc) over all basis triples in range; exact."""
-        n, basis, forms = self.n, self._quotient_monomials, self._forms
-        for i in range(2 * n + 1):
-            for j in range(2 * n + 1 - i):
-                for k in range(2 * n + 1 - i - j):
-                    for mb in basis[j]:
-                        for mc in basis[k]:
-                            bc = forms[j + k][_times(mb, mc)]
-                            for ma in basis[i]:
-                                ab = forms[i + j][_times(ma, mb)]
-                                left = self._normal_form(i + j + k, (
-                                    (_times(basis[i + j][t], mc), x) for t, x in ab))
-                                right = self._normal_form(i + j + k, (
-                                    (_times(ma, basis[j + k][t]), x) for t, x in bc))
-                                if left != right:
-                                    return False
+        """Whether the table is the quotient map by an ideal; exact.
+
+        Two conditions: every quotient basis monomial is its own normal
+        form, and NF(x * NF(m)) = NF(x * m) for every monomial m of degree
+        below 2n and every variable x.  The first makes m - NF(m) lie in the
+        kernel of NF, the second closes that kernel under multiplication by
+        V, so it is an ideal and NF(NF(ab) c) = NF(abc) = NF(a NF(bc)) for
+        all a, b, c.  The work is one normal form per monomial and variable,
+        not one per basis triple.
+        """
+        basis, forms = self._quotient_monomials, self._forms
+        for d in range(2 * self.n + 1):
+            if any(forms[d][m] != ((t, 1),) for t, m in enumerate(basis[d])):
+                return False
+        variables = monomial_basis(self.dim_v, 1)
+        for d in range(2 * self.n):
+            for m, form in forms[d].items():
+                for x in variables:
+                    reduced_first = self._normal_form(
+                        d + 1, ((_times(basis[d][t], x), c) for t, c in form))
+                    if reduced_first != self._normal_form(d + 1, ((_times(m, x), 1),)):
+                        return False
         return True
 
 

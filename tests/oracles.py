@@ -3,7 +3,8 @@
 The oracles compute by a different route than the library code they check:
 generating-function expansions, brute-force multiset enumeration,
 exhaustive subset scans (the full p(n) pinning audit, the 2^N sweep of
-ideal supports), and sympy eliminations.  Values frozen in the tests
+ideal supports), the check of every basis triple for associativity, and
+sympy eliminations.  Values frozen in the tests
 were produced by these functions and cross-checked against the literature
 before freezing.
 
@@ -294,6 +295,55 @@ def ideal_normal_forms(gram, n, d):
         forms[cols[p]] = {cols[k]: -Fraction(int(rref[r, k].p), int(rref[r, k].q))
                           for k in free if rref[r, k] != 0}
     return forms
+
+
+# the (dim V, n) cells of the frobenius benchmark deck
+FROBENIUS_CELLS = tuple((d, n) for d in range(2, 7) for n in range(2, 5)
+                        if (d, n) not in ((5, 4), (6, 3), (6, 4)))
+
+
+def frobenius_grams(dim):
+    """Identity, signed integer diagonal and a nondiagonal p/q gram of rank dim.
+
+    The p/q gram has unit fractions off the diagonal and alternating signs
+    on it; it is nondegenerate for dim <= 6.
+    """
+    return {
+        "identity": [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)],
+        "diagonal": [[Fraction((-1) ** i * (i + 1) if i == j else 0) for j in range(dim)]
+                     for i in range(dim)],
+        "rational": [[Fraction((-1) ** i * (i + 2), i + 1) if i == j else Fraction(1, i + j + 1)
+                      for j in range(dim)] for i in range(dim)],
+    }
+
+
+def triple_associativity(alg):
+    """(ab)c = a(bc) for every triple of basis monomials of a FrobeniusAlgebra.
+
+    The exhaustive route the library's ideal-closure check replaced: it
+    multiplies quotient basis monomials through the algebra's table of
+    normal forms and compares both bracketings, #basis^3 products in all.
+    """
+    n, basis, forms = alg.n, alg._quotient_monomials, alg._forms
+
+    def times(a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    for i in range(2 * n + 1):
+        for j in range(2 * n + 1 - i):
+            for k in range(2 * n + 1 - i - j):
+                for mb in basis[j]:
+                    for mc in basis[k]:
+                        bc = forms[j + k][times(mb, mc)]
+                        for ma in basis[i]:
+                            ab = forms[i + j][times(ma, mb)]
+                            left = alg._normal_form(i + j + k, (
+                                (times(basis[i + j][t], mc), x) for t, x in ab))
+                            right = alg._normal_form(i + j + k, (
+                                (times(ma, basis[j + k][t]), x) for t, x in bc))
+                            if left != right:
+                                return False
+    return True
 
 
 def shapes_by_grammar(n):

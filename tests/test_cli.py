@@ -4,8 +4,10 @@ import json
 import pytest
 
 import hilbk3
-from hilbk3 import bb_lattice, invariant_ideals
+from hilbk3 import bb_lattice, frobenius, invariant_ideals
 from hilbk3.cli import SCHEMA, main
+
+from oracles import FROBENIUS_CELLS, frobenius_grams
 
 
 def run(argv, capsys):
@@ -278,6 +280,23 @@ def test_ideals_output_bytes_are_pinned(capsys):
         "9de9b260cfb2ac2f93051658b71238e0d50fd32c156353f1559079162407f020")
 
 
+def test_frobenius_output_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    # `frobenius --dimv d --n n --gram G --json` on every benchmark cell and
+    # the three gram kinds, as printed by the check over all basis triples;
+    # relative gram paths, since the payload echoes them
+    monkeypatch.chdir(tmp_path)
+    argvs = []
+    for dim, n in FROBENIUS_CELLS:
+        for kind, rows in frobenius_grams(dim).items():
+            path = f"{kind}{dim}.json"
+            entries = [[f"{x.numerator}/{x.denominator}" for x in row] for row in rows]
+            (tmp_path / path).write_text(json.dumps({"dim": dim, "rows": entries}))
+            argvs.append(["frobenius", "--dimv", str(dim), "--n", str(n),
+                          "--gram", path, "--json"])
+    assert output_digest(argvs, capsys) == (
+        "d21682310b629ef175c14d72ae06a14bc90d8a607ce2f349248c81958d854e45")
+
+
 def test_frobenius_command_full(capsys):
     code, payload = run_json(["frobenius", "--dimv", "2", "--n", "2"], capsys)
     assert code == 0
@@ -285,6 +304,21 @@ def test_frobenius_command_full(capsys):
     names = {c["name"] for c in payload["checks"]}
     assert "pairing-nondegenerate" in names
     assert "associative" in names
+
+
+@pytest.mark.parametrize("dimv, n", [
+    (frobenius.MAX_PATTERN_DIM_V + 1, 2),
+    (23, frobenius.MAX_PATTERN_N + 1),
+    (23, 1000000000000),
+])
+def test_frobenius_over_budget_is_error(capsys, dimv, n):
+    # the budget is checked before the gram file, which here does not exist
+    code, payload = run_json(["frobenius", "--dimv", str(dimv), "--n", str(n),
+                              "--gram", "missing.json"], capsys)
+    assert code == 1
+    assert payload["status"] == "error"
+    assert payload["error"]["type"] == "ValueError"
+    assert payload["error"]["message"].startswith("dimension patterns capped")
 
 
 def test_frobenius_command_dimensions_only(capsys):

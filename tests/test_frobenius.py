@@ -7,6 +7,8 @@ from hilbk3 import linalg
 from hilbk3.bb_lattice import k3_lattice, q_norm, restriction_functional
 from hilbk3.cohomology import SurfaceBetti, hilbert_poincare
 from hilbk3.frobenius import (
+    MAX_PATTERN_DIM_V,
+    MAX_PATTERN_N,
     ConstructionError,
     FrobeniusAlgebra,
     algebra_dimension_pattern,
@@ -16,7 +18,15 @@ from hilbk3.frobenius import (
     monomial_basis,
 )
 
-from oracles import delta_class, find_isotropic, ideal_normal_forms, random_isotropic
+from oracles import (
+    FROBENIUS_CELLS,
+    delta_class,
+    find_isotropic,
+    frobenius_grams,
+    ideal_normal_forms,
+    random_isotropic,
+    triple_associativity,
+)
 
 U = ((0, 1), (1, 0))
 U2 = ((0, 1, 0), (1, 0, 0), (0, 0, 2))
@@ -139,6 +149,14 @@ def test_dimension_pattern():
             assert pattern == pattern[::-1]
 
 
+def test_dimension_pattern_budget():
+    at_cap = algebra_dimension_pattern(MAX_PATTERN_DIM_V, MAX_PATTERN_N)
+    assert len(at_cap) == 2 * MAX_PATTERN_N + 1 and at_cap == at_cap[::-1]
+    for dim_v, n in ((MAX_PATTERN_DIM_V + 1, 1), (1, MAX_PATTERN_N + 1)):
+        with pytest.raises(ValueError):
+            algebra_dimension_pattern(dim_v, n)
+
+
 def test_pattern_matches_hilbert_even_betti():
     even = hilbert_poincare(SurfaceBetti.k3(), 2).betti[::2]
     assert algebra_dimension_pattern(23, 2) == even
@@ -163,20 +181,43 @@ def test_normal_form_table_matches_sympy_rref():
             assert table == ideal_normal_forms(gram, n, d), (gram, n, d)
 
 
+@pytest.mark.parametrize("cell", FROBENIUS_CELLS[:FROBENIUS_CELLS.index((5, 3)) + 1],
+                         ids=lambda cell: "dimv%d-n%d" % cell)
+def test_ideal_closure_agrees_with_the_triple_oracle(cell):
+    dim, n = cell
+    for kind, gram in frobenius_grams(dim).items():
+        alg = build_algebra(gram, n)
+        assert alg.check_associative() is triple_associativity(alg) is True, kind
+
+
 def test_corrupted_table_entries_are_caught():
-    # raising any one entry of the table above degree n breaks
-    # associativity; emptying the top degree kills the pairing
+    # raising any one entry of the table breaks associativity, for the
+    # ideal-closure check and the triple oracle alike; in degrees <= n the
+    # entry is a basis monomial's own form; emptying the top degree kills
+    # the pairing
     alg = build_algebra(U2, 2)
-    corrupted = 0
-    for d in (3, 4):
+    corrupted = own_forms = 0
+    for d in (1, 2, 3, 4):
         for mono, form in list(alg._forms[d].items()):
             for e, (t, x) in enumerate(form):
                 alg._forms[d][mono] = form[:e] + ((t, x + 1),) + form[e + 1:]
                 assert not alg.check_associative(), (d, mono, e)
+                assert not triple_associativity(alg), (d, mono, e)
                 alg._forms[d][mono] = form
-                corrupted += 1
+                if d > alg.n:
+                    corrupted += 1
+                else:
+                    own_forms += 1
     assert corrupted == 9
+    assert own_forms == 3 + 6
     assert alg.check_associative() and alg.check_pairing_nondegenerate()
+    # doubling the whole top degree keeps the kernel closed under V, but the
+    # table stops being a projection, which only the closure check's first
+    # condition sees: 1 * (bc) = 4bc against (1 * b)c = 2bc
+    top = alg._forms[4]
+    alg._forms[4] = {mono: tuple((t, 2 * x) for t, x in form) for mono, form in top.items()}
+    assert not alg.check_associative() and not triple_associativity(alg)
+    alg._forms[4] = top
     alg._forms[4] = {mono: () for mono in alg._forms[4]}
     assert not alg.check_pairing_nondegenerate()
 
