@@ -15,10 +15,8 @@ is reached through the submodules.
 from .bb_lattice import (
     CandidateCertificate,
     CertificationReport,
-    H2Class,
     H2Lattice,
     PeriodTriple,
-    Sym2Tensor,
     bb_pair,
     certify_no_trianalytic,
     default_k3_gram,
@@ -67,8 +65,8 @@ __all__ = [
     "su2_generators", "bb_pair",
     # result types
     "YoungDiagram", "PoincarePolynomial", "StratumLedger",
-    "H2Lattice", "H2Class", "PeriodTriple", "Sym2Tensor", "CandidateCertificate",
-    "CertificationReport", "FrobeniusAlgebra", "InvariantIdeal", "MonomialIdeal",
+    "H2Lattice", "PeriodTriple", "CandidateCertificate", "CertificationReport",
+    "FrobeniusAlgebra", "InvariantIdeal", "MonomialIdeal",
 ]
 
 __version__ = "0.1.0"

@@ -6,6 +6,12 @@ divisor of the cycle map and q(delta) = -2(n-1); on H^2(M) the BB form is
 the intersection form.  The default surface gram is E8(-1) + E8(-1) + three
 hyperbolic planes, self-tested to be even and unimodular of signature (3,19).
 
+A class is a tuple of total_dim rationals: its surface coordinates, then
+(for n >= 2) its delta coordinate last.  A 2-form is a plain matrix F in
+the same coordinates with f(x, y) = x^T F y, so forms transform with lower
+indices, as the gram does.  Every pairing reads the one full gram, surface
+gram plus delta-delta entry, that each lattice builds once.
+
 A hyperkaehler rotation is encoded by a period triple: three pairwise
 BB-orthogonal classes of positive norm.  The induced su(2) action on H^2 is
 generated by the three skew operators
@@ -30,7 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 
 from . import linalg
@@ -99,53 +105,29 @@ class H2Lattice:
     def delta_norm(self) -> Fraction:
         return Fraction(-2 * (self.n - 1))
 
-    def full_gram(self) -> list[list[Fraction]]:
-        d = self.dim_v
+    @cached_property
+    def full_gram(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The BB gram on all total_dim coordinates, delta last."""
         if not self.has_delta:
-            return [list(row) for row in self.gram]
-        g = [list(row) + [Fraction(0)] for row in self.gram]
-        g.append([Fraction(0)] * d + [self.delta_norm])
-        return g
+            return self.gram
+        zero = Fraction(0)
+        return (tuple(row + (zero,) for row in self.gram)
+                + ((zero,) * self.dim_v + (self.delta_norm,),))
 
 
 def k3_lattice(n: int, gram=None) -> H2Lattice:
     return H2Lattice(n, tuple(tuple(row) for row in (gram if gram is not None else default_k3_gram())))
 
 
-@dataclass(frozen=True)
-class H2Class:
-    """A class v + delta_coeff * delta, v in coordinates of the surface part."""
-
-    v: tuple[Fraction, ...]
-    delta: Fraction
-
-    @classmethod
-    def make(cls, v, delta=0) -> "H2Class":
-        return cls(tuple(Fraction(x) for x in v), Fraction(delta))
+def bb_pair(lat: H2Lattice, x, y) -> Fraction:
+    """B(x, y) for two classes of lat, each a sequence of total_dim rationals."""
+    if len(x) != lat.total_dim or len(y) != lat.total_dim:
+        raise ValueError(f"classes must have {lat.total_dim} coordinates")
+    return Fraction(sum(a * g * b for a, row in zip(x, lat.full_gram) if a
+                        for g, b in zip(row, y) if g))
 
 
-def _check_member(lat: H2Lattice, x: H2Class) -> None:
-    if len(x.v) != lat.dim_v:
-        raise ValueError("class has wrong surface dimension")
-    if not lat.has_delta and x.delta != 0:
-        raise ValueError("n = 1 classes cannot have a delta component")
-
-
-def coords(lat: H2Lattice, x: H2Class) -> list[Fraction]:
-    _check_member(lat, x)
-    return list(x.v) + ([x.delta] if lat.has_delta else [])
-
-
-def bb_pair(lat: H2Lattice, x: H2Class, y: H2Class) -> Fraction:
-    _check_member(lat, x)
-    _check_member(lat, y)
-    g = lat.gram
-    d = lat.dim_v
-    val = sum(x.v[i] * g[i][j] * y.v[j] for i in range(d) for j in range(d) if g[i][j] != 0)
-    return Fraction(val) + x.delta * y.delta * lat.delta_norm
-
-
-def q_norm(lat: H2Lattice, x: H2Class) -> Fraction:
+def q_norm(lat: H2Lattice, x) -> Fraction:
     return bb_pair(lat, x, x)
 
 
@@ -168,47 +150,15 @@ def obstruction_coefficient(n: int, l: int) -> Fraction:
     return Fraction(1, 2 * (l - 1)) - Fraction(t, 2 * (n - 1))
 
 
-@dataclass(frozen=True)
-class Sym2Tensor:
-    """Symmetric 2-tensor in coordinates, tagged covariant or contravariant."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-    covariant: bool
-
-    def __post_init__(self):
-        e = linalg.symmetric_rows(self.entries, "tensor")
-        object.__setattr__(self, "entries", tuple(map(tuple, e)))
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def rows(self) -> list[list[Fraction]]:
-        return [list(r) for r in self.entries]
-
-
-def bb_form_tensor(lat: H2Lattice) -> Sym2Tensor:
-    return Sym2Tensor(tuple(tuple(r) for r in lat.full_gram()), covariant=True)
-
-
-def delta_squared_tensor(lat: H2Lattice) -> Sym2Tensor:
-    """d tensor d for the delta-coordinate functional d (covariant)."""
+def restriction_functional(lat: H2Lattice) -> list[list[Fraction]]:
+    """The degree-4 functional f = B + 2(n-1) d^2 as matrix rows; checked to kill (delta, delta)."""
     if not lat.has_delta:
         raise ValueError("n = 1 has no exceptional class")
-    size = lat.total_dim
-    e = [[Fraction(0)] * size for _ in range(size)]
-    e[size - 1][size - 1] = Fraction(1)
-    return Sym2Tensor(tuple(tuple(r) for r in e), covariant=True)
-
-
-def restriction_functional(lat: H2Lattice) -> Sym2Tensor:
-    """The degree-4 functional f = B + 2(n-1) d^2, covariant; checked to kill (delta, delta)."""
-    b, d2 = bb_form_tensor(lat).rows(), delta_squared_tensor(lat).rows()
-    scale = 2 * (lat.n - 1)
-    f = [[x + scale * y for x, y in zip(rb, rd)] for rb, rd in zip(b, d2)]
+    f = [list(row) for row in lat.full_gram]
+    f[-1][-1] += 2 * (lat.n - 1)
     if f[-1][-1] != 0:
         raise RuntimeError("restriction functional does not vanish on (delta, delta)")
-    return Sym2Tensor(f, covariant=True)
+    return f
 
 
 @dataclass(frozen=True)
@@ -216,7 +166,7 @@ class PeriodTriple:
     """Three pairwise BB-orthogonal classes of positive norm."""
 
     lattice: H2Lattice
-    w: tuple[H2Class, H2Class, H2Class]
+    w: tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]]
 
     def __post_init__(self):
         if len(self.w) != 3:
@@ -230,18 +180,15 @@ class PeriodTriple:
 
     @property
     def has_delta_component(self) -> bool:
-        return any(x.delta != 0 for x in self.w)
-
-    def coord_vectors(self) -> list[list[Fraction]]:
-        return [coords(self.lattice, x) for x in self.w]
+        return self.lattice.has_delta and any(x[-1] != 0 for x in self.w)
 
 
 def su2_generators(lat: H2Lattice, triple: PeriodTriple):
     """Three BB-skew operators generating the rotation action of the triple."""
     if triple.lattice != lat:
         raise ValueError("triple belongs to a different lattice")
-    g = lat.full_gram()
-    ws = triple.coord_vectors()
+    g = lat.full_gram
+    ws = triple.w
     gws = [linalg.mat_vec(g, w) for w in ws]
     size = lat.total_dim
     ops = []
@@ -258,23 +205,15 @@ def _integer_scaled(m) -> list[list[int]]:
     return [[int(Fraction(x) * s) for x in row] for row in m]
 
 
-def _derivation(op, tensor_rows, covariant: bool):
-    if covariant:
-        lt = linalg.mat_mul(linalg.transpose(op), tensor_rows)
-        tl = linalg.mat_mul(tensor_rows, op)
-        return linalg.mat_scale(linalg.mat_add(lt, tl), -1)
-    lt = linalg.mat_mul(op, tensor_rows)
-    tl = linalg.mat_mul(tensor_rows, linalg.transpose(op))
-    return linalg.mat_add(lt, tl)
-
-
-def is_su2_invariant(lat: H2Lattice, tensor: Sym2Tensor, triple: PeriodTriple) -> bool:
-    """All three rotation derivations vanish on the tensor."""
-    if tensor.size != lat.total_dim:
-        raise ValueError("tensor size mismatch")
-    t = _integer_scaled(tensor.rows())
+def is_su2_invariant(lat: H2Lattice, form, triple: PeriodTriple) -> bool:
+    """All three rotation derivations L^T F + F L vanish on the 2-form matrix F."""
+    f = linalg.symmetric_rows(form, "form")
+    if len(f) != lat.total_dim:
+        raise ValueError("form size mismatch")
+    t = _integer_scaled(f)
     for op in su2_generators(lat, triple):
-        d = _derivation(_integer_scaled(op), t, tensor.covariant)
+        op = _integer_scaled(op)
+        d = linalg.mat_add(linalg.mat_mul(linalg.transpose(op), t), linalg.mat_mul(t, op))
         if not linalg.is_zero_matrix(d):
             return False
     return True
@@ -320,6 +259,7 @@ def random_period_triple(lat: H2Lattice, rng: random.Random,
         raise ValueError("n = 1 has no exceptional class")
     basis = _positive_basis(lat)
     dim = lat.dim_v
+    no_delta = (Fraction(0),) * (lat.total_dim - dim)
     for _ in range(256):
         mixes, noise = [], []
         for _ in range(3):
@@ -334,12 +274,12 @@ def random_period_triple(lat: H2Lattice, rng: random.Random,
     # of scale * v + noise are all positive once the scale is large enough
     scale = 1
     while True:
-        ws: list[H2Class] = []
+        ws: list[tuple[Fraction, ...]] = []
         for v, z in zip(vs, noise):
-            w = H2Class.make([scale * a + b for a, b in zip(v, z)])
+            w = tuple(scale * a + b for a, b in zip(v, z)) + no_delta
             for u in ws:
                 coeff = bb_pair(lat, u, w) / q_norm(lat, u)
-                w = H2Class.make([a - coeff * b for a, b in zip(w.v, u.v)])
+                w = tuple(a - coeff * b for a, b in zip(w, u))
             if q_norm(lat, w) <= 0:
                 break
             ws.append(w)
@@ -350,7 +290,7 @@ def random_period_triple(lat: H2Lattice, rng: random.Random,
         scale = 1
         while scale * scale * q_norm(lat, ws[0]) <= 2 * (lat.n - 1):
             scale *= 2
-        ws[0] = H2Class.make([scale * a for a in ws[0].v], 1)
+        ws[0] = tuple(scale * a for a in ws[0][:dim]) + (Fraction(1),)
     return PeriodTriple(lat, (ws[0], ws[1], ws[2]))
 
 

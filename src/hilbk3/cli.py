@@ -93,6 +93,11 @@ def _load_gram(path: str | None):
     if not (isinstance(data, dict) and "dim" in data and isinstance(data.get("rows"), list)
             and all(isinstance(r, list) for r in data["rows"])):
         raise ValueError('gram file must be a JSON object {"dim": d, "rows": [[...], ...]}')
+    # the Frobenius pattern cap on dim V bounds every gram file, before any
+    # exact arithmetic: a 32 x 32 p/q gram already takes seconds to certify
+    cap = frobenius.MAX_PATTERN_DIM_V
+    if len(data["rows"]) > cap or any(len(r) > cap for r in data["rows"]):
+        raise ValueError(f"gram files are capped at dimension {cap}")
     dim = data["dim"]
     try:
         rows = [[_gram_entry(x) for x in row] for row in data["rows"]]

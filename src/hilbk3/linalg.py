@@ -51,10 +51,6 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(a: Matrix, c) -> Matrix:
-    return [[c * x for x in row] for row in a]
-
-
 def is_zero_matrix(a: Matrix) -> bool:
     return all(x == 0 for row in a for x in row)
 

@@ -10,8 +10,9 @@ before freezing.
 
 The constructions below them exist only so tests can compare or sample
 with them, and the reports never run them: the shape grammar, explicit BB
-classes, the transported inverse tensor, the rotation modules of d and d^2,
-and random isotropic vectors.
+classes, the inverse and transported BB tensors with their contravariant
+invariance check, the rotation modules of d and d^2, and random isotropic
+vectors.
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from math import lcm
 import sympy
 
 from hilbk3 import linalg
-from hilbk3.bb_lattice import H2Class, Sym2Tensor, su2_generators
+from hilbk3.bb_lattice import su2_generators
 from hilbk3.frobenius import laplacian_matrix
 from hilbk3.partitions import YoungDiagram, diagrams_of, is_triangular, partitions_of
 
@@ -366,24 +367,31 @@ def shapes_by_grammar(n):
 
 
 # Constructions on the BB lattice that only the tests use: explicit classes,
-# the transported inverse tensor behind the pullback coefficient, and the
-# rotation modules generated by d and d^2.
+# contravariant tensors (the inverse BB gram and its transport behind the
+# pullback coefficient) and the rotation modules generated by d and d^2.
+# Classes are coordinate tuples with delta last, as in the library.
 
 def delta_class(lat):
     if not lat.has_delta:
         raise ValueError("n = 1 has no exceptional class")
-    return H2Class.make((0,) * lat.dim_v, 1)
+    return (Fraction(0),) * lat.dim_v + (Fraction(1),)
+
+
+def delta_squared_form(lat):
+    """d^2 for the delta-coordinate functional d, as a 2-form matrix."""
+    if not lat.has_delta:
+        raise ValueError("n = 1 has no exceptional class")
+    size = lat.total_dim
+    return [[Fraction(int(i == j == size - 1)) for j in range(size)] for i in range(size)]
 
 
 def basis_class(lat, i):
-    v = [0] * lat.dim_v
-    v[i] = 1
-    return H2Class.make(v)
+    return tuple(Fraction(int(j == i)) for j in range(lat.total_dim))
 
 
 def bb_inverse_tensor(lat):
-    inv = linalg.inverse(lat.full_gram())
-    return Sym2Tensor(tuple(tuple(r) for r in inv), covariant=False)
+    """The BB dual form as a contravariant matrix: the inverse full gram."""
+    return linalg.inverse(lat.full_gram)
 
 
 def transported_bb_tensor(src, dst):
@@ -407,7 +415,23 @@ def transported_bb_tensor(src, dst):
         for j in range(dst.dim_v):
             out[i][j] = inv[i][j]
     out[size - 1][size - 1] = Fraction(n, l) * Fraction(-1, 2 * (n - 1))
-    return Sym2Tensor(tuple(tuple(r) for r in out), covariant=False)
+    return out
+
+
+def is_contravariant_invariant(lat, tensor, triple):
+    """All three rotation derivations L T + T L^T vanish on the contravariant T.
+
+    The library's check is for 2-forms (L^T F + F L); a tensor with upper
+    indices transforms the other way round.
+    """
+    t = linalg.symmetric_rows(tensor, "tensor")
+    if len(t) != lat.total_dim:
+        raise ValueError("tensor size mismatch")
+    for op in su2_generators(lat, triple):
+        d = linalg.mat_add(linalg.mat_mul(op, t), linalg.mat_mul(t, linalg.transpose(op)))
+        if not linalg.is_zero_matrix(d):
+            return False
+    return True
 
 
 def obstruction_coefficient_from_tensors(src, dst):
@@ -418,13 +442,17 @@ def obstruction_coefficient_from_tensors(src, dst):
     """
     t = transported_bb_tensor(src, dst)
     b = bb_inverse_tensor(dst)
-    size = t.size
-    diff = [[t.entries[i][j] - b.entries[i][j] for j in range(size)] for i in range(size)]
+    size = len(t)
+    diff = [[t[i][j] - b[i][j] for j in range(size)] for i in range(size)]
     for i in range(size):
         for j in range(size):
             if (i, j) != (size - 1, size - 1) and diff[i][j] != 0:
                 raise RuntimeError("surface block failed to cancel in the transport")
     return diff[size - 1][size - 1]
+
+
+def mat_scale(a, c):
+    return [[c * x for x in row] for row in a]
 
 
 def vec_mat(v, a):
@@ -477,7 +505,7 @@ def orbit_dimension_d2(lat, triple):
 
     def act(t, op):  # covariant action on a 2-tensor: -(L^T t + t L)
         lt = linalg.mat_mul(linalg.transpose(op), t)
-        return linalg.mat_scale(linalg.mat_add(lt, linalg.mat_mul(t, op)), -1)
+        return mat_scale(linalg.mat_add(lt, linalg.mat_mul(t, op)), -1)
 
     def upper(t):
         return [t[i][j] for i in range(size) for j in range(i, size)]

@@ -11,16 +11,15 @@ from fractions import Fraction
 from hilbk3 import linalg
 from hilbk3.bb_lattice import (
     H2Lattice,
-    bb_form_tensor,
     bb_pair,
     certify_no_trianalytic,
-    delta_squared_tensor,
     h4_obstruction,
     is_su2_invariant,
     k3_lattice,
     obstruction_coefficient,
     q_norm,
     random_period_triple,
+    restriction_functional,
 )
 from hilbk3.cohomology import SurfaceBetti, hilbert_poincare, hilbert_stratum_ledger
 from hilbk3.frobenius import algebra_dimension_pattern, build_algebra
@@ -38,6 +37,7 @@ from oracles import (
     brute_set_partitions_with_marks,
     delta_class,
     delta_module_dimension,
+    delta_squared_form,
     goettsche_betti,
     obstruction_coefficient_from_tensors,
     orbit_dimension_d2,
@@ -160,8 +160,11 @@ def test_07_rotation_invariance_of_the_tensors():
     def body():
         lat = k3_lattice(3)
         rng = random.Random(20260814)
-        b = bb_form_tensor(lat)
-        d2 = delta_squared_tensor(lat)
+        b = lat.full_gram
+        d2 = delta_squared_form(lat)
+        # the degree-4 functional is exactly B + 2(n-1) d^2 on plain matrices
+        assert restriction_functional(lat) == [[x + 4 * y for x, y in zip(rb, rd)]
+                                               for rb, rd in zip(b, d2)]
         for trial in range(20):
             with_delta = trial % 2 == 0
             triple = random_period_triple(lat, rng, with_delta=with_delta)

@@ -175,6 +175,34 @@ def test_frobenius_rejects_asymmetric_gram_in_dimensions_only_mode(tmp_path, cap
     assert payload["status"] == "error"
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "--n", "3"],
+    ["frobenius", "--dimv", "32", "--n", "2"],  # dimensions-only mode
+    ["frobenius", "--dimv", "2", "--n", "2"],  # full mode
+])
+def test_gram_file_over_the_cap_is_rejected_unread(tmp_path, capsys, argv):
+    # entries that would fail to parse: the cap is checked before any of them
+    dim = frobenius.MAX_PATTERN_DIM_V + 1
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps({"dim": dim, "rows": [["1e999999999"] * dim] * dim}))
+    code, payload = run_json(argv + ["--gram", str(path)], capsys)
+    assert code == 1
+    assert payload["status"] == "error"
+    assert payload["error"] == {"type": "ValueError",
+                                "message": "gram files are capped at dimension 32"}
+
+
+def test_gram_file_at_the_cap_is_read(tmp_path, capsys):
+    dim = frobenius.MAX_PATTERN_DIM_V
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps({"dim": dim, "rows": [[int(i == j) for j in range(dim)]
+                                                     for i in range(dim)]}))
+    code, payload = run_json(["frobenius", "--dimv", str(dim), "--n", "2",
+                              "--gram", str(path)], capsys)
+    assert code == 0
+    assert payload["result"]["mode"] == "dimensions-only"
+
+
 @pytest.mark.parametrize("argv, dim", [
     (["frobenius", "--dimv", "7"], 7),  # dimensions-only mode
     (["frobenius", "--dimv", "2"], 2),  # full mode
@@ -343,7 +371,7 @@ def test_package_exports_are_pinned():
         "k3_lattice", "random_period_triple", "h4_obstruction", "restriction_functional",
         "is_su2_invariant", "su2_generators", "bb_pair",
         "YoungDiagram", "PoincarePolynomial", "StratumLedger",
-        "H2Lattice", "H2Class", "PeriodTriple", "Sym2Tensor", "CandidateCertificate",
+        "H2Lattice", "PeriodTriple", "CandidateCertificate",
         "CertificationReport", "FrobeniusAlgebra", "InvariantIdeal", "MonomialIdeal",
     ])
     assert len(set(hilbk3.__all__)) == len(hilbk3.__all__)

@@ -24,6 +24,7 @@ from oracles import (
     find_isotropic,
     frobenius_grams,
     ideal_normal_forms,
+    mat_scale,
     random_isotropic,
     triple_associativity,
 )
@@ -91,7 +92,7 @@ def random_so_element(gram, rng):
                 a[i][j] = x
                 a[j][i] = -x
         s = linalg.mat_mul(ginv, a)
-        i_minus = linalg.mat_add(linalg.identity(dim), linalg.mat_scale(s, -1))
+        i_minus = linalg.mat_add(linalg.identity(dim), mat_scale(s, -1))
         try:
             inv = linalg.inverse(i_minus)
         except ValueError:
@@ -319,11 +320,11 @@ def test_so_elements_preserve_form_and_products():
 
 def test_restriction_functional_structure():
     lat = k3_lattice(3, U4)
-    f = restriction_functional(lat)
-    assert f.covariant
-    rows = f.rows()
-    full = lat.full_gram()
+    rows = restriction_functional(lat)
+    full = lat.full_gram
     d = lat.dim_v
+    # a plain symmetric matrix of size total_dim
+    assert linalg.symmetric_rows(rows) == rows and len(rows) == lat.total_dim
     for i in range(d):
         for j in range(d):
             assert rows[i][j] == full[i][j]
@@ -332,6 +333,8 @@ def test_restriction_functional_structure():
     assert rows[d][d] == 0
     delta = delta_class(lat)
     assert q_norm(lat, delta) == -4
+    with pytest.raises(ValueError):
+        restriction_functional(k3_lattice(1, U4))
 
 
 def test_find_isotropic():

@@ -15,7 +15,7 @@ from hilbk3.invariant_ideals import (
 )
 from hilbk3.partitions import YoungDiagram, is_triangular
 
-from oracles import brute_invariant_supports, brute_stable_staircases
+from oracles import brute_invariant_supports, brute_stable_staircases, mat_scale
 
 
 def act_h(mono):
@@ -58,11 +58,11 @@ def test_commutation_relations():
     e, f, h = (operator_matrix(ring, act) for act in (ring.act_e, ring.act_f, act_h))
 
     def bracket(a, b):
-        return linalg.mat_add(linalg.mat_mul(a, b), linalg.mat_scale(linalg.mat_mul(b, a), -1))
+        return linalg.mat_add(linalg.mat_mul(a, b), mat_scale(linalg.mat_mul(b, a), -1))
 
     assert bracket(e, f) == h
-    assert bracket(h, e) == linalg.mat_scale(e, 2)
-    assert bracket(h, f) == linalg.mat_scale(f, -2)
+    assert bracket(h, e) == mat_scale(e, 2)
+    assert bracket(h, f) == mat_scale(f, -2)
 
 
 def test_operators_preserve_degree():
