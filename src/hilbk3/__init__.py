@@ -26,7 +26,6 @@ from .bb_lattice import (
     obstruction_coefficient,
     random_period_triple,
     restriction_functional,
-    su2_generators,
 )
 from .cohomology import (
     PoincarePolynomial,
@@ -62,7 +61,7 @@ __all__ = [
     # the certification pipeline
     "trianalytic_candidates", "obstruction_coefficient", "default_k3_gram", "k3_lattice",
     "random_period_triple", "h4_obstruction", "restriction_functional", "is_su2_invariant",
-    "su2_generators", "bb_pair",
+    "bb_pair",
     # result types
     "YoungDiagram", "PoincarePolynomial", "StratumLedger",
     "H2Lattice", "PeriodTriple", "CandidateCertificate", "CertificationReport",

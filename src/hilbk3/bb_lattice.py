@@ -21,7 +21,9 @@ generated by the three skew operators
 which are BB-skew for any valid triple (no normalization, so everything
 stays rational; L_a w_b is proportional to w_c with positive factor q(w_b),
 and [L_a, L_b] = q(w_c) L_c).  A class or tensor is invariant under the
-rotations iff the three derivations vanish on it.
+rotations iff the three derivations vanish on it.  Each L_a has rank two,
+so the operators are never built: invariance of a 2-form is an exact
+identity between the triple, its images under the gram and under the form.
 
 The two obstruction routes for candidate trianalytic subvarieties live here:
 the exact pullback coefficient on the exceptional square for candidates
@@ -37,7 +39,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
 
 from . import linalg
 from .partitions import YoungDiagram, is_triangular, trianalytic_candidates
@@ -183,39 +184,26 @@ class PeriodTriple:
         return self.lattice.has_delta and any(x[-1] != 0 for x in self.w)
 
 
-def su2_generators(lat: H2Lattice, triple: PeriodTriple):
-    """Three BB-skew operators generating the rotation action of the triple."""
-    if triple.lattice != lat:
-        raise ValueError("triple belongs to a different lattice")
-    g = lat.full_gram
-    ws = triple.w
-    gws = [linalg.mat_vec(g, w) for w in ws]
-    size = lat.total_dim
-    ops = []
-    for a in range(3):
-        b, c = (a + 1) % 3, (a + 2) % 3
-        wb, wc, gb, gc = ws[b], ws[c], gws[b], gws[c]
-        ops.append([[wc[i] * gb[j] - wb[i] * gc[j] for j in range(size)] for i in range(size)])
-    return tuple(ops)
-
-
-def _integer_scaled(m) -> list[list[int]]:
-    dens = [Fraction(x).denominator for row in m for x in row]
-    s = lcm(*dens) if dens else 1
-    return [[int(Fraction(x) * s) for x in row] for row in m]
-
-
 def is_su2_invariant(lat: H2Lattice, form, triple: PeriodTriple) -> bool:
-    """All three rotation derivations L^T F + F L vanish on the 2-form matrix F."""
+    """All three rotation derivations L^T F + F L vanish on the 2-form matrix F.
+
+    With g = G w and phi = F w, each L_a = w_c g_b^T - w_b g_c^T has rank two
+    and L_a^T F + F L_a = S + S^T for S = g_b phi_c^T - g_c phi_b^T, so
+    invariance is an exact identity between six vectors, checked on i >= j.
+    """
     f = linalg.symmetric_rows(form, "form")
     if len(f) != lat.total_dim:
         raise ValueError("form size mismatch")
-    t = _integer_scaled(f)
-    for op in su2_generators(lat, triple):
-        op = _integer_scaled(op)
-        d = linalg.mat_add(linalg.mat_mul(linalg.transpose(op), t), linalg.mat_mul(t, op))
-        if not linalg.is_zero_matrix(d):
-            return False
+    if triple.lattice != lat:
+        raise ValueError("triple belongs to a different lattice")
+    g = [linalg.mat_vec(lat.full_gram, w) for w in triple.w]
+    phi = [linalg.mat_vec(f, w) for w in triple.w]
+    for b, c in ((1, 2), (2, 0), (0, 1)):
+        gb, gc, pb, pc = g[b], g[c], phi[b], phi[c]
+        for i in range(lat.total_dim):
+            for j in range(i + 1):
+                if gb[i] * pc[j] + gb[j] * pc[i] != gc[i] * pb[j] + gc[j] * pb[i]:
+                    return False
     return True
 
 

@@ -32,13 +32,8 @@ def _plain(obj):
         return list(obj.parts)
     if is_dataclass(obj):
         return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
-    if isinstance(obj, (list, tuple, frozenset, set)):
-        items = list(obj)
-        if isinstance(obj, (frozenset, set)):
-            items = sorted(items, key=repr)
-        return [_plain(x) for x in items]
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, tuple):
+        return [_plain(x) for x in obj]
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -1,5 +1,5 @@
 """Exact linear algebra over the rationals: one sparse elimination core plus
-dense helpers.
+symmetric congruence; no dense matrix products.
 
 Matrices are lists of rows; entries are Fraction or int (ints are promoted
 by arithmetic).  No floats anywhere: ranks, kernels, determinants and
@@ -34,25 +34,8 @@ def symmetric_rows(a: Matrix, name: str = "matrix") -> Matrix:
     return rows
 
 
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def mat_vec(a: Matrix, v: Vector) -> Vector:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
 
 
 def _subtract(x: dict, f, y: dict) -> None:

@@ -10,9 +10,10 @@ before freezing.
 
 The constructions below them exist only so tests can compare or sample
 with them, and the reports never run them: the shape grammar, explicit BB
-classes, the inverse and transported BB tensors with their contravariant
-invariance check, the rotation modules of d and d^2, and random isotropic
-vectors.
+classes, the three dense rotation operators of a period triple with the
+dense invariance checks built from them (the 2-form check the library
+replaced, and the contravariant one), the inverse and transported BB
+tensors, the rotation modules of d and d^2, and random isotropic vectors.
 """
 
 from dataclasses import dataclass
@@ -23,7 +24,6 @@ from math import lcm
 import sympy
 
 from hilbk3 import linalg
-from hilbk3.bb_lattice import su2_generators
 from hilbk3.frobenius import laplacian_matrix
 from hilbk3.partitions import YoungDiagram, diagrams_of, is_triangular, partitions_of
 
@@ -368,8 +368,9 @@ def shapes_by_grammar(n):
 
 # Constructions on the BB lattice that only the tests use: explicit classes,
 # contravariant tensors (the inverse BB gram and its transport behind the
-# pullback coefficient) and the rotation modules generated by d and d^2.
-# Classes are coordinate tuples with delta last, as in the library.
+# pullback coefficient), the dense rotation operators of a period triple and
+# the rotation modules generated by d and d^2.  Classes are coordinate tuples
+# with delta last, as in the library.
 
 def delta_class(lat):
     if not lat.has_delta:
@@ -418,22 +419,6 @@ def transported_bb_tensor(src, dst):
     return out
 
 
-def is_contravariant_invariant(lat, tensor, triple):
-    """All three rotation derivations L T + T L^T vanish on the contravariant T.
-
-    The library's check is for 2-forms (L^T F + F L); a tensor with upper
-    indices transforms the other way round.
-    """
-    t = linalg.symmetric_rows(tensor, "tensor")
-    if len(t) != lat.total_dim:
-        raise ValueError("tensor size mismatch")
-    for op in su2_generators(lat, triple):
-        d = linalg.mat_add(linalg.mat_mul(op, t), linalg.mat_mul(t, linalg.transpose(op)))
-        if not linalg.is_zero_matrix(d):
-            return False
-    return True
-
-
 def obstruction_coefficient_from_tensors(src, dst):
     """Independent route to c(n, l): transported BB dual minus the target BB dual.
 
@@ -451,6 +436,21 @@ def obstruction_coefficient_from_tensors(src, dst):
     return diff[size - 1][size - 1]
 
 
+# dense matrix products: the library multiplies no matrices
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def mat_mul(a, b):
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
 def mat_scale(a, c):
     return [[c * x for x in row] for row in a]
 
@@ -459,13 +459,70 @@ def vec_mat(v, a):
     return [sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0]))]
 
 
+def is_zero_matrix(a):
+    return all(x == 0 for row in a for x in row)
+
+
+def su2_generators(lat, triple):
+    """Three BB-skew operators generating the rotation action of the triple."""
+    if triple.lattice != lat:
+        raise ValueError("triple belongs to a different lattice")
+    g = lat.full_gram
+    ws = triple.w
+    gws = [linalg.mat_vec(g, w) for w in ws]
+    size = lat.total_dim
+    ops = []
+    for a in range(3):
+        b, c = (a + 1) % 3, (a + 2) % 3
+        wb, wc, gb, gc = ws[b], ws[c], gws[b], gws[c]
+        ops.append([[wc[i] * gb[j] - wb[i] * gc[j] for j in range(size)] for i in range(size)])
+    return tuple(ops)
+
+
+def _integer_scaled(m):
+    dens = [Fraction(x).denominator for row in m for x in row]
+    s = lcm(*dens) if dens else 1
+    return [[int(Fraction(x) * s) for x in row] for row in m]
+
+
+def dense_su2_invariant(lat, form, triple):
+    """L^T F + F L = 0 for all three dense operators, on integer rescalings.
+
+    The route `bb_lattice.is_su2_invariant` replaced: it builds the operators
+    and forms both products; rescaling an operator or the form by a nonzero
+    constant does not change whether the sum vanishes.
+    """
+    f = linalg.symmetric_rows(form, "form")
+    if len(f) != lat.total_dim:
+        raise ValueError("form size mismatch")
+    t = _integer_scaled(f)
+    for op in su2_generators(lat, triple):
+        op = _integer_scaled(op)
+        d = mat_add(mat_mul(transpose(op), t), mat_mul(t, op))
+        if not is_zero_matrix(d):
+            return False
+    return True
+
+
+def is_contravariant_invariant(lat, tensor, triple):
+    """All three rotation derivations L T + T L^T vanish on the contravariant T.
+
+    The library's check is for 2-forms (L^T F + F L); a tensor with upper
+    indices transforms the other way round.
+    """
+    t = linalg.symmetric_rows(tensor, "tensor")
+    if len(t) != lat.total_dim:
+        raise ValueError("tensor size mismatch")
+    for op in su2_generators(lat, triple):
+        d = mat_add(mat_mul(op, t), mat_mul(t, transpose(op)))
+        if not is_zero_matrix(d):
+            return False
+    return True
+
+
 def _integer_ops(lat, triple):
     # rescaling an operator does not change the module it generates
-    out = []
-    for op in su2_generators(lat, triple):
-        s = lcm(*(Fraction(x).denominator for row in op for x in row))
-        out.append([[int(x * s) for x in row] for row in op])
-    return out
+    return [_integer_scaled(op) for op in su2_generators(lat, triple)]
 
 
 def _saturation_rank(start, ops, act, flat, ncols):
@@ -504,8 +561,7 @@ def orbit_dimension_d2(lat, triple):
     d2[-1][-1] = 1
 
     def act(t, op):  # covariant action on a 2-tensor: -(L^T t + t L)
-        lt = linalg.mat_mul(linalg.transpose(op), t)
-        return mat_scale(linalg.mat_add(lt, linalg.mat_mul(t, op)), -1)
+        return mat_scale(mat_add(mat_mul(transpose(op), t), mat_mul(t, op)), -1)
 
     def upper(t):
         return [t[i][j] for i in range(size) for j in range(i, size)]

@@ -21,7 +21,7 @@ from hilbk3.bb_lattice import (
     obstruction_coefficient,
     q_norm,
     random_period_triple,
-    su2_generators,
+    restriction_functional,
 )
 from hilbk3.partitions import YoungDiagram, is_triangular
 
@@ -31,11 +31,17 @@ from oracles import (
     delta_class,
     delta_module_dimension,
     delta_squared_form,
+    dense_su2_invariant,
     is_contravariant_invariant,
+    is_zero_matrix,
+    mat_add,
+    mat_mul,
     mat_scale,
     obstruction_coefficient_from_tensors,
     orbit_dimension_d2,
+    su2_generators,
     transported_bb_tensor,
+    transpose,
 )
 
 # small surface gram with a positive 3-space, for fast tests
@@ -190,7 +196,7 @@ def test_tensor_fixtures():
     lat = small_lattice(3)
     b = lat.full_gram
     binv = bb_inverse_tensor(lat)
-    assert linalg.mat_mul(b, binv) == linalg.identity(5)
+    assert mat_mul(b, binv) == linalg.identity(5)
     rows = delta_squared_form(lat)
     assert rows[4][4] == 1
     assert all(rows[i][j] == 0 for i in range(5) for j in range(5) if (i, j) != (4, 4))
@@ -214,6 +220,47 @@ def test_is_su2_invariant_validates_the_form():
     skew[0][1] += 1
     with pytest.raises(ValueError):
         is_su2_invariant(lat, skew, triple)  # not symmetric
+    foreign = random_period_triple(small_lattice(2), random.Random(3))
+    with pytest.raises(ValueError):
+        is_su2_invariant(lat, good, foreign)  # triple of another lattice
+
+
+def random_symmetric(rng, size):
+    rows = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1):
+            rows[i][j] = rows[j][i] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    return rows
+
+
+def test_is_su2_invariant_matches_the_dense_operators():
+    # the rank-two identity against L^T F + F L on the three dense operators
+    rng = random.Random(53)
+    answers = []
+    for gram in (None, SMALL, SCRAMBLED):
+        for n in (1, 3, 6, 10):
+            lat = k3_lattice(n, gram)
+            size = lat.total_dim
+            g = lat.full_gram
+            noise = random_symmetric(rng, size)
+            i, j = rng.randrange(size), rng.randrange(size)
+            bumped = [list(r) for r in g]
+            bumped[i][j] += 1
+            bumped[j][i] += i != j
+            forms = [g, bb_inverse_tensor(lat), [[0] * size for _ in range(size)], noise,
+                     [[a + b for a, b in zip(r, s)] for r, s in zip(g, noise)], bumped]
+            if lat.has_delta:
+                forms += [restriction_functional(lat), delta_squared_form(lat)]
+            for with_delta in (False, True) if lat.has_delta else (False,):
+                triple = random_period_triple(lat, rng, with_delta)
+                for form in forms:
+                    answer = is_su2_invariant(lat, form, triple)
+                    assert answer == dense_su2_invariant(lat, form, triple)
+                    answers.append(answer)
+    # invariant: the gram and zero always, f and d^2 under the triples
+    # orthogonal to delta, and one bump of the K3 gram at (2, delta) under a
+    # triple orthogonal to delta whose three classes have coordinate 2 zero
+    assert (answers.count(True), answers.count(False)) == (61, 101)
 
 
 def test_transported_tensor_matches_formula():
@@ -275,17 +322,17 @@ def test_su2_generator_identities():
             assert linalg.mat_vec(ops[a], w[b]) == [q[b] * x for x in w[c]]
             assert linalg.mat_vec(ops[a], w[c]) == [-q[c] * x for x in w[b]]
             # BB-skew: L^T G + G L = 0
-            skew = linalg.mat_add(
-                linalg.mat_mul(linalg.transpose(ops[a]), g),
-                linalg.mat_mul(g, ops[a]),
+            skew = mat_add(
+                mat_mul(transpose(ops[a]), g),
+                mat_mul(g, ops[a]),
             )
-            assert linalg.is_zero_matrix(skew)
+            assert is_zero_matrix(skew)
         # so(3)-type brackets: [L_a, L_b] = q_c L_c
         for a in range(3):
             b, c = (a + 1) % 3, (a + 2) % 3
-            bracket = linalg.mat_add(
-                linalg.mat_mul(ops[a], ops[b]),
-                mat_scale(linalg.mat_mul(ops[b], ops[a]), -1),
+            bracket = mat_add(
+                mat_mul(ops[a], ops[b]),
+                mat_scale(mat_mul(ops[b], ops[a]), -1),
             )
             expect = mat_scale(ops[c], q[c])
             assert bracket == expect

@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hilbk3
-from hilbk3 import bb_lattice, frobenius, invariant_ideals
+from hilbk3 import bb_lattice, cohomology, frobenius, invariant_ideals
 from hilbk3.cli import SCHEMA, main
 
 from oracles import FROBENIUS_CELLS, frobenius_grams
@@ -242,6 +246,58 @@ def test_certify_over_budget_is_error(capsys):
     assert payload["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("command", ["betti", "strata"])
+@pytest.mark.parametrize("n", [cohomology.MAX_STRATA_N + 1, 1000000000000])
+def test_stratum_reports_over_budget_are_errors(capsys, command, n):
+    code, payload = run_json([command, "--n", str(n)], capsys)
+    assert code == 1
+    assert payload["status"] == "error"
+    assert payload["error"] == {"type": "ValueError",
+                                "message": f"stratum ledgers capped at n = {cohomology.MAX_STRATA_N}"}
+
+
+# the integer arguments of every report: (flag, cap), every bounded value
+# ranging over 1..cap; seeds take any integer, --max-degree any n >= 0
+INTEGER_ARGUMENTS = {
+    "betti": (("--n", cohomology.MAX_STRATA_N), ("--max-degree", None)),
+    "strata": (("--n", cohomology.MAX_STRATA_N),),
+    "certify": (("--n", bb_lattice.MAX_POINTS), ("--seed", None)),
+    "ideals": (("--N", invariant_ideals.MAX_TRUNCATION),),
+    "punctual": (("--i", invariant_ideals.MAX_COLENGTH),),
+    "frobenius": (("--dimv", frobenius.MAX_PATTERN_DIM_V), ("--n", frobenius.MAX_PATTERN_N)),
+}
+
+
+def edge_values(cap):
+    # in range only up to 3, where every report takes well under 0.1 s, and
+    # just over the cap where there is one
+    over = (cap + 1,) if cap is not None else ()
+    return st.sampled_from((-10 ** 12, -1, 0, 1, 2, 3) + over + (10 ** 12,))
+
+
+# 300 derandomized examples reach all 200 combinations, in about 1 s
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data(), command=st.sampled_from(sorted(INTEGER_ARGUMENTS)))
+def test_every_integer_argument_edge_ends_in_one_payload(data, command):
+    argv, in_range = [command], True
+    for flag, cap in INTEGER_ARGUMENTS[command]:
+        value = data.draw(edge_values(cap), label=flag)
+        argv += [flag, str(value)]
+        if flag == "--max-degree":
+            in_range = in_range and value >= 0
+        elif cap is not None:
+            in_range = in_range and 1 <= value <= cap
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ["--json"])
+    payload = json.loads(out.getvalue())  # exactly one JSON document
+    assert payload["schema"] == SCHEMA
+    assert payload["command"] == command
+    assert (payload["status"], code) == (("ok", 0) if in_range else ("error", 1))
+    if not in_range:
+        assert payload["error"]["type"] == "ValueError"
+
+
 def test_ideals_command(capsys):
     code, payload = run_json(["ideals", "--N", "6"], capsys)
     assert code == 0
@@ -369,7 +425,7 @@ def test_package_exports_are_pinned():
         "punctual_fixed_points", "algebra_dimension_pattern", "build_algebra",
         "trianalytic_candidates", "obstruction_coefficient", "default_k3_gram",
         "k3_lattice", "random_period_triple", "h4_obstruction", "restriction_functional",
-        "is_su2_invariant", "su2_generators", "bb_pair",
+        "is_su2_invariant", "bb_pair",
         "YoungDiagram", "PoincarePolynomial", "StratumLedger",
         "H2Lattice", "PeriodTriple", "CandidateCertificate",
         "CertificationReport", "FrobeniusAlgebra", "InvariantIdeal", "MonomialIdeal",
