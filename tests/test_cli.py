@@ -381,6 +381,28 @@ def test_frobenius_output_bytes_are_pinned(tmp_path, monkeypatch, capsys):
         "d21682310b629ef175c14d72ae06a14bc90d8a607ce2f349248c81958d854e45")
 
 
+STRATUM_SURFACES = (None, "1,0,1", "1,7,1", "1,2,3")
+
+
+def test_stratum_output_bytes_are_pinned(capsys):
+    # `betti --json` for n = 1..32 with --max-degree none, 2 and 4n - 2, and
+    # `strata --json` for n = 1..22, on four surfaces, as printed by the
+    # per-stratum sum over all p(n) diagrams; the exit code of every report
+    # is hashed too, since some surfaces fail the degree-2 or duality checks
+    digest = hashlib.sha256()
+    for surface in STRATUM_SURFACES:
+        extra = ["--surface", surface] if surface else []
+        argvs = [["betti", "--n", str(n), "--json"] + extra + cut
+                 for n in range(1, 33)
+                 for cut in ([], ["--max-degree", "2"], ["--max-degree", str(4 * n - 2)])]
+        argvs += [["strata", "--n", str(n), "--json"] + extra for n in range(1, 23)]
+        for argv in argvs:
+            code, out = run(argv, capsys)
+            digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == (
+        "359f8b2730799d75247f6a28e1a3ebe398cad0d993620106b693e6c60e570ab0")
+
+
 def test_frobenius_command_full(capsys):
     code, payload = run_json(["frobenius", "--dimv", "2", "--n", "2"], capsys)
     assert code == 0
