@@ -94,6 +94,8 @@ def _load_gram(path: str | None):
     if len(data["rows"]) > cap or any(len(r) > cap for r in data["rows"]):
         raise ValueError(f"gram files are capped at dimension {cap}")
     dim = data["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ValueError("gram file dim must be a positive integer")
     try:
         rows = [[_gram_entry(x) for x in row] for row in data["rows"]]
     except ZeroDivisionError:

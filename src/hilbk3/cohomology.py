@@ -6,15 +6,21 @@ over diagonal strata, each contributing its own cohomology shifted up by the
 complex codimension of the stratum.  Each stratum is a product of symmetric
 powers of the surface, whose Poincare polynomials are exact binomial sums.
 All arithmetic is integer arithmetic.
+
+The strata are the p(n) partitions of n, but the total never lists them:
+grouped by part value it is a knapsack over k = 1..n, polynomial in n
+(the factorised form of Goettsche's product).  Only the `strata` table
+lists every stratum; degree-i entries list those of codimension <= i.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
-from .partitions import YoungDiagram, codim_diagonal, diagrams_of
+from .partitions import YoungDiagram, codim_diagonal, diagrams_of, partitions_of
 
 
 def _multichoose(m: int, k: int) -> int:
@@ -157,30 +163,62 @@ class StratumContribution:
 
 @dataclass(frozen=True)
 class StratumLedger:
-    """All stratum contributions for one Hilbert scheme, before summation."""
+    """The diagonal strata of one Hilbert scheme and their shifted sum."""
 
     n: int
     surface: SurfaceBetti
-    contributions: tuple[StratumContribution, ...]
+
+    @cached_property
+    def contributions(self) -> tuple[StratumContribution, ...]:
+        """Every stratum, in `diagrams_of` order: p(n) of them."""
+        return tuple(
+            StratumContribution(d, codim_diagonal(d), diagonal_poincare(self.surface, d))
+            for d in diagrams_of(self.n)
+        )
 
     def total(self) -> PoincarePolynomial:
-        out = PoincarePolynomial(())
-        for c in self.contributions:
-            out = out + c.poincare.shifted(c.codim)
-        return out
+        """Sum over all strata of P(stratum) shifted by its codimension.
+
+        A stratum gives each part value k a multiplicity m_k, with sum k m_k
+        = n, and contributes the product of the P(Sym^{m_k} S) shifted by
+        sum 2 m_k (k - 1).  So the sum is a knapsack over part values:
+        sums[w] totals the partitions of w into the values seen so far, and
+        value k with multiplicity m carries sums[w] to sums[w + k m] times
+        P(Sym^m S), shifted by 2 m (k - 1).  No stratum is listed.
+        """
+        n = self.n
+        sym = [symmetric_power_poincare(self.surface, m) for m in range(n + 1)]
+        sums = [PoincarePolynomial((1,))] + [PoincarePolynomial(())] * n
+        for k in range(1, n + 1):
+            # w falls, so sums[w] does not hold value k yet when it is read
+            for w in range(n - k, -1, -1):
+                for m in range(1, (n - w) // k + 1):
+                    term = (sums[w] * sym[m]).shifted(2 * m * (k - 1))
+                    sums[w + k * m] = sums[w + k * m] + term
+        return sums[n]
 
     def entries_in_degree(self, i: int) -> tuple[tuple[YoungDiagram, int], ...]:
-        """Nonzero contributions b_{i - codim}(stratum), stratum by stratum."""
+        """Nonzero contributions b_{i - codim}(stratum), in `diagrams_of` order.
+
+        Only strata of codimension 2e <= i can contribute; their diagrams are
+        (mu + 1, 1^(n - e - len mu)) for the partitions mu of e.
+        """
+        diagrams = []
+        for e in range(min(i // 2, self.n - 1) + 1):
+            for mu in partitions_of(e):
+                if len(mu) <= self.n - e:
+                    ones = (1,) * (self.n - e - len(mu))
+                    diagrams.append(YoungDiagram(tuple(p + 1 for p in mu) + ones))
         out = []
-        for c in self.contributions:
-            b = c.poincare.coefficient(i - c.codim) if i >= c.codim else 0
+        for d in sorted(diagrams, reverse=True):
+            b = diagonal_poincare(self.surface, d).coefficient(i - codim_diagonal(d))
             if b:
-                out.append((c.diagram, b))
+                out.append((d, b))
         return tuple(out)
 
 
-# the strata are the p(n) partitions of n: at n = 40 (37,338 strata) `betti`
-# takes 7-8 s and `strata --json` 9-11 s and 42 MB on a 2-core VM
+# `strata` lists all p(n) strata: at n = 40 (37,338 strata) `strata --json`
+# takes about 5 s and 42 MB on a 2-core VM, `betti` about 0.2 s
 MAX_STRATA_N = 40
 
 
@@ -189,11 +227,7 @@ def hilbert_stratum_ledger(surface: SurfaceBetti, n: int) -> StratumLedger:
         raise ValueError("n must be >= 1")
     if n > MAX_STRATA_N:
         raise ValueError(f"stratum ledgers capped at n = {MAX_STRATA_N}")
-    contributions = tuple(
-        StratumContribution(d, codim_diagonal(d), diagonal_poincare(surface, d))
-        for d in diagrams_of(n)
-    )
-    return StratumLedger(n, surface, contributions)
+    return StratumLedger(n, surface)
 
 
 def hilbert_poincare(surface: SurfaceBetti, n: int) -> PoincarePolynomial:

@@ -35,7 +35,8 @@ def symmetric_rows(a: Matrix, name: str = "matrix") -> Matrix:
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    # zero entries are skipped: the grams and forms it meets are sparse
+    return [sum(x * y for x, y in zip(row, v) if x) for row in a]
 
 
 def _subtract(x: dict, f, y: dict) -> None:

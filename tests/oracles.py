@@ -1,7 +1,8 @@
 """Independent oracles and test-only constructions used by the test suite.
 
 The oracles compute by a different route than the library code they check:
-generating-function expansions, brute-force multiset enumeration,
+generating-function expansions, the per-stratum sum over all p(n) strata,
+brute-force multiset enumeration,
 exhaustive subset scans (the full p(n) pinning audit, the 2^N sweep of
 ideal supports), the check of every basis triple for associativity, and
 sympy eliminations.  Values frozen in the tests
@@ -24,60 +25,59 @@ from math import lcm
 import sympy
 
 from hilbk3 import linalg
+from hilbk3.cohomology import PoincarePolynomial
 from hilbk3.frobenius import laplacian_matrix
 from hilbk3.partitions import YoungDiagram, diagrams_of, is_triangular, partitions_of
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return out
+def goettsche_rows(b0, b2, b4, n_max):
+    """Betti numbers of the Hilbert schemes of n <= n_max points, by n.
 
-
-def _series_mul(a, b, max_order):
-    # coefficients of z^k are t-polynomials (plain int lists)
-    out = [[0] for _ in range(max_order + 1)]
-    for i, pa in enumerate(a):
-        if i > max_order:
-            continue
-        for j, pb in enumerate(b):
-            if i + j > max_order:
-                break
-            prod = _poly_mul(pa, pb)
-            cur = out[i + j]
-            if len(cur) < len(prod):
-                cur.extend([0] * (len(prod) - len(cur)))
-            for k, c in enumerate(prod):
-                cur[k] += c
-    return out
+    Expands prod_{m>=1} (1-t^{2m-2}z^m)^{-b0} (1-t^{2m}z^m)^{-b2}
+    (1-t^{2m+2}z^m)^{-b4} once to order z^n_max and returns the coefficient
+    of each z^n as a tuple of t-coefficients.
+    """
+    series = [[1]] + [[0] for _ in range(n_max)]
+    for m in range(1, n_max + 1):
+        for shift, expo in ((2 * m - 2, b0), (2 * m, b2), (2 * m + 2, b4)):
+            for _ in range(expo):
+                # divide by (1 - t^shift z^m): R_j = S_j + t^shift R_{j-m},
+                # in place with j rising
+                for j in range(m, n_max + 1):
+                    lower, cur = series[j - m], series[j]
+                    if len(cur) < shift + len(lower):
+                        cur.extend([0] * (shift + len(lower) - len(cur)))
+                    for k, c in enumerate(lower):
+                        cur[shift + k] += c
+    rows = []
+    for coeffs in series:
+        while len(coeffs) > 1 and coeffs[-1] == 0:
+            coeffs.pop()
+        rows.append(tuple(coeffs))
+    return rows
 
 
 def goettsche_betti(b0, b2, b4, n):
-    """Betti numbers of the n-th Hilbert scheme via the infinite product.
+    """Betti numbers of the n-th Hilbert scheme via the infinite product."""
+    return goettsche_rows(b0, b2, b4, n)[n]
 
-    Expands prod_{m>=1} (1-t^{2m-2}z^m)^{-b0} (1-t^{2m}z^m)^{-b2}
-    (1-t^{2m+2}z^m)^{-b4} to order z^n and returns the coefficient of z^n
-    as a tuple of t-coefficients.
-    """
-    series = [[1]] + [[0] for _ in range(n)]
-    for m in range(1, n + 1):
-        for shift, expo in ((2 * m - 2, b0), (2 * m, b2), (2 * m + 2, b4)):
-            for _ in range(expo):
-                # multiply by 1/(1 - t^shift z^m) = sum_k t^(k*shift) z^(k*m)
-                factor = [[0] for _ in range(n + 1)]
-                k = 0
-                while k * m <= n:
-                    factor[k * m] = [0] * (k * shift) + [1]
-                    k += 1
-                series = _series_mul(series, factor, n)
-    coeffs = series[n]
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+
+def stratum_sum(ledger):
+    """The ledger's total, summed stratum by stratum over all p(n) strata."""
+    out = PoincarePolynomial(())
+    for c in ledger.contributions:
+        out = out + c.poincare.shifted(c.codim)
+    return out
+
+
+def stratum_entries_in_degree(ledger, i):
+    """Nonzero b_{i - codim}(stratum), filtered from all p(n) strata."""
+    out = []
+    for c in ledger.contributions:
+        b = c.poincare.coefficient(i - c.codim) if i >= c.codim else 0
+        if b:
+            out.append((c.diagram, b))
+    return tuple(out)
 
 
 def euler_numbers_24(n_max):

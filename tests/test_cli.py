@@ -4,11 +4,11 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hilbk3
-from hilbk3 import bb_lattice, cohomology, frobenius, invariant_ideals
+from hilbk3 import bb_lattice, cli, cohomology, frobenius, invariant_ideals
 from hilbk3.cli import SCHEMA, main
 
 from oracles import FROBENIUS_CELLS, frobenius_grams
@@ -166,6 +166,71 @@ def test_malformed_gram_file_is_an_error_payload(tmp_path, capsys, command, text
     assert payload["schema"] == SCHEMA
     assert payload["status"] == "error"
     assert payload["error"]["message"]
+
+
+BAD_ENTRIES = (True, False, 2.0, 0.5, "1e9", "1/0", "5/-1", "1.5", "x", None, [1], [[0]], {})
+BAD_DIMS = (True, False, None, "2", [2], {})
+
+
+@st.composite
+def malformed_gram_files(draw):
+    # an identity gram of size 1..33 with exactly one defect, as JSON text;
+    # size 33 is over the cap and is rejected for that alone
+    size = draw(st.integers(1, frobenius.MAX_PATTERN_DIM_V + 1))
+    rows = [[int(i == j) for j in range(size)] for i in range(size)]
+    data = {"dim": size, "rows": rows}
+    i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+    defect = draw(st.sampled_from(("entry", "dim", "dim-type", "row-length", "row-count",
+                                   "nested-row", "missing-key", "not-an-object",
+                                   "asymmetric", "degenerate")))
+    if defect == "entry":
+        rows[i][j] = draw(st.sampled_from(BAD_ENTRIES))
+    elif defect == "dim":
+        data["dim"] = draw(st.integers(-1, 34).filter(lambda d: d != size))
+    elif defect == "dim-type":
+        data["dim"] = draw(st.sampled_from(BAD_DIMS + (float(size),)))
+    elif defect == "row-length":
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + [0]
+    elif defect == "row-count":
+        if draw(st.booleans()):
+            del rows[i]
+        else:
+            rows.append([0] * size)
+    elif defect == "nested-row":
+        rows[i] = [rows[i]]
+    elif defect == "missing-key":
+        del data[draw(st.sampled_from(("dim", "rows")))]
+    elif defect == "not-an-object":
+        data = draw(st.sampled_from((rows, size, "gram", None, True, [data])))
+    elif defect == "asymmetric" and size > 1:
+        rows[i][(i + 1) % size] = 1
+    else:  # degenerate; also a 1 x 1 "asymmetric" gram
+        rows[i] = [0] * size
+    return json.dumps(data)
+
+
+# full mode (dim V <= 6) and dimensions-only mode read the gram the same way
+GRAM_READERS = (["certify", "--n", "3"], ["frobenius", "--dimv", "2", "--n", "2"],
+                ["frobenius", "--dimv", "7", "--n", "2"])
+
+
+# about 1 s
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(text=malformed_gram_files())
+@example(text='{"dim": true, "rows": [[1]]}')  # True == 1 passed the shape check
+@example(text='{"dim": 1.0, "rows": [[1]]}')
+def test_every_malformed_gram_file_ends_in_one_error_payload(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_gram.json"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        cli._load_gram(str(path))
+    for argv in GRAM_READERS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--gram", str(path), "--json"])
+        payload = json.loads(out.getvalue())  # exactly one JSON document
+        assert (payload["schema"], payload["status"], code) == (SCHEMA, "error", 1)
+        assert err.getvalue() == ""
 
 
 def test_frobenius_rejects_asymmetric_gram_in_dimensions_only_mode(tmp_path, capsys):

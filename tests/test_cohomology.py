@@ -10,7 +10,14 @@ from hilbk3.cohomology import (
 )
 from hilbk3.partitions import YoungDiagram, codim_diagonal, diagrams_of
 
-from oracles import brute_symmetric_power, euler_numbers_24, goettsche_betti
+from oracles import (
+    brute_symmetric_power,
+    euler_numbers_24,
+    goettsche_betti,
+    goettsche_rows,
+    stratum_entries_in_degree,
+    stratum_sum,
+)
 
 K3 = SurfaceBetti.k3()
 
@@ -102,11 +109,37 @@ def test_euler_characteristics_match_eta_product():
 
 
 def test_stratum_ledger_structure():
-    ledger = hilbert_stratum_ledger(K3, 3)
-    assert {c.diagram for c in ledger.contributions} == set(diagrams_of(3))
-    for c in ledger.contributions:
-        assert c.codim == codim_diagonal(c.diagram)
-    assert ledger.total().betti == hilbert_poincare(K3, 3).betti
+    for n in (1, 3, 6):
+        ledger = hilbert_stratum_ledger(K3, n)
+        assert tuple(c.diagram for c in ledger.contributions) == diagrams_of(n)
+        for c in ledger.contributions:
+            assert c.codim == codim_diagonal(c.diagram)
+            assert c.poincare == diagonal_poincare(K3, c.diagram)
+        assert ledger.total() == stratum_sum(ledger)
+        for i in range(-1, 4 * n + 2):
+            assert ledger.entries_in_degree(i) == stratum_entries_in_degree(ledger, i)
+
+
+def test_knapsack_matches_per_stratum_sum_and_goettsche_on_k3():
+    # one expansion of the product gives every row
+    rows = goettsche_rows(1, 22, 1, 30)
+    for n in range(1, 31):
+        ledger = hilbert_stratum_ledger(K3, n)
+        total = ledger.total()
+        assert total.betti == rows[n]
+        assert total == stratum_sum(ledger)
+        for i in range(7):
+            assert ledger.entries_in_degree(i) == stratum_entries_in_degree(ledger, i)
+
+
+@pytest.mark.parametrize("surface", [SurfaceBetti(1, 0, 1), SurfaceBetti(1, 7, 1),
+                                     SurfaceBetti(1, 2, 3)], ids=str)
+def test_knapsack_matches_per_stratum_sum_on_other_surfaces(surface):
+    for n in range(1, 25):
+        ledger = hilbert_stratum_ledger(surface, n)
+        assert ledger.total() == stratum_sum(ledger)
+        for i in range(7):
+            assert ledger.entries_in_degree(i) == stratum_entries_in_degree(ledger, i)
 
 
 def test_degree_two_ledger_entries():

@@ -261,3 +261,18 @@ def test_echelon_contains_matches_sympy_rank(a, data):
     inside = _sym(a + [vec], ncols).rank() == _sym(a, ncols).rank()
     assert ech.contains(vec) == inside
     assert ech.pivots == linalg.rref(a, ncols)[1]
+
+
+SPARSE = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), ENTRIES)
+
+
+@PROPERTY
+@given(st.data())
+def test_mat_vec_matches_the_dense_product(data):
+    nrows, ncols = data.draw(st.integers(0, 8)), data.draw(st.integers(1, 8))
+    a = data.draw(st.lists(st.lists(SPARSE, min_size=ncols, max_size=ncols),
+                           min_size=nrows, max_size=nrows))
+    for i in data.draw(st.sets(st.integers(0, nrows - 1))) if nrows else ():
+        a[i] = [Fraction(0)] * ncols
+    v = data.draw(st.lists(SPARSE, min_size=ncols, max_size=ncols))
+    assert linalg.mat_vec(a, v) == [row[0] for row in mat_mul(a, [[y] for y in v])]
