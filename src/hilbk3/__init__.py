@@ -9,63 +9,64 @@ fractions); nothing here floats.
 
 The names below are the ones the six command line reports and the
 certification pipeline call, plus the types they return; everything else
-is reached through the submodules.
+is reached through the submodules.  Importing the package loads none of
+them: each name resolves on first use, importing only its submodule and
+what that submodule needs (PEP 562).
 """
 
-from .bb_lattice import (
-    CandidateCertificate,
-    CertificationReport,
-    H2Lattice,
-    PeriodTriple,
-    bb_pair,
-    certify_no_trianalytic,
-    default_k3_gram,
-    h4_obstruction,
-    is_su2_invariant,
-    k3_lattice,
-    obstruction_coefficient,
-    random_period_triple,
-    restriction_functional,
-)
-from .cohomology import (
-    PoincarePolynomial,
-    StratumLedger,
-    SurfaceBetti,
-    diagonal_poincare,
-    hilbert_poincare,
-    hilbert_stratum_ledger,
-)
-from .frobenius import FrobeniusAlgebra, algebra_dimension_pattern, build_algebra
-from .invariant_ideals import (
-    InvariantIdeal,
-    MonomialIdeal,
-    classify_invariant_ideals,
-    punctual_fixed_points,
-)
-from .partitions import (
-    YoungDiagram,
-    codim_diagonal,
-    diagrams_of,
-    fiber_dimension,
-    is_triangular,
-    trianalytic_candidates,
-    verify_semismall,
-)
+import importlib
 
-__all__ = [
+_EXPORTS = {
     # the reports
-    "SurfaceBetti", "hilbert_stratum_ledger", "hilbert_poincare", "diagonal_poincare",
-    "diagrams_of", "codim_diagonal", "fiber_dimension", "verify_semismall", "is_triangular",
-    "certify_no_trianalytic", "classify_invariant_ideals", "punctual_fixed_points",
-    "algebra_dimension_pattern", "build_algebra",
+    "SurfaceBetti": "cohomology",
+    "hilbert_stratum_ledger": "cohomology",
+    "hilbert_poincare": "cohomology",
+    "diagonal_poincare": "cohomology",
+    "diagrams_of": "partitions",
+    "codim_diagonal": "partitions",
+    "fiber_dimension": "partitions",
+    "verify_semismall": "partitions",
+    "is_triangular": "partitions",
+    "certify_no_trianalytic": "bb_lattice",
+    "classify_invariant_ideals": "invariant_ideals",
+    "punctual_fixed_points": "invariant_ideals",
+    "algebra_dimension_pattern": "frobenius",
+    "build_algebra": "frobenius",
     # the certification pipeline
-    "trianalytic_candidates", "obstruction_coefficient", "default_k3_gram", "k3_lattice",
-    "random_period_triple", "h4_obstruction", "restriction_functional", "is_su2_invariant",
-    "bb_pair",
+    "trianalytic_candidates": "partitions",
+    "obstruction_coefficient": "bb_lattice",
+    "default_k3_gram": "bb_lattice",
+    "k3_lattice": "bb_lattice",
+    "random_period_triple": "bb_lattice",
+    "h4_obstruction": "bb_lattice",
+    "restriction_functional": "bb_lattice",
+    "is_su2_invariant": "bb_lattice",
+    "bb_pair": "bb_lattice",
     # result types
-    "YoungDiagram", "PoincarePolynomial", "StratumLedger",
-    "H2Lattice", "PeriodTriple", "CandidateCertificate", "CertificationReport",
-    "FrobeniusAlgebra", "InvariantIdeal", "MonomialIdeal",
-]
+    "YoungDiagram": "partitions",
+    "PoincarePolynomial": "cohomology",
+    "StratumLedger": "cohomology",
+    "H2Lattice": "bb_lattice",
+    "PeriodTriple": "bb_lattice",
+    "CandidateCertificate": "bb_lattice",
+    "CertificationReport": "bb_lattice",
+    "FrobeniusAlgebra": "frobenius",
+    "InvariantIdeal": "invariant_ideals",
+    "MonomialIdeal": "invariant_ideals",
+}
+
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

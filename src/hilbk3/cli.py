@@ -14,27 +14,34 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
-from . import bb_lattice, cohomology, frobenius, invariant_ideals, linalg, partitions
+# each report imports the layers it runs when it runs, so that a report
+# loads only those layers (and `frobenius` not even `dataclasses`)
 
 SCHEMA = "hilbk3.report/1"
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _plain(obj):
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, partitions.YoungDiagram):
-        return list(obj.parts)
-    if is_dataclass(obj):
-        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
-    if isinstance(obj, tuple):
-        return [_plain(x) for x in obj]
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    from dataclasses import fields, is_dataclass
+
+    from .partitions import YoungDiagram
+
+    def plain(obj):
+        if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+            return obj
+        if isinstance(obj, Fraction):
+            return f"{obj.numerator}/{obj.denominator}"
+        if isinstance(obj, YoungDiagram):
+            return list(obj.parts)
+        if is_dataclass(obj):
+            return {f.name: plain(getattr(obj, f.name)) for f in fields(obj)}
+        if isinstance(obj, tuple):
+            return [plain(x) for x in obj]
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+    return plain(obj)
 
 
 def _flatten(prefix: str, obj, lines: list[str]) -> None:
@@ -60,7 +67,9 @@ def _emit(payload: dict, as_json: bool) -> None:
         sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _parse_surface(text: str | None) -> cohomology.SurfaceBetti:
+def _parse_surface(text: str | None):
+    from . import cohomology
+
     if text is None:
         return cohomology.SurfaceBetti.k3()
     parts = text.split(",")
@@ -83,6 +92,8 @@ def _gram_entry(x) -> Fraction:
 def _load_gram(path: str | None):
     if path is None:
         return None
+    from . import frobenius, linalg
+
     with open(path) as fh:
         data = json.load(fh)
     if not (isinstance(data, dict) and "dim" in data and isinstance(data.get("rows"), list)
@@ -109,6 +120,8 @@ def _load_gram(path: str | None):
 
 
 def cmd_betti(args) -> tuple[dict, list[dict]]:
+    from . import cohomology
+
     if args.max_degree is not None and args.max_degree < 0:
         raise ValueError("max-degree must be >= 0")
     surface = _parse_surface(args.surface)
@@ -141,10 +154,12 @@ def cmd_betti(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_strata(args) -> tuple[dict, list[dict]]:
+    from . import cohomology, partitions
+
     surface = _parse_surface(args.surface)
     ledger = cohomology.hilbert_stratum_ledger(surface, args.n)
     rows = [{
-        "diagram": _plain(c.diagram),
+        "diagram": list(c.diagram.parts),
         "codim": c.codim,
         "fiber_dimension": partitions.fiber_dimension(c.diagram),
         "semismall": partitions.verify_semismall(c.diagram),
@@ -155,6 +170,8 @@ def cmd_strata(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_certify(args) -> tuple[dict, list[dict]]:
+    from . import bb_lattice
+
     gram = _load_gram(args.gram)
     report = bb_lattice.certify_no_trianalytic(args.n, gram=gram, seed=args.seed)
     checks = [{"name": "verdict-certified", "ok": report.verdict == "certified"}]
@@ -162,6 +179,8 @@ def cmd_certify(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_ideals(args) -> tuple[dict, list[dict]]:
+    from . import invariant_ideals
+
     found = invariant_ideals.classify_invariant_ideals(args.N)
     rows = []
     all_powers = True
@@ -177,6 +196,8 @@ def cmd_ideals(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_punctual(args) -> tuple[dict, list[dict]]:
+    from . import invariant_ideals, partitions
+
     fixed = invariant_ideals.punctual_fixed_points(args.i)
     triangular, root = partitions.is_triangular(args.i)
     rows = [{
@@ -197,6 +218,8 @@ def cmd_punctual(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_frobenius(args) -> tuple[dict, list[dict]]:
+    from . import frobenius
+
     # the pattern first: its budget on dim V also bounds the gram file read
     pattern = frobenius.algebra_dimension_pattern(args.dimv, args.n)
     gram = _load_gram(args.gram)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb
 
 from .partitions import YoungDiagram, codim_diagonal, diagrams_of, partitions_of
@@ -121,6 +121,7 @@ class SurfaceBetti:
         return PoincarePolynomial((self.b0, 0, self.b2, 0, self.b4))
 
 
+@lru_cache(maxsize=None)
 def symmetric_power_poincare(surface: SurfaceBetti, n: int) -> PoincarePolynomial:
     """Poincare polynomial of the n-th symmetric power.
 
@@ -147,9 +148,16 @@ def diagonal_poincare(surface: SurfaceBetti, diagram: YoungDiagram) -> PoincareP
 
     The stratum for a diagram is the product, over distinct part values, of
     the symmetric power of the surface in the multiplicity of that value.
+    It depends only on the sorted multiplicities, which p(n) strata share
+    far fewer of (1,772 signatures for 37,338 strata at n = 40).
     """
+    return _stratum_poincare(surface, tuple(sorted(Counter(diagram.parts).values())))
+
+
+@lru_cache(maxsize=None)
+def _stratum_poincare(surface: SurfaceBetti, mults: tuple[int, ...]) -> PoincarePolynomial:
     poly = PoincarePolynomial((1,))
-    for mult in Counter(diagram.parts).values():
+    for mult in mults:
         poly = poly * symmetric_power_poincare(surface, mult)
     return poly
 

@@ -2,6 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -519,3 +522,56 @@ def test_package_exports_are_pinned():
     ])
     assert len(set(hilbk3.__all__)) == len(hilbk3.__all__)
     assert all(hasattr(hilbk3, name) for name in hilbk3.__all__)
+
+
+def test_package_namespace_resolves_names_on_first_use():
+    with pytest.raises(AttributeError):
+        hilbk3.no_such_name  # noqa: B018
+    assert set(hilbk3.__all__) <= set(dir(hilbk3))
+    namespace: dict = {}
+    exec("from hilbk3 import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(hilbk3.__all__)
+    for name, obj in namespace.items():
+        assert obj.__module__.startswith("hilbk3."), name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+
+
+# the hilbk3 modules each report loads, in a fresh interpreter started the
+# way the console script starts it
+_LOADED_BY = {
+    (): {"hilbk3"},
+    ("frobenius", "--dimv", "2", "--n", "2"): {"hilbk3", "cli", "frobenius", "linalg"},
+    ("punctual", "--i", "6"): {"hilbk3", "cli", "invariant_ideals", "partitions", "linalg"},
+    ("ideals", "--N", "4"): {"hilbk3", "cli", "invariant_ideals", "partitions", "linalg"},
+    ("certify", "--n", "3"): {"hilbk3", "cli", "bb_lattice", "partitions", "linalg"},
+    ("betti", "--n", "3"): {"hilbk3", "cli", "cohomology", "partitions"},
+    ("strata", "--n", "3"): {"hilbk3", "cli", "cohomology", "partitions"},
+}
+
+_LOADED_SCRIPT = """
+import sys
+argv = sys.argv[1:]
+if argv:
+    from hilbk3.cli import main
+    code = main(argv + ["--json"])
+else:
+    import hilbk3
+    code = 0
+loaded = sorted(m.partition(".")[2] or m for m in sys.modules if m.split(".")[0] == "hilbk3")
+print(code, "dataclasses" in sys.modules, *loaded, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv", list(_LOADED_BY), ids=lambda a: a[0] if a else "import")
+def test_each_report_imports_only_its_layers(argv):
+    src = os.path.dirname(os.path.dirname(hilbk3.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT, *argv], env=env,
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    code, dataclasses_loaded, *loaded = proc.stderr.split()
+    assert code == "0"
+    assert set(loaded) == _LOADED_BY[argv]
+    if argv[:1] in ((), ("frobenius",)):
+        assert dataclasses_loaded == "False"
