@@ -471,6 +471,25 @@ def test_stratum_output_bytes_are_pinned(capsys):
         "359f8b2730799d75247f6a28e1a3ebe398cad0d993620106b693e6c60e570ab0")
 
 
+def test_table_output_bytes_are_pinned(capsys):
+    # every report in --table mode, which prints record fields in the order
+    # the record defines them (the --json pins sort keys, so cannot see it);
+    # the exit code of every report is hashed too
+    argvs = [["certify", "--n", str(n), "--seed", "3"] for n in range(1, 31)]
+    argvs += [["punctual", "--i", str(i)] for i in range(1, 46)]
+    argvs += [["ideals", "--N", str(n)] for n in range(1, 13)]
+    for extra in ([], ["--surface", "1,7,1"]):
+        argvs += [["betti", "--n", str(n)] + extra for n in range(1, 13)]
+        argvs += [["strata", "--n", str(n)] + extra for n in range(1, 11)]
+    argvs += [["frobenius", "--dimv", str(dim), "--n", str(n)] for dim, n in FROBENIUS_CELLS]
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code, out = run(argv + ["--table"], capsys)
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == (
+        "43431895a3a2fa2753f5ae0f365b954c2410f2f9504bc862e9c43fdee5da5261")
+
+
 def test_frobenius_command_full(capsys):
     code, payload = run_json(["frobenius", "--dimv", "2", "--n", "2"], capsys)
     assert code == 0
