@@ -20,6 +20,7 @@ _EXPORTS = {
     # the reports
     "SurfaceBetti": "cohomology",
     "hilbert_stratum_ledger": "cohomology",
+    "hilbert_strata": "cohomology",
     "hilbert_poincare": "cohomology",
     "diagonal_poincare": "cohomology",
     "diagrams_of": "partitions",

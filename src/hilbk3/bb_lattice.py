@@ -31,12 +31,17 @@ coming from a smaller Hilbert scheme, and the failure of su(2)-invariance of
 the degree-4 restriction functional f = B + 2(n-1) d^2 for the punctual
 candidate, where d is the coordinate functional dual to delta (d vanishes on
 H^2(M), d(delta) = 1; with that normalization f(delta, delta) = 0).
+
+The lattice, triple and certificate types are named tuples, checked when
+they are built: immutable and hashable (lattices key a cache), and, being
+tuples, they also iterate, have a length and equal the plain tuple of their
+fields.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -75,20 +80,18 @@ def default_k3_gram() -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in g)
 
 
-@dataclass(frozen=True)
-class H2Lattice:
+class H2Lattice(namedtuple("H2Lattice", "n gram")):
     """H^2 of the Hilbert scheme of n points, n >= 1; n = 1 has no delta."""
 
-    n: int
-    gram: tuple[tuple[Fraction, ...], ...]
+    # no __slots__: `full_gram` is cached in the instance dict
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+    def __new__(cls, n: int, gram: tuple[tuple[Fraction, ...], ...]):
+        if not isinstance(n, int) or n < 1:
             raise ValueError("n must be a positive integer")
-        g = linalg.symmetric_rows(self.gram, "gram")
+        g = linalg.symmetric_rows(gram, "gram")
         if linalg.det(g) == 0:
             raise ValueError("gram must be nondegenerate")
-        object.__setattr__(self, "gram", tuple(map(tuple, g)))
+        return super().__new__(cls, n, tuple(map(tuple, g)))
 
     @property
     def dim_v(self) -> int:
@@ -162,22 +165,22 @@ def restriction_functional(lat: H2Lattice) -> list[list[Fraction]]:
     return f
 
 
-@dataclass(frozen=True)
-class PeriodTriple:
+class PeriodTriple(namedtuple("PeriodTriple", "lattice w")):
     """Three pairwise BB-orthogonal classes of positive norm."""
 
-    lattice: H2Lattice
-    w: tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.w) != 3:
+    def __new__(cls, lattice: H2Lattice,
+                w: tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]]):
+        if len(w) != 3:
             raise ValueError("need exactly three classes")
         for i in range(3):
-            if q_norm(self.lattice, self.w[i]) <= 0:
+            if q_norm(lattice, w[i]) <= 0:
                 raise ValueError("degenerate period triple: nonpositive norm")
             for j in range(i + 1, 3):
-                if bb_pair(self.lattice, self.w[i], self.w[j]) != 0:
+                if bb_pair(lattice, w[i], w[j]) != 0:
                     raise ValueError("degenerate period triple: not orthogonal")
+        return super().__new__(cls, lattice, w)
 
     @property
     def has_delta_component(self) -> bool:
@@ -282,22 +285,21 @@ def random_period_triple(lat: H2Lattice, rng: random.Random,
     return PeriodTriple(lat, (ws[0], ws[1], ws[2]))
 
 
-@dataclass(frozen=True)
-class CandidateCertificate:
-    diagram: YoungDiagram
-    kind: str            # "improper" | "simple" | "mixed"
-    status: str          # "whole-space" | "obstructed" | "flagged" | "not-obstructed"
-    method: str | None   # "pullback-coefficient" | "degree-4-functional"
-    coefficient: Fraction | None
-    detail: str
+CandidateCertificate = namedtuple("CandidateCertificate", (
+    "diagram",
+    "kind",          # "improper" | "simple" | "mixed"
+    "status",        # "whole-space" | "obstructed" | "flagged" | "not-obstructed"
+    "method",        # None | "pullback-coefficient" | "degree-4-functional"
+    "coefficient",   # Fraction | None
+    "detail",
+))
 
-
-@dataclass(frozen=True)
-class CertificationReport:
-    n: int
-    seed: int
-    verdict: str         # "certified" | "inconclusive"
-    certificates: tuple[CandidateCertificate, ...]
+CertificationReport = namedtuple("CertificationReport", (
+    "n",
+    "seed",
+    "verdict",       # "certified" | "inconclusive"
+    "certificates",  # tuple of CandidateCertificate
+))
 
 
 # the candidates (partitions into triangular parts) grow faster than any

@@ -17,15 +17,13 @@ import sys
 from fractions import Fraction
 
 # each report imports the layers it runs when it runs, so that a report
-# loads only those layers (and `frobenius` not even `dataclasses`)
+# loads only those layers; no layer imports `dataclasses` (or `inspect`)
 
 SCHEMA = "hilbk3.report/1"
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _plain(obj):
-    from dataclasses import fields, is_dataclass
-
     from .partitions import YoungDiagram
 
     def plain(obj):
@@ -35,8 +33,9 @@ def _plain(obj):
             return f"{obj.numerator}/{obj.denominator}"
         if isinstance(obj, YoungDiagram):
             return list(obj.parts)
-        if is_dataclass(obj):
-            return {f.name: plain(getattr(obj, f.name)) for f in fields(obj)}
+        if hasattr(obj, "_fields"):
+            # a record: its fields in the order it defines them
+            return {name: plain(value) for name, value in zip(obj._fields, obj)}
         if isinstance(obj, tuple):
             return [plain(x) for x in obj]
         raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -157,14 +156,13 @@ def cmd_strata(args) -> tuple[dict, list[dict]]:
     from . import cohomology, partitions
 
     surface = _parse_surface(args.surface)
-    ledger = cohomology.hilbert_stratum_ledger(surface, args.n)
     rows = [{
         "diagram": list(c.diagram.parts),
         "codim": c.codim,
         "fiber_dimension": partitions.fiber_dimension(c.diagram),
         "semismall": partitions.verify_semismall(c.diagram),
         "poincare": list(c.poincare.betti),
-    } for c in ledger.contributions]
+    } for c in cohomology.hilbert_strata(surface, args.n)]
     checks = [{"name": "semismall-equality-all-strata", "ok": all(r["semismall"] for r in rows)}]
     return {"n": args.n, "surface": _plain(surface), "strata": rows}, checks
 

@@ -11,12 +11,15 @@ The strata are the p(n) partitions of n, but the total never lists them:
 grouped by part value it is a knapsack over k = 1..n, polynomial in n
 (the factorised form of Goettsche's product).  Only the `strata` table
 lists every stratum; degree-i entries list those of codimension <= i.
+
+The value types are named tuples, checked when they are built: immutable
+and hashable (surfaces key the polynomial caches), and, being tuples, they
+also iterate, have a length and equal the plain tuple of their fields.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cached_property, lru_cache
 from math import comb
 
@@ -30,23 +33,18 @@ def _multichoose(m: int, k: int) -> int:
     return comb(m + k - 1, k)
 
 
-def _trim(betti) -> tuple[int, ...]:
-    b = list(betti)
-    while b and b[-1] == 0:
-        b.pop()
-    return tuple(b)
-
-
-@dataclass(frozen=True)
-class PoincarePolynomial:
+class PoincarePolynomial(namedtuple("PoincarePolynomial", "betti")):
     """Integer coefficient list, betti[i] = b_i; trailing zeros trimmed."""
 
-    betti: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(not isinstance(x, int) or x < 0 for x in self.betti):
+    def __new__(cls, betti: tuple[int, ...]):
+        b = list(betti)
+        if any(not isinstance(x, int) or x < 0 for x in b):
             raise ValueError("Betti numbers must be nonnegative integers")
-        object.__setattr__(self, "betti", _trim(self.betti))
+        while b and b[-1] == 0:
+            b.pop()
+        return super().__new__(cls, tuple(b))
 
     @property
     def top_degree(self) -> int:
@@ -90,19 +88,17 @@ class PoincarePolynomial:
         return PoincarePolynomial(tuple(out))
 
 
-@dataclass(frozen=True)
-class SurfaceBetti:
+class SurfaceBetti(namedtuple("SurfaceBetti", "b0 b2 b4")):
     """Betti numbers of a compact surface with no odd cohomology."""
 
-    b0: int
-    b2: int
-    b4: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.b0 != 1:
+    def __new__(cls, b0: int, b2: int, b4: int):
+        if b0 != 1:
             raise ValueError("b0 must be 1 (connected surface)")
-        if self.b2 < 0 or self.b4 < 0:
+        if b2 < 0 or b4 < 0:
             raise ValueError("Betti numbers must be nonnegative")
+        return super().__new__(cls, b0, b2, b4)
 
     @classmethod
     def k3(cls) -> "SurfaceBetti":
@@ -162,19 +158,17 @@ def _stratum_poincare(surface: SurfaceBetti, mults: tuple[int, ...]) -> Poincare
     return poly
 
 
-@dataclass(frozen=True)
-class StratumContribution:
-    diagram: YoungDiagram
-    codim: int
-    poincare: PoincarePolynomial  # of the stratum itself, unshifted
+StratumContribution = namedtuple("StratumContribution", (
+    "diagram",
+    "codim",
+    "poincare",  # of the stratum itself, unshifted
+))
 
 
-@dataclass(frozen=True)
-class StratumLedger:
+class StratumLedger(namedtuple("StratumLedger", "n surface")):
     """The diagonal strata of one Hilbert scheme and their shifted sum."""
 
-    n: int
-    surface: SurfaceBetti
+    # no __slots__: `contributions` is cached in the instance dict
 
     @cached_property
     def contributions(self) -> tuple[StratumContribution, ...]:
@@ -193,17 +187,28 @@ class StratumLedger:
         sums[w] totals the partitions of w into the values seen so far, and
         value k with multiplicity m carries sums[w] to sums[w + k m] times
         P(Sym^m S), shifted by 2 m (k - 1).  No stratum is listed.
+
+        The sums are plain coefficient lists, each as long as the real
+        dimension 4w + 1 allows, and every product is added straight into
+        its destination over the nonzero coefficients only; the one
+        polynomial is built, and checked, at the end.
         """
         n = self.n
-        sym = [symmetric_power_poincare(self.surface, m) for m in range(n + 1)]
-        sums = [PoincarePolynomial((1,))] + [PoincarePolynomial(())] * n
+        sym = [[(j, y) for j, y in enumerate(symmetric_power_poincare(self.surface, m).betti)
+                if y] for m in range(n + 1)]
+        sums = [[0] * (4 * w + 1) for w in range(n + 1)]
+        sums[0][0] = 1
         for k in range(1, n + 1):
             # w falls, so sums[w] does not hold value k yet when it is read
             for w in range(n - k, -1, -1):
+                terms = [(i, x) for i, x in enumerate(sums[w]) if x]
                 for m in range(1, (n - w) // k + 1):
-                    term = (sums[w] * sym[m]).shifted(2 * m * (k - 1))
-                    sums[w + k * m] = sums[w + k * m] + term
-        return sums[n]
+                    out, shift, factor = sums[w + k * m], 2 * m * (k - 1), sym[m]
+                    for i, x in terms:
+                        i += shift
+                        for j, y in factor:
+                            out[i + j] += x * y
+        return PoincarePolynomial(sums[n])
 
     def entries_in_degree(self, i: int) -> tuple[tuple[YoungDiagram, int], ...]:
         """Nonzero contributions b_{i - codim}(stratum), in `diagrams_of` order.
@@ -225,17 +230,27 @@ class StratumLedger:
         return tuple(out)
 
 
+# `betti` sums the strata by part value and lists none: the knapsack is
+# polynomial in n, and `betti --n 100 --json` takes about 2.5 s on a 2-core VM
+MAX_BETTI_N = 100
 # `strata` lists all p(n) strata: at n = 40 (37,338 strata) `strata --json`
-# takes about 5 s and 42 MB on a 2-core VM, `betti` about 0.2 s
+# takes about 5 s and 42 MB on a 2-core VM
 MAX_STRATA_N = 40
 
 
 def hilbert_stratum_ledger(surface: SurfaceBetti, n: int) -> StratumLedger:
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > MAX_STRATA_N:
-        raise ValueError(f"stratum ledgers capped at n = {MAX_STRATA_N}")
+    if n > MAX_BETTI_N:
+        raise ValueError(f"Betti tables capped at n = {MAX_BETTI_N}")
     return StratumLedger(n, surface)
+
+
+def hilbert_strata(surface: SurfaceBetti, n: int) -> tuple[StratumContribution, ...]:
+    """Every stratum of the Hilbert scheme of n points, in `diagrams_of` order."""
+    if n > MAX_STRATA_N:
+        raise ValueError(f"stratum tables capped at n = {MAX_STRATA_N}")
+    return hilbert_stratum_ledger(surface, n).contributions
 
 
 def hilbert_poincare(surface: SurfaceBetti, n: int) -> PoincarePolynomial:

@@ -21,11 +21,15 @@ p_{b+1} >= p_b - 1 and f needs p_b >= p_{b+1} + 1, so a staircase is stable
 iff each row is exactly one shorter than the row above it and the last row
 is 1.  The first row l is fixed by i = l(l+1)/2, so the search walks one
 partition at most, and only when i is triangular.
+
+`InvariantIdeal` and `MonomialIdeal` are named tuples: immutable and
+hashable, and, being tuples, they also iterate, have a length and equal the
+plain tuple of their fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
@@ -90,12 +94,10 @@ def irreducibility_certificate(l: int, truncation: int | None = None) -> bool:
     return highest_weight_dimension(ring.matrix_e_on_degree(l)) == 1
 
 
-@dataclass(frozen=True)
-class InvariantIdeal:
+class InvariantIdeal(namedtuple("InvariantIdeal", "truncation degrees")):
     """An invariant ideal of the truncated ring, recorded by its degree support."""
 
-    truncation: int
-    degrees: tuple[int, ...]
+    __slots__ = ()
 
     def maximal_ideal_power(self) -> int | None:
         """j if the ideal is m^j (support {j, ..., N-1}), else None."""
@@ -144,16 +146,14 @@ def classify_invariant_ideals(truncation: int) -> tuple[InvariantIdeal, ...]:
     return found
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(namedtuple("MonomialIdeal", "staircase truncation")):
     """A monomial ideal of colength |staircase| with the staircase quotient.
 
     The quotient basis is {x^a y^b : a < staircase.parts[b]}, parts indexed
     by the y-exponent.
     """
 
-    staircase: YoungDiagram
-    truncation: int
+    __slots__ = ()
 
     def colength(self) -> int:
         return self.staircase.n

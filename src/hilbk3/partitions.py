@@ -11,26 +11,30 @@ rows largest first.  A row rule `rows(previous, remaining)` names the parts
 allowed below each row, so a constrained walk (triangular parts for the
 candidates, one-shorter rows for the punctual staircases) visits only the
 partitions it keeps.
+
+`YoungDiagram` is a named tuple of one field, checked when it is built: it
+is immutable and hashable, sorts by its parts, and, being a tuple, also
+iterates, has a length and equals the plain tuple `(parts,)`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import isqrt
 
 
-@dataclass(frozen=True, order=True)
-class YoungDiagram:
+class YoungDiagram(namedtuple("YoungDiagram", "parts")):
     """Weakly decreasing tuple of positive integer parts."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(isinstance(p, int) and p >= 1 for p in self.parts):
+    def __new__(cls, parts: tuple[int, ...]):
+        if not all(isinstance(p, int) and p >= 1 for p in parts):
             raise ValueError("parts must be positive integers")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
+        if any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError("parts must be weakly decreasing")
+        return super().__new__(cls, parts)
 
     @property
     def n(self) -> int:

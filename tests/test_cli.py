@@ -314,20 +314,27 @@ def test_certify_over_budget_is_error(capsys):
     assert payload["error"]["type"] == "ValueError"
 
 
-@pytest.mark.parametrize("command", ["betti", "strata"])
-@pytest.mark.parametrize("n", [cohomology.MAX_STRATA_N + 1, 1000000000000])
+# each stratum report, its cap and the message naming that cap
+STRATUM_CAPS = {
+    "betti": (cohomology.MAX_BETTI_N, f"Betti tables capped at n = {cohomology.MAX_BETTI_N}"),
+    "strata": (cohomology.MAX_STRATA_N,
+               f"stratum tables capped at n = {cohomology.MAX_STRATA_N}"),
+}
+
+
+@pytest.mark.parametrize("n, command", [(n, command) for command, (cap, _) in STRATUM_CAPS.items()
+                                        for n in (cap + 1, 1000000000000)])
 def test_stratum_reports_over_budget_are_errors(capsys, command, n):
     code, payload = run_json([command, "--n", str(n)], capsys)
     assert code == 1
     assert payload["status"] == "error"
-    assert payload["error"] == {"type": "ValueError",
-                                "message": f"stratum ledgers capped at n = {cohomology.MAX_STRATA_N}"}
+    assert payload["error"] == {"type": "ValueError", "message": STRATUM_CAPS[command][1]}
 
 
 # the integer arguments of every report: (flag, cap), every bounded value
 # ranging over 1..cap; seeds take any integer, --max-degree any n >= 0
 INTEGER_ARGUMENTS = {
-    "betti": (("--n", cohomology.MAX_STRATA_N), ("--max-degree", None)),
+    "betti": (("--n", cohomology.MAX_BETTI_N), ("--max-degree", None)),
     "strata": (("--n", cohomology.MAX_STRATA_N),),
     "certify": (("--n", bb_lattice.MAX_POINTS), ("--seed", None)),
     "ideals": (("--N", invariant_ideals.MAX_TRUNCATION),),
@@ -528,7 +535,8 @@ def test_unknown_command_exits_nonzero(capsys):
 
 def test_package_exports_are_pinned():
     assert sorted(hilbk3.__all__) == sorted([
-        "SurfaceBetti", "hilbert_stratum_ledger", "hilbert_poincare", "diagonal_poincare",
+        "SurfaceBetti", "hilbert_stratum_ledger", "hilbert_strata", "hilbert_poincare",
+        "diagonal_poincare",
         "diagrams_of", "codim_diagonal", "fiber_dimension", "verify_semismall",
         "is_triangular", "certify_no_trianalytic", "classify_invariant_ideals",
         "punctual_fixed_points", "algebra_dimension_pattern", "build_algebra",
@@ -578,7 +586,7 @@ else:
     import hilbk3
     code = 0
 loaded = sorted(m.partition(".")[2] or m for m in sys.modules if m.split(".")[0] == "hilbk3")
-print(code, "dataclasses" in sys.modules, *loaded, file=sys.stderr)
+print(code, "dataclasses" in sys.modules, "inspect" in sys.modules, *loaded, file=sys.stderr)
 """
 
 
@@ -589,8 +597,9 @@ def test_each_report_imports_only_its_layers(argv):
     proc = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT, *argv], env=env,
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
-    code, dataclasses_loaded, *loaded = proc.stderr.split()
+    code, dataclasses_loaded, inspect_loaded, *loaded = proc.stderr.split()
     assert code == "0"
     assert set(loaded) == _LOADED_BY[argv]
-    if argv[:1] in ((), ("frobenius",)):
-        assert dataclasses_loaded == "False"
+    # the value types are named tuples: no report pays for `dataclasses`
+    # and the `inspect`, `ast`, `dis` and `tokenize` it imports
+    assert (dataclasses_loaded, inspect_loaded) == ("False", "False")

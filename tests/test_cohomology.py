@@ -1,6 +1,8 @@
 import pytest
 
 from hilbk3.cohomology import (
+    MAX_BETTI_N,
+    MAX_STRATA_N,
     PoincarePolynomial,
     SurfaceBetti,
     diagonal_poincare,
@@ -130,6 +132,13 @@ def test_knapsack_matches_per_stratum_sum_and_goettsche_on_k3():
         assert total == stratum_sum(ledger)
         for i in range(7):
             assert ledger.entries_in_degree(i) == stratum_entries_in_degree(ledger, i)
+
+
+def test_knapsack_matches_goettsche_past_the_strata_cap():
+    # betti runs up to MAX_BETTI_N, where no per-stratum sum could follow
+    rows = goettsche_rows(1, 22, 1, MAX_BETTI_N)
+    for n in (MAX_STRATA_N + 1, 64, MAX_BETTI_N):
+        assert hilbert_poincare(K3, n).betti == rows[n]
 
 
 @pytest.mark.parametrize("surface", [SurfaceBetti(1, 0, 1), SurfaceBetti(1, 7, 1),
