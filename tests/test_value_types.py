@@ -58,6 +58,9 @@ def test_value_types_are_immutable_values(cls):
     for name in fields:
         with pytest.raises(AttributeError):
             setattr(value, name, getattr(value, name))
+    if cls not in (H2Lattice, StratumLedger):  # these cache a property per instance
+        with pytest.raises(AttributeError):
+            value.extra = None
     twin = cls(*args)
     assert value == twin and hash(value) == hash(twin)
     assert cls(*other) != value
