@@ -439,21 +439,39 @@ def test_ideals_output_bytes_are_pinned(capsys):
         "9de9b260cfb2ac2f93051658b71238e0d50fd32c156353f1559079162407f020")
 
 
-def test_frobenius_output_bytes_are_pinned(tmp_path, monkeypatch, capsys):
-    # `frobenius --dimv d --n n --gram G --json` on every benchmark cell and
-    # the three gram kinds, as printed by the check over all basis triples;
-    # relative gram paths, since the payload echoes them
-    monkeypatch.chdir(tmp_path)
+def frobenius_gram_argvs(tmp_path, cells, kinds):
+    # `frobenius --dimv d --n n --gram G --json` per cell and gram kind, the
+    # grams written to files under tmp_path; relative gram paths, since the
+    # payload echoes them
     argvs = []
-    for dim, n in FROBENIUS_CELLS:
+    for dim, n in cells:
         for kind, rows in frobenius_grams(dim).items():
+            if kind not in kinds:
+                continue
             path = f"{kind}{dim}.json"
             entries = [[f"{x.numerator}/{x.denominator}" for x in row] for row in rows]
             (tmp_path / path).write_text(json.dumps({"dim": dim, "rows": entries}))
             argvs.append(["frobenius", "--dimv", str(dim), "--n", str(n),
                           "--gram", path, "--json"])
+    return argvs
+
+
+def test_frobenius_output_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    # every benchmark cell on the three gram kinds, as printed by the check
+    # over all basis triples
+    monkeypatch.chdir(tmp_path)
+    argvs = frobenius_gram_argvs(tmp_path, FROBENIUS_CELLS, ("identity", "diagonal", "rational"))
     assert output_digest(argvs, capsys) == (
         "d21682310b629ef175c14d72ae06a14bc90d8a607ce2f349248c81958d854e45")
+
+
+def test_largest_frobenius_output_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    # the full-table cells outside the benchmark deck, on the identity and
+    # diagonal grams, as printed by the dense build
+    monkeypatch.chdir(tmp_path)
+    argvs = frobenius_gram_argvs(tmp_path, ((5, 4), (6, 3), (6, 4)), ("identity", "diagonal"))
+    assert output_digest(argvs, capsys) == (
+        "b7f6f78f6394c7a71e300deeb857ec52acdb2ea4cb0ff875e683f15860c770f3")
 
 
 STRATUM_SURFACES = (None, "1,0,1", "1,7,1", "1,2,3")
