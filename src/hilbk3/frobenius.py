@@ -24,6 +24,7 @@ form dimension pattern is exposed, up to dim V <= 32 and n <= 10,000.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -37,6 +38,7 @@ MAX_N = 4
 MAX_PATTERN_DIM_V = 32
 MAX_PATTERN_N = 10_000
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class ConstructionError(RuntimeError):
@@ -99,7 +101,11 @@ def algebra_dimension_pattern(dim_v: int, n: int) -> tuple[int, ...]:
 
 def _times(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Product of two monomials as exponent tuples."""
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
+
+
+def _unit_vectors(size: int) -> list[list[int]]:
+    return [[int(r == c) for c in range(size)] for r in range(size)]
 
 
 class FrobeniusAlgebra:
@@ -108,23 +114,28 @@ class FrobeniusAlgebra:
     The basis of A_{2d} is a set of monomials of Sym^d V: those off the
     pivot columns of the ideal's echelon in degree d.  For every degree
     d <= 2n the table maps each monomial to its normal form, sparse
-    coordinates ((t, coeff), ...) over that basis.  Below degree n + 1 the
-    ideal is zero and each monomial is its own normal form; in degrees
-    n + 1..2n it is the monomial reduced by the echelon.  Elements of
-    A_{2d} are coordinate vectors over the basis, and reduction, products,
-    pairings and the ideal-closure proof of associativity all read the one
-    table.
+    coordinates ((t, coeff), ...) over that basis in increasing t.  Below
+    degree n + 1 the ideal is zero and each monomial is its own normal form;
+    in degrees n + 1..2n it is the monomial's sparse unit vector reduced by
+    the echelon.  The echelon is built from sparse rows: the harmonics in
+    degree n + 1, then each variable times the rows of the degree below, and
+    no dense vector is formed.  Elements of A_{2d} are coordinate vectors
+    over the basis, and reduction, products, pairings and the ideal-closure
+    proof of associativity all read the one table.
+
+    The argument checks run cheapest first: n and the caps before the
+    determinant of the gram.
     """
 
     def __init__(self, gram, n: int):
-        gram = linalg.symmetric_rows(gram, "gram")
-        if linalg.det(gram) == 0:
-            raise ValueError("gram must be nondegenerate")
         if not isinstance(n, int) or n < 1:
             raise ValueError("n must be a positive integer")
+        gram = linalg.symmetric_rows(gram, "gram")
         if len(gram) > MAX_DIM_V or n > MAX_N:
             raise ValueError(f"full tables capped at dim V <= {MAX_DIM_V}, n <= {MAX_N}; "
                              f"use algebra_dimension_pattern for larger spaces")
+        if linalg.det(gram) == 0:
+            raise ValueError("gram must be nondegenerate")
         self.gram = gram
         self.dim_v = len(gram)
         self.n = n
@@ -135,28 +146,26 @@ class FrobeniusAlgebra:
         expected = algebra_dimension_pattern(dim, n)
         self._quotient_monomials: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._forms: dict[int, dict[tuple[int, ...], tuple[tuple[int, Fraction], ...]]] = {}
+        variables = monomial_basis(dim, 1)
         ideal = None  # echelon of the ideal in degree d, once d > n
         for d in range(2 * n + 1):
             basis = monomial_basis(dim, d)
-            normal = linalg.identity(len(basis))
+            normal = ({k: _ONE} for k in range(len(basis)))
             if d > n:
                 if ideal is None:
-                    generators = harmonic_basis(self.gram, dim, d)
+                    generators = map(linalg.sparse, harmonic_basis(self.gram, dim, d))
                 else:
-                    # x_v times each row of the ideal in degree d - 1
+                    # x times each row of the ideal in degree d - 1; multiplying
+                    # by x is injective on monomials, so no two terms collide
                     index = {m: k for k, m in enumerate(basis)}
                     prev = monomial_basis(dim, d - 1)
-                    generators = []
-                    for _, row in ideal.rows:
-                        for x in monomial_basis(dim, 1):
-                            image = [_ZERO] * len(basis)
-                            for k, coeff in enumerate(row):
-                                if coeff:
-                                    image[index[_times(prev[k], x)]] += coeff
-                            generators.append(image)
+                    generators = [{index[_times(prev[k], x)]: c for k, c in row.items()}
+                                  for _, row in ideal.rows for x in variables]
                 ideal = linalg.Echelon(len(basis))
                 for g in generators:
                     ideal.add(g)
+                # a monomial off the pivots reduces to itself, a pivot
+                # monomial to minus its row without the pivot
                 normal = map(ideal.reduce, normal)
             pivots = set(ideal.pivots) if ideal else set()
             quotient = [k for k in range(len(basis)) if k not in pivots]
@@ -165,7 +174,7 @@ class FrobeniusAlgebra:
                     f"degree {2 * d}: got dimension {len(quotient)}, expected {expected[d]}")
             column = {k: t for t, k in enumerate(quotient)}
             self._quotient_monomials[d] = tuple(basis[k] for k in quotient)
-            self._forms[d] = {m: tuple((column[k], x) for k, x in enumerate(form) if x)
+            self._forms[d] = {m: tuple((column[k], x) for k, x in sorted(form.items()))
                               for m, form in zip(basis, normal)}
 
     def dim(self, i: int) -> int:
@@ -213,8 +222,10 @@ class FrobeniusAlgebra:
     def pairing_matrix(self, i: int) -> list[list[Fraction]]:
         """counit(a_r * b_s) over bases of A_{2i} and A_{2(2n-i)}."""
         j = 2 * self.n - i
-        return [[self.counit(self.multiply(i, a, j, b)) for b in linalg.identity(self.dim(j))]
-                for a in linalg.identity(self.dim(i))]
+        # integer unit vectors: multiply skips their zeros with no Fraction
+        # arithmetic
+        return [[self.counit(self.multiply(i, a, j, b)) for b in _unit_vectors(self.dim(j))]
+                for a in _unit_vectors(self.dim(i))]
 
     def power_of_linear(self, alpha, p: int) -> list[Fraction]:
         """Coordinates of alpha^p in A_{2p} for a vector alpha of V."""

@@ -3,9 +3,10 @@ symmetric congruence; no dense matrix products.
 
 Matrices are lists of rows; entries are Fraction or int (ints are promoted
 by arithmetic).  No floats anywhere: ranks, kernels, determinants and
-signatures are exact.  `Echelon` holds the only row-elimination loop, and
-rank, rref, nullspace, det and inverse read their answers off it;
-signatures come from symmetric congruence instead.
+signatures are exact.  `Echelon` holds the only row-elimination loop and
+works on sparse {column: value} rows throughout; rank, rref, nullspace and
+det pass their dense rows through `sparse` once and read their answers off
+it.  Signatures come from symmetric congruence instead.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return [sum(x * y for x, y in zip(row, v) if x) for row in a]
 
 
+def sparse(row: Vector) -> dict:
+    """{column: entry} over the nonzero entries of a dense row."""
+    return {j: a for j, a in enumerate(row) if a}
+
+
 def _subtract(x: dict, f, y: dict) -> None:
     """x -= f * y in place on sparse rows (f != 0); cancelled entries are dropped."""
     for j, b in y.items():
@@ -55,20 +61,21 @@ class Echelon:
     The package's only row-elimination loop.  Rows are sparse
     {column: Fraction} dicts with pivot entry 1, each reduced against all the
     others, so a vector r reduces to r - sum_p r[p] * row_p with every r[p]
-    read straight from the input.  Vectors go in and come out dense.
+    read straight from the input.  Vectors go in and come out sparse:
+    {column: value} dicts over nonzero values only (see `sparse`).
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self._rows: dict[int, dict] = {}  # pivot column -> row
 
-    def _reduced(self, vec: Vector) -> dict:
-        r = {j: a for j, a in enumerate(vec) if a}
-        for p in [p for p in r if p in self._rows]:
+    def _reduced(self, vec: dict) -> dict:
+        r = dict(vec)
+        for p in [p for p in vec if p in self._rows]:
             _subtract(r, vec[p], self._rows[p])
         return r
 
-    def _insert(self, vec: Vector) -> tuple[int, Fraction] | None:
+    def _insert(self, vec: dict) -> tuple[int, Fraction] | None:
         """Add vec to the span: (pivot column, pivot value), or None if dependent."""
         r = self._reduced(vec)
         if not r:
@@ -84,18 +91,17 @@ class Echelon:
         self._rows[lead] = r
         return lead, value
 
-    def add(self, vec: Vector) -> bool:
+    def add(self, vec: dict) -> bool:
         """Insert vec into the span; False if it was already there."""
         return self._insert(vec) is not None
 
-    def reduce(self, vec: Vector) -> Vector:
-        return self._dense(self._reduced(vec))
+    def reduce(self, vec: dict) -> dict:
+        """vec minus its component in the span; empty if vec lies in it."""
+        return self._reduced(vec)
 
-    def contains(self, vec: Vector) -> bool:
+    def contains(self, vec: dict) -> bool:
+        # no caller in the package; benchmarks/tracing.py wraps it by name
         return not self._reduced(vec)
-
-    def _dense(self, row: dict) -> Vector:
-        return [row.get(j, _ZERO) for j in range(self.ncols)]
 
     @property
     def rank(self) -> int:
@@ -106,15 +112,15 @@ class Echelon:
         return sorted(self._rows)
 
     @property
-    def rows(self) -> list[tuple[int, Vector]]:
-        """(pivot column, dense row) in pivot order."""
-        return [(p, self._dense(self._rows[p])) for p in self.pivots]
+    def rows(self) -> list[tuple[int, dict]]:
+        """(pivot column, sparse row) in pivot order; the rows are copies."""
+        return [(p, dict(self._rows[p])) for p in self.pivots]
 
 
 def _echelon(rows: Matrix, ncols: int) -> Echelon:
     ech = Echelon(ncols)
     for row in rows:
-        ech._insert(row)
+        ech._insert(sparse(row))
     return ech
 
 
@@ -127,7 +133,7 @@ def rank(rows: Matrix, ncols: int | None = None) -> int:
 def rref(a: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot columns."""
     rows = _echelon(a, ncols).rows
-    return [row for _, row in rows], [p for p, _ in rows]
+    return [[row.get(j, _ZERO) for j in range(ncols)] for _, row in rows], [p for p, _ in rows]
 
 
 def nullspace(a: Matrix, ncols: int | None = None) -> list[Vector]:
@@ -155,24 +161,12 @@ def det(a: Matrix) -> Fraction:
     that permutation of columns.
     """
     ech = Echelon(len(a))
-    hits = [ech._insert(row) for row in a]
+    hits = [ech._insert(sparse(row)) for row in a]
     if None in hits:
         return Fraction(0)
     inversions = sum(p > q for i, (p, _) in enumerate(hits) for q, _ in hits[i + 1:])
     value = prod((v for _, v in hits), start=Fraction(1))
     return -value if inversions % 2 else value
-
-
-def inverse(a: Matrix) -> Matrix:
-    """Right half of the reduced echelon form of [a | I]."""
-    n = len(a)
-    ech = Echelon(2 * n)
-    for i, row in enumerate(a):
-        # [a_i | e_i] is never dependent; a pivot past column n means a_i
-        # lies in the span of the rows before it
-        if ech._insert(list(row) + [int(i == j) for j in range(n)])[0] >= n:
-            raise ValueError("matrix is singular")
-    return [row[n:] for _, row in ech.rows]
 
 
 def signature(gram: Matrix) -> tuple[int, int, int]:

@@ -10,11 +10,13 @@ were produced by these functions and cross-checked against the literature
 before freezing.
 
 The constructions below them exist only so tests can compare or sample
-with them, and the reports never run them: the shape grammar, explicit BB
-classes, the three dense rotation operators of a period triple with the
-dense invariance checks built from them (the 2-form check the library
-replaced, and the contravariant one), the inverse and transported BB
-tensors, the rotation modules of d and d^2, and random isotropic vectors.
+with them, and the reports never run them: the dense Frobenius build the
+library's sparse one replaced, the shape grammar, explicit BB classes, a
+matrix inverse and the dense matrix products, the three dense rotation
+operators of a period triple with the dense invariance checks built from
+them (the 2-form check the library replaced, and the contravariant one),
+the inverse and transported BB tensors, the rotation modules of d and d^2,
+and random isotropic vectors.
 """
 
 from dataclasses import dataclass
@@ -26,7 +28,7 @@ import sympy
 
 from hilbk3 import linalg
 from hilbk3.cohomology import PoincarePolynomial
-from hilbk3.frobenius import laplacian_matrix
+from hilbk3.frobenius import harmonic_basis, laplacian_matrix, monomial_basis
 from hilbk3.partitions import YoungDiagram, diagrams_of, is_triangular, partitions_of
 
 
@@ -318,6 +320,56 @@ def frobenius_grams(dim):
     }
 
 
+def dense_normal_forms(gram, n):
+    """Quotient monomials and normal forms of the Frobenius model, densely.
+
+    The route the library's sparse build replaced: the ideal's generators in
+    each degree d > n are dense rows (the harmonics of degree n + 1, then
+    each variable times every dense row of the ideal in degree d - 1), and
+    every dense unit vector of degree d is reduced against their echelon,
+    zeros and all.  Returns two dicts by degree, shaped like a
+    FrobeniusAlgebra's _quotient_monomials and _forms.
+    """
+    gram = [[Fraction(x) for x in row] for row in gram]
+    dim = len(gram)
+    quotient_monomials, forms = {}, {}
+    rows = None  # dense rows of the ideal in degree d - 1, once d > n + 1
+    for d in range(2 * n + 1):
+        basis = monomial_basis(dim, d)
+        normal = linalg.identity(len(basis))
+        pivots = set()
+        if d > n:
+            if rows is None:
+                generators = harmonic_basis(gram, dim, d)
+            else:
+                index = {m: k for k, m in enumerate(basis)}
+                prev = monomial_basis(dim, d - 1)
+                generators = []
+                for row in rows:
+                    for x in monomial_basis(dim, 1):
+                        image = [Fraction(0)] * len(basis)
+                        for k, coeff in enumerate(row):
+                            if coeff:
+                                image[index[tuple(a + b for a, b in zip(prev[k], x))]] += coeff
+                        generators.append(image)
+            ech = linalg.Echelon(len(basis))
+            for g in generators:
+                ech.add(linalg.sparse(g))
+
+            def dense(row):
+                return [row.get(j, Fraction(0)) for j in range(len(basis))]
+
+            rows = [dense(row) for _, row in ech.rows]
+            normal = [dense(ech.reduce(linalg.sparse(v))) for v in normal]
+            pivots = set(ech.pivots)
+        quotient = [k for k in range(len(basis)) if k not in pivots]
+        column = {k: t for t, k in enumerate(quotient)}
+        quotient_monomials[d] = tuple(basis[k] for k in quotient)
+        forms[d] = {m: tuple((column[k], x) for k, x in enumerate(form) if x)
+                    for m, form in zip(basis, normal)}
+    return quotient_monomials, forms
+
+
 def triple_associativity(alg):
     """(ab)c = a(bc) for every triple of basis monomials of a FrobeniusAlgebra.
 
@@ -392,7 +444,7 @@ def basis_class(lat, i):
 
 def bb_inverse_tensor(lat):
     """The BB dual form as a contravariant matrix: the inverse full gram."""
-    return linalg.inverse(lat.full_gram)
+    return inverse(lat.full_gram)
 
 
 def transported_bb_tensor(src, dst):
@@ -409,7 +461,7 @@ def transported_bb_tensor(src, dst):
     n, l = src.n, dst.n
     if n % l != 0 or not is_triangular(n // l)[0]:
         raise ValueError("transport needs l | n with triangular quotient")
-    inv = linalg.inverse([list(r) for r in src.gram])
+    inv = inverse([list(r) for r in src.gram])
     size = dst.total_dim
     out = [[Fraction(0)] * size for _ in range(size)]
     for i in range(dst.dim_v):
@@ -461,6 +513,21 @@ def vec_mat(v, a):
 
 def is_zero_matrix(a):
     return all(x == 0 for row in a for x in row)
+
+
+def inverse(a):
+    """Right half of the reduced echelon form of [a | I]; ValueError if singular.
+
+    [a | I] always has rank n; its pivots are the first n columns exactly
+    when a is invertible.
+    """
+    n = len(a)
+    ech = linalg.Echelon(2 * n)
+    for i, row in enumerate(a):
+        ech.add(linalg.sparse(list(row) + [int(i == j) for j in range(n)]))
+    if ech.pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [[row.get(j, Fraction(0)) for j in range(n, 2 * n)] for _, row in ech.rows]
 
 
 def su2_generators(lat, triple):
@@ -527,13 +594,13 @@ def _integer_ops(lat, triple):
 
 def _saturation_rank(start, ops, act, flat, ncols):
     ech = linalg.Echelon(ncols)
-    frontier = [start] if ech.add(flat(start)) else []
+    frontier = [start] if ech.add(linalg.sparse(flat(start))) else []
     while frontier:
         grown = []
         for x in frontier:
             for op in ops:
                 y = act(x, op)
-                if ech.add(flat(y)):
+                if ech.add(linalg.sparse(flat(y))):
                     grown.append(y)
         frontier = grown
     return ech.rank

@@ -7,6 +7,8 @@ from hilbk3 import linalg
 from hilbk3.bb_lattice import k3_lattice, q_norm, restriction_functional
 from hilbk3.cohomology import SurfaceBetti, hilbert_poincare
 from hilbk3.frobenius import (
+    MAX_DIM_V,
+    MAX_N,
     MAX_PATTERN_DIM_V,
     MAX_PATTERN_N,
     ConstructionError,
@@ -21,9 +23,11 @@ from hilbk3.frobenius import (
 from oracles import (
     FROBENIUS_CELLS,
     delta_class,
+    dense_normal_forms,
     find_isotropic,
     frobenius_grams,
     ideal_normal_forms,
+    inverse,
     mat_add,
     mat_mul,
     mat_scale,
@@ -39,7 +43,7 @@ U4 = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
 
 def quadric_element(gram, dim):
     """The inverse form as an element of Sym^2 V (the invariant quadric)."""
-    inv = linalg.inverse([list(r) for r in gram])
+    inv = inverse([list(r) for r in gram])
     basis = monomial_basis(dim, 2)
     out = [Fraction(0)] * len(basis)
     index = {m: k for k, m in enumerate(basis)}
@@ -86,7 +90,7 @@ def random_so_element(gram, rng):
     is then a special orthogonal substitution (retry if I - S is singular).
     """
     dim = len(gram)
-    ginv = linalg.inverse([list(map(Fraction, r)) for r in gram])
+    ginv = inverse([list(map(Fraction, r)) for r in gram])
     for _ in range(64):
         a = [[Fraction(0)] * dim for _ in range(dim)]
         for i in range(dim):
@@ -97,7 +101,7 @@ def random_so_element(gram, rng):
         s = mat_mul(ginv, a)
         i_minus = mat_add(linalg.identity(dim), mat_scale(s, -1))
         try:
-            inv = linalg.inverse(i_minus)
+            inv = inverse(i_minus)
         except ValueError:
             continue
         return mat_mul(inv, mat_add(linalg.identity(dim), s))
@@ -185,6 +189,21 @@ def test_normal_form_table_matches_sympy_rref():
             assert table == ideal_normal_forms(gram, n, d), (gram, n, d)
 
 
+@pytest.mark.parametrize(
+    "dim, n, kind",
+    [(dim, n, kind) for dim, n in FROBENIUS_CELLS for kind in ("identity", "diagonal", "rational")]
+    + [(5, 4, "identity"), (6, 3, "identity")],
+    ids=lambda arg: str(arg))
+def test_sparse_build_matches_the_dense_oracle(dim, n, kind):
+    # the same table, tuple order included, as dense generator rows and every
+    # dense unit vector reduced
+    gram = frobenius_grams(dim)[kind]
+    alg = build_algebra(gram, n)
+    quotient_monomials, forms = dense_normal_forms(gram, n)
+    assert alg._quotient_monomials == quotient_monomials
+    assert alg._forms == forms
+
+
 @pytest.mark.parametrize("cell", FROBENIUS_CELLS[:FROBENIUS_CELLS.index((5, 3)) + 1],
                          ids=lambda cell: "dimv%d-n%d" % cell)
 def test_ideal_closure_agrees_with_the_triple_oracle(cell):
@@ -236,6 +255,22 @@ def test_algebra_validation():
     with pytest.raises(ValueError):
         FrobeniusAlgebra(U, 5)  # over the table cap
     assert issubclass(ConstructionError, RuntimeError)
+
+
+def test_argument_checks_run_before_the_determinant(monkeypatch):
+    # n and the caps are checked first, so a large gram is rejected for them
+    # without its determinant
+    def det(_):
+        raise RuntimeError("determinant taken before the argument checks")
+
+    monkeypatch.setattr(linalg, "det", det)
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        FrobeniusAlgebra(U, 0)
+    big = frobenius_grams(MAX_DIM_V + 1)["rational"]
+    with pytest.raises(ValueError, match="full tables capped"):
+        FrobeniusAlgebra(big, 2)
+    with pytest.raises(ValueError, match="full tables capped"):
+        FrobeniusAlgebra(U, MAX_N + 1)
 
 
 def test_unit_and_commutativity():
