@@ -320,6 +320,10 @@ def frobenius_grams(dim):
     }
 
 
+def _dense(row, size):
+    return [row.get(j, Fraction(0)) for j in range(size)]
+
+
 def dense_normal_forms(gram, n):
     """Quotient monomials and normal forms of the Frobenius model, densely.
 
@@ -355,12 +359,8 @@ def dense_normal_forms(gram, n):
             ech = linalg.Echelon(len(basis))
             for g in generators:
                 ech.add(linalg.sparse(g))
-
-            def dense(row):
-                return [row.get(j, Fraction(0)) for j in range(len(basis))]
-
-            rows = [dense(row) for _, row in ech.rows]
-            normal = [dense(ech.reduce(linalg.sparse(v))) for v in normal]
+            rows = [_dense(row, len(basis)) for _, row in ech.rows]
+            normal = [_dense(ech.reduce(linalg.sparse(v)), len(basis)) for v in normal]
             pivots = set(ech.pivots)
         quotient = [k for k in range(len(basis)) if k not in pivots]
         column = {k: t for t, k in enumerate(quotient)}
@@ -527,7 +527,7 @@ def inverse(a):
         ech.add(linalg.sparse(list(row) + [int(i == j) for j in range(n)]))
     if ech.pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [[row.get(j, Fraction(0)) for j in range(n, 2 * n)] for _, row in ech.rows]
+    return [_dense(row, 2 * n)[n:] for _, row in ech.rows]
 
 
 def su2_generators(lat, triple):
