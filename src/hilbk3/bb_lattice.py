@@ -12,6 +12,13 @@ the same coordinates with f(x, y) = x^T F y, so forms transform with lower
 indices, as the gram does.  Every pairing reads the one full gram, surface
 gram plus delta-delta entry, that each lattice builds once.
 
+Classes, grams and forms go in and come out as Fractions, but the degree-4
+path computes on Python ints: a class x is X / den with X an int vector,
+and a pairing reads the full gram scaled by the lcm of its denominators,
+kept once per lattice as sparse (column, int) rows.  Fractions are formed
+only where a value leaves the path, and being canonical they equal what
+Fraction arithmetic gives, so no triple or verdict depends on the route.
+
 A hyperkaehler rotation is encoded by a period triple: three pairwise
 BB-orthogonal classes of positive norm.  The induced su(2) action on H^2 is
 generated by the three skew operators
@@ -23,7 +30,9 @@ stays rational; L_a w_b is proportional to w_c with positive factor q(w_b),
 and [L_a, L_b] = q(w_c) L_c).  A class or tensor is invariant under the
 rotations iff the three derivations vanish on it.  Each L_a has rank two,
 so the operators are never built: invariance of a 2-form is an exact
-identity between the triple, its images under the gram and under the form.
+identity between the triple, its images under the gram and under the form,
+and checking L_0 and L_1 suffices, since [L_0, L_1] = q(w_2) L_2 with
+q(w_2) > 0.
 
 The two obstruction routes for candidate trianalytic subvarieties live here:
 the exact pullback coefficient on the exceptional square for candidates
@@ -44,6 +53,7 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd, lcm
 
 from . import linalg
 from .partitions import YoungDiagram, is_triangular, trianalytic_candidates
@@ -118,6 +128,35 @@ class H2Lattice(namedtuple("H2Lattice", "n gram")):
         return (tuple(row + (zero,) for row in self.gram)
                 + ((zero,) * self.dim_v + (self.delta_norm,),))
 
+    @cached_property
+    def _integral_gram(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+        """(gden, rows): the full gram times gden, the lcm of its denominators."""
+        return _integral_rows(self.full_gram)
+
+
+def _numerators(x) -> tuple[list[int], int]:
+    """(X, den) with x = X / den, den the lcm of the denominators of x."""
+    den = lcm(*(a.denominator for a in x))
+    return [a.numerator * (den // a.denominator) for a in x], den
+
+
+def _integral_rows(m) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+    """(den, rows): den the lcm of the denominators of m, rows den * m as
+    sparse (column, int) pairs over the nonzero entries."""
+    den = lcm(*(a.denominator for row in m for a in row))
+    return den, tuple(tuple((j, a.numerator * (den // a.denominator))
+                            for j, a in enumerate(row) if a) for row in m)
+
+
+def _times(rows, x) -> list[int]:
+    """The int matrix of sparse rows times the int vector x."""
+    return [sum(g * x[j] for j, g in row) for row in rows]
+
+
+def _pair(rows, x, y) -> int:
+    """x^T M y for the int matrix M of sparse rows; x may be shorter than M."""
+    return sum(a * sum(g * y[j] for j, g in row) for a, row in zip(x, rows) if a)
+
 
 def k3_lattice(n: int, gram=None) -> H2Lattice:
     return H2Lattice(n, tuple(tuple(row) for row in (gram if gram is not None else default_k3_gram())))
@@ -127,8 +166,9 @@ def bb_pair(lat: H2Lattice, x, y) -> Fraction:
     """B(x, y) for two classes of lat, each a sequence of total_dim rationals."""
     if len(x) != lat.total_dim or len(y) != lat.total_dim:
         raise ValueError(f"classes must have {lat.total_dim} coordinates")
-    return Fraction(sum(a * g * b for a, row in zip(x, lat.full_gram) if a
-                        for g, b in zip(row, y) if g))
+    gden, rows = lat._integral_gram
+    (xs, dx), (ys, dy) = _numerators(x), _numerators(y)
+    return Fraction(_pair(rows, xs, ys), gden * dx * dy)
 
 
 def q_norm(lat: H2Lattice, x) -> Fraction:
@@ -188,20 +228,26 @@ class PeriodTriple(namedtuple("PeriodTriple", "lattice w")):
 
 
 def is_su2_invariant(lat: H2Lattice, form, triple: PeriodTriple) -> bool:
-    """All three rotation derivations L^T F + F L vanish on the 2-form matrix F.
+    """The rotation derivations L^T F + F L vanish on the 2-form matrix F.
 
     With g = G w and phi = F w, each L_a = w_c g_b^T - w_b g_c^T has rank two
     and L_a^T F + F L_a = S + S^T for S = g_b phi_c^T - g_c phi_b^T, so
-    invariance is an exact identity between six vectors, checked on i >= j.
+    invariance is an exact identity between six vectors, checked on i >= j
+    for L_0 and L_1 only: [L_0, L_1] = q(w_2) L_2 with q(w_2) > 0, so they
+    imply invariance under L_2.  With w_a = W_a / den_a, G and F integral up
+    to constants, every term of the identity for L_a carries the same factor
+    1 / (den_b den_c), so it is compared on the int numerators of g and phi.
     """
     f = linalg.symmetric_rows(form, "form")
     if len(f) != lat.total_dim:
         raise ValueError("form size mismatch")
     if triple.lattice != lat:
         raise ValueError("triple belongs to a different lattice")
-    g = [linalg.mat_vec(lat.full_gram, w) for w in triple.w]
-    phi = [linalg.mat_vec(f, w) for w in triple.w]
-    for b, c in ((1, 2), (2, 0), (0, 1)):
+    grows, frows = lat._integral_gram[1], _integral_rows(f)[1]
+    ws = [_numerators(w)[0] for w in triple.w]
+    g = [_times(grows, w) for w in ws]
+    phi = [_times(frows, w) for w in ws]
+    for b, c in ((1, 2), (2, 0)):
         gb, gc, pb, pc = g[b], g[c], phi[b], phi[c]
         for i in range(lat.total_dim):
             for j in range(i + 1):
@@ -255,28 +301,38 @@ def random_period_triple(lat: H2Lattice, rng: random.Random,
         mixes, noise = [], []
         for _ in range(3):
             mixes.append([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in basis])
-            noise.append([Fraction(rng.randint(-1, 1)) for _ in range(dim)])
+            noise.append([rng.randint(-1, 1) for _ in range(dim)])
         if linalg.rank(mixes) == 3:
             break
     else:
         raise RuntimeError("failed to draw a valid period triple")
-    vs = [[sum(m * b[i] for m, b in zip(mix, basis)) for i in range(dim)] for mix in mixes]
+    vs = [_numerators([sum(m * b[i] for m, b in zip(mix, basis)) for i in range(dim)])
+          for mix in mixes]
+    rows = lat._integral_gram[1]
     # the mixes span a positive-definite 3-space, so the Gram-Schmidt norms
-    # of scale * v + noise are all positive once the scale is large enough
+    # of scale * v + noise are all positive once the scale is large enough.
+    # A class w = W / den is kept with its numerator norm nu = W^T G W (times
+    # the gram's denominator): against it, w - (B(u, w) / q(u)) u is
+    # (nu W - c U) / (nu den) for u = U / du and c = U^T G W
     scale = 1
     while True:
-        ws: list[tuple[Fraction, ...]] = []
-        for v, z in zip(vs, noise):
-            w = tuple(scale * a + b for a, b in zip(v, z)) + no_delta
-            for u in ws:
-                coeff = bb_pair(lat, u, w) / q_norm(lat, u)
-                w = tuple(a - coeff * b for a, b in zip(w, u))
-            if q_norm(lat, w) <= 0:
+        kept: list[tuple[list[int], int, int]] = []  # (W, den, nu)
+        for (v, den), z in zip(vs, noise):
+            w = [scale * a + den * b for a, b in zip(v, z)]
+            for u, _, nu in kept:
+                c = _pair(rows, u, w)
+                w = [nu * a - c * b for a, b in zip(w, u)]
+                den *= nu
+                k = gcd(den, *w)
+                w, den = [a // k for a in w], den // k
+            nu = _pair(rows, w, w)
+            if nu <= 0:
                 break
-            ws.append(w)
-        if len(ws) == 3:
+            kept.append((w, den, nu))
+        if len(kept) == 3:
             break
         scale *= 2
+    ws = [tuple(Fraction(a, den) for a in w) + no_delta for w, den, _ in kept]
     if with_delta:
         scale = 1
         while scale * scale * q_norm(lat, ws[0]) <= 2 * (lat.n - 1):

@@ -20,7 +20,11 @@ from fractions import Fraction
 # loads only those layers; no layer imports `dataclasses` (or `inspect`)
 
 SCHEMA = "hilbk3.report/1"
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# sign, then the digits of p and of q without their leading zeros
+_RATIONAL = re.compile(r"(-?)0*([0-9]+)(?:/0*([0-9]+))?")
+# bound on |p| and q for every gram entry p/q; the exact arithmetic on a
+# gram grows faster than linearly with the size of its entries
+MAX_GRAM_ENTRY = 10 ** 6
 
 
 def _plain(obj):
@@ -79,13 +83,22 @@ def _parse_surface(text: str | None):
 
 
 def _gram_entry(x) -> Fraction:
-    # only the documented forms; an exponent string such as "1e999999999"
-    # would ask for an unbounded amount of exact arithmetic
+    # only the documented forms, each bounded; an exponent string such as
+    # "1e999999999" would ask for an unbounded amount of exact arithmetic
     if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    if isinstance(x, str) and _RATIONAL.fullmatch(x):
-        return Fraction(x)
-    raise ValueError("gram entries must be integers or 'p/q' strings")
+        p, q = x, 1
+    elif isinstance(x, str) and (m := _RATIONAL.fullmatch(x)):
+        sign, num, den = m.groups("1")
+        # with no leading zeros a longer digit string is over the bound, and
+        # it is never converted
+        too_long = max(len(num), len(den)) > len(str(MAX_GRAM_ENTRY))
+        p, q = (MAX_GRAM_ENTRY + 1, 1) if too_long else (int(sign + num), int(den))
+    else:
+        raise ValueError("gram entries must be integers or 'p/q' strings")
+    if abs(p) > MAX_GRAM_ENTRY or q > MAX_GRAM_ENTRY:
+        raise ValueError(f"gram entries p/q must have |p| <= {MAX_GRAM_ENTRY} "
+                         f"and q <= {MAX_GRAM_ENTRY}")
+    return Fraction(p, q)
 
 
 def _load_gram(path: str | None):
@@ -99,7 +112,8 @@ def _load_gram(path: str | None):
             and all(isinstance(r, list) for r in data["rows"])):
         raise ValueError('gram file must be a JSON object {"dim": d, "rows": [[...], ...]}')
     # the Frobenius pattern cap on dim V bounds every gram file, before any
-    # exact arithmetic: a 32 x 32 p/q gram already takes seconds to certify
+    # exact arithmetic: a dense 32 x 32 gram of p/q entries near
+    # MAX_GRAM_ENTRY takes about 9 s to certify on a 2-core VM
     cap = frobenius.MAX_PATTERN_DIM_V
     if len(data["rows"]) > cap or any(len(r) > cap for r in data["rows"]):
         raise ValueError(f"gram files are capped at dimension {cap}")

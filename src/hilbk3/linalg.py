@@ -1,5 +1,5 @@
 """Exact linear algebra over the rationals: one sparse elimination core plus
-symmetric congruence; no dense matrix products.
+symmetric congruence; no matrix products.
 
 Matrices are lists of rows; entries are Fraction or int (ints are promoted
 by arithmetic).  No floats anywhere: ranks, kernels, determinants and
@@ -33,11 +33,6 @@ def symmetric_rows(a: Matrix, name: str = "matrix") -> Matrix:
     if any(rows[i][j] != rows[j][i] for i in range(len(rows)) for j in range(i)):
         raise ValueError(f"{name} must be symmetric")
     return rows
-
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    # zero entries are skipped: the grams and forms it meets are sparse
-    return [sum(x * y for x, y in zip(row, v) if x) for row in a]
 
 
 def sparse(row: Vector) -> dict:
@@ -191,13 +186,17 @@ def congruence_diagonalize(gram: Matrix) -> tuple[Matrix, list]:
     p = identity(n)
 
     def add_col(dst, src, f):
-        # column operation on a (and matching row op), mirrored into p
+        # column operation on a (and matching row op), mirrored into p; zero
+        # entries of the source add nothing, and grams are mostly zeros
         for i in range(n):
-            a[i][dst] += f * a[i][src]
+            if a[i][src]:
+                a[i][dst] += f * a[i][src]
         for j in range(n):
-            a[dst][j] += f * a[src][j]
+            if a[src][j]:
+                a[dst][j] += f * a[src][j]
         for i in range(n):
-            p[i][dst] += f * p[i][src]
+            if p[i][src]:
+                p[i][dst] += f * p[i][src]
 
     def swap_col(i, j):
         for r in range(n):

@@ -11,8 +11,11 @@ before freezing.
 
 The constructions below them exist only so tests can compare or sample
 with them, and the reports never run them: the dense Frobenius build the
-library's sparse one replaced, the shape grammar, explicit BB classes, a
-matrix inverse and the dense matrix products, the three dense rotation
+library's sparse one replaced, the shape grammar, explicit BB classes, the
+routes of the degree-4 path the library replaced (BB pairing and
+period-triple Gram-Schmidt in Fractions, congruence column operations over
+zero entries too), a matrix inverse and the dense matrix and
+matrix-vector products, the three dense rotation
 operators of a period triple with the dense invariance checks built from
 them (the 2-form check the library replaced, and the contravariant one),
 the inverse and transported BB tensors, the rotation modules of d and d^2,
@@ -488,6 +491,96 @@ def obstruction_coefficient_from_tensors(src, dst):
     return diff[size - 1][size - 1]
 
 
+# The Fraction routes the library's int-numerator degree-4 path replaced:
+# every sum and product normalised through Fraction, dense column operations.
+
+def fraction_bb_pair(lat, x, y):
+    """B(x, y) summed in Fractions over the entries of the full gram."""
+    return Fraction(sum(a * g * b for a, row in zip(x, lat.full_gram) if a
+                        for g, b in zip(row, y) if g))
+
+
+def dense_congruence_diagonalize(gram):
+    """(P columns, diagonal) with P^T G P diagonal, every column and row
+    operation run over all entries, zeros included."""
+    a = linalg.symmetric_rows(gram)
+    n = len(a)
+    p = linalg.identity(n)
+
+    def add_col(dst, src, f):
+        for i in range(n):
+            a[i][dst] += f * a[i][src]
+        for j in range(n):
+            a[dst][j] += f * a[src][j]
+        for i in range(n):
+            p[i][dst] += f * p[i][src]
+
+    def swap_col(i, j):
+        for r in range(n):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        a[i], a[j] = a[j], a[i]
+        for r in range(n):
+            p[r][i], p[r][j] = p[r][j], p[r][i]
+
+    for k in range(n):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
+            if pivot is not None:
+                swap_col(k, pivot)
+            else:
+                off = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0), None)
+                if off is None:
+                    break
+                i, j = off
+                add_col(i, j, Fraction(1))
+                if i != k:
+                    swap_col(k, i)
+        piv = a[k][k]
+        for j in range(k + 1, n):
+            if a[k][j] != 0:
+                add_col(j, k, -a[k][j] / piv)
+    return p, [a[i][i] for i in range(n)]
+
+
+def fraction_period_triple(lat, rng, with_delta=True):
+    """The classes of `random_period_triple` from the same draws, with
+    Gram-Schmidt on Fraction classes: w -= (B(u, w) / q(u)) u per kept u."""
+    p, diag = dense_congruence_diagonalize(lat.gram)
+    dim = lat.dim_v
+    basis = [[p[i][j] for i in range(dim)] for j in range(dim) if diag[j] > 0][:3]
+    no_delta = (Fraction(0),) * (lat.total_dim - dim)
+    for _ in range(256):
+        mixes, noise = [], []
+        for _ in range(3):
+            mixes.append([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in basis])
+            noise.append([Fraction(rng.randint(-1, 1)) for _ in range(dim)])
+        if linalg.rank(mixes) == 3:
+            break
+    else:
+        raise RuntimeError("failed to draw a valid period triple")
+    vs = [[sum(m * b[i] for m, b in zip(mix, basis)) for i in range(dim)] for mix in mixes]
+    scale = 1
+    while True:
+        ws = []
+        for v, z in zip(vs, noise):
+            w = tuple(scale * a + b for a, b in zip(v, z)) + no_delta
+            for u in ws:
+                coeff = fraction_bb_pair(lat, u, w) / fraction_bb_pair(lat, u, u)
+                w = tuple(a - coeff * b for a, b in zip(w, u))
+            if fraction_bb_pair(lat, w, w) <= 0:
+                break
+            ws.append(w)
+        if len(ws) == 3:
+            break
+        scale *= 2
+    if with_delta:
+        scale = 1
+        while scale * scale * fraction_bb_pair(lat, ws[0], ws[0]) <= 2 * (lat.n - 1):
+            scale *= 2
+        ws[0] = tuple(scale * a for a in ws[0][:dim]) + (Fraction(1),)
+    return tuple(ws)
+
+
 # dense matrix products: the library multiplies no matrices
 
 def transpose(a):
@@ -497,6 +590,11 @@ def transpose(a):
 def mat_mul(a, b):
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def mat_vec(a, v):
+    # zero entries are skipped: the grams and forms it meets are sparse
+    return [sum(x * y for x, y in zip(row, v) if x) for row in a]
 
 
 def mat_add(a, b):
@@ -536,7 +634,7 @@ def su2_generators(lat, triple):
         raise ValueError("triple belongs to a different lattice")
     g = lat.full_gram
     ws = triple.w
-    gws = [linalg.mat_vec(g, w) for w in ws]
+    gws = [mat_vec(g, w) for w in ws]
     size = lat.total_dim
     ops = []
     for a in range(3):

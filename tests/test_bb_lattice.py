@@ -31,12 +31,16 @@ from oracles import (
     delta_class,
     delta_module_dimension,
     delta_squared_form,
+    dense_congruence_diagonalize,
     dense_su2_invariant,
+    fraction_bb_pair,
+    fraction_period_triple,
     is_contravariant_invariant,
     is_zero_matrix,
     mat_add,
     mat_mul,
     mat_scale,
+    mat_vec,
     obstruction_coefficient_from_tensors,
     orbit_dimension_d2,
     su2_generators,
@@ -90,6 +94,7 @@ def test_default_gram_shape_and_invariants():
     rows = [list(map(Fraction, row)) for row in g]
     assert linalg.det(rows) in (1, -1)
     assert linalg.signature(rows) == (3, 19, 0)
+    assert linalg.congruence_diagonalize(rows) == dense_congruence_diagonalize(rows)
 
 
 def test_lattice_validation():
@@ -202,7 +207,7 @@ def test_tensor_fixtures():
     assert all(rows[i][j] == 0 for i in range(5) for j in range(5) if (i, j) != (4, 4))
     # d^2 pairs two classes through their delta coordinates only
     x, y = (1, 2, 0, 1, 3), (0, 1, 1, 0, -2)
-    assert sum(a * b for a, b in zip(x, linalg.mat_vec(rows, y))) == 3 * -2
+    assert sum(a * b for a, b in zip(x, mat_vec(rows, y))) == 3 * -2
     with pytest.raises(ValueError):
         delta_squared_form(small_lattice(1))
 
@@ -318,9 +323,9 @@ def test_su2_generator_identities():
         for a in range(3):
             b, c = (a + 1) % 3, (a + 2) % 3
             # annihilates its own period, rotates the other two
-            assert linalg.mat_vec(ops[a], w[a]) == [0] * 5
-            assert linalg.mat_vec(ops[a], w[b]) == [q[b] * x for x in w[c]]
-            assert linalg.mat_vec(ops[a], w[c]) == [-q[c] * x for x in w[b]]
+            assert mat_vec(ops[a], w[a]) == [0] * 5
+            assert mat_vec(ops[a], w[b]) == [q[b] * x for x in w[c]]
+            assert mat_vec(ops[a], w[c]) == [-q[c] * x for x in w[b]]
             # BB-skew: L^T G + G L = 0
             skew = mat_add(
                 mat_mul(transpose(ops[a]), g),
@@ -405,6 +410,53 @@ def test_random_period_triple_on_a_scrambled_gram():
     assert report.verdict == "certified"
 
 
+def negative_a(m):
+    """The A_m root lattice, negated."""
+    return [[-2 if i == j else int(abs(i - j) == 1) for j in range(m)] for i in range(m)]
+
+
+# U + <2> + <4> + A_2(-1) + <-6>, signature (3, 4)
+BLOCK_SUM = tuple(tuple(row) for row in (
+    [[0, 1] + [0] * 5, [1, 0] + [0] * 5, [0, 0, 2] + [0] * 4, [0] * 3 + [4, 0, 0, 0]]
+    + [[0] * 4 + row + [0] for row in negative_a(2)] + [[0] * 6 + [-6]]))
+# a p/q gram of signature (3, 1): the int-numerator path scales it by 6
+SCRAMBLED_7_6 = tuple(tuple(Fraction(7 * x, 6) for x in row) for row in SCRAMBLED)
+INTEGER_PATH_GRAMS = (None, SMALL, BLOCK_SUM, SCRAMBLED, SCRAMBLED_7_6)
+
+
+def test_bb_pair_matches_the_fraction_sum():
+    rng = random.Random(59)
+    for gram in INTEGER_PATH_GRAMS:
+        for n in (1, 3):
+            lat = k3_lattice(n, gram)
+            classes = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                             for _ in range(lat.total_dim)) for _ in range(4)]
+            classes += [basis_class(lat, 0), (0,) * lat.total_dim]
+            classes += random_period_triple(lat, rng, with_delta=lat.has_delta).w
+            for x in classes:
+                for y in classes:
+                    assert bb_pair(lat, x, y) == fraction_bb_pair(lat, x, y)
+
+
+def test_random_period_triple_matches_fraction_gram_schmidt():
+    # the int-numerator Gram-Schmidt against the Fraction one from the same
+    # draws; on the p/q gram the su(2) check is compared with the dense
+    # operators too, since the pinned draws all have an integral gram
+    for gram in INTEGER_PATH_GRAMS:
+        for n in (3, 6):
+            lat = k3_lattice(n, gram)
+            for seed in range(4):
+                for with_delta in (True, False):
+                    triple = random_period_triple(lat, random.Random(seed), with_delta)
+                    assert triple.w == fraction_period_triple(lat, random.Random(seed), with_delta)
+                    if gram is SCRAMBLED_7_6:
+                        for form in (lat.full_gram, restriction_functional(lat)):
+                            assert (is_su2_invariant(lat, form, triple)
+                                    == dense_su2_invariant(lat, form, triple))
+    lat = k3_lattice(3, SCRAMBLED_7_6)
+    assert h4_obstruction(lat, random_period_triple(lat, random.Random(0)))
+
+
 def test_random_period_triple_draws_are_pinned():
     # SHA-256 over the coordinates (surface part, then delta) of the triples
     # drawn for seeds 0-9, both with_delta values, on the default gram at
@@ -478,11 +530,6 @@ def test_certify_deterministic_and_seed_stable():
 def test_certify_budget():
     with pytest.raises(ValueError):
         certify_no_trianalytic(MAX_POINTS + 1)
-
-
-def negative_a(m):
-    """The A_m root lattice, negated."""
-    return [[-2 if i == j else int(abs(i - j) == 1) for j in range(m)] for i in range(m)]
 
 
 @st.composite

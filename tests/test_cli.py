@@ -152,6 +152,9 @@ MALFORMED_GRAMS = {
     "float-entry": '{"dim": 2, "rows": [[2.0, 0], [0, 1]]}',
     "bool-entry": '{"dim": 2, "rows": [[true, 0], [0, 1]]}',
     "shape-disagrees-with-dim": '{"dim": 2, "rows": [[1, 0], [0, 1], [0, 0]]}',
+    "integer-over-bound": '{"dim": 2, "rows": [[1000001, 0], [0, 1]]}',
+    "numerator-over-bound": '{"dim": 2, "rows": [["-1000001/2", 0], [0, 1]]}',
+    "denominator-over-bound": '{"dim": 2, "rows": [["1/1000001", 0], [0, 1]]}',
     "not-json": "{not json",
 }
 
@@ -171,7 +174,8 @@ def test_malformed_gram_file_is_an_error_payload(tmp_path, capsys, command, text
     assert payload["error"]["message"]
 
 
-BAD_ENTRIES = (True, False, 2.0, 0.5, "1e9", "1/0", "5/-1", "1.5", "x", None, [1], [[0]], {})
+BAD_ENTRIES = (True, False, 2.0, 0.5, "1e9", "1/0", "5/-1", "1.5", "x", None, [1], [[0]], {},
+               -cli.MAX_GRAM_ENTRY - 1, f"7/{cli.MAX_GRAM_ENTRY + 1}")
 BAD_DIMS = (True, False, None, "2", [2], {})
 
 
@@ -210,6 +214,18 @@ def malformed_gram_files(draw):
     else:  # degenerate; also a 1 x 1 "asymmetric" gram
         rows[i] = [0] * size
     return json.dumps(data)
+
+
+def test_gram_entries_are_bounded_before_they_are_converted():
+    bound = cli.MAX_GRAM_ENTRY
+    assert bound == 10 ** 6
+    for x in (bound, -bound, f"-{bound}/{bound - 1}", f"000{bound}/0{bound}"):
+        assert abs(cli._gram_entry(x)) <= bound
+    # over the bound, also with more digits than int() converts by default
+    for x in (bound + 1, -bound - 1, f"{bound + 1}", f"1/{bound + 1}", "9" * 5000,
+              f"-1/{'9' * 5000}", 10 ** 1000):
+        with pytest.raises(ValueError, match=f"<= {bound}"):
+            cli._gram_entry(x)
 
 
 # full mode (dim V <= 6) and dimensions-only mode read the gram the same way

@@ -8,7 +8,16 @@ from hypothesis import strategies as st
 
 from hilbk3 import linalg
 
-from oracles import inverse, is_zero_matrix, mat_add, mat_mul, transpose, vec_mat
+from oracles import (
+    dense_congruence_diagonalize,
+    inverse,
+    is_zero_matrix,
+    mat_add,
+    mat_mul,
+    mat_vec,
+    transpose,
+    vec_mat,
+)
 
 
 def _random_matrix(rng, rows, cols, lo=-5, hi=5):
@@ -31,14 +40,14 @@ def test_mat_mul_agrees_with_mat_vec():
         ab = mat_mul(a, b)
         for j in range(2):
             col = [row[j] for row in b]
-            assert [row[j] for row in ab] == linalg.mat_vec(a, col)
+            assert [row[j] for row in ab] == mat_vec(a, col)
 
 
 def test_vec_mat_is_transpose_action():
     rng = random.Random(11)
     a = _random_matrix(rng, 3, 5)
     v = [Fraction(rng.randint(-4, 4)) for _ in range(3)]
-    assert vec_mat(v, a) == linalg.mat_vec(transpose(a), v)
+    assert vec_mat(v, a) == mat_vec(transpose(a), v)
 
 
 def test_rank_known_values():
@@ -57,7 +66,7 @@ def test_nullspace_vectors_annihilate():
         basis = linalg.nullspace(a)
         assert len(basis) == cols - linalg.rank(a)
         for v in basis:
-            assert all(x == 0 for x in linalg.mat_vec(a, v))
+            assert all(x == 0 for x in mat_vec(a, v))
         # basis vectors are independent
         assert linalg.rank(basis, ncols=cols) == len(basis)
 
@@ -217,7 +226,7 @@ def test_nullspace_matches_sympy_span(a):
     expect = [list(v) for v in _sym(a, ncols).nullspace()]
     assert len(basis) == len(expect)
     for v in basis:
-        assert all(x == 0 for x in linalg.mat_vec(a, v))
+        assert all(x == 0 for x in mat_vec(a, v))
     if basis:
         both = [[_frac(x) for x in v] for v in expect] + basis
         assert _sym(both, ncols).rank() == len(basis)
@@ -268,6 +277,17 @@ SPARSE = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), ENTRIES)
 
 @PROPERTY
 @given(st.data())
+def test_congruence_diagonalize_matches_dense_column_operations(data):
+    # skipping zero entries changes no entry: the same (P, D), also on
+    # mostly-zero forms, where zero pivots need the repair step
+    n = data.draw(st.integers(1, 7))
+    lower = [[data.draw(SPARSE) for _ in range(i + 1)] for i in range(n)]
+    gram = [[lower[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+    assert linalg.congruence_diagonalize(gram) == dense_congruence_diagonalize(gram)
+
+
+@PROPERTY
+@given(st.data())
 def test_mat_vec_matches_the_dense_product(data):
     nrows, ncols = data.draw(st.integers(0, 8)), data.draw(st.integers(1, 8))
     a = data.draw(st.lists(st.lists(SPARSE, min_size=ncols, max_size=ncols),
@@ -275,4 +295,4 @@ def test_mat_vec_matches_the_dense_product(data):
     for i in data.draw(st.sets(st.integers(0, nrows - 1))) if nrows else ():
         a[i] = [Fraction(0)] * ncols
     v = data.draw(st.lists(SPARSE, min_size=ncols, max_size=ncols))
-    assert linalg.mat_vec(a, v) == [row[0] for row in mat_mul(a, [[y] for y in v])]
+    assert mat_vec(a, v) == [row[0] for row in mat_mul(a, [[y] for y in v])]
