@@ -42,9 +42,9 @@ candidate, where d is the coordinate functional dual to delta (d vanishes on
 H^2(M), d(delta) = 1; with that normalization f(delta, delta) = 0).
 
 The lattice, triple and certificate types are named tuples, checked when
-they are built: immutable and hashable (lattices key a cache), and, being
-tuples, they also iterate, have a length and equal the plain tuple of their
-fields.
+they are built: immutable and hashable, and, being tuples, they also
+iterate, have a length and equal the plain tuple of their fields.  A
+lattice's gram is a `linalg.Gram`, whose congruence gives every triple.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def _e8_cartan() -> list[list[int]]:
 
 
 @lru_cache(maxsize=None)
-def default_k3_gram() -> tuple[tuple[int, ...], ...]:
+def default_k3_gram() -> linalg.Gram:
     """E8(-1) + E8(-1) + U + U + U, with construction self-test."""
     g = [[0] * 22 for _ in range(22)]
     e8 = _e8_cartan()
@@ -83,11 +83,12 @@ def default_k3_gram() -> tuple[tuple[int, ...], ...]:
         g[off][off + 1] = g[off + 1][off] = 1
     if any(g[i][i] % 2 for i in range(22)):
         raise RuntimeError("default gram is not even")
-    if linalg.det(g) not in (1, -1):
+    gram = linalg.Gram(g)
+    if gram.det not in (1, -1):
         raise RuntimeError("default gram is not unimodular")
-    if linalg.signature(g) != (3, 19, 0):
+    if sum(x > 0 for x in gram.congruence[1]) != 3:  # nondegenerate: 19 negative
         raise RuntimeError("default gram has wrong signature")
-    return tuple(tuple(row) for row in g)
+    return gram
 
 
 class H2Lattice(namedtuple("H2Lattice", "n gram")):
@@ -95,13 +96,10 @@ class H2Lattice(namedtuple("H2Lattice", "n gram")):
 
     # no __slots__: `full_gram` is cached in the instance dict
 
-    def __new__(cls, n: int, gram: tuple[tuple[Fraction, ...], ...]):
+    def __new__(cls, n: int, gram):
         if not isinstance(n, int) or n < 1:
             raise ValueError("n must be a positive integer")
-        g = linalg.symmetric_rows(gram, "gram")
-        if linalg.det(g) == 0:
-            raise ValueError("gram must be nondegenerate")
-        return super().__new__(cls, n, tuple(map(tuple, g)))
+        return super().__new__(cls, n, linalg.Gram(gram))
 
     @property
     def dim_v(self) -> int:
@@ -159,7 +157,7 @@ def _pair(rows, x, y) -> int:
 
 
 def k3_lattice(n: int, gram=None) -> H2Lattice:
-    return H2Lattice(n, tuple(tuple(row) for row in (gram if gram is not None else default_k3_gram())))
+    return H2Lattice(n, gram if gram is not None else default_k3_gram())
 
 
 def bb_pair(lat: H2Lattice, x, y) -> Fraction:
@@ -273,9 +271,8 @@ def h4_obstruction(lat: H2Lattice, triple: PeriodTriple) -> bool:
     return not is_su2_invariant(lat, restriction_functional(lat), triple)
 
 
-@lru_cache(maxsize=None)
 def _positive_basis(lat: H2Lattice) -> tuple[tuple[Fraction, ...], ...]:
-    p, diag = linalg.congruence_diagonalize([list(r) for r in lat.gram])
+    p, diag = lat.gram.congruence
     cols = [[p[i][j] for i in range(lat.dim_v)] for j in range(lat.dim_v) if diag[j] > 0]
     if len(cols) < 3:
         raise ValueError("surface gram has no positive 3-space")

@@ -25,6 +25,10 @@ _RATIONAL = re.compile(r"(-?)0*([0-9]+)(?:/0*([0-9]+))?")
 # bound on |p| and q for every gram entry p/q; the exact arithmetic on a
 # gram grows faster than linearly with the size of its entries
 MAX_GRAM_ENTRY = 10 ** 6
+# bound on the dimension of a gram file, checked before any entry is parsed:
+# a dense 32 x 32 gram of p/q entries near MAX_GRAM_ENTRY takes 15-16.5 s for
+# `certify --n 3` and 5.4-6.1 s for `frobenius --dimv 32 --n 2` (2-core VM)
+MAX_GRAM_DIM = 32
 
 
 def _plain(obj):
@@ -104,19 +108,15 @@ def _gram_entry(x) -> Fraction:
 def _load_gram(path: str | None):
     if path is None:
         return None
-    from . import frobenius, linalg
+    from . import linalg
 
     with open(path) as fh:
         data = json.load(fh)
     if not (isinstance(data, dict) and "dim" in data and isinstance(data.get("rows"), list)
             and all(isinstance(r, list) for r in data["rows"])):
         raise ValueError('gram file must be a JSON object {"dim": d, "rows": [[...], ...]}')
-    # the Frobenius pattern cap on dim V bounds every gram file, before any
-    # exact arithmetic: a dense 32 x 32 gram of p/q entries near
-    # MAX_GRAM_ENTRY takes about 9 s to certify on a 2-core VM
-    cap = frobenius.MAX_PATTERN_DIM_V
-    if len(data["rows"]) > cap or any(len(r) > cap for r in data["rows"]):
-        raise ValueError(f"gram files are capped at dimension {cap}")
+    if len(data["rows"]) > MAX_GRAM_DIM or any(len(r) > MAX_GRAM_DIM for r in data["rows"]):
+        raise ValueError(f"gram files are capped at dimension {MAX_GRAM_DIM}")
     dim = data["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ValueError("gram file dim must be a positive integer")
@@ -126,10 +126,7 @@ def _load_gram(path: str | None):
         raise ValueError("gram entries must be integers or 'p/q' strings") from None
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise ValueError("gram file dimensions are inconsistent")
-    gram = linalg.symmetric_rows(rows, "gram")
-    if linalg.det(gram) == 0:
-        raise ValueError("gram must be nondegenerate")
-    return gram
+    return linalg.Gram(rows)
 
 
 def cmd_betti(args) -> tuple[dict, list[dict]]:
@@ -232,7 +229,8 @@ def cmd_punctual(args) -> tuple[dict, list[dict]]:
 def cmd_frobenius(args) -> tuple[dict, list[dict]]:
     from . import frobenius
 
-    # the pattern first: its budget on dim V also bounds the gram file read
+    # the pattern first: an argument over its budget is reported before the
+    # gram file is read
     pattern = frobenius.algebra_dimension_pattern(args.dimv, args.n)
     gram = _load_gram(args.gram)
     if gram is not None and len(gram) != args.dimv:

@@ -34,7 +34,7 @@ from . import linalg
 MAX_DIM_V = 6
 MAX_N = 4
 # dimensions-only budget: at dim V 32, n 10,000 the pattern prints about
-# 2 MB of JSON in 0.1 s, and a 32 x 32 p/q gram file is validated in 0.5 s
+# 2 MB of JSON in 0.1 s; gram files have their own bound, cli.MAX_GRAM_DIM
 MAX_PATTERN_DIM_V = 32
 MAX_PATTERN_N = 10_000
 _ZERO = Fraction(0)
@@ -124,19 +124,16 @@ class FrobeniusAlgebra:
     proof of associativity all read the one table.
 
     The argument checks run cheapest first: n and the caps before the
-    determinant of the gram.
+    `linalg.Gram` check of the gram, which a `Gram` has passed already.
     """
 
     def __init__(self, gram, n: int):
         if not isinstance(n, int) or n < 1:
             raise ValueError("n must be a positive integer")
-        gram = linalg.symmetric_rows(gram, "gram")
         if len(gram) > MAX_DIM_V or n > MAX_N:
             raise ValueError(f"full tables capped at dim V <= {MAX_DIM_V}, n <= {MAX_N}; "
                              f"use algebra_dimension_pattern for larger spaces")
-        if linalg.det(gram) == 0:
-            raise ValueError("gram must be nondegenerate")
-        self.gram = gram
+        self.gram = linalg.Gram(gram)
         self.dim_v = len(gram)
         self.n = n
         self._build()

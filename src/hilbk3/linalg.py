@@ -3,15 +3,16 @@ symmetric congruence; no matrix products.
 
 Matrices are lists of rows; entries are Fraction or int (ints are promoted
 by arithmetic).  No floats anywhere: ranks, kernels, determinants and
-signatures are exact.  `Echelon` holds the only row-elimination loop and
-works on sparse {column: value} rows throughout; rank, rref, nullspace and
-det pass their dense rows through `sparse` once and read their answers off
-it.  Signatures come from symmetric congruence instead.
+congruences are exact.  `Echelon` holds the only row-elimination loop and
+works on sparse {column: value} rows throughout; rank, nullspace and det
+pass their dense rows through `sparse` once and read their answers off it.
+`Gram` is the one check of a gram: square, symmetric and nondegenerate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 
 Vector = list
@@ -125,25 +126,21 @@ def rank(rows: Matrix, ncols: int | None = None) -> int:
     return _echelon(rows, ncols if ncols is not None else len(rows[0])).rank
 
 
-def rref(a: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot columns."""
-    rows = _echelon(a, ncols).rows
-    return [[row.get(j, _ZERO) for j in range(ncols)] for _, row in rows], [p for p, _ in rows]
-
-
 def nullspace(a: Matrix, ncols: int | None = None) -> list[Vector]:
-    """Basis of the right kernel, one vector per free column."""
+    """Basis of the right kernel, one vector per free column, read off the
+    sparse rows of the reduced echelon form."""
     if ncols is None:
         if not a:
             raise ValueError("need ncols for an empty matrix")
         ncols = len(a[0])
-    rows, pivots = rref(a, ncols)
+    rows = _echelon(a, ncols).rows
     basis = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for c, row in zip(pivots, rows):
-            v[c] = -row[fc]
+    for fc in sorted(set(range(ncols)) - {p for p, _ in rows}):
+        v = [_ZERO] * ncols
+        v[fc] = _ONE
+        for p, row in rows:
+            if fc in row:
+                v[p] = -row[fc]
         basis.append(v)
     return basis
 
@@ -162,17 +159,6 @@ def det(a: Matrix) -> Fraction:
     inversions = sum(p > q for i, (p, _) in enumerate(hits) for q, _ in hits[i + 1:])
     value = prod((v for _, v in hits), start=Fraction(1))
     return -value if inversions % 2 else value
-
-
-def signature(gram: Matrix) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia of a symmetric matrix.
-
-    Exact congruence diagonalization; no eigenvalues.
-    """
-    p, d = congruence_diagonalize(gram)
-    pos = sum(1 for x in d if x > 0)
-    neg = sum(1 for x in d if x < 0)
-    return pos, neg, len(d) - pos - neg
 
 
 def congruence_diagonalize(gram: Matrix) -> tuple[Matrix, list]:
@@ -223,3 +209,24 @@ def congruence_diagonalize(gram: Matrix) -> tuple[Matrix, list]:
             if a[k][j] != 0:
                 add_col(j, k, -a[k][j] / piv)
     return p, [a[i][i] for i in range(n)]
+
+
+class Gram(tuple):
+    """Square, symmetric, nondegenerate Fraction rows: the package's only
+    check of a gram.  It keeps its determinant as `det` and passes a `Gram`
+    through unchanged; `congruence`, the (P, D) of `congruence_diagonalize`,
+    is computed on first use."""
+
+    def __new__(cls, rows):
+        if isinstance(rows, Gram):
+            return rows
+        rows = symmetric_rows(rows, "gram")
+        if (value := det(rows)) == 0:
+            raise ValueError("gram must be nondegenerate")
+        self = super().__new__(cls, map(tuple, rows))
+        self.det = value
+        return self
+
+    @cached_property
+    def congruence(self) -> tuple[Matrix, list]:
+        return congruence_diagonalize(self)

@@ -14,8 +14,8 @@ with them, and the reports never run them: the dense Frobenius build the
 library's sparse one replaced, the shape grammar, explicit BB classes, the
 routes of the degree-4 path the library replaced (BB pairing and
 period-triple Gram-Schmidt in Fractions, congruence column operations over
-zero entries too), a matrix inverse and the dense matrix and
-matrix-vector products, the three dense rotation
+zero entries too, with the signature read off them), a matrix inverse and
+the dense matrix and matrix-vector products, the three dense rotation
 operators of a period triple with the dense invariance checks built from
 them (the 2-form check the library replaced, and the contravariant one),
 the inverse and transported BB tensors, the rotation modules of d and d^2,
@@ -540,6 +540,15 @@ def dense_congruence_diagonalize(gram):
             if a[k][j] != 0:
                 add_col(j, k, -a[k][j] / piv)
     return p, [a[i][i] for i in range(n)]
+
+
+def signature(gram):
+    """(positive, negative, zero) inertia of a symmetric matrix, counted on
+    the diagonal of the dense congruence; no eigenvalues."""
+    d = dense_congruence_diagonalize(gram)[1]
+    pos = sum(1 for x in d if x > 0)
+    neg = sum(1 for x in d if x < 0)
+    return pos, neg, len(d) - pos - neg
 
 
 def fraction_period_triple(lat, rng, with_delta=True):

@@ -43,6 +43,7 @@ from oracles import (
     mat_vec,
     obstruction_coefficient_from_tensors,
     orbit_dimension_d2,
+    signature,
     su2_generators,
     transported_bb_tensor,
     transpose,
@@ -93,8 +94,11 @@ def test_default_gram_shape_and_invariants():
     assert all(g[i][i] % 2 == 0 for i in range(22))
     rows = [list(map(Fraction, row)) for row in g]
     assert linalg.det(rows) in (1, -1)
-    assert linalg.signature(rows) == (3, 19, 0)
+    assert signature(rows) == (3, 19, 0)
     assert linalg.congruence_diagonalize(rows) == dense_congruence_diagonalize(rows)
+    # the checked gram every K3 lattice shares, with the eliminations it keeps
+    assert isinstance(g, linalg.Gram) and k3_lattice(3).gram is g is k3_lattice(6).gram
+    assert g.det == linalg.det(rows) and g.congruence == dense_congruence_diagonalize(rows)
 
 
 def test_lattice_validation():
@@ -401,7 +405,7 @@ def test_h4_obstruction_preconditions():
 def test_random_period_triple_on_a_scrambled_gram():
     lat = k3_lattice(3, SCRAMBLED)
     assert linalg.det([list(map(Fraction, r)) for r in SCRAMBLED]) == -144
-    assert linalg.signature([list(map(Fraction, r)) for r in SCRAMBLED]) == (3, 1, 0)
+    assert signature([list(map(Fraction, r)) for r in SCRAMBLED]) == (3, 1, 0)
     for seed in range(4):
         for with_delta in (True, False):
             triple = random_period_triple(lat, random.Random(seed), with_delta=with_delta)
@@ -564,7 +568,7 @@ def k3_statuses(n):
        n=st.sampled_from((3, 6, 10)))
 def test_certify_is_seed_and_gram_independent(seed, drawn, n):
     k, gram = drawn
-    assert linalg.signature([list(map(Fraction, r)) for r in gram]) == (3, k, 0)
+    assert signature([list(map(Fraction, r)) for r in gram]) == (3, k, 0)
     report = certify_no_trianalytic(n, gram=gram, seed=seed)
     assert report.verdict == "certified"
     statuses = tuple(c.status for c in report.certificates)

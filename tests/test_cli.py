@@ -5,13 +5,15 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hilbk3
-from hilbk3 import bb_lattice, cli, cohomology, frobenius, invariant_ideals
+from hilbk3 import bb_lattice, cli, cohomology, frobenius, invariant_ideals, linalg
 from hilbk3.cli import SCHEMA, main
 
 from oracles import FROBENIUS_CELLS, frobenius_grams
@@ -183,7 +185,7 @@ BAD_DIMS = (True, False, None, "2", [2], {})
 def malformed_gram_files(draw):
     # an identity gram of size 1..33 with exactly one defect, as JSON text;
     # size 33 is over the cap and is rejected for that alone
-    size = draw(st.integers(1, frobenius.MAX_PATTERN_DIM_V + 1))
+    size = draw(st.integers(1, cli.MAX_GRAM_DIM + 1))
     rows = [[int(i == j) for j in range(size)] for i in range(size)]
     data = {"dim": size, "rows": rows}
     i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
@@ -270,7 +272,7 @@ def test_frobenius_rejects_asymmetric_gram_in_dimensions_only_mode(tmp_path, cap
 ])
 def test_gram_file_over_the_cap_is_rejected_unread(tmp_path, capsys, argv):
     # entries that would fail to parse: the cap is checked before any of them
-    dim = frobenius.MAX_PATTERN_DIM_V + 1
+    dim = cli.MAX_GRAM_DIM + 1
     path = tmp_path / "gram.json"
     path.write_text(json.dumps({"dim": dim, "rows": [["1e999999999"] * dim] * dim}))
     code, payload = run_json(argv + ["--gram", str(path)], capsys)
@@ -281,7 +283,7 @@ def test_gram_file_over_the_cap_is_rejected_unread(tmp_path, capsys, argv):
 
 
 def test_gram_file_at_the_cap_is_read(tmp_path, capsys):
-    dim = frobenius.MAX_PATTERN_DIM_V
+    dim = cli.MAX_GRAM_DIM
     path = tmp_path / "gram.json"
     path.write_text(json.dumps({"dim": dim, "rows": [[int(i == j) for j in range(dim)]
                                                      for i in range(dim)]}))
@@ -303,6 +305,44 @@ def test_degenerate_gram_is_rejected_in_every_mode(tmp_path, capsys, argv, dim):
     assert code == 1
     assert payload["status"] == "error"
     assert payload["error"]["message"] == "gram must be nondegenerate"
+
+
+# the eliminations a report runs on the gram itself: the one determinant of
+# the Gram check and, where period triples are drawn, the one congruence
+# they are drawn from.  A call counts when its argument has the gram's size
+# and entries, so the determinants of the Frobenius pairing matrices do not.
+GRAM_ELIMINATIONS = [
+    (["certify", "--n", "3", "--gram"], ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)),
+     {"det": 1, "congruence_diagonalize": 1}),
+    (["certify", "--n", "3"], None, {"det": 1, "congruence_diagonalize": 1}),
+    (["frobenius", "--dimv", "2", "--n", "2", "--gram"], ((2, 1), (1, -3)),
+     {"det": 1, "congruence_diagonalize": 0}),
+]
+
+
+@pytest.mark.parametrize("argv, rows, expected", GRAM_ELIMINATIONS,
+                         ids=["certify-gram", "certify-k3", "frobenius-full-gram"])
+def test_each_report_eliminates_the_gram_once(monkeypatch, tmp_path, capsys, argv, rows,
+                                              expected):
+    if rows is None:
+        target = bb_lattice.default_k3_gram()
+        bb_lattice.default_k3_gram.cache_clear()  # built, and checked, on first use
+    else:
+        path = tmp_path / "gram.json"
+        path.write_text(json.dumps({"dim": len(rows), "rows": rows}))
+        argv = argv + [str(path)]
+        target = rows
+    target = [[Fraction(x) for x in row] for row in target]
+    counts = Counter({name: 0 for name in expected})
+    for name in expected:
+        def spy(a, *rest, _real=getattr(linalg, name), _name=name):
+            if len(a) == len(target) and [[Fraction(x) for x in row] for row in a] == target:
+                counts[_name] += 1
+            return _real(a, *rest)
+        monkeypatch.setattr(linalg, name, spy)
+    code, payload = run_json(argv, capsys)
+    assert (code, payload["status"]) == (0, "ok")
+    assert counts == expected
 
 
 def test_internal_failure_is_its_own_status(monkeypatch, capsys):
@@ -599,13 +639,17 @@ def test_package_namespace_resolves_names_on_first_use():
 
 
 # the hilbk3 modules each report loads, in a fresh interpreter started the
-# way the console script starts it
+# way the console script starts it; GRAM stands for a gram file the test writes
+GRAM = "<gram file>"
 _LOADED_BY = {
     (): {"hilbk3"},
     ("frobenius", "--dimv", "2", "--n", "2"): {"hilbk3", "cli", "frobenius", "linalg"},
     ("punctual", "--i", "6"): {"hilbk3", "cli", "invariant_ideals", "partitions", "linalg"},
     ("ideals", "--N", "4"): {"hilbk3", "cli", "invariant_ideals", "partitions", "linalg"},
     ("certify", "--n", "3"): {"hilbk3", "cli", "bb_lattice", "partitions", "linalg"},
+    # the gram file is bounded and checked without the Frobenius layer
+    ("certify", "--n", "3", "--gram", GRAM): {"hilbk3", "cli", "bb_lattice", "partitions",
+                                              "linalg"},
     ("betti", "--n", "3"): {"hilbk3", "cli", "cohomology", "partitions"},
     ("strata", "--n", "3"): {"hilbk3", "cli", "cohomology", "partitions"},
 }
@@ -624,11 +668,18 @@ print(code, "dataclasses" in sys.modules, "inspect" in sys.modules, *loaded, fil
 """
 
 
-@pytest.mark.parametrize("argv", list(_LOADED_BY), ids=lambda a: a[0] if a else "import")
-def test_each_report_imports_only_its_layers(argv):
+@pytest.mark.parametrize("argv", list(_LOADED_BY),
+                         ids=lambda a: (a[0] + "-gram" if GRAM in a else a[0]) if a else "import")
+def test_each_report_imports_only_its_layers(argv, tmp_path):
     src = os.path.dirname(os.path.dirname(hilbk3.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT, *argv], env=env,
+    args = list(argv)
+    if GRAM in args:
+        path = tmp_path / "gram.json"
+        path.write_text(json.dumps({"dim": 4, "rows": [[0, 1, 0, 0], [1, 0, 0, 0],
+                                                       [0, 0, 2, 0], [0, 0, 0, 2]]}))
+        args[args.index(GRAM)] = str(path)
+    proc = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT, *args], env=env,
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
     code, dataclasses_loaded, inspect_loaded, *loaded = proc.stderr.split()

@@ -15,6 +15,7 @@ from oracles import (
     mat_add,
     mat_mul,
     mat_vec,
+    signature,
     transpose,
     vec_mat,
 )
@@ -78,16 +79,31 @@ def test_nullspace_of_empty_matrix_is_everything():
         linalg.nullspace([])
 
 
-def test_rref_reproduces_row_space():
-    rng = random.Random(19)
-    a = _random_matrix(rng, 4, 4, -2, 2)
-    rows, pivots = linalg.rref(a, 4)
-    assert len(rows) == len(pivots) == linalg.rank(a)
-    ech = linalg.Echelon(4)
+def _echelon_rows(a, ncols):
+    """The rows of an Echelon fed the rows of a, as (pivots, dense rows)."""
+    ech = linalg.Echelon(ncols)
     for row in a:
         ech.add(linalg.sparse(row))
-    for row in rows:
-        assert not ech.reduce(linalg.sparse(row))
+    rows = ech.rows
+    return [p for p, _ in rows], [[row.get(j, 0) for j in range(ncols)] for _, row in rows]
+
+
+def test_echelon_rows_span_the_input():
+    rng = random.Random(19)
+    for _ in range(20):
+        a = _random_matrix(rng, 4, 4, -2, 2)
+        pivots, rows = _echelon_rows(a, 4)
+        assert len(rows) == len(pivots) == linalg.rank(a)
+        # each row has pivot entry 1 and zeros in the other pivot columns
+        for p, row in zip(pivots, rows):
+            assert [row[q] for q in pivots] == [int(q == p) for q in pivots]
+        # the rows span the input's row space, and the input spans theirs
+        back = linalg.Echelon(4)
+        for row in rows:
+            back.add(linalg.sparse(row))
+        for row in a:
+            assert not back.reduce(linalg.sparse(row))
+        assert linalg.rank(a + rows, 4) == len(rows)
 
 
 def test_det_rank_consistency():
@@ -140,9 +156,9 @@ def test_echelon_membership():
 
 
 def test_signature_of_diagonal_forms():
-    assert linalg.signature([[2, 0], [0, -3]]) == (1, 1, 0)
-    assert linalg.signature([[0, 1], [1, 0]]) == (1, 1, 0)
-    assert linalg.signature([[0, 0], [0, 5]]) == (1, 0, 1)
+    assert signature([[2, 0], [0, -3]]) == (1, 1, 0)
+    assert signature([[0, 1], [1, 0]]) == (1, 1, 0)
+    assert signature([[0, 0], [0, 5]]) == (1, 0, 1)
 
 
 def test_congruence_diagonalize_property():
@@ -160,7 +176,23 @@ def test_congruence_diagonalize_property():
         pos = sum(1 for d in diag if d > 0)
         neg = sum(1 for d in diag if d < 0)
         zero = sum(1 for d in diag if d == 0)
-        assert linalg.signature(gram) == (pos, neg, zero)
+        assert signature(gram) == (pos, neg, zero)
+
+
+def test_gram_is_checked_once_and_keeps_its_eliminations():
+    rows = [[0, 1, 0], [1, 0, 0], [0, 0, Fraction(-3, 2)]]
+    gram = linalg.Gram(rows)
+    assert isinstance(gram, tuple) and gram == tuple(tuple(map(Fraction, r)) for r in rows)
+    assert all(type(row) is tuple and all(type(x) is Fraction for x in row) for row in gram)
+    assert gram.det == linalg.det(rows) == Fraction(3, 2)
+    assert linalg.Gram(gram) is gram
+    assert gram.congruence is gram.congruence
+    assert gram.congruence == linalg.congruence_diagonalize(rows)
+    assert signature(rows) == (1, 2, 0)
+    for bad, message in ((((1, 0),), "square"), (((0, 1), (2, 0)), "symmetric"),
+                         (((1, 1), (1, 1)), "nondegenerate"), (((0,),), "nondegenerate")):
+        with pytest.raises(ValueError, match=f"^gram must be {message}$"):
+            linalg.Gram(bad)
 
 
 def test_is_zero_matrix():
@@ -210,9 +242,10 @@ def _ncols(a):
 @PROPERTY
 @given(matrices())
 def test_rank_and_rref_match_sympy(a):
+    # the reduced row echelon form is the rows an Echelon keeps
     ncols = _ncols(a)
     expect, expect_pivots = _sym(a, ncols).rref()
-    rows, pivots = linalg.rref(a, ncols)
+    pivots, rows = _echelon_rows(a, ncols)
     assert linalg.rank(a, ncols) == _sym(a, ncols).rank() == len(expect_pivots)
     assert pivots == list(expect_pivots)
     assert rows == [[_frac(x) for x in expect.row(i)] for i in range(len(pivots))]
@@ -269,7 +302,7 @@ def test_echelon_contains_matches_sympy_rank(a, data):
     ))
     inside = _sym(a + [vec], ncols).rank() == _sym(a, ncols).rank()
     assert (not ech.reduce(linalg.sparse(vec))) == inside
-    assert ech.pivots == linalg.rref(a, ncols)[1]
+    assert ech.pivots == list(_sym(a, ncols).rref()[1])
 
 
 SPARSE = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), ENTRIES)
