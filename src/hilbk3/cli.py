@@ -14,10 +14,11 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 # each report imports the layers it runs when it runs, so that a report
-# loads only those layers; no layer imports `dataclasses` (or `inspect`)
+# loads only those layers; no layer imports `dataclasses` (or `inspect`), and
+# `betti` and `strata` load neither `fractions` nor the `decimal` it imports
 
 SCHEMA = "hilbk3.report/1"
 # sign, then the digits of p and of q without their leading zeros
@@ -35,9 +36,10 @@ def _plain(obj):
     from .partitions import YoungDiagram
 
     def plain(obj):
-        if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+        if obj is None or isinstance(obj, (int, str)):
             return obj
-        if isinstance(obj, Fraction):
+        if hasattr(obj, "denominator"):
+            # a Fraction, recognised without importing `fractions`
             return f"{obj.numerator}/{obj.denominator}"
         if isinstance(obj, YoungDiagram):
             return list(obj.parts)
@@ -51,13 +53,16 @@ def _plain(obj):
     return plain(obj)
 
 
+_CONTAINERS = {dict, list}
+
+
 def _flatten(prefix: str, obj, lines: list[str]) -> None:
     if isinstance(obj, dict):
         for k, v in obj.items():
             _flatten(f"{prefix}.{k}" if prefix else str(k), v, lines)
     elif isinstance(obj, list):
-        if all(not isinstance(x, (dict, list)) for x in obj):
-            lines.append(f"{prefix}: {' '.join(str(x) for x in obj)}")
+        if _CONTAINERS.isdisjoint(map(type, obj)):
+            lines.append(f"{prefix}: {' '.join(map(str, obj))}")
         else:
             for i, x in enumerate(obj):
                 _flatten(f"{prefix}[{i}]", x, lines)
@@ -65,9 +70,50 @@ def _flatten(prefix: str, obj, lines: list[str]) -> None:
         lines.append(f"{prefix}: {obj}")
 
 
+_INTS = {int}
+
+
+def _json(obj, indent: str) -> str:
+    """The text of json.dumps(obj, indent=2, sort_keys=True) at this indent.
+
+    Only the types `_plain` produces are taken: dicts with str keys, lists,
+    str, int, bool and None; anything else raises TypeError.  json.dumps
+    with an indent runs its pure-Python encoder, where this joins a list of
+    plain ints in C.  Strings are escaped to ASCII, as json.dumps does by
+    default, and bools are told apart before ints.
+    """
+    if type(obj) is str:
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if type(obj) is int:
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if type(obj) is list:
+        if not obj:
+            return "[]"
+        if _INTS.issuperset(map(type, obj)):
+            body = (",\n" + inner).join(map(int.__repr__, obj))
+        else:
+            body = (",\n" + inner).join([_json(x, inner) for x in obj])
+        return f"[\n{inner}{body}\n{indent}]"
+    if type(obj) is dict:
+        if not obj:
+            return "{}"
+        # `_quote` raises TypeError on a key that is not a str
+        body = (",\n" + inner).join([f"{_quote(k)}: {_json(obj[k], inner)}"
+                                      for k in sorted(obj)])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    raise TypeError(f"cannot emit {type(obj).__name__}")
+
+
 def _emit(payload: dict, as_json: bool) -> None:
     if as_json:
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_json(payload, "") + "\n")
     else:
         lines: list[str] = []
         _flatten("", payload, lines)
@@ -87,6 +133,8 @@ def _parse_surface(text: str | None):
 
 
 def _gram_entry(x) -> Fraction:
+    from fractions import Fraction
+
     # only the documented forms, each bounded; an exponent string such as
     # "1e999999999" would ask for an unbounded amount of exact arithmetic
     if isinstance(x, int) and not isinstance(x, bool):
@@ -227,6 +275,8 @@ def cmd_punctual(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_frobenius(args) -> tuple[dict, list[dict]]:
+    from fractions import Fraction
+
     from . import frobenius
 
     # the pattern first: an argument over its budget is reported before the

@@ -158,6 +158,37 @@ def _stratum_poincare(surface: SurfaceBetti, mults: tuple[int, ...]) -> Poincare
     return poly
 
 
+def _euler_count(surface: SurfaceBetti, n: int) -> int:
+    """a(n): the coefficient of q^n in prod_k (1 - q^k)^-(b0 + b2 + b4).
+
+    This is the Poincare polynomial of the Hilbert scheme of n points at
+    t = 1, by Euler's recurrence n a(n) = c sum_j sigma(j) a(n - j), with
+    c = b0 + b2 + b4 and the divisor sums sigma from a sieve.
+    """
+    c = surface.b0 + surface.b2 + surface.b4
+    sigma = [0] * (n + 1)
+    for d in range(1, n + 1):
+        for multiple in range(d, n + 1, d):
+            sigma[multiple] += d
+    a = [1] + [0] * n
+    for m in range(1, n + 1):
+        a[m] = c * sum(sigma[j] * a[m - j] for j in range(1, m + 1)) // m
+    return a[n]
+
+
+def _slot_bits(bound: int) -> int:
+    # the width of a slot that holds every integer in 0..bound
+    return bound.bit_length()
+
+
+def _pack(coefficients, bits: int) -> int:
+    # coefficient i in slot i of `bits` bits
+    packed = 0
+    for c in reversed(coefficients):
+        packed = (packed << bits) | c
+    return packed
+
+
 StratumContribution = namedtuple("StratumContribution", (
     "diagram",
     "codim",
@@ -188,27 +219,35 @@ class StratumLedger(namedtuple("StratumLedger", "n surface")):
         value k with multiplicity m carries sums[w] to sums[w + k m] times
         P(Sym^m S), shifted by 2 m (k - 1).  No stratum is listed.
 
-        The sums are plain coefficient lists, each as long as the real
-        dimension 4w + 1 allows, and every product is added straight into
-        its destination over the nonzero coefficients only; the one
-        polynomial is built, and checked, at the end.
+        Every degree is even, so each polynomial is packed into one int, the
+        coefficient of t^(2i) in slot i of `bits` bits (Kronecker
+        substitution): a product of polynomials is then one int product and
+        a shift one int shift.  No slot carries into the next: every
+        coefficient met is nonnegative and, at t = 1, a term of the total for
+        at most n points, so at most a(n), the total at t = 1, which is below
+        2^bits.  The unpacked slots must sum to a(n), as they do only if no
+        slot carried; if they do not, RuntimeError.
         """
         n = self.n
-        sym = [[(j, y) for j, y in enumerate(symmetric_power_poincare(self.surface, m).betti)
-                if y] for m in range(n + 1)]
-        sums = [[0] * (4 * w + 1) for w in range(n + 1)]
-        sums[0][0] = 1
+        count = _euler_count(self.surface, n)
+        bits = _slot_bits(count)
+        sym = [_pack(symmetric_power_poincare(self.surface, m).betti[::2], bits)
+               for m in range(n + 1)]
+        sums = [0] * (n + 1)
+        sums[0] = 1
         for k in range(1, n + 1):
             # w falls, so sums[w] does not hold value k yet when it is read
             for w in range(n - k, -1, -1):
-                terms = [(i, x) for i, x in enumerate(sums[w]) if x]
+                x = sums[w]
                 for m in range(1, (n - w) // k + 1):
-                    out, shift, factor = sums[w + k * m], 2 * m * (k - 1), sym[m]
-                    for i, x in terms:
-                        i += shift
-                        for j, y in factor:
-                            out[i + j] += x * y
-        return PoincarePolynomial(sums[n])
+                    sums[w + k * m] += (x * sym[m]) << (bits * m * (k - 1))
+        mask = (1 << bits) - 1
+        slots = [(sums[n] >> (bits * i)) & mask for i in range(2 * n + 1)]
+        if sum(slots) != count:
+            raise RuntimeError("packed Betti knapsack carried between slots")
+        betti = [0] * (4 * n + 1)
+        betti[::2] = slots
+        return PoincarePolynomial(tuple(betti))
 
     def entries_in_degree(self, i: int) -> tuple[tuple[YoungDiagram, int], ...]:
         """Nonzero contributions b_{i - codim}(stratum), in `diagrams_of` order.
@@ -230,11 +269,12 @@ class StratumLedger(namedtuple("StratumLedger", "n surface")):
         return tuple(out)
 
 
-# `betti` sums the strata by part value and lists none: the knapsack is
-# polynomial in n, and `betti --n 100 --json` takes about 2.5 s on a 2-core VM
+# `betti` sums the strata by part value and lists none: the knapsack on packed
+# ints is polynomial in n, and `betti --n 100 --json` takes 0.6-0.7 s on a
+# 2-core VM (0.7-0.9 s on the surface 1,30,1, whose slots are the widest)
 MAX_BETTI_N = 100
 # `strata` lists all p(n) strata: at n = 40 (37,338 strata) `strata --json`
-# takes about 5 s and 42 MB on a 2-core VM
+# takes about 3 s and writes 42 MB on a 2-core VM
 MAX_STRATA_N = 40
 
 

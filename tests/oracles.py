@@ -4,10 +4,10 @@ The oracles compute by a different route than the library code they check:
 generating-function expansions, the per-stratum sum over all p(n) strata,
 brute-force multiset enumeration,
 exhaustive subset scans (the full p(n) pinning audit, the 2^N sweep of
-ideal supports), the check of every basis triple for associativity, and
-sympy eliminations.  Values frozen in the tests
-were produced by these functions and cross-checked against the literature
-before freezing.
+ideal supports), the check of every basis triple for associativity, sympy
+eliminations, and the standard library's JSON encoder.  Values frozen in the
+tests were produced by these functions and cross-checked against the
+literature before freezing.
 
 The constructions below them exist only so tests can compare or sample
 with them, and the reports never run them: the dense Frobenius build the
@@ -22,6 +22,7 @@ the inverse and transported BB tensors, the rotation modules of d and d^2,
 and random isotropic vectors.
 """
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -117,6 +118,12 @@ def brute_symmetric_power(b0, b2, b4, n):
         counts[degree] = counts.get(degree, 0) + 1
     top = max(counts)
     return tuple(counts.get(d, 0) for d in range(top + 1))
+
+
+def json_report(payload):
+    """The --json text of a report payload, without its final newline, as
+    the standard library's encoder writes it."""
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def brute_pinning_audit(part_sizes):

@@ -16,7 +16,7 @@ import hilbk3
 from hilbk3 import bb_lattice, cli, cohomology, frobenius, invariant_ideals, linalg
 from hilbk3.cli import SCHEMA, main
 
-from oracles import FROBENIUS_CELLS, frobenius_grams
+from oracles import FROBENIUS_CELLS, frobenius_grams, json_report
 
 
 def run(argv, capsys):
@@ -571,6 +571,47 @@ def test_table_output_bytes_are_pinned(capsys):
         "43431895a3a2fa2753f5ae0f365b954c2410f2f9504bc862e9c43fdee5da5261")
 
 
+# report payload trees of the types `_plain` produces: keys and strings with
+# non-ASCII, control and surrogate characters, bools among ints, ints of
+# hundreds of digits, empty and nested containers
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.integers(-10 ** 300, 10 ** 300) | _TEXT)
+_PAYLOADS = st.dictionaries(_TEXT, st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=6) | st.dictionaries(_TEXT, inner, max_size=6),
+    max_leaves=40), max_size=6)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(payload=_PAYLOADS)
+@example(payload={"\u00f1\x00\ud800": ["\x1f", "\u00e9", "\udfff", ""], "mixed": [1, True, False, 0],
+                  "empty": [[], {}, [[]], [{}]], "ints": [-1, 0, -(10 ** 299), 10 ** 299],
+                  "nested": [[1, 2], [3, [4, None]]], "z": {"b": 1, "a": {"": None}}})
+def test_json_emitter_matches_the_standard_encoder(payload):
+    assert cli._json(payload, "") == json_report(payload)
+
+
+@pytest.mark.parametrize("payload", [{"x": 1.5}, {"x": [1, 2.0]}, {"x": (1, 2)}, {1: 2},
+                                     {"x": [{"a": 1, 2: 3}]}],
+                         ids=["float", "float-in-int-list", "tuple", "int-key", "mixed-keys"])
+def test_json_emitter_rejects_other_types(payload):
+    with pytest.raises(TypeError):
+        cli._json(payload, "")
+
+
+def test_error_payload_quoting_a_non_ascii_path_stays_ascii(tmp_path, monkeypatch, capsys):
+    # json.dumps escapes every non-ASCII character by default, so the
+    # emitter must too
+    monkeypatch.chdir(tmp_path)
+    code, out = run(["certify", "--n", "3", "--gram", "\u00f1/missing.json", "--json"], capsys)
+    payload = json.loads(out)
+    assert (code, payload["status"], payload["error"]["type"]) == (1, "error",
+                                                                    "FileNotFoundError")
+    assert "\u00f1/missing.json" in payload["error"]["message"]
+    assert out == json_report(payload) + "\n"
+    assert out.isascii()
+
+
 def test_frobenius_command_full(capsys):
     code, payload = run_json(["frobenius", "--dimv", "2", "--n", "2"], capsys)
     assert code == 0
@@ -664,8 +705,12 @@ else:
     import hilbk3
     code = 0
 loaded = sorted(m.partition(".")[2] or m for m in sys.modules if m.split(".")[0] == "hilbk3")
-print(code, "dataclasses" in sys.modules, "inspect" in sys.modules, *loaded, file=sys.stderr)
+unwanted = ("dataclasses", "inspect", "fractions", "decimal")
+print(code, *(name in sys.modules for name in unwanted), *loaded, file=sys.stderr)
 """
+
+# the reports that read no rational: no `fractions`, nor the `decimal` it imports
+_NO_FRACTIONS = {(), ("betti", "--n", "3"), ("strata", "--n", "3")}
 
 
 @pytest.mark.parametrize("argv", list(_LOADED_BY),
@@ -682,9 +727,12 @@ def test_each_report_imports_only_its_layers(argv, tmp_path):
     proc = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT, *args], env=env,
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
-    code, dataclasses_loaded, inspect_loaded, *loaded = proc.stderr.split()
+    code, dataclasses_loaded, inspect_loaded, fractions_loaded, decimal_loaded, *loaded = (
+        proc.stderr.split())
     assert code == "0"
     assert set(loaded) == _LOADED_BY[argv]
     # the value types are named tuples: no report pays for `dataclasses`
     # and the `inspect`, `ast`, `dis` and `tokenize` it imports
     assert (dataclasses_loaded, inspect_loaded) == ("False", "False")
+    if argv in _NO_FRACTIONS:
+        assert (fractions_loaded, decimal_loaded) == ("False", "False")

@@ -1,5 +1,6 @@
 import pytest
 
+from hilbk3 import cohomology
 from hilbk3.cohomology import (
     MAX_BETTI_N,
     MAX_STRATA_N,
@@ -135,10 +136,28 @@ def test_knapsack_matches_per_stratum_sum_and_goettsche_on_k3():
 
 
 def test_knapsack_matches_goettsche_past_the_strata_cap():
-    # betti runs up to MAX_BETTI_N, where no per-stratum sum could follow
-    rows = goettsche_rows(1, 22, 1, MAX_BETTI_N)
-    for n in (MAX_STRATA_N + 1, 64, MAX_BETTI_N):
-        assert hilbert_poincare(K3, n).betti == rows[n]
+    # betti runs up to MAX_BETTI_N, where no per-stratum sum could follow;
+    # on K3 and on the surfaces with the widest and the narrowest packed
+    # slots, b0 + b2 + b4 = 24, 32 and 1
+    for surface in (K3, SurfaceBetti(1, 30, 1), SurfaceBetti(1, 0, 0)):
+        rows = goettsche_rows(*surface, MAX_BETTI_N)
+        for n in (MAX_STRATA_N + 1, 64, MAX_BETTI_N):
+            assert hilbert_poincare(surface, n).betti == rows[n]
+
+
+def test_packed_knapsack_raises_when_its_slots_carry(monkeypatch):
+    # one-bit slots carry as soon as a Betti number exceeds 1: the slot sum
+    # catches it, even with assertions stripped, and no wrong table is returned
+    cases = [(surface, n) for surface in (K3, SurfaceBetti(1, 30, 1), SurfaceBetti(1, 0, 0))
+             for n in (1, 2, 5, 16)]
+    tables = [hilbert_poincare(surface, n) for surface, n in cases]
+    monkeypatch.setattr(cohomology, "_slot_bits", lambda bound: 1)
+    for (surface, n), table in zip(cases, tables):
+        if max(table.betti) > 1:
+            with pytest.raises(RuntimeError, match="carried"):
+                hilbert_poincare(surface, n)
+        else:
+            assert hilbert_poincare(surface, n) == table
 
 
 @pytest.mark.parametrize("surface", [SurfaceBetti(1, 0, 1), SurfaceBetti(1, 7, 1),
