@@ -56,7 +56,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from . import linalg
-from .partitions import YoungDiagram, is_triangular, trianalytic_candidates
+from .partitions import is_triangular, trianalytic_candidates
 
 _E8_EDGES = ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8))
 
@@ -279,21 +279,19 @@ def _positive_basis(lat: H2Lattice) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(c) for c in cols[:3])
 
 
-def random_period_triple(lat: H2Lattice, rng: random.Random,
-                         with_delta: bool = True) -> PeriodTriple:
-    """Deterministic-in-seed random valid triple.
+def random_period_triple(lat: H2Lattice, rng: random.Random) -> PeriodTriple:
+    """Deterministic-in-seed random valid triple with a delta component.
 
     Three independent random rational mixes of an exact positive basis, each
     plus integer noise, under one common scale doubled until exact BB
-    Gram-Schmidt keeps all three norms positive.  If with_delta, delta is
-    mixed into w1 with a scale keeping the norm positive, so the triple has
-    a delta component; otherwise the triple stays inside the surface part.
+    Gram-Schmidt keeps all three norms positive.  Then delta is mixed into
+    w1 with a scale keeping the norm positive, so the triple has a delta
+    component; the lattice needs one, so n = 1 raises ValueError.
     """
-    if with_delta and not lat.has_delta:
+    if not lat.has_delta:
         raise ValueError("n = 1 has no exceptional class")
     basis = _positive_basis(lat)
     dim = lat.dim_v
-    no_delta = (Fraction(0),) * (lat.total_dim - dim)
     for _ in range(256):
         mixes, noise = [], []
         for _ in range(3):
@@ -329,12 +327,11 @@ def random_period_triple(lat: H2Lattice, rng: random.Random,
         if len(kept) == 3:
             break
         scale *= 2
-    ws = [tuple(Fraction(a, den) for a in w) + no_delta for w, den, _ in kept]
-    if with_delta:
-        scale = 1
-        while scale * scale * q_norm(lat, ws[0]) <= 2 * (lat.n - 1):
-            scale *= 2
-        ws[0] = tuple(scale * a for a in ws[0][:dim]) + (Fraction(1),)
+    ws = [tuple(Fraction(a, den) for a in w) + (Fraction(0),) for w, den, _ in kept]
+    scale = 1
+    while scale * scale * q_norm(lat, ws[0]) <= 2 * (lat.n - 1):
+        scale *= 2
+    ws[0] = tuple(scale * a for a in ws[0][:dim]) + (Fraction(1),)
     return PeriodTriple(lat, (ws[0], ws[1], ws[2]))
 
 
@@ -399,7 +396,7 @@ def certify_no_trianalytic(n: int, gram=None, seed: int = 0) -> CertificationRep
                 ))
             else:
                 lat = k3_lattice(n, gram)
-                triple = random_period_triple(lat, rng, with_delta=True)
+                triple = random_period_triple(lat, rng)
                 obstructed = h4_obstruction(lat, triple)
                 verb = "is not" if obstructed else "is"
                 certificates.append(CandidateCertificate(

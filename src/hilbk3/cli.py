@@ -18,7 +18,8 @@ from json.encoder import encode_basestring_ascii as _quote
 
 # each report imports the layers it runs when it runs, so that a report
 # loads only those layers; no layer imports `dataclasses` (or `inspect`), and
-# `betti` and `strata` load neither `fractions` nor the `decimal` it imports
+# `betti`, `strata` and `punctual` load neither `fractions` nor the `decimal`
+# it imports
 
 SCHEMA = "hilbk3.report/1"
 # sign, then the digits of p and of q without their leading zeros
@@ -129,7 +130,7 @@ def _parse_surface(text: str | None):
     if len(parts) != 3:
         raise ValueError("--surface expects b0,b2,b4")
     b0, b2, b4 = (int(p) for p in parts)
-    return cohomology.SurfaceBetti.from_vector((b0, 0, b2, 0, b4))
+    return cohomology.SurfaceBetti(b0, b2, b4)
 
 
 def _gram_entry(x) -> Fraction:
@@ -159,7 +160,11 @@ def _load_gram(path: str | None):
     from . import linalg
 
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            # a RuntimeError, which would read as an internal failure
+            raise ValueError("gram file is nested too deeply") from None
     if not (isinstance(data, dict) and "dim" in data and isinstance(data.get("rows"), list)
             and all(isinstance(r, list) for r in data["rows"])):
         raise ValueError('gram file must be a JSON object {"dim": d, "rows": [[...], ...]}')

@@ -65,17 +65,6 @@ class PoincarePolynomial(namedtuple("PoincarePolynomial", "betti")):
     def has_only_even_degrees(self) -> bool:
         return all(b == 0 for b in self.betti[1::2])
 
-    def shifted(self, k: int) -> "PoincarePolynomial":
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        return PoincarePolynomial((0,) * k + self.betti)
-
-    def __add__(self, other: "PoincarePolynomial") -> "PoincarePolynomial":
-        a, b = self.betti, other.betti
-        if len(a) < len(b):
-            a, b = b, a
-        return PoincarePolynomial(tuple(x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)))
-
     def __mul__(self, other: "PoincarePolynomial") -> "PoincarePolynomial":
         a, b = self.betti, other.betti
         if not a or not b:
@@ -103,15 +92,6 @@ class SurfaceBetti(namedtuple("SurfaceBetti", "b0 b2 b4")):
     @classmethod
     def k3(cls) -> "SurfaceBetti":
         return cls(1, 22, 1)  # b2 = 22 for a K3 surface, taken as input
-
-    @classmethod
-    def from_vector(cls, betti) -> "SurfaceBetti":
-        b = tuple(betti)
-        if len(b) != 5:
-            raise ValueError("expected (b0, b1, b2, b3, b4)")
-        if b[1] != 0 or b[3] != 0:
-            raise ValueError("surfaces with odd cohomology are not supported")
-        return cls(b[0], b[2], b[4])
 
     def poincare(self) -> PoincarePolynomial:
         return PoincarePolynomial((self.b0, 0, self.b2, 0, self.b4))

@@ -61,8 +61,9 @@ def monomial_basis(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def laplacian_matrix(gram, dim: int, degree: int) -> list[list[Fraction]]:
+def laplacian_matrix(gram, degree: int) -> list[list[Fraction]]:
     """Contraction Sym^degree -> Sym^(degree-2) pairing two slots with the form."""
+    dim = len(gram)
     src = monomial_basis(dim, degree)
     dst = monomial_basis(dim, degree - 2)
     index = {m: k for k, m in enumerate(dst)}
@@ -82,11 +83,9 @@ def laplacian_matrix(gram, dim: int, degree: int) -> list[list[Fraction]]:
     return out
 
 
-def harmonic_basis(gram, dim: int, degree: int) -> list[list[Fraction]]:
-    """Kernel of the contraction in the given degree."""
-    if degree < 2:
-        return linalg.identity(len(monomial_basis(dim, degree)))
-    return linalg.nullspace(laplacian_matrix(gram, dim, degree), len(monomial_basis(dim, degree)))
+def harmonic_basis(gram, degree: int) -> list[list[Fraction]]:
+    """Kernel of the contraction in the given degree (all of Sym^degree below 2)."""
+    return linalg.nullspace(laplacian_matrix(gram, degree), len(monomial_basis(len(gram), degree)))
 
 
 def algebra_dimension_pattern(dim_v: int, n: int) -> tuple[int, ...]:
@@ -150,7 +149,7 @@ class FrobeniusAlgebra:
             normal = ({k: _ONE} for k in range(len(basis)))
             if d > n:
                 if ideal is None:
-                    generators = map(linalg.sparse, harmonic_basis(self.gram, dim, d))
+                    generators = map(linalg.sparse, harmonic_basis(self.gram, d))
                 else:
                     # x times each row of the ideal in degree d - 1; multiplying
                     # by x is injective on monomials, so no two terms collide

@@ -6,8 +6,9 @@ relevant symmetry acts through the operators
     e = x d/dy,   f = y d/dx,   h = [e, f] = x d/dx - y d/dy,
 
 which preserve total degree, so each graded slice A_l (degree-l monomials)
-is a module; A_l is irreducible (certified by counting highest-weight
-vectors), the slices are pairwise non-isomorphic, hence every invariant
+is a module, the same in every ring that contains it; A_l is irreducible
+(certified by counting highest-weight vectors in C[x, y] / m^(l+1)), the
+slices are pairwise non-isomorphic, hence every invariant
 subspace is a sum of full slices, and the ideal condition forces an upward
 closed set of degrees.  The classification is therefore {m^j : 1 <= j < N}:
 classify_invariant_ideals lists these suffixes of degrees after certifying
@@ -30,9 +31,7 @@ plain tuple of their fields.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
-from . import linalg
 from .partitions import YoungDiagram, is_triangular, partitions_of
 
 # the slice certificates and the ideal rechecks grow polynomially in N:
@@ -66,31 +65,31 @@ class TruncatedRing:
         a, b = mono
         return (a, (a - 1, b + 1)) if a >= 1 else None
 
-    def matrix_e_on_degree(self, l: int) -> list[list[Fraction]]:
+    def matrix_e_on_degree(self, l: int) -> list[list[int]]:
         idx = self.degree_indices(l)
         monos = [self.monomials[k] for k in idx]
         pos = {m: r for r, m in enumerate(monos)}
-        out = [[Fraction(0)] * len(monos) for _ in range(len(monos))]
+        out = [[0] * len(monos) for _ in range(len(monos))]
         for c, mono in enumerate(monos):
             image = self.act_e(mono)
             if image is not None and image[0] != 0:
-                out[pos[image[1]]][c] = Fraction(image[0])
+                out[pos[image[1]]][c] = image[0]
         return out
 
 
 def highest_weight_dimension(e_matrix) -> int:
     """Number of independent vectors killed by e (nullity of the matrix)."""
+    from . import linalg
+
     ncols = len(e_matrix[0]) if e_matrix else 0
     return len(linalg.nullspace(e_matrix, ncols))
 
 
-def irreducibility_certificate(l: int, truncation: int | None = None) -> bool:
+def irreducibility_certificate(l: int) -> bool:
     """The degree-l slice has a single highest-weight line, so is irreducible."""
     if l < 0:
         raise ValueError("degree must be nonnegative")
-    ring = TruncatedRing(truncation if truncation is not None else l + 1)
-    if truncation is not None and l >= truncation:
-        raise ValueError("degree outside the ring")
+    ring = TruncatedRing(l + 1)
     return highest_weight_dimension(ring.matrix_e_on_degree(l)) == 1
 
 
@@ -137,7 +136,7 @@ def classify_invariant_ideals(truncation: int) -> tuple[InvariantIdeal, ...]:
         raise ValueError(f"classification capped at truncation {MAX_TRUNCATION}")
     ring = TruncatedRing(n)
     for l in range(n):
-        if not irreducibility_certificate(l, n):
+        if not irreducibility_certificate(l):
             raise RuntimeError(f"degree {l} slice failed its irreducibility certificate")
     found = tuple(InvariantIdeal(n, tuple(range(j, n))) for j in range(1, n))
     for ideal in found:

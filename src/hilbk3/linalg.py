@@ -120,19 +120,13 @@ def _echelon(rows: Matrix, ncols: int) -> Echelon:
     return ech
 
 
-def rank(rows: Matrix, ncols: int | None = None) -> int:
-    if not rows:
-        return 0
-    return _echelon(rows, ncols if ncols is not None else len(rows[0])).rank
+def rank(rows: Matrix) -> int:
+    return _echelon(rows, len(rows[0]) if rows else 0).rank
 
 
-def nullspace(a: Matrix, ncols: int | None = None) -> list[Vector]:
+def nullspace(a: Matrix, ncols: int) -> list[Vector]:
     """Basis of the right kernel, one vector per free column, read off the
     sparse rows of the reduced echelon form."""
-    if ncols is None:
-        if not a:
-            raise ValueError("need ncols for an empty matrix")
-        ncols = len(a[0])
     rows = _echelon(a, ncols).rows
     basis = []
     for fc in sorted(set(range(ncols)) - {p for p, _ in rows}):

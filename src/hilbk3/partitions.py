@@ -48,32 +48,32 @@ class YoungDiagram(namedtuple("YoungDiagram", "parts")):
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-def partitions_of(n: int, max_part: int | None = None, *, rows=None):
+def partitions_of(n: int, *, rows=None):
     """Yield partitions of n as weakly decreasing tuples, largest part first.
 
-    Without `rows` every part in 1..min(remaining, previous row or
-    max_part) may come next.  With `rows`, the parts placed below the row
-    `previous` (None above the first row), with `remaining` still to cover,
-    are those `rows(previous, remaining)` yields, largest first; a part
-    outside that range raises ValueError.  A partition ends when nothing
-    remains.  The ruled walk yields the full walk's partitions that the rule
-    allows at every row, in the same order, and never extends a prefix the
-    rule did not allow.
+    Without `rows` every part in 1..min(remaining, previous row) may come
+    next.  With `rows`, the parts placed below the row `previous` (None
+    above the first row), with `remaining` still to cover, are those
+    `rows(previous, remaining)` yields, largest first; a part outside that
+    range raises ValueError.  A partition ends when nothing remains.  The
+    ruled walk yields the full walk's partitions that the rule allows at
+    every row, in the same order, and never extends a prefix the rule did
+    not allow.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    yield from _rows(n, n if max_part is None else max_part, None, rows)
+    yield from _rows(n, None, rows)
 
 
-def _rows(remaining: int, max_part: int, previous: int | None, rows):
+def _rows(remaining: int, previous: int | None, rows):
     if remaining == 0:
         yield ()
         return
-    bound = min(remaining, max_part)
+    bound = remaining if previous is None else min(remaining, previous)
     for p in range(bound, 0, -1) if rows is None else rows(previous, remaining):
         if rows is not None and not 0 < p <= bound:
             raise ValueError(f"row rule yielded {p} outside 1..{bound}")
-        for rest in _rows(remaining - p, p, p, rows):
+        for rest in _rows(remaining - p, p, rows):
             yield (p,) + rest
 
 

@@ -13,7 +13,8 @@ The constructions below them exist only so tests can compare or sample
 with them, and the reports never run them: the dense Frobenius build the
 library's sparse one replaced, the shape grammar, explicit BB classes, the
 routes of the degree-4 path the library replaced (BB pairing and
-period-triple Gram-Schmidt in Fractions, congruence column operations over
+period-triple Gram-Schmidt in Fractions, period triples orthogonal to
+delta, congruence column operations over
 zero entries too, with the signature read off them), a matrix inverse and
 the dense matrix and matrix-vector products, the three dense rotation
 operators of a period triple with the dense invariance checks built from
@@ -31,6 +32,7 @@ from math import lcm
 import sympy
 
 from hilbk3 import linalg
+from hilbk3.bb_lattice import PeriodTriple
 from hilbk3.cohomology import PoincarePolynomial
 from hilbk3.frobenius import harmonic_basis, laplacian_matrix, monomial_basis
 from hilbk3.partitions import YoungDiagram, diagrams_of, is_triangular, partitions_of
@@ -70,10 +72,11 @@ def goettsche_betti(b0, b2, b4, n):
 
 def stratum_sum(ledger):
     """The ledger's total, summed stratum by stratum over all p(n) strata."""
-    out = PoincarePolynomial(())
+    out = [0] * (4 * ledger.n + 1)
     for c in ledger.contributions:
-        out = out + c.poincare.shifted(c.codim)
-    return out
+        for i, b in enumerate(c.poincare.betti):
+            out[c.codim + i] += b
+    return PoincarePolynomial(tuple(out))
 
 
 def stratum_entries_in_degree(ledger, i):
@@ -289,7 +292,7 @@ def ideal_normal_forms(gram, n, d):
         return sorted((e for e in product(range(deg + 1), repeat=dim) if sum(e) == deg),
                       reverse=True)
 
-    lap = laplacian_matrix(gram, dim, n + 1)
+    lap = laplacian_matrix(gram, n + 1)
     harmonics = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
                               for row in lap]).nullspace()
     low, cols = monomials(n + 1), monomials(d)
@@ -354,7 +357,7 @@ def dense_normal_forms(gram, n):
         pivots = set()
         if d > n:
             if rows is None:
-                generators = harmonic_basis(gram, dim, d)
+                generators = harmonic_basis(gram, d)
             else:
                 index = {m: k for k, m in enumerate(basis)}
                 prev = monomial_basis(dim, d - 1)
@@ -560,7 +563,9 @@ def signature(gram):
 
 def fraction_period_triple(lat, rng, with_delta=True):
     """The classes of `random_period_triple` from the same draws, with
-    Gram-Schmidt on Fraction classes: w -= (B(u, w) / q(u)) u per kept u."""
+    Gram-Schmidt on Fraction classes: w -= (B(u, w) / q(u)) u per kept u.
+    Without `with_delta` the classes stay orthogonal to delta: w1 is not
+    rescaled and gets no delta coordinate."""
     p, diag = dense_congruence_diagonalize(lat.gram)
     dim = lat.dim_v
     basis = [[p[i][j] for i in range(dim)] for j in range(dim) if diag[j] > 0][:3]
@@ -595,6 +600,12 @@ def fraction_period_triple(lat, rng, with_delta=True):
             scale *= 2
         ws[0] = tuple(scale * a for a in ws[0][:dim]) + (Fraction(1),)
     return tuple(ws)
+
+
+def flat_period_triple(lat, rng):
+    """A period triple inside the surface part, drawn as `random_period_triple`
+    draws one before it mixes in delta (the library's triples always do)."""
+    return PeriodTriple(lat, fraction_period_triple(lat, rng, with_delta=False))
 
 
 # dense matrix products: the library multiplies no matrices

@@ -38,6 +38,7 @@ from oracles import (
     delta_class,
     delta_module_dimension,
     delta_squared_form,
+    flat_period_triple,
     goettsche_betti,
     obstruction_coefficient_from_tensors,
     orbit_dimension_d2,
@@ -167,7 +168,9 @@ def test_07_rotation_invariance_of_the_tensors():
                                                for rb, rd in zip(b, d2)]
         for trial in range(20):
             with_delta = trial % 2 == 0
-            triple = random_period_triple(lat, rng, with_delta=with_delta)
+            # the library's triples always touch delta; the flat ones come
+            # from the oracle, from the same draws
+            triple = (random_period_triple if with_delta else flat_period_triple)(lat, rng)
             assert is_su2_invariant(lat, b, triple)
             m = delta_module_dimension(lat, triple)
             orbit = orbit_dimension_d2(lat, triple)
@@ -191,7 +194,7 @@ def test_08_degree_four_functional_obstructs_punctual_candidates():
             lat = k3_lattice(n)
             rng = random.Random(n)
             for _ in range(10):
-                triple = random_period_triple(lat, rng, with_delta=True)
+                triple = random_period_triple(lat, rng)
                 assert h4_obstruction(lat, triple)
 
     _report(8, "f = B + 2(n-1)d^2 fails rotation-invariance for every one "

@@ -33,6 +33,7 @@ from oracles import (
     delta_squared_form,
     dense_congruence_diagonalize,
     dense_su2_invariant,
+    flat_period_triple,
     fraction_bb_pair,
     fraction_period_triple,
     is_contravariant_invariant,
@@ -260,8 +261,10 @@ def test_is_su2_invariant_matches_the_dense_operators():
                      [[a + b for a, b in zip(r, s)] for r, s in zip(g, noise)], bumped]
             if lat.has_delta:
                 forms += [restriction_functional(lat), delta_squared_form(lat)]
-            for with_delta in (False, True) if lat.has_delta else (False,):
-                triple = random_period_triple(lat, rng, with_delta)
+            # the flat triples come from the oracle: the library's always
+            # have a delta component, and n = 1 has none
+            for draw in (flat_period_triple, random_period_triple)[:1 + lat.has_delta]:
+                triple = draw(lat, rng)
                 for form in forms:
                     answer = is_su2_invariant(lat, form, triple)
                     assert answer == dense_su2_invariant(lat, form, triple)
@@ -286,7 +289,7 @@ def test_transported_tensor_on_default_gram():
     # coefficient on the exceptional square breaks invariance otherwise,
     # and with c(6, 6) = 0 the transport is the target's BB dual
     rng = random.Random(29)
-    assert is_contravariant_invariant(dst, t, random_period_triple(dst, rng, with_delta=False))
+    assert is_contravariant_invariant(dst, t, flat_period_triple(dst, rng))
     assert not is_contravariant_invariant(dst, t, random_period_triple(dst, rng))
     same = transported_bb_tensor(src, src)
     assert same == bb_inverse_tensor(src)
@@ -350,8 +353,8 @@ def test_su2_generator_identities():
 def test_bb_form_always_invariant():
     lat = small_lattice(3)
     rng = random.Random(17)
-    for with_delta in (True, False):
-        triple = random_period_triple(lat, rng, with_delta=with_delta)
+    for draw in (random_period_triple, flat_period_triple):
+        triple = draw(lat, rng)
         assert is_su2_invariant(lat, lat.full_gram, triple)
         assert is_contravariant_invariant(lat, bb_inverse_tensor(lat), triple)
         # the two index positions are different checks: B as a contravariant
@@ -363,10 +366,10 @@ def test_bb_form_always_invariant():
 def test_delta_squared_invariance_depends_on_periods():
     lat = small_lattice(3)
     rng = random.Random(23)
-    triple = random_period_triple(lat, rng, with_delta=True)
+    triple = random_period_triple(lat, rng)
     assert triple.has_delta_component
     assert not is_su2_invariant(lat, delta_squared_form(lat), triple)
-    flat = random_period_triple(lat, rng, with_delta=False)
+    flat = flat_period_triple(lat, rng)
     assert not flat.has_delta_component
     assert is_su2_invariant(lat, delta_squared_form(lat), flat)
 
@@ -374,11 +377,11 @@ def test_delta_squared_invariance_depends_on_periods():
 def test_orbit_dimensions():
     lat = small_lattice(3)
     rng = random.Random(31)
-    triple = random_period_triple(lat, rng, with_delta=True)
+    triple = random_period_triple(lat, rng)
     m = delta_module_dimension(lat, triple)
     assert m == 4
     assert orbit_dimension_d2(lat, triple) == m * (m + 1) // 2 - 1 == 9
-    flat = random_period_triple(lat, rng, with_delta=False)
+    flat = flat_period_triple(lat, rng)
     assert delta_module_dimension(lat, flat) == 1
     assert orbit_dimension_d2(lat, flat) == 1
 
@@ -387,7 +390,7 @@ def test_h4_obstruction_holds():
     rng = random.Random(41)
     for n in (3, 6):
         lat = small_lattice(n)
-        triple = random_period_triple(lat, rng, with_delta=True)
+        triple = random_period_triple(lat, rng)
         assert h4_obstruction(lat, triple)
 
 
@@ -395,11 +398,20 @@ def test_h4_obstruction_preconditions():
     rng = random.Random(43)
     lat4 = small_lattice(4)
     with pytest.raises(ValueError):
-        h4_obstruction(lat4, random_period_triple(lat4, rng, with_delta=True))
+        h4_obstruction(lat4, random_period_triple(lat4, rng))
     lat3 = small_lattice(3)
-    flat = random_period_triple(lat3, rng, with_delta=False)
+    flat = flat_period_triple(lat3, rng)
     with pytest.raises(ValueError):
         h4_obstruction(lat3, flat)
+
+
+def test_random_period_triple_needs_the_exceptional_class():
+    # n = 1 has no delta to mix into w1; the draws themselves would succeed
+    for gram in (None, SMALL):
+        lat = k3_lattice(1, gram)
+        with pytest.raises(ValueError, match="n = 1 has no exceptional class"):
+            random_period_triple(lat, random.Random(0))
+        assert not flat_period_triple(lat, random.Random(0)).has_delta_component
 
 
 def test_random_period_triple_on_a_scrambled_gram():
@@ -407,9 +419,8 @@ def test_random_period_triple_on_a_scrambled_gram():
     assert linalg.det([list(map(Fraction, r)) for r in SCRAMBLED]) == -144
     assert signature([list(map(Fraction, r)) for r in SCRAMBLED]) == (3, 1, 0)
     for seed in range(4):
-        for with_delta in (True, False):
-            triple = random_period_triple(lat, random.Random(seed), with_delta=with_delta)
-            assert triple.has_delta_component == with_delta
+        assert random_period_triple(lat, random.Random(seed)).has_delta_component
+        assert not flat_period_triple(lat, random.Random(seed)).has_delta_component
     report = certify_no_trianalytic(3, gram=SCRAMBLED, seed=0)
     assert report.verdict == "certified"
 
@@ -436,7 +447,8 @@ def test_bb_pair_matches_the_fraction_sum():
             classes = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6))
                              for _ in range(lat.total_dim)) for _ in range(4)]
             classes += [basis_class(lat, 0), (0,) * lat.total_dim]
-            classes += random_period_triple(lat, rng, with_delta=lat.has_delta).w
+            draw = random_period_triple if lat.has_delta else flat_period_triple
+            classes += draw(lat, rng).w
             for x in classes:
                 for y in classes:
                     assert bb_pair(lat, x, y) == fraction_bb_pair(lat, x, y)
@@ -450,28 +462,34 @@ def test_random_period_triple_matches_fraction_gram_schmidt():
         for n in (3, 6):
             lat = k3_lattice(n, gram)
             for seed in range(4):
-                for with_delta in (True, False):
-                    triple = random_period_triple(lat, random.Random(seed), with_delta)
-                    assert triple.w == fraction_period_triple(lat, random.Random(seed), with_delta)
-                    if gram is SCRAMBLED_7_6:
+                triple = random_period_triple(lat, random.Random(seed))
+                assert triple.w == fraction_period_triple(lat, random.Random(seed))
+                # the oracle's flat triple from the same draws is the triple
+                # before delta is mixed into w1 with a power-of-two scale
+                flat = flat_period_triple(lat, random.Random(seed))
+                assert flat.w[1:] == triple.w[1:] and flat.w[0][-1] == 0
+                scale = next(b / a for a, b in zip(flat.w[0], triple.w[0]) if a)
+                assert [scale * a for a in flat.w[0][:-1]] == list(triple.w[0][:-1])
+                if gram is SCRAMBLED_7_6:
+                    for t in (triple, flat):
                         for form in (lat.full_gram, restriction_functional(lat)):
-                            assert (is_su2_invariant(lat, form, triple)
-                                    == dense_su2_invariant(lat, form, triple))
+                            assert (is_su2_invariant(lat, form, t)
+                                    == dense_su2_invariant(lat, form, t))
     lat = k3_lattice(3, SCRAMBLED_7_6)
     assert h4_obstruction(lat, random_period_triple(lat, random.Random(0)))
 
 
 def test_random_period_triple_draws_are_pinned():
     # SHA-256 over the coordinates (surface part, then delta) of the triples
-    # drawn for seeds 0-9, both with_delta values, on the default gram at
-    # n = 3 and n = 6 and on the scrambled gram, as drawn with classes held
-    # as (v, delta) pairs; certify output never prints a triple, so its
-    # pinned bytes cannot catch a changed draw
+    # drawn for seeds 0-9, with delta and then flat from the oracle, on the
+    # default gram at n = 3 and n = 6 and on the scrambled gram, as drawn
+    # with classes held as (v, delta) pairs; certify output never prints a
+    # triple, so its pinned bytes cannot catch a changed draw
     digest = hashlib.sha256()
     for lat in (k3_lattice(3), k3_lattice(6), k3_lattice(3, SCRAMBLED)):
-        for with_delta in (True, False):
+        for draw in (random_period_triple, flat_period_triple):
             for seed in range(10):
-                for w in random_period_triple(lat, random.Random(seed), with_delta).w:
+                for w in draw(lat, random.Random(seed)).w:
                     digest.update((" ".join(map(str, w)) + "\n").encode())
     assert digest.hexdigest() == (
         "b34357be85fd7f6d454f1041116dedc8afaca0e0cc36dfdf6cfd4d209dfdbad2")

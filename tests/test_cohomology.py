@@ -48,9 +48,8 @@ def test_poincare_polynomial_trims_and_validates():
 def test_poincare_ring_operations():
     a = PoincarePolynomial((1, 1))
     b = PoincarePolynomial((1, 0, 3))
-    assert (a + b).betti == (2, 1, 3)
     assert (a * b).betti == (1, 1, 3, 3)
-    assert a.shifted(2).betti == (0, 0, 1, 1)
+    assert (a * PoincarePolynomial(())).betti == ()
     # euler characteristic is multiplicative (signs alternate)
     ac = a.euler_characteristic
     bc = b.euler_characteristic
@@ -62,9 +61,8 @@ def test_surface_betti_validation():
     with pytest.raises(ValueError):
         SurfaceBetti(b0=2, b2=22, b4=1)
     with pytest.raises(ValueError):
-        SurfaceBetti.from_vector((1, 1, 22, 0, 1))
-    s = SurfaceBetti.from_vector((1, 0, 5, 0, 1))
-    assert s.poincare().betti == (1, 0, 5, 0, 1)
+        SurfaceBetti(1, 22, -1)
+    assert SurfaceBetti(1, 5, 1).poincare().betti == (1, 0, 5, 0, 1)
 
 
 def test_symmetric_power_against_brute_force():

@@ -83,6 +83,10 @@ def test_operators_preserve_degree():
 def test_irreducibility_certificates():
     for l in range(13):
         assert irreducibility_certificate(l)
+        # the certificate's ring C[x, y]/m^(l+1) has the slice of every larger one
+        for truncation in (l + 2, 13):
+            assert TruncatedRing(truncation).matrix_e_on_degree(l) == (
+                TruncatedRing(l + 1).matrix_e_on_degree(l))
     # control: two copies of the same slice have a 2-dim highest weight space
     ring = TruncatedRing(6)
     e = ring.matrix_e_on_degree(4)

@@ -48,32 +48,26 @@ def test_partition_counts():
         assert len(diagrams_of(n)) == count
 
 
-def test_partitions_respect_max_part():
-    for parts in partitions_of(8, max_part=3):
-        assert max(parts) <= 3
-        assert sum(parts) == 8
-
-
 PAIRS = st.sets(st.tuples(st.none() | st.integers(1, 12), st.integers(1, 12)), max_size=60)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(st.integers(0, 12), st.none() | st.integers(1, 12), PAIRS, st.booleans())
-def test_row_rule_walks_exactly_the_allowed_partitions(n, max_part, pairs, listed_are_allowed):
+@given(st.integers(0, 12), PAIRS, st.booleans())
+def test_row_rule_walks_exactly_the_allowed_partitions(n, pairs, listed_are_allowed):
     def allowed(previous, part):
         return ((previous, part) in pairs) == listed_are_allowed
 
     def rows(previous, remaining):
         asked.append((previous, remaining))
-        bound = previous if previous is not None else n if max_part is None else max_part
+        bound = previous if previous is not None else n
         return [part for part in range(min(remaining, bound), 0, -1) if allowed(previous, part)]
 
     def allowed_throughout(parts):
         return all(allowed(a, b) for a, b in zip((None,) + parts, parts))
 
     asked = []
-    walked = list(partitions_of(n, max_part, rows=rows))
-    full = list(partitions_of(n, max_part))
+    walked = list(partitions_of(n, rows=rows))
+    full = list(partitions_of(n))
     assert walked == [p for p in full if allowed_throughout(p)]
     # the rule is asked once below every allowed prefix with something left,
     # and never below a prefix it did not allow
@@ -88,16 +82,15 @@ def test_row_rule_edge_cases():
 
     assert list(partitions_of(0, rows=nothing)) == [()]
     assert list(partitions_of(4, rows=nothing)) == []
-    # a rule that yields a part outside 1..min(remaining, previous row or
-    # max_part) is rejected, not walked
-    for n, max_part, rule in [
-        (4, None, lambda previous, remaining: (5,)),
-        (4, None, lambda previous, remaining: (0,)),
-        (4, 2, lambda previous, remaining: (3,)),
-        (5, None, lambda previous, remaining: (2,) if previous is None else (remaining,)),
+    # a rule that yields a part outside 1..min(remaining, previous row) is
+    # rejected, not walked
+    for n, rule in [
+        (4, lambda previous, remaining: (5,)),
+        (4, lambda previous, remaining: (0,)),
+        (5, lambda previous, remaining: (2,) if previous is None else (remaining,)),
     ]:
         with pytest.raises(ValueError):
-            list(partitions_of(n, max_part, rows=rule))
+            list(partitions_of(n, rows=rule))
 
 
 def test_codim_and_fiber_dimensions():
