@@ -10,20 +10,17 @@ usage error, and 3 for an internal failure ("internal-error").
 
 from __future__ import annotations
 
-import argparse
-import json
-import re
 import sys
-from json.encoder import encode_basestring_ascii as _quote
+from types import SimpleNamespace
 
 # each report imports the layers it runs when it runs, so that a report
 # loads only those layers; no layer imports `dataclasses` (or `inspect`), and
 # `betti`, `strata` and `punctual` load neither `fractions` nor the `decimal`
-# it imports
+# it imports.  Well-formed argv is read without `argparse` (and the `gettext`
+# and `locale` it loads), and `json` is loaded only to read a gram file or to
+# escape a string
 
 SCHEMA = "hilbk3.report/1"
-# sign, then the digits of p and of q without their leading zeros
-_RATIONAL = re.compile(r"(-?)0*([0-9]+)(?:/0*([0-9]+))?")
 # bound on |p| and q for every gram entry p/q; the exact arithmetic on a
 # gram grows faster than linearly with the size of its entries
 MAX_GRAM_ENTRY = 10 ** 6
@@ -31,6 +28,10 @@ MAX_GRAM_ENTRY = 10 ** 6
 # a dense 32 x 32 gram of p/q entries near MAX_GRAM_ENTRY takes 15-16.5 s for
 # `certify --n 3` and 5.4-6.1 s for `frobenius --dimv 32 --n 2` (2-core VM)
 MAX_GRAM_DIM = 32
+# bound on |b0|, |b2| and |b4| of a --surface; the Betti numbers grow as a
+# power of b2 + b4, and at the bound (1,10^6,1) `betti --n 100` takes
+# 12.6-17.7 s and `strata --n 40` 3.2-3.6 s (2-core VM)
+MAX_SURFACE_BETTI = 10 ** 6
 
 
 def _plain(obj):
@@ -72,6 +73,21 @@ def _flatten(prefix: str, obj, lines: list[str]) -> None:
 
 
 _INTS = {int}
+
+
+def _quote(text) -> str:
+    """The JSON string literal of `text`, with every non-ASCII character escaped.
+
+    A printable ASCII string with no '"' or '\\' needs no escape; any other
+    string, or a key that is not a str, goes to the standard encoder's
+    quoting, which raises TypeError on the latter.
+    """
+    if (type(text) is str and text.isascii() and text.isprintable()
+            and '"' not in text and "\\" not in text):
+        return f'"{text}"'
+    from json.encoder import encode_basestring_ascii
+
+    return encode_basestring_ascii(text)
 
 
 def _json(obj, indent: str) -> str:
@@ -121,6 +137,19 @@ def _emit(payload: dict, as_json: bool) -> None:
         sys.stdout.write("\n".join(lines) + "\n")
 
 
+def _surface_number(text: str) -> int:
+    # the digits are counted before the text is converted, as for a gram
+    # entry: without sign, underscores and leading zeros, a longer digit
+    # string is over the bound
+    digits = text.strip().lstrip("+-").replace("_", "").lstrip("0")
+    value = MAX_SURFACE_BETTI + 1
+    if len(digits) <= len(str(MAX_SURFACE_BETTI)):
+        value = int(text)
+    if abs(value) > MAX_SURFACE_BETTI:
+        raise ValueError(f"--surface entries must have |b| <= {MAX_SURFACE_BETTI}")
+    return value
+
+
 def _parse_surface(text: str | None):
     from . import cohomology
 
@@ -129,18 +158,21 @@ def _parse_surface(text: str | None):
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError("--surface expects b0,b2,b4")
-    b0, b2, b4 = (int(p) for p in parts)
-    return cohomology.SurfaceBetti(b0, b2, b4)
+    return cohomology.SurfaceBetti(*map(_surface_number, parts))
 
 
 def _gram_entry(x) -> Fraction:
+    import re
     from fractions import Fraction
+
+    # sign, then the digits of p and of q without their leading zeros
+    rational = re.compile(r"(-?)0*([0-9]+)(?:/0*([0-9]+))?")
 
     # only the documented forms, each bounded; an exponent string such as
     # "1e999999999" would ask for an unbounded amount of exact arithmetic
     if isinstance(x, int) and not isinstance(x, bool):
         p, q = x, 1
-    elif isinstance(x, str) and (m := _RATIONAL.fullmatch(x)):
+    elif isinstance(x, str) and (m := rational.fullmatch(x)):
         sign, num, den = m.groups("1")
         # with no leading zeros a longer digit string is over the bound, and
         # it is never converted
@@ -157,6 +189,8 @@ def _gram_entry(x) -> Fraction:
 def _load_gram(path: str | None):
     if path is None:
         return None
+    import json
+
     from . import linalg
 
     with open(path) as fh:
@@ -320,47 +354,99 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# each report's help line and options, in the order the namespace lists
+# them after `command`, `json` and `table`: flag -> (type, default, required,
+# metavar).  Every report also takes one of --json and --table.
+_REPORTS = {
+    "betti": ("Betti numbers of the Hilbert scheme of n points", {
+        "--n": (int, None, True, None),
+        "--surface": (str, None, False, "b0,b2,b4"),
+        "--max-degree": (int, None, False, None),
+    }),
+    "strata": ("diagonal strata with codimensions and semismallness", {
+        "--n": (int, None, True, None),
+        "--surface": (str, None, False, "b0,b2,b4"),
+    }),
+    "certify": ("obstruct the trianalytic candidates on n points", {
+        "--n": (int, None, True, None),
+        "--gram": (str, None, False, "PATH"),
+        "--seed": (int, 0, False, None),
+    }),
+    "ideals": ("invariant ideals of the truncated two-variable ring", {
+        "--N": (int, None, True, None),
+    }),
+    "punctual": ("torus-fixed punctual ideals of a given colength", {
+        "--i": (int, None, True, None),
+    }),
+    "frobenius": ("model Frobenius algebra dimensions and checks", {
+        "--dimv": (int, None, True, None),
+        "--n": (int, None, True, None),
+        "--gram": (str, None, False, "PATH"),
+    }),
+}
+_FORMATS = {"--json": "machine readable output", "--table": "flat text output (default)"}
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives for well-formed argv, or None.
+
+    Well-formed: the command first; then each option written out in full, at
+    most once, with a separate value that does not start with "-" and that
+    int() converts for an int option; at most one of --json and --table; and
+    every required option present.
+    """
+    if not argv or argv[0] not in _REPORTS:
+        return None
+    options = _REPORTS[argv[0]][1]
+    namespace = {"command": argv[0], "json": False, "table": False}
+    for flag, (_, default, _, _) in options.items():
+        namespace[flag[2:].replace("-", "_")] = default
+    missing = sum(required for _, _, required, _ in options.values())
+    seen = set()
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag in seen:
+            return None
+        seen.add(flag)
+        if flag in _FORMATS:
+            namespace[flag[2:]] = True
+            continue
+        value = next(tokens, "-")
+        if flag not in options or value.startswith("-"):
+            return None
+        kind, _, required, _ = options[flag]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        namespace[flag[2:].replace("-", "_")] = value
+        missing -= required
+    if missing or namespace["json"] and namespace["table"]:
+        return None
+    return SimpleNamespace(**namespace)
+
+
+def _argparser():
+    """The parser for any other argv: help, abbreviations and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog="hilbk3", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
+    for name, (help_text, options) in _REPORTS.items():
         p = sub.add_parser(name, help=help_text)
         fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", action="store_true", help="machine readable output")
-        fmt.add_argument("--table", action="store_true", help="flat text output (default)")
-        return p
-
-    p = add("betti", "Betti numbers of the Hilbert scheme of n points")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--surface", type=str, default=None, metavar="b0,b2,b4")
-    p.add_argument("--max-degree", type=int, default=None, dest="max_degree")
-
-    p = add("strata", "diagonal strata with codimensions and semismallness")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--surface", type=str, default=None, metavar="b0,b2,b4")
-
-    p = add("certify", "obstruct the trianalytic candidates on n points")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--gram", type=str, default=None, metavar="PATH")
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("ideals", "invariant ideals of the truncated two-variable ring")
-    p.add_argument("--N", type=int, required=True)
-
-    p = add("punctual", "torus-fixed punctual ideals of a given colength")
-    p.add_argument("--i", type=int, required=True)
-
-    p = add("frobenius", "model Frobenius algebra dimensions and checks")
-    p.add_argument("--dimv", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--gram", type=str, default=None, metavar="PATH")
-
+        for flag, help_line in _FORMATS.items():
+            fmt.add_argument(flag, action="store_true", help=help_line)
+        for flag, (kind, default, required, metavar) in options.items():
+            p.add_argument(flag, type=kind, default=default, required=required,
+                           metavar=metavar)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse(argv) or _argparser().parse_args(argv)
     as_json = bool(args.json)
     parameters = {
         k: v for k, v in vars(args).items()

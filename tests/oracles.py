@@ -5,7 +5,8 @@ generating-function expansions, the per-stratum sum over all p(n) strata,
 brute-force multiset enumeration,
 exhaustive subset scans (the full p(n) pinning audit, the 2^N sweep of
 ideal supports), the check of every basis triple for associativity, sympy
-eliminations, and the standard library's JSON encoder.  Values frozen in the
+eliminations, the standard library's JSON encoder, and the hand-written
+argparse parser of the six reports.  Values frozen in the
 tests were produced by these functions and cross-checked against the
 literature before freezing.
 
@@ -23,6 +24,7 @@ the inverse and transported BB tensors, the rotation modules of d and d^2,
 and random isotropic vectors.
 """
 
+import argparse
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +33,7 @@ from math import lcm
 
 import sympy
 
-from hilbk3 import linalg
+from hilbk3 import cli, linalg
 from hilbk3.bb_lattice import PeriodTriple
 from hilbk3.cohomology import PoincarePolynomial
 from hilbk3.frobenius import harmonic_basis, laplacian_matrix, monomial_basis
@@ -127,6 +129,48 @@ def json_report(payload):
     """The --json text of a report payload, without its final newline, as
     the standard library's encoder writes it."""
     return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The hand-written argparse parser the command line had before its
+    option table; the table's direct reader and fallback parser must agree
+    with it."""
+    parser = argparse.ArgumentParser(prog="hilbk3", description=cli.__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, help_text):
+        p = sub.add_parser(name, help=help_text)
+        fmt = p.add_mutually_exclusive_group()
+        fmt.add_argument("--json", action="store_true", help="machine readable output")
+        fmt.add_argument("--table", action="store_true", help="flat text output (default)")
+        return p
+
+    p = add("betti", "Betti numbers of the Hilbert scheme of n points")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--surface", type=str, default=None, metavar="b0,b2,b4")
+    p.add_argument("--max-degree", type=int, default=None, dest="max_degree")
+
+    p = add("strata", "diagonal strata with codimensions and semismallness")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--surface", type=str, default=None, metavar="b0,b2,b4")
+
+    p = add("certify", "obstruct the trianalytic candidates on n points")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--gram", type=str, default=None, metavar="PATH")
+    p.add_argument("--seed", type=int, default=0)
+
+    p = add("ideals", "invariant ideals of the truncated two-variable ring")
+    p.add_argument("--N", type=int, required=True)
+
+    p = add("punctual", "torus-fixed punctual ideals of a given colength")
+    p.add_argument("--i", type=int, required=True)
+
+    p = add("frobenius", "model Frobenius algebra dimensions and checks")
+    p.add_argument("--dimv", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--gram", type=str, default=None, metavar="PATH")
+
+    return parser
 
 
 def brute_pinning_audit(part_sizes):

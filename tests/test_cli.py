@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -16,7 +17,7 @@ import hilbk3
 from hilbk3 import bb_lattice, cli, cohomology, frobenius, invariant_ideals, linalg
 from hilbk3.cli import SCHEMA, main
 
-from oracles import FROBENIUS_CELLS, frobenius_grams, json_report
+from oracles import FROBENIUS_CELLS, frobenius_grams, json_report, reference_parser
 
 
 def run(argv, capsys):
@@ -70,6 +71,26 @@ def test_betti_rejects_bad_surface(capsys):
     assert code == 1
     assert payload["status"] == "error"
     assert "error" in payload
+
+
+def test_surface_betti_numbers_are_bounded_before_they_are_converted(capsys):
+    bound = cli.MAX_SURFACE_BETTI
+    assert bound == 10 ** 6
+    for text in (f"1,{bound},1", f"01,{bound:_},1", f" +1,000{bound} ,1"):
+        code, payload = run_json(["betti", "--n", "2", "--surface", text], capsys)
+        assert (code, payload["status"]) == (0, "ok")
+        assert payload["result"]["betti"][2] == bound + 1
+    # 4000 nines convert, but the Betti numbers they give have more digits
+    # than int() prints by default; 5000 do not convert
+    message = f"--surface entries must have |b| <= {bound}"
+    for text in (f"1,{bound + 1},1", f"1,22,-{bound + 1}", f"1,{'9' * 4000},1",
+                 f"{'9' * 5000},22,1", f"1,1,{'9' * 5000}"):
+        code, payload = run_json(["betti", "--n", "5", "--surface", text], capsys)
+        assert (code, payload["status"]) == (1, "error")
+        assert payload["error"] == {"type": "ValueError", "message": message}
+    # within the bound the surface's own checks still speak
+    code, payload = run_json(["betti", "--n", "2", "--surface", "1,-22,1"], capsys)
+    assert payload["error"]["message"] == "Betti numbers must be nonnegative"
 
 
 def test_table_output_is_flat(capsys):
@@ -589,6 +610,8 @@ _PAYLOADS = st.dictionaries(_TEXT, st.recursive(
 @example(payload={"\u00f1\x00\ud800": ["\x1f", "\u00e9", "\udfff", ""], "mixed": [1, True, False, 0],
                   "empty": [[], {}, [[]], [{}]], "ints": [-1, 0, -(10 ** 299), 10 ** 299],
                   "nested": [[1, 2], [3, [4, None]]], "z": {"b": 1, "a": {"": None}}})
+# printable ASCII is quoted without the standard encoder; '"', backslash and DEL are not
+@example(payload={"a\"b": ["\\", "\x7f", " ~", "", "x\\y"], "\"": "'", "\\": "\t"})
 def test_json_emitter_matches_the_standard_encoder(payload):
     assert cli._json(payload, "") == json_report(payload)
 
@@ -650,6 +673,95 @@ def test_unknown_command_exits_nonzero(capsys):
         main(["frobble"])
 
 
+@functools.cache
+def _parsers():
+    return reference_parser(), cli._argparser()
+
+
+def _parsed(parser, argv):
+    """(the ordered namespace items or the exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = list(vars(parser.parse_args(argv)).items())
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+# values the direct reader takes, and values it leaves to argparse: negative,
+# starting with "-", or ones that int() reads in its own way or not at all
+_VALUES = {int: st.integers(0, 10 ** 6).map(str),
+           str: st.sampled_from(("1,5,1", "g.json", "a b", "", " "))}
+_ODD_VALUES = st.integers(-10 ** 6, -1).map(str) | st.sampled_from(
+    ("1_000", " 7", "+4", "007", "", "-", "x", "1.5", "--n", "-1,2,1", "--json", "-x"))
+# prefixes argparse completes, prefixes it finds ambiguous, and help
+_ABBREVIATIONS = ("--j", "--ta", "--s", "--su", "--se", "--max", "--g", "--d", "--", "-n", "-h")
+
+
+@st.composite
+def command_lines(draw):
+    """A well-formed command line, then up to three edits that may spoil it."""
+    command = draw(st.sampled_from(sorted(cli._REPORTS)))
+    options = cli._REPORTS[command][1]
+    words = [[flag, draw(_VALUES[kind])]
+             for flag, (kind, _, required, _) in options.items() if required or draw(st.booleans())]
+    words += [[flag] for flag in draw(st.sampled_from(([], ["--json"], ["--table"])))]
+    words = draw(st.permutations(words))
+    flags = sorted(set(cli._FORMATS) | {flag for _, o in cli._REPORTS.values() for flag in o})
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(("drop", "repeat", "rename", "value", "abbreviate",
+                                     "equals", "insert", "command")))
+        at = draw(st.integers(0, len(words)))
+        word = words[at] if at < len(words) else None
+        if edit == "drop" and word:
+            del words[at]
+        elif edit == "repeat" and word:
+            words.insert(draw(st.integers(0, len(words))), list(word))
+        elif edit == "rename" and word:
+            # a repeated option in place of a missing one
+            word[0] = draw(st.sampled_from(sorted(options)))
+        elif edit == "value" and word and len(word) == 2:
+            word[1] = draw(_ODD_VALUES)
+        elif edit == "abbreviate" and word:
+            word[0] = word[0][:draw(st.integers(1, len(word[0])))]
+        elif edit == "equals" and word and len(word) == 2:
+            words[at] = [f"{word[0]}={word[1]}"]
+        elif edit == "insert":
+            words.insert(at, [draw(st.sampled_from(flags + list(_ABBREVIATIONS)) | _ODD_VALUES)])
+        elif edit == "command":
+            command = draw(st.sampled_from(sorted(cli._REPORTS) + ["frobble", "bett"]))
+    return [command] + [token for word in words for token in word]
+
+
+# about 2.5 s; the examples are the mutants of the direct reader this must catch
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(argv=command_lines())
+@example(argv=["betti", "--n", "2", "--surface", "-1,2,1"])  # a value starting with "-"
+@example(argv=["frobenius", "--n", "2", "--n", "3"])  # a repeated option
+@example(argv=["certify", "--seed", "4", "--n", "3", "--json"])  # the namespace's key order
+def test_direct_reader_agrees_with_the_reference_parser(argv):
+    reference, fallback = _parsers()
+    expected = _parsed(reference, argv)
+    assert _parsed(fallback, argv) == expected
+    direct = cli._parse(argv)
+    if direct is not None:
+        assert list(vars(direct).items()) == expected[0]
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[name, "--help"] for name in cli._REPORTS] + [
+    ["frobble"], ["betti"], ["betti", "--n", "x"], ["betti", "--json", "--table", "--n", "2"],
+    ["betti", "--n", "3", "--surface", "-1,2,1"]], ids=" ".join)
+def test_help_and_usage_errors_are_the_reference_parsers(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        reference_parser().parse_args(argv)
+    expected = (exc.value.code, *capsys.readouterr())
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, *capsys.readouterr()) == expected
+    assert expected[0] == (0 if "--help" in argv else 2)
+
+
 def test_package_exports_are_pinned():
     assert sorted(hilbk3.__all__) == sorted([
         "SurfaceBetti", "hilbert_stratum_ledger", "hilbert_strata", "hilbert_poincare",
@@ -709,17 +821,18 @@ else:
     import hilbk3
     code = 0
 loaded = sorted(m.partition(".")[2] or m for m in sys.modules if m.split(".")[0] == "hilbk3")
-unwanted = ("dataclasses", "inspect", "fractions", "decimal")
-print(code, *(name in sys.modules for name in unwanted), *loaded, file=sys.stderr)
+unwanted = ("dataclasses", "inspect", "fractions", "decimal", "argparse", "gettext", "locale",
+            "json", "re")
+print(code, ",".join(name for name in unwanted if name in sys.modules) or "-", *loaded,
+      file=sys.stderr)
 """
 
 # the reports that read no rational: no `fractions`, nor the `decimal` it imports
 _NO_FRACTIONS = {(), ("betti", "--n", "3"), ("strata", "--n", "3"), ("punctual", "--i", "6")}
 
 
-@pytest.mark.parametrize("argv", list(_LOADED_BY),
-                         ids=lambda a: (a[0] + "-gram" if GRAM in a else a[0]) if a else "import")
-def test_each_report_imports_only_its_layers(argv, tmp_path):
+def _loaded(argv, tmp_path, *options):
+    """(exit code, the unwanted modules loaded, the hilbk3 modules loaded)."""
     src = os.path.dirname(os.path.dirname(hilbk3.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     args = list(argv)
@@ -728,15 +841,34 @@ def test_each_report_imports_only_its_layers(argv, tmp_path):
         path.write_text(json.dumps({"dim": 4, "rows": [[0, 1, 0, 0], [1, 0, 0, 0],
                                                        [0, 0, 2, 0], [0, 0, 0, 2]]}))
         args[args.index(GRAM)] = str(path)
-    proc = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT, *args], env=env,
+    proc = subprocess.run([sys.executable, *options, "-c", _LOADED_SCRIPT, *args], env=env,
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
-    code, dataclasses_loaded, inspect_loaded, fractions_loaded, decimal_loaded, *loaded = (
-        proc.stderr.split())
+    code, unwanted, *loaded = proc.stderr.split()
+    return code, set(unwanted.split(",")), set(loaded)
+
+
+@pytest.mark.parametrize("argv", list(_LOADED_BY),
+                         ids=lambda a: (a[0] + "-gram" if GRAM in a else a[0]) if a else "import")
+def test_each_report_imports_only_its_layers(argv, tmp_path):
+    code, unwanted, loaded = _loaded(argv, tmp_path)
     assert code == "0"
-    assert set(loaded) == _LOADED_BY[argv]
+    assert loaded == _LOADED_BY[argv]
     # the value types are named tuples: no report pays for `dataclasses`
     # and the `inspect`, `ast`, `dis` and `tokenize` it imports
-    assert (dataclasses_loaded, inspect_loaded) == ("False", "False")
+    assert not unwanted & {"dataclasses", "inspect"}
     if argv in _NO_FRACTIONS:
-        assert (fractions_loaded, decimal_loaded) == ("False", "False")
+        assert not unwanted & {"fractions", "decimal"}
+    # well-formed argv is read without `argparse` and the `gettext` and
+    # `locale` it loads, and only a gram file is read with `json`
+    assert not unwanted & {"argparse", "gettext", "locale"}
+    if GRAM not in argv:
+        assert "json" not in unwanted
+
+
+@pytest.mark.parametrize("argv", sorted(_NO_FRACTIONS - {()}), ids=lambda a: a[0])
+def test_reports_without_rationals_load_no_regular_expressions(argv, tmp_path):
+    # `site` may import `re` itself, so the interpreter starts without it
+    code, unwanted, _ = _loaded(argv, tmp_path, "-S")
+    assert code == "0"
+    assert "re" not in unwanted
