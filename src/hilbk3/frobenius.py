@@ -11,11 +11,15 @@ degrees 0, 2, ..., 4n with
 a pattern the construction validates degree by degree, aborting on any
 mismatch.  Associativity is proved, not sampled: the table of normal forms
 fixes the quotient basis and its kernel is closed under multiplication by
-V, so the kernel is an ideal and the table is the quotient map by it.
-Powers of isotropic classes of V vanish exactly above degree 2n, the
-pairing (a, b) -> counit(a*b) is nondegenerate, and special orthogonal
-substitutions act by algebra automorphisms; all of this is exercised by the
-test suite with exact arithmetic.
+V, so the kernel is an ideal and the table is the quotient map by it.  The
+closure is checked on monomials of degrees n + 1..2n - 1 only, since below
+that every monomial is its own normal form.  The pairing
+(a, b) -> counit(a*b) is checked nondegenerate on degrees 0..n only, since
+monomial products commute and the matrix of degree 2n - i is the transpose
+of that of degree i.  Powers of isotropic classes of V vanish exactly above
+degree 2n, and special orthogonal substitutions act by algebra
+automorphisms; all of this is exercised by the test suite with exact
+arithmetic, in ints wherever a value is integral.
 
 Full multiplication tables are capped at dim V <= 6 and n <= 4.  For larger
 spaces (e.g. the 23-dimensional H^2 of a Hilbert scheme) only the closed
@@ -37,8 +41,6 @@ MAX_N = 4
 # 2 MB of JSON in 0.1 s; gram files have their own bound, cli.MAX_GRAM_DIM
 MAX_PATTERN_DIM_V = 32
 MAX_PATTERN_N = 10_000
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class ConstructionError(RuntimeError):
@@ -146,7 +148,7 @@ class FrobeniusAlgebra:
         ideal = None  # echelon of the ideal in degree d, once d > n
         for d in range(2 * n + 1):
             basis = monomial_basis(dim, d)
-            normal = ({k: _ONE} for k in range(len(basis)))
+            normal = ({k: 1} for k in range(len(basis)))
             if d > n:
                 if ideal is None:
                     generators = map(linalg.sparse, harmonic_basis(self.gram, d))
@@ -181,8 +183,9 @@ class FrobeniusAlgebra:
 
     def _normal_form(self, d: int, terms) -> list[Fraction]:
         """Coordinates in A_{2d} of the sum of coeff * mono over (mono, coeff) terms."""
-        # one shared zero: untouched entries of two results compare by identity
-        out = [_ZERO] * self.dim(d)
+        # one shared zero (a small int): untouched entries of two results
+        # compare by identity
+        out = [0] * self.dim(d)
         forms = self._forms[d]
         for mono, coeff in terms:
             for t, x in forms[mono]:
@@ -216,12 +219,21 @@ class FrobeniusAlgebra:
         return Fraction(coords[0])
 
     def pairing_matrix(self, i: int) -> list[list[Fraction]]:
-        """counit(a_r * b_s) over bases of A_{2i} and A_{2(2n-i)}."""
+        """counit(a_r * b_s) over bases of A_{2i} and A_{2(2n-i)}.
+
+        Monomial products commute, so the middle matrix (i = n) is symmetric
+        and only its upper triangle is multiplied out.
+        """
         j = 2 * self.n - i
         # integer unit vectors: multiply skips their zeros with no Fraction
         # arithmetic
-        return [[self.counit(self.multiply(i, a, j, b)) for b in _unit_vectors(self.dim(j))]
-                for a in _unit_vectors(self.dim(i))]
+        units = _unit_vectors(self.dim(j))
+        rows = []
+        for r, a in enumerate(_unit_vectors(self.dim(i))):
+            lower = [rows[s][r] for s in range(r)] if i == j else []
+            rows.append(lower + [self.counit(self.multiply(i, a, j, b))
+                                 for b in units[len(lower):]])
+        return rows
 
     def power_of_linear(self, alpha, p: int) -> list[Fraction]:
         """Coordinates of alpha^p in A_{2p} for a vector alpha of V."""
@@ -240,15 +252,22 @@ class FrobeniusAlgebra:
                 for x, ai in zip(monomial_basis(self.dim_v, 1), alpha):
                     if ai:
                         key = _times(mono, x)
-                        grown[key] = grown.get(key, _ZERO) + coeff * ai
+                        grown[key] = grown.get(key, 0) + coeff * ai
             current = grown
         return self._normal_form(p, current.items())
 
     def check_pairing_nondegenerate(self) -> bool:
-        for i in range(2 * self.n + 1):
+        """Whether counit(a * b) pairs A_{2i} with A_{2(2n-i)} perfectly; exact.
+
+        The dimensions are compared first, then the determinants of degrees
+        0..n: monomial products commute, so pairing_matrix(2n - i) is the
+        transpose of pairing_matrix(i) and has the same determinant.
+        """
+        n = self.n
+        if any(self.dim(i) != self.dim(2 * n - i) for i in range(n)):
+            return False
+        for i in range(n + 1):
             m = self.pairing_matrix(i)
-            if self.dim(i) != self.dim(2 * self.n - i):
-                return False
             if m and linalg.det(m) == 0:
                 return False
         return True
@@ -262,14 +281,17 @@ class FrobeniusAlgebra:
         kernel of NF, the second closes that kernel under multiplication by
         V, so it is an ideal and NF(NF(ab) c) = NF(abc) = NF(a NF(bc)) for
         all a, b, c.  The work is one normal form per monomial and variable,
-        not one per basis triple.
+        not one per basis triple.  The second condition is checked for m of
+        degree n + 1..2n - 1 only: below that every monomial is a basis
+        monomial, which the first condition fixes as its own normal form,
+        so both sides are the same normal form of x * m.
         """
         basis, forms = self._quotient_monomials, self._forms
         for d in range(2 * self.n + 1):
             if any(forms[d][m] != ((t, 1),) for t, m in enumerate(basis[d])):
                 return False
         variables = monomial_basis(self.dim_v, 1)
-        for d in range(2 * self.n):
+        for d in range(self.n + 1, 2 * self.n):
             for m, form in forms[d].items():
                 for x in variables:
                     reduced_first = self._normal_form(

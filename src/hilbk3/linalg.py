@@ -4,8 +4,10 @@ symmetric congruence; no matrix products.
 Matrices are lists of rows; entries are Fraction or int (ints are promoted
 by arithmetic).  No floats anywhere: ranks, kernels, determinants and
 congruences are exact.  `Echelon` holds the only row-elimination loop and
-works on sparse {column: value} rows throughout; rank, nullspace and det
-pass their dense rows through `sparse` once and read their answers off it.
+works on sparse {column: value} rows throughout, each value an int when its
+denominator is 1 and a Fraction otherwise; rank, nullspace and det pass
+their dense rows through `sparse` once and read their answers off it, and
+det returns a Fraction.
 `Gram` is the one check of a gram: square, symmetric and nondegenerate.
 """
 
@@ -41,12 +43,18 @@ def sparse(row: Vector) -> dict:
     return {j: a for j, a in enumerate(row) if a}
 
 
+def _exact(a):
+    """a as an int when its denominator is 1, else a itself."""
+    return a if type(a) is int or a.denominator != 1 else a.numerator
+
+
 def _subtract(x: dict, f, y: dict) -> None:
     """x -= f * y in place on sparse rows (f != 0); cancelled entries are dropped."""
     for j, b in y.items():
         a = x.get(j, 0) - f * b
         if a:
-            x[j] = a
+            # `_exact` written out: this is the elimination's inner loop
+            x[j] = a if type(a) is int or a.denominator != 1 else a.numerator
         else:
             del x[j]
 
@@ -55,10 +63,12 @@ class Echelon:
     """Incremental row span kept in reduced echelon form.
 
     The package's only row-elimination loop.  Rows are sparse
-    {column: Fraction} dicts with pivot entry 1, each reduced against all the
+    {column: value} dicts with pivot entry 1, each reduced against all the
     others, so a vector r reduces to r - sum_p r[p] * row_p with every r[p]
     read straight from the input.  Vectors go in and come out sparse:
-    {column: value} dicts over nonzero values only (see `sparse`).
+    {column: value} dicts over nonzero values only (see `sparse`).  Every
+    value it stores or returns is an int when its denominator is 1 and a
+    Fraction otherwise, so rows that stay integral cost int arithmetic.
     """
 
     def __init__(self, ncols: int):
@@ -66,20 +76,23 @@ class Echelon:
         self._rows: dict[int, dict] = {}  # pivot column -> row
 
     def _reduced(self, vec: dict) -> dict:
-        r = dict(vec)
-        for p in [p for p in vec if p in self._rows]:
-            _subtract(r, vec[p], self._rows[p])
+        r = {j: _exact(a) for j, a in vec.items()}
+        # subtracting row p leaves the other pivot columns of r alone, so each
+        # r[p] is still the input's value when its turn comes
+        for p in [p for p in r if p in self._rows]:
+            _subtract(r, r[p], self._rows[p])
         return r
 
-    def _insert(self, vec: dict) -> tuple[int, Fraction] | None:
+    def _insert(self, vec: dict) -> tuple[int, int | Fraction] | None:
         """Add vec to the span: (pivot column, pivot value), or None if dependent."""
         r = self._reduced(vec)
         if not r:
             return None
         lead = min(r)
         value = r[lead]
-        inv = 1 / Fraction(value)
-        r = {j: a * inv for j, a in r.items()}
+        if value != 1:
+            inv = 1 / Fraction(value)
+            r = {j: _exact(a * inv) for j, a in r.items()}
         for row in self._rows.values():
             f = row.get(lead)
             if f:

@@ -4,7 +4,8 @@ The oracles compute by a different route than the library code they check:
 generating-function expansions, the per-stratum sum over all p(n) strata,
 brute-force multiset enumeration,
 exhaustive subset scans (the full p(n) pinning audit, the 2^N sweep of
-ideal supports), the check of every basis triple for associativity, sympy
+ideal supports), the check of every basis triple for associativity, the
+Frobenius pairing and ideal-closure checks over every degree, sympy
 eliminations, the standard library's JSON encoder, and the hand-written
 argparse parser of the six reports.  Values frozen in the
 tests were produced by these functions and cross-checked against the
@@ -453,6 +454,57 @@ def triple_associativity(alg):
                                 (times(ma, basis[j + k][t]), x) for t, x in bc))
                             if left != right:
                                 return False
+    return True
+
+
+def all_degree_pairing_nondegenerate(alg):
+    """The pairing check of a FrobeniusAlgebra over all 2n + 1 degrees.
+
+    The route the library's check replaced, which takes determinants in
+    degrees 0..n only and fills the middle matrix from its upper triangle:
+    here every matrix counit(a_r * b_s) is multiplied out in full and every
+    determinant is taken.
+    """
+    n = alg.n
+
+    def units(size):
+        return [[int(r == c) for c in range(size)] for r in range(size)]
+
+    for i in range(2 * n + 1):
+        j = 2 * n - i
+        m = [[alg.counit(alg.multiply(i, a, j, b)) for b in units(alg.dim(j))]
+             for a in units(alg.dim(i))]
+        if alg.dim(i) != alg.dim(j):
+            return False
+        if m and linalg.det(m) == 0:
+            return False
+    return True
+
+
+def all_degree_closure(alg):
+    """The ideal-closure check of a FrobeniusAlgebra over every degree.
+
+    The route the library's check replaced, which compares NF(x * NF(m))
+    with NF(x * m) for monomials m of degree n + 1..2n - 1 only: here every
+    monomial of degree below 2n is compared, including those that are
+    their own normal forms.
+    """
+    basis, forms = alg._quotient_monomials, alg._forms
+
+    def times(a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    for d in range(2 * alg.n + 1):
+        if any(forms[d][m] != ((t, 1),) for t, m in enumerate(basis[d])):
+            return False
+    variables = monomial_basis(alg.dim_v, 1)
+    for d in range(2 * alg.n):
+        for m, form in forms[d].items():
+            for x in variables:
+                reduced_first = alg._normal_form(
+                    d + 1, ((times(basis[d][t], x), c) for t, c in form))
+                if reduced_first != alg._normal_form(d + 1, ((times(m, x), 1),)):
+                    return False
     return True
 
 

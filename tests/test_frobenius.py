@@ -22,6 +22,8 @@ from hilbk3.frobenius import (
 
 from oracles import (
     FROBENIUS_CELLS,
+    all_degree_closure,
+    all_degree_pairing_nondegenerate,
     delta_class,
     dense_normal_forms,
     find_isotropic,
@@ -245,6 +247,52 @@ def test_corrupted_table_entries_are_caught():
     alg._forms[4] = top
     alg._forms[4] = {mono: () for mono in alg._forms[4]}
     assert not alg.check_pairing_nondegenerate()
+
+
+@pytest.mark.parametrize("cell", FROBENIUS_CELLS, ids=lambda cell: "dimv%d-n%d" % cell)
+def test_shortened_checks_agree_with_the_all_degree_oracles(cell):
+    # the pairing check reads degrees 0..n and the closure check degrees
+    # n + 1..2n - 1; the oracles read every degree
+    dim, n = cell
+    for kind, gram in frobenius_grams(dim).items():
+        alg = build_algebra(gram, n)
+        assert alg.check_pairing_nondegenerate() is all_degree_pairing_nondegenerate(alg) is True
+        assert alg.check_associative() is all_degree_closure(alg) is True, kind
+        for i in range(2 * n + 1):
+            assert alg.pairing_matrix(2 * n - i) == transpose(alg.pairing_matrix(i)), (kind, i)
+
+
+def _verdicts(alg):
+    return (alg.check_pairing_nondegenerate(), alg.check_associative())
+
+
+def _oracle_verdicts(alg):
+    return (all_degree_pairing_nondegenerate(alg), all_degree_closure(alg))
+
+
+def test_corrupted_tables_get_the_oracle_verdicts():
+    # the tables of test_corrupted_table_entries_are_caught, then each
+    # nonzero top-degree form zeroed on its own, which breaks a check
+    alg = build_algebra(U2, 2)
+    for d in (1, 2, 3, 4):
+        for mono, form in list(alg._forms[d].items()):
+            for e, (t, x) in enumerate(form):
+                alg._forms[d][mono] = form[:e] + ((t, x + 1),) + form[e + 1:]
+                assert _verdicts(alg) == _oracle_verdicts(alg), (d, mono, e)
+                alg._forms[d][mono] = form
+    top = alg._forms[4]
+    for corrupt in ({mono: tuple((t, 2 * x) for t, x in form) for mono, form in top.items()},
+                    {mono: () for mono in top}):
+        alg._forms[4] = corrupt
+        assert _verdicts(alg) == _oracle_verdicts(alg)
+        alg._forms[4] = top
+    for gram, n in ((U2, 2), (frobenius_grams(3)["rational"], 3)):
+        alg = build_algebra(gram, n)
+        top = alg._forms[2 * n]
+        for mono in [mono for mono, form in top.items() if form]:
+            form, top[mono] = top[mono], ()
+            assert _verdicts(alg) == _oracle_verdicts(alg) != (True, True), (n, mono)
+            top[mono] = form
 
 
 def test_algebra_validation():

@@ -303,6 +303,34 @@ def test_echelon_contains_matches_sympy_rank(a, data):
     assert ech.pivots == list(_sym(a, ncols).rref()[1])
 
 
+# nonzero values of three kinds: ints, integral Fractions and proper ones
+MIXED = st.one_of(st.integers(-6, 6), st.integers(-6, 6).map(Fraction),
+                  st.fractions(min_value=-6, max_value=6, max_denominator=4)).filter(bool)
+
+
+def _int_exactly_when_integral(values):
+    return all(type(x) is int if x.denominator == 1 else type(x) is Fraction for x in values)
+
+
+@PROPERTY
+@given(st.data())
+def test_echelon_values_are_ints_exactly_when_integral(data):
+    ncols = data.draw(st.integers(1, 6))
+    vectors = st.dictionaries(st.integers(0, ncols - 1), MIXED, max_size=ncols)
+    ech = linalg.Echelon(ncols)
+    for vec in data.draw(st.lists(vectors, min_size=1, max_size=7)):
+        ech.add(vec)
+        assert _int_exactly_when_integral(x for row in ech._rows.values() for x in row.values())
+        assert _int_exactly_when_integral(x for _, row in ech.rows for x in row.values())
+        for probe in (vec, data.draw(vectors)):
+            assert _int_exactly_when_integral(ech.reduce(probe).values())
+
+
+def test_det_stays_a_fraction():
+    for a in ([[1, 0], [0, 1]], [[2, 1], [1, 1]], [[1, 2], [2, 4]], [[Fraction(1, 2)]]):
+        assert type(linalg.det(a)) is Fraction
+
+
 SPARSE = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), ENTRIES)
 
 
