@@ -21,7 +21,6 @@ _EXPORTS = {
     "SurfaceBetti": "cohomology",
     "hilbert_stratum_ledger": "cohomology",
     "hilbert_strata": "cohomology",
-    "hilbert_poincare": "cohomology",
     "diagonal_poincare": "cohomology",
     "diagrams_of": "partitions",
     "codim_diagonal": "partitions",

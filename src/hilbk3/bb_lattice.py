@@ -4,13 +4,15 @@ For n >= 2 the second cohomology of the Hilbert scheme of n points on a K3
 surface M is H^2(M) perp Q.delta, where delta is half the exceptional
 divisor of the cycle map and q(delta) = -2(n-1); on H^2(M) the BB form is
 the intersection form.  The default surface gram is E8(-1) + E8(-1) + three
-hyperbolic planes, self-tested to be even and unimodular of signature (3,19).
+hyperbolic planes, self-tested to be even, and unimodular of signature
+(3,19) as read off the diagonal D of its congruence (det G = prod D).
 
-A class is a tuple of total_dim rationals: its surface coordinates, then
-(for n >= 2) its delta coordinate last.  A 2-form is a plain matrix F in
-the same coordinates with f(x, y) = x^T F y, so forms transform with lower
-indices, as the gram does.  Every pairing reads the one full gram, surface
-gram plus delta-delta entry, that each lattice builds once.
+A lattice exists for n >= 2 only.  A class is a tuple of total_dim =
+dim V + 1 rationals: its surface coordinates, then its delta coordinate
+last.  A 2-form is a plain matrix F in the same coordinates with
+f(x, y) = x^T F y, so forms transform with lower indices, as the gram
+does.  Every pairing reads the one full gram, surface gram plus
+delta-delta entry, that each lattice builds once.
 
 Classes, grams and forms go in and come out as Fractions, but the degree-4
 path computes on Python ints: a class x is X / den with X an int vector,
@@ -53,7 +55,7 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from . import linalg
 from .partitions import is_triangular, trianalytic_candidates
@@ -84,21 +86,23 @@ def default_k3_gram() -> linalg.Gram:
     if any(g[i][i] % 2 for i in range(22)):
         raise RuntimeError("default gram is not even")
     gram = linalg.Gram(g)
-    if gram.det not in (1, -1):
+    # P is built from unit shears and swaps, so det G = prod D
+    diag = gram.congruence[1]
+    if prod(diag) not in (1, -1):
         raise RuntimeError("default gram is not unimodular")
-    if sum(x > 0 for x in gram.congruence[1]) != 3:  # nondegenerate: 19 negative
+    if sum(x > 0 for x in diag) != 3:  # nondegenerate: 19 negative
         raise RuntimeError("default gram has wrong signature")
     return gram
 
 
 class H2Lattice(namedtuple("H2Lattice", "n gram")):
-    """H^2 of the Hilbert scheme of n points, n >= 1; n = 1 has no delta."""
+    """H^2(M) + Q delta for the Hilbert scheme of n >= 2 points."""
 
     # no __slots__: `full_gram` is cached in the instance dict
 
     def __new__(cls, n: int, gram):
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("n must be a positive integer")
+        if not isinstance(n, int) or n < 2:
+            raise ValueError("n must be an integer >= 2")
         return super().__new__(cls, n, linalg.Gram(gram))
 
     @property
@@ -106,12 +110,8 @@ class H2Lattice(namedtuple("H2Lattice", "n gram")):
         return len(self.gram)
 
     @property
-    def has_delta(self) -> bool:
-        return self.n >= 2
-
-    @property
     def total_dim(self) -> int:
-        return self.dim_v + (1 if self.has_delta else 0)
+        return self.dim_v + 1
 
     @property
     def delta_norm(self) -> Fraction:
@@ -120,8 +120,6 @@ class H2Lattice(namedtuple("H2Lattice", "n gram")):
     @cached_property
     def full_gram(self) -> tuple[tuple[Fraction, ...], ...]:
         """The BB gram on all total_dim coordinates, delta last."""
-        if not self.has_delta:
-            return self.gram
         zero = Fraction(0)
         return (tuple(row + (zero,) for row in self.gram)
                 + ((zero,) * self.dim_v + (self.delta_norm,),))
@@ -194,8 +192,6 @@ def obstruction_coefficient(n: int, l: int) -> Fraction:
 
 def restriction_functional(lat: H2Lattice) -> list[list[Fraction]]:
     """The degree-4 functional f = B + 2(n-1) d^2 as matrix rows; checked to kill (delta, delta)."""
-    if not lat.has_delta:
-        raise ValueError("n = 1 has no exceptional class")
     f = [list(row) for row in lat.full_gram]
     f[-1][-1] += 2 * (lat.n - 1)
     if f[-1][-1] != 0:
@@ -222,7 +218,7 @@ class PeriodTriple(namedtuple("PeriodTriple", "lattice w")):
 
     @property
     def has_delta_component(self) -> bool:
-        return self.lattice.has_delta and any(x[-1] != 0 for x in self.w)
+        return any(x[-1] != 0 for x in self.w)
 
 
 def is_su2_invariant(lat: H2Lattice, form, triple: PeriodTriple) -> bool:
@@ -286,10 +282,8 @@ def random_period_triple(lat: H2Lattice, rng: random.Random) -> PeriodTriple:
     plus integer noise, under one common scale doubled until exact BB
     Gram-Schmidt keeps all three norms positive.  Then delta is mixed into
     w1 with a scale keeping the norm positive, so the triple has a delta
-    component; the lattice needs one, so n = 1 raises ValueError.
+    component.
     """
-    if not lat.has_delta:
-        raise ValueError("n = 1 has no exceptional class")
     basis = _positive_basis(lat)
     dim = lat.dim_v
     for _ in range(256):

@@ -28,6 +28,9 @@ MAX_GRAM_ENTRY = 10 ** 6
 # a dense 32 x 32 gram of p/q entries near MAX_GRAM_ENTRY takes 15-16.5 s for
 # `certify --n 3` and 5.4-6.1 s for `frobenius --dimv 32 --n 2` (2-core VM)
 MAX_GRAM_DIM = 32
+# bound on the characters of a gram file, read before it is parsed: a dense
+# 32 x 32 gram of p/q entries near MAX_GRAM_ENTRY is about 18 KB of JSON
+MAX_GRAM_CHARS = 2 ** 20
 # bound on |b0|, |b2| and |b4| of a --surface; the Betti numbers grow as a
 # power of b2 + b4, and at the bound (1,10^6,1) `betti --n 100` takes
 # 12.6-17.7 s and `strata --n 40` 3.2-3.6 s (2-core VM)
@@ -194,11 +197,14 @@ def _load_gram(path: str | None):
     from . import linalg
 
     with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError:
-            # a RuntimeError, which would read as an internal failure
-            raise ValueError("gram file is nested too deeply") from None
+        text = fh.read(MAX_GRAM_CHARS + 1)
+    if len(text) > MAX_GRAM_CHARS:
+        raise ValueError(f"gram files are capped at {MAX_GRAM_CHARS} characters")
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        # a RuntimeError, which would read as an internal failure
+        raise ValueError("gram file is nested too deeply") from None
     if not (isinstance(data, dict) and "dim" in data and isinstance(data.get("rows"), list)
             and all(isinstance(r, list) for r in data["rows"])):
         raise ValueError('gram file must be a JSON object {"dim": d, "rows": [[...], ...]}')
@@ -314,9 +320,7 @@ def cmd_punctual(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_frobenius(args) -> tuple[dict, list[dict]]:
-    from fractions import Fraction
-
-    from . import frobenius
+    from . import frobenius, linalg
 
     # the pattern first: an argument over its budget is reported before the
     # gram file is read
@@ -333,7 +337,7 @@ def cmd_frobenius(args) -> tuple[dict, list[dict]]:
     }
     if args.dimv <= frobenius.MAX_DIM_V and args.n <= frobenius.MAX_N:
         if gram is None:
-            gram = [[Fraction(int(i == j)) for j in range(args.dimv)] for i in range(args.dimv)]
+            gram = linalg.identity(args.dimv)
         algebra = frobenius.build_algebra(gram, args.n)
         result["mode"] = "full"
         checks.append({"name": "pairing-nondegenerate",

@@ -93,9 +93,6 @@ class SurfaceBetti(namedtuple("SurfaceBetti", "b0 b2 b4")):
     def k3(cls) -> "SurfaceBetti":
         return cls(1, 22, 1)  # b2 = 22 for a K3 surface, taken as input
 
-    def poincare(self) -> PoincarePolynomial:
-        return PoincarePolynomial((self.b0, 0, self.b2, 0, self.b4))
-
 
 @lru_cache(maxsize=None)
 def symmetric_power_poincare(surface: SurfaceBetti, n: int) -> PoincarePolynomial:
@@ -271,8 +268,3 @@ def hilbert_strata(surface: SurfaceBetti, n: int) -> tuple[StratumContribution, 
     if n > MAX_STRATA_N:
         raise ValueError(f"stratum tables capped at n = {MAX_STRATA_N}")
     return hilbert_stratum_ledger(surface, n).contributions
-
-
-def hilbert_poincare(surface: SurfaceBetti, n: int) -> PoincarePolynomial:
-    """Poincare polynomial of the Hilbert scheme of n points."""
-    return hilbert_stratum_ledger(surface, n).total()

@@ -13,13 +13,14 @@ mismatch.  Associativity is proved, not sampled: the table of normal forms
 fixes the quotient basis and its kernel is closed under multiplication by
 V, so the kernel is an ideal and the table is the quotient map by it.  The
 closure is checked on monomials of degrees n + 1..2n - 1 only, since below
-that every monomial is its own normal form.  The pairing
-(a, b) -> counit(a*b) is checked nondegenerate on degrees 0..n only, since
-monomial products commute and the matrix of degree 2n - i is the transpose
-of that of degree i.  Powers of isotropic classes of V vanish exactly above
-degree 2n, and special orthogonal substitutions act by algebra
-automorphisms; all of this is exercised by the test suite with exact
-arithmetic, in ints wherever a value is integral.
+that every monomial is its own normal form.  The pairing, (a, b) -> the
+coordinate of a*b in the one-dimensional top degree, is checked
+nondegenerate on degrees 0..n only, since monomial products commute and
+the matrix of degree 2n - i is the transpose of that of degree i.  Powers
+of isotropic classes of V vanish exactly above degree 2n, and special
+orthogonal substitutions act by algebra automorphisms; all of this is
+exercised by the test suite with exact arithmetic, in ints wherever a
+value is integral.
 
 Full multiplication tables are capped at dim V <= 6 and n <= 4.  For larger
 spaces (e.g. the 23-dimensional H^2 of a Hilbert scheme) only the closed
@@ -212,14 +213,9 @@ class FrobeniusAlgebra:
             (_times(ma, mb), ca * cb)
             for ma, ca in zip(self._quotient_monomials[i], a) if ca for mb, cb in bs))
 
-    def counit(self, coords) -> Fraction:
-        """Coefficient on the one-dimensional top component A_{4n}."""
-        if len(coords) != 1:
-            raise ValueError("counit takes coordinates in the top component")
-        return Fraction(coords[0])
-
     def pairing_matrix(self, i: int) -> list[list[Fraction]]:
-        """counit(a_r * b_s) over bases of A_{2i} and A_{2(2n-i)}.
+        """The coordinate of a_r * b_s in the one-dimensional A_{4n}, over
+        bases of A_{2i} and A_{2(2n-i)}: an int where it is integral.
 
         Monomial products commute, so the middle matrix (i = n) is symmetric
         and only its upper triangle is multiplied out.
@@ -231,7 +227,7 @@ class FrobeniusAlgebra:
         rows = []
         for r, a in enumerate(_unit_vectors(self.dim(i))):
             lower = [rows[s][r] for s in range(r)] if i == j else []
-            rows.append(lower + [self.counit(self.multiply(i, a, j, b))
+            rows.append(lower + [self.multiply(i, a, j, b)[0]
                                  for b in units[len(lower):]])
         return rows
 
@@ -257,7 +253,8 @@ class FrobeniusAlgebra:
         return self._normal_form(p, current.items())
 
     def check_pairing_nondegenerate(self) -> bool:
-        """Whether counit(a * b) pairs A_{2i} with A_{2(2n-i)} perfectly; exact.
+        """Whether the top coordinate of a * b pairs A_{2i} with A_{2(2n-i)}
+        perfectly; exact.
 
         The dimensions are compared first, then the determinants of degrees
         0..n: monomial products commute, so pairing_matrix(2n - i) is the

@@ -77,20 +77,15 @@ class TruncatedRing:
         return out
 
 
-def highest_weight_dimension(e_matrix) -> int:
-    """Number of independent vectors killed by e (nullity of the matrix)."""
+def irreducibility_certificate(l: int) -> bool:
+    """The degree-l slice has a single highest-weight line, so is irreducible:
+    e kills a one-dimensional subspace of its l + 1 monomials."""
     from . import linalg
 
-    ncols = len(e_matrix[0]) if e_matrix else 0
-    return len(linalg.nullspace(e_matrix, ncols))
-
-
-def irreducibility_certificate(l: int) -> bool:
-    """The degree-l slice has a single highest-weight line, so is irreducible."""
     if l < 0:
         raise ValueError("degree must be nonnegative")
     ring = TruncatedRing(l + 1)
-    return highest_weight_dimension(ring.matrix_e_on_degree(l)) == 1
+    return len(linalg.nullspace(ring.matrix_e_on_degree(l), l + 1)) == 1
 
 
 class InvariantIdeal(namedtuple("InvariantIdeal", "truncation degrees")):
@@ -153,9 +148,6 @@ class MonomialIdeal(namedtuple("MonomialIdeal", "staircase truncation")):
     """
 
     __slots__ = ()
-
-    def colength(self) -> int:
-        return self.staircase.n
 
     def quotient_monomials(self) -> frozenset[tuple[int, int]]:
         return frozenset(

@@ -8,7 +8,8 @@ works on sparse {column: value} rows throughout, each value an int when its
 denominator is 1 and a Fraction otherwise; rank, nullspace and det pass
 their dense rows through `sparse` once and read their answers off it, and
 det returns a Fraction.
-`Gram` is the one check of a gram: square, symmetric and nondegenerate.
+`Gram` is the one check of a gram: square, symmetric and nondegenerate.  It
+keeps no determinant; the diagonal D of its congruence gives det = prod D.
 """
 
 from __future__ import annotations
@@ -220,19 +221,16 @@ def congruence_diagonalize(gram: Matrix) -> tuple[Matrix, list]:
 
 class Gram(tuple):
     """Square, symmetric, nondegenerate Fraction rows: the package's only
-    check of a gram.  It keeps its determinant as `det` and passes a `Gram`
-    through unchanged; `congruence`, the (P, D) of `congruence_diagonalize`,
-    is computed on first use."""
+    check of a gram.  It passes a `Gram` through unchanged; `congruence`,
+    the (P, D) of `congruence_diagonalize`, is computed on first use."""
 
     def __new__(cls, rows):
         if isinstance(rows, Gram):
             return rows
         rows = symmetric_rows(rows, "gram")
-        if (value := det(rows)) == 0:
+        if det(rows) == 0:
             raise ValueError("gram must be nondegenerate")
-        self = super().__new__(cls, map(tuple, rows))
-        self.det = value
-        return self
+        return super().__new__(cls, map(tuple, rows))
 
     @cached_property
     def congruence(self) -> tuple[Matrix, list]:

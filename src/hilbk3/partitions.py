@@ -37,10 +37,6 @@ class YoungDiagram(namedtuple("YoungDiagram", "parts")):
         return super().__new__(cls, parts)
 
     @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    @property
     def length(self) -> int:
         return len(self.parts)
 

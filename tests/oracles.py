@@ -462,8 +462,8 @@ def all_degree_pairing_nondegenerate(alg):
 
     The route the library's check replaced, which takes determinants in
     degrees 0..n only and fills the middle matrix from its upper triangle:
-    here every matrix counit(a_r * b_s) is multiplied out in full and every
-    determinant is taken.
+    here every matrix of top coordinates of a_r * b_s is multiplied out in
+    full and every determinant is taken.
     """
     n = alg.n
 
@@ -472,7 +472,7 @@ def all_degree_pairing_nondegenerate(alg):
 
     for i in range(2 * n + 1):
         j = 2 * n - i
-        m = [[alg.counit(alg.multiply(i, a, j, b)) for b in units(alg.dim(j))]
+        m = [[alg.multiply(i, a, j, b)[0] for b in units(alg.dim(j))]
              for a in units(alg.dim(i))]
         if alg.dim(i) != alg.dim(j):
             return False
@@ -534,15 +534,11 @@ def shapes_by_grammar(n):
 # with delta last, as in the library.
 
 def delta_class(lat):
-    if not lat.has_delta:
-        raise ValueError("n = 1 has no exceptional class")
     return (Fraction(0),) * lat.dim_v + (Fraction(1),)
 
 
 def delta_squared_form(lat):
     """d^2 for the delta-coordinate functional d, as a 2-form matrix."""
-    if not lat.has_delta:
-        raise ValueError("n = 1 has no exceptional class")
     size = lat.total_dim
     return [[Fraction(int(i == j == size - 1)) for j in range(size)] for i in range(size)]
 
@@ -565,8 +561,6 @@ def transported_bb_tensor(src, dst):
     """
     if src.gram != dst.gram:
         raise ValueError("lattices must share the surface gram")
-    if not (src.has_delta and dst.has_delta):
-        raise ValueError("both lattices need an exceptional class")
     n, l = src.n, dst.n
     if n % l != 0 or not is_triangular(n // l)[0]:
         raise ValueError("transport needs l | n with triangular quotient")
@@ -829,8 +823,6 @@ def _saturation_rank(start, ops, act, flat, ncols):
 
 def delta_module_dimension(lat, triple):
     """Dimension of the rotation module generated by the functional d."""
-    if not lat.has_delta:
-        raise ValueError("n = 1 has no exceptional class")
     size = lat.total_dim
     d = [0] * (size - 1) + [1]
     return _saturation_rank(d, _integer_ops(lat, triple), vec_mat, list, size)

@@ -21,7 +21,7 @@ from hilbk3.bb_lattice import (
     random_period_triple,
     restriction_functional,
 )
-from hilbk3.cohomology import SurfaceBetti, hilbert_poincare, hilbert_stratum_ledger
+from hilbk3.cohomology import SurfaceBetti, hilbert_stratum_ledger
 from hilbk3.frobenius import algebra_dimension_pattern, build_algebra
 from hilbk3.invariant_ideals import classify_invariant_ideals, punctual_fixed_points
 from hilbk3.partitions import (
@@ -80,9 +80,9 @@ def test_01_second_betti_number_is_23():
 
 def test_02_betti_tables_match_infinite_product():
     def body():
-        assert hilbert_poincare(K3, 2).betti == (1, 0, 23, 0, 276, 0, 23, 0, 1)
+        assert hilbert_stratum_ledger(K3, 2).total().betti == (1, 0, 23, 0, 276, 0, 23, 0, 1)
         for n in range(1, 7):
-            p = hilbert_poincare(K3, n)
+            p = hilbert_stratum_ledger(K3, n).total()
             assert p.betti == goettsche_betti(1, 22, 1, n)
             assert p.is_palindromic
             assert p.has_only_even_degrees
@@ -239,7 +239,7 @@ def test_10_frobenius_models_check_out():
             alpha = random_isotropic(gram, rng)
             assert any(x != 0 for x in alg.power_of_linear(alpha, alg.n))
             assert all(x == 0 for x in alg.power_of_linear(alpha, alg.n + 1))
-        even = hilbert_poincare(K3, 2).betti[::2]
+        even = hilbert_stratum_ledger(K3, 2).total().betti[::2]
         assert algebra_dimension_pattern(23, 2) == even
 
     _report(10, "all 9 model algebras have the predicted dimensions, "

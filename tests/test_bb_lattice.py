@@ -2,12 +2,13 @@ import hashlib
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbk3 import linalg
+from hilbk3 import bb_lattice, linalg
 from hilbk3.bb_lattice import (
     MAX_POINTS,
     H2Lattice,
@@ -68,8 +69,7 @@ def pullback(src, dst, x):
     """Pull a class back along the rational map from the dst Hilbert scheme.
 
     Defined when dst.n divides src.n with triangular quotient: identity on
-    the surface part, delta_n -> (n/l) delta_l for l >= 2 and delta_n -> 0
-    for l = 1.
+    the surface part and delta_n -> (n/l) delta_l.
     """
     if src.gram != dst.gram:
         raise ValueError("lattices must share the surface gram")
@@ -82,10 +82,7 @@ def pullback(src, dst, x):
         raise ValueError(f"quotient {t} = {n}/{l} is not triangular")
     if len(x) != src.total_dim:
         raise ValueError(f"classes of the source must have {src.total_dim} coordinates")
-    surface = tuple(x[:src.dim_v])
-    if not dst.has_delta:
-        return surface
-    return surface + (x[-1] * Fraction(n, l),)
+    return tuple(x[:src.dim_v]) + (x[-1] * Fraction(n, l),)
 
 
 def test_default_gram_shape_and_invariants():
@@ -99,7 +96,35 @@ def test_default_gram_shape_and_invariants():
     assert linalg.congruence_diagonalize(rows) == dense_congruence_diagonalize(rows)
     # the checked gram every K3 lattice shares, with the eliminations it keeps
     assert isinstance(g, linalg.Gram) and k3_lattice(3).gram is g is k3_lattice(6).gram
-    assert g.det == linalg.det(rows) and g.congruence == dense_congruence_diagonalize(rows)
+    assert g.congruence == dense_congruence_diagonalize(rows)
+    # the self-test reads unimodularity off the congruence: det = prod D
+    assert prod(g.congruence[1]) == linalg.det(rows)
+
+
+def _set_first_diagonal(value):
+    def change(m):
+        m[0][0] = value
+        return m
+    return change
+
+
+@pytest.mark.parametrize("change, message", [
+    (_set_first_diagonal(3), "default gram is not even"),
+    # E8 with a 4 at an end node has determinant 1 + 2 det E7 = 5: even and
+    # nondegenerate, but the product of the diagonal is 25
+    (_set_first_diagonal(4), "default gram is not unimodular"),
+    # E8 + E8 positive definite: even and unimodular, signature (19, 3)
+    (lambda m: [[-x for x in row] for row in m], "default gram has wrong signature"),
+], ids=["odd", "not-unimodular", "wrong-signature"])
+def test_default_gram_self_test_can_fail(monkeypatch, change, message):
+    cartan = bb_lattice._e8_cartan
+    monkeypatch.setattr(bb_lattice, "_e8_cartan", lambda: change(cartan()))
+    default_k3_gram.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            default_k3_gram()
+    finally:
+        default_k3_gram.cache_clear()
 
 
 def test_lattice_validation():
@@ -109,8 +134,9 @@ def test_lattice_validation():
         H2Lattice(2, ((0, 1), (2, 0)))  # not symmetric
     with pytest.raises(ValueError):
         H2Lattice(2, ((1, 1), (1, 1)))  # degenerate
-    with pytest.raises(ValueError):
-        k3_lattice(0)
+    for n in (0, 1):  # no exceptional class below n = 2
+        with pytest.raises(ValueError, match="n must be an integer >= 2"):
+            H2Lattice(n, SMALL)
 
 
 def test_delta_norm_and_dimensions():
@@ -120,11 +146,6 @@ def test_delta_norm_and_dimensions():
         assert lat.dim_v == 4
         assert lat.total_dim == 5
         assert q_norm(lat, delta_class(lat)) == -2 * (n - 1)
-    lat1 = small_lattice(1)
-    assert not lat1.has_delta
-    assert lat1.total_dim == 4
-    with pytest.raises(ValueError):
-        delta_class(lat1)
 
 
 def test_full_gram_blocks():
@@ -137,7 +158,6 @@ def test_full_gram_blocks():
             assert fg[i][j] == SMALL[i][j]
     assert fg[4][4] == -4
     assert lat.full_gram is fg  # built once per lattice
-    assert small_lattice(1).full_gram == small_lattice(1).gram
 
 
 def test_bb_pair_and_coords():
@@ -157,9 +177,6 @@ def test_bb_pair_and_coords():
         bb_pair(lat, (1,), e0)
     with pytest.raises(ValueError):
         bb_pair(lat, e0, (1, 0, 0, 0))  # no delta slot
-    with pytest.raises(ValueError):
-        # an n = 1 class has no delta slot
-        bb_pair(small_lattice(1), (1, 0, 0, 0, 1), (1, 0, 0, 0))
 
 
 def test_pullback_on_classes():
@@ -168,8 +185,6 @@ def test_pullback_on_classes():
     y = pullback(src, dst, x)
     assert y[:4] == x[:4]
     assert y[4] == 3
-    to_surface = pullback(src, small_lattice(1), x)
-    assert to_surface == x[:4]
 
 
 def test_pullback_validation():
@@ -213,8 +228,6 @@ def test_tensor_fixtures():
     # d^2 pairs two classes through their delta coordinates only
     x, y = (1, 2, 0, 1, 3), (0, 1, 1, 0, -2)
     assert sum(a * b for a, b in zip(x, mat_vec(rows, y))) == 3 * -2
-    with pytest.raises(ValueError):
-        delta_squared_form(small_lattice(1))
 
 
 def test_is_su2_invariant_validates_the_form():
@@ -248,7 +261,7 @@ def test_is_su2_invariant_matches_the_dense_operators():
     rng = random.Random(53)
     answers = []
     for gram in (None, SMALL, SCRAMBLED):
-        for n in (1, 3, 6, 10):
+        for n in (2, 3, 6, 10):
             lat = k3_lattice(n, gram)
             size = lat.total_dim
             g = lat.full_gram
@@ -258,21 +271,19 @@ def test_is_su2_invariant_matches_the_dense_operators():
             bumped[i][j] += 1
             bumped[j][i] += i != j
             forms = [g, bb_inverse_tensor(lat), [[0] * size for _ in range(size)], noise,
-                     [[a + b for a, b in zip(r, s)] for r, s in zip(g, noise)], bumped]
-            if lat.has_delta:
-                forms += [restriction_functional(lat), delta_squared_form(lat)]
+                     [[a + b for a, b in zip(r, s)] for r, s in zip(g, noise)], bumped,
+                     restriction_functional(lat), delta_squared_form(lat)]
             # the flat triples come from the oracle: the library's always
-            # have a delta component, and n = 1 has none
-            for draw in (flat_period_triple, random_period_triple)[:1 + lat.has_delta]:
+            # have a delta component
+            for draw in (flat_period_triple, random_period_triple):
                 triple = draw(lat, rng)
                 for form in forms:
                     answer = is_su2_invariant(lat, form, triple)
                     assert answer == dense_su2_invariant(lat, form, triple)
                     answers.append(answer)
-    # invariant: the gram and zero always, f and d^2 under the triples
-    # orthogonal to delta, and one bump of the K3 gram at (2, delta) under a
-    # triple orthogonal to delta whose three classes have coordinate 2 zero
-    assert (answers.count(True), answers.count(False)) == (61, 101)
+    # invariant: the gram and zero under both triples, f and d^2 under the
+    # triple orthogonal to delta; 6 of the 16 answers on each of 12 lattices
+    assert (answers.count(True), answers.count(False)) == (72, 120)
 
 
 def test_transported_tensor_matches_formula():
@@ -313,9 +324,6 @@ def test_period_triple_validation():
         PeriodTriple(lat, ((1, 0, 0, 0, 0),) + w_good[1:])  # isotropic first vector
     with pytest.raises(ValueError):
         PeriodTriple(lat, ((1, 1, 0, 0),) + w_good[1:])  # no delta slot
-    # n = 1: the last coordinate is a surface coordinate, not delta
-    flat = PeriodTriple(small_lattice(1), tuple(w[:4] for w in w_good))
-    assert not flat.has_delta_component
 
 
 def test_su2_generator_identities():
@@ -406,11 +414,13 @@ def test_h4_obstruction_preconditions():
 
 
 def test_random_period_triple_needs_the_exceptional_class():
-    # n = 1 has no delta to mix into w1; the draws themselves would succeed
+    # n = 1 has no delta to mix into w1, and no lattice; from n = 2 on the
+    # library's triple has a delta component and the oracle's flat one none
     for gram in (None, SMALL):
-        lat = k3_lattice(1, gram)
-        with pytest.raises(ValueError, match="n = 1 has no exceptional class"):
-            random_period_triple(lat, random.Random(0))
+        with pytest.raises(ValueError, match="n must be an integer >= 2"):
+            k3_lattice(1, gram)
+        lat = k3_lattice(2, gram)
+        assert random_period_triple(lat, random.Random(0)).has_delta_component
         assert not flat_period_triple(lat, random.Random(0)).has_delta_component
 
 
@@ -442,13 +452,12 @@ INTEGER_PATH_GRAMS = (None, SMALL, BLOCK_SUM, SCRAMBLED, SCRAMBLED_7_6)
 def test_bb_pair_matches_the_fraction_sum():
     rng = random.Random(59)
     for gram in INTEGER_PATH_GRAMS:
-        for n in (1, 3):
+        for n in (2, 3):
             lat = k3_lattice(n, gram)
             classes = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6))
                              for _ in range(lat.total_dim)) for _ in range(4)]
             classes += [basis_class(lat, 0), (0,) * lat.total_dim]
-            draw = random_period_triple if lat.has_delta else flat_period_triple
-            classes += draw(lat, rng).w
+            classes += random_period_triple(lat, rng).w + flat_period_triple(lat, rng).w
             for x in classes:
                 for y in classes:
                     assert bb_pair(lat, x, y) == fraction_bb_pair(lat, x, y)

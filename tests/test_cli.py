@@ -316,6 +316,26 @@ def test_gram_file_at_the_cap_is_read(tmp_path, capsys):
     assert payload["result"]["mode"] == "dimensions-only"
 
 
+@pytest.mark.parametrize("argv", [["certify", "--n", "3"],
+                                  ["frobenius", "--dimv", "4", "--n", "2"]])
+@pytest.mark.parametrize("over", [0, 1], ids=["at-the-cap", "one-over-the-cap"])
+def test_gram_file_is_read_up_to_its_character_cap(tmp_path, capsys, argv, over):
+    # a valid gram padded with spaces: the file is read no further than one
+    # character past the cap, and only a file within the cap is parsed
+    text = json.dumps({"dim": 4, "rows": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 0],
+                                          [0, 0, 0, 2]]})
+    path = tmp_path / "gram.json"
+    path.write_text(text + " " * (cli.MAX_GRAM_CHARS - len(text) + over))
+    code, payload = run_json(argv + ["--gram", str(path)], capsys)
+    if over:
+        assert (code, payload["status"]) == (1, "error")
+        assert payload["error"] == {
+            "type": "ValueError",
+            "message": f"gram files are capped at {cli.MAX_GRAM_CHARS} characters"}
+    else:
+        assert (code, payload["status"]) == (0, "ok")
+
+
 @pytest.mark.parametrize("argv, dim", [
     (["frobenius", "--dimv", "7"], 7),  # dimensions-only mode
     (["frobenius", "--dimv", "2"], 2),  # full mode
@@ -764,8 +784,7 @@ def test_help_and_usage_errors_are_the_reference_parsers(argv, capsys):
 
 def test_package_exports_are_pinned():
     assert sorted(hilbk3.__all__) == sorted([
-        "SurfaceBetti", "hilbert_stratum_ledger", "hilbert_strata", "hilbert_poincare",
-        "diagonal_poincare",
+        "SurfaceBetti", "hilbert_stratum_ledger", "hilbert_strata", "diagonal_poincare",
         "diagrams_of", "codim_diagonal", "fiber_dimension", "verify_semismall",
         "is_triangular", "certify_no_trianalytic", "classify_invariant_ideals",
         "punctual_fixed_points", "algebra_dimension_pattern", "build_algebra",

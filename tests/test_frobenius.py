@@ -5,7 +5,7 @@ import pytest
 
 from hilbk3 import linalg
 from hilbk3.bb_lattice import k3_lattice, q_norm, restriction_functional
-from hilbk3.cohomology import SurfaceBetti, hilbert_poincare
+from hilbk3.cohomology import SurfaceBetti, hilbert_stratum_ledger
 from hilbk3.frobenius import (
     MAX_DIM_V,
     MAX_N,
@@ -170,7 +170,7 @@ def test_dimension_pattern_budget():
 
 
 def test_pattern_matches_hilbert_even_betti():
-    even = hilbert_poincare(SurfaceBetti.k3(), 2).betti[::2]
+    even = hilbert_stratum_ledger(SurfaceBetti.k3(), 2).total().betti[::2]
     assert algebra_dimension_pattern(23, 2) == even
 
 
@@ -343,12 +343,17 @@ def test_multiplication_truncates_past_top():
     assert alg.multiply(2, top, 2, top) == []
 
 
-def test_counit_picks_top_coordinate():
+def test_pairing_matrix_reads_the_top_coordinate():
+    # each entry is the one coordinate of a basis product in A_{4n}, and on
+    # an integral table it stays an int
     alg = build_algebra(U, 2)
     assert alg.dim(4) == 1
-    assert alg.counit([Fraction(5, 3)]) == Fraction(5, 3)
-    with pytest.raises(ValueError):
-        alg.counit([Fraction(1), Fraction(2)])
+    for i in range(5):
+        units = linalg.identity(alg.dim(4 - i))
+        m = alg.pairing_matrix(i)
+        assert m == [[alg.multiply(i, a, 4 - i, b)[0] for b in units]
+                     for a in linalg.identity(alg.dim(i))]
+        assert all(type(x) is int for row in m for x in row)
 
 
 def test_power_of_linear_isotropic_vanishing():
@@ -422,7 +427,7 @@ def test_restriction_functional_structure():
     delta = delta_class(lat)
     assert q_norm(lat, delta) == -4
     with pytest.raises(ValueError):
-        restriction_functional(k3_lattice(1, U4))
+        k3_lattice(1, U4)  # no exceptional class, so no lattice
 
 
 def test_find_isotropic():

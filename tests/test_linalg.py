@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 import sympy
@@ -182,7 +183,10 @@ def test_gram_is_checked_once_and_keeps_its_eliminations():
     gram = linalg.Gram(rows)
     assert isinstance(gram, tuple) and gram == tuple(tuple(map(Fraction, r)) for r in rows)
     assert all(type(row) is tuple and all(type(x) is Fraction for x in row) for row in gram)
-    assert gram.det == linalg.det(rows) == Fraction(3, 2)
+    assert not hasattr(gram, "det") and linalg.det(rows) == Fraction(3, 2)
+    # P is built from unit shears and swaps, so the diagonal D of the kept
+    # congruence has the gram's determinant as its product
+    assert prod(gram.congruence[1]) == linalg.det(rows)
     assert linalg.Gram(gram) is gram
     assert gram.congruence is gram.congruence
     assert gram.congruence == linalg.congruence_diagonalize(rows)

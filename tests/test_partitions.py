@@ -30,14 +30,14 @@ def surviving_candidates(n):
 
 def test_young_diagram_validation():
     d = YoungDiagram((3, 1, 1))
-    assert d.n == 5 and d.length == 3
+    assert sum(d.parts) == 5 and d.length == 3
     assert str(d) == "(3,1,1)"
     with pytest.raises(ValueError):
         YoungDiagram((1, 3))
     with pytest.raises(ValueError):
         YoungDiagram((2, 0))
     empty = YoungDiagram(())
-    assert empty.n == 0 and empty.length == 0
+    assert empty.parts == () and empty.length == 0
 
 
 def test_partition_counts():

@@ -92,7 +92,7 @@ INVALID = [
     (lambda: H2Lattice(2, ((1, 0),)), "gram must be square"),
     (lambda: H2Lattice(2, ((0, 1), (2, 0))), "gram must be symmetric"),
     (lambda: H2Lattice(2, ((1, 1), (1, 1))), "gram must be nondegenerate"),
-    (lambda: k3_lattice(0), "n must be a positive integer"),
+    (lambda: k3_lattice(1), "n must be an integer >= 2"),
     (lambda: PeriodTriple(LATTICE, TRIPLE[:2]), "need exactly three classes"),
     (lambda: PeriodTriple(LATTICE, (TRIPLE[0], TRIPLE[0], TRIPLE[2])),
      "degenerate period triple: not orthogonal"),
