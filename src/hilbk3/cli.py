@@ -33,7 +33,7 @@ MAX_GRAM_DIM = 32
 MAX_GRAM_CHARS = 2 ** 20
 # bound on |b0|, |b2| and |b4| of a --surface; the Betti numbers grow as a
 # power of b2 + b4, and at the bound (1,10^6,1) `betti --n 100` takes
-# 12.6-17.7 s and `strata --n 40` 3.2-3.6 s (2-core VM)
+# 0.5-0.8 s and `strata --n 40` 2.4-2.7 s (2-core VM)
 MAX_SURFACE_BETTI = 10 ** 6
 
 
@@ -78,6 +78,10 @@ def _flatten(prefix: str, obj, lines: list[str]) -> None:
 _INTS = {int}
 
 
+class _Text(str):
+    """Text in its emitted form, which `_json` writes as it stands."""
+
+
 def _quote(text) -> str:
     """The JSON string literal of `text`, with every non-ASCII character escaped.
 
@@ -102,8 +106,8 @@ def _json(obj, indent: str) -> str:
     plain ints in C.  Strings are escaped to ASCII, as json.dumps does by
     default, and bools are told apart before ints.
     """
-    if type(obj) is str:
-        return _quote(obj)
+    if isinstance(obj, str):
+        return obj if type(obj) is _Text else _quote(obj)
     if obj is None:
         return "null"
     if obj is True:
@@ -260,13 +264,18 @@ def cmd_strata(args) -> tuple[dict, list[dict]]:
     from . import cohomology, partitions
 
     surface = _parse_surface(args.surface)
+    strata = cohomology.hilbert_strata(surface, args.n)
+    # the strata of one multiplicity signature share a polynomial, rendered once;
+    # for --json at its depth in the payload (result, strata, row: 8 spaces)
+    texts = {p: _Text(_json(list(p.betti), " " * 8)) if args.json
+             else " ".join(map(str, p.betti)) for p in {c.poincare for c in strata}}
     rows = [{
         "diagram": list(c.diagram.parts),
         "codim": c.codim,
         "fiber_dimension": partitions.fiber_dimension(c.diagram),
         "semismall": partitions.verify_semismall(c.diagram),
-        "poincare": list(c.poincare.betti),
-    } for c in cohomology.hilbert_strata(surface, args.n)]
+        "poincare": texts[c.poincare],
+    } for c in strata]
     checks = [{"name": "semismall-equality-all-strata", "ok": all(r["semismall"] for r in rows)}]
     return {"n": args.n, "surface": _plain(surface), "strata": rows}, checks
 

@@ -8,9 +8,11 @@ powers of the surface, whose Poincare polynomials are exact binomial sums.
 All arithmetic is integer arithmetic.
 
 The strata are the p(n) partitions of n, but the total never lists them:
-grouped by part value it is a knapsack over k = 1..n, polynomial in n
-(the factorised form of Goettsche's product).  Only the `strata` table
-lists every stratum; degree-i entries list those of codimension <= i.
+it is the coefficient of q^n in Goettsche's product, which the graded Euler
+recurrence for the coefficients of a product builds from its logarithmic
+derivative in O(n^2 log n) steps.  Only the `strata` table lists every
+stratum, and it forms each stratum polynomial once per multiplicity
+signature; degree-i entries list the strata of codimension <= i.
 
 The value types are named tuples, checked when they are built: immutable
 and hashable (surfaces key the polynomial caches), and, being tuples, they
@@ -19,8 +21,9 @@ also iterate, have a length and equal the plain tuple of their fields.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import cached_property, lru_cache
+from itertools import groupby
 from math import comb
 
 from .partitions import YoungDiagram, codim_diagonal, diagrams_of, partitions_of
@@ -70,11 +73,14 @@ class PoincarePolynomial(namedtuple("PoincarePolynomial", "betti")):
         if not a or not b:
             return PoincarePolynomial(())
         out = [0] * (len(a) + len(b) - 1)
+        # zeros are skipped on both sides: every odd degree of a surface is one
+        terms = [(j, y) for j, y in enumerate(b) if y]
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
+                for j, y in terms:
                     out[i + j] += x * y
-        return PoincarePolynomial(tuple(out))
+        # nonnegative ints with a positive leading term: valid and trimmed
+        return PoincarePolynomial._make((tuple(out),))
 
 
 class SurfaceBetti(namedtuple("SurfaceBetti", "b0 b2 b4")):
@@ -104,15 +110,12 @@ def symmetric_power_poincare(surface: SurfaceBetti, n: int) -> PoincarePolynomia
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    c0, c2, c4 = ([_multichoose(b, j) for j in range(n + 1)] for b in surface)
     out = [0] * (4 * n + 1)
     for j0 in range(n + 1):
         for j2 in range(n - j0 + 1):
             j4 = n - j0 - j2
-            out[2 * j2 + 4 * j4] += (
-                _multichoose(surface.b0, j0)
-                * _multichoose(surface.b2, j2)
-                * _multichoose(surface.b4, j4)
-            )
+            out[2 * j2 + 4 * j4] += c0[j0] * c2[j2] * c4[j4]
     return PoincarePolynomial(tuple(out))
 
 
@@ -121,18 +124,21 @@ def diagonal_poincare(surface: SurfaceBetti, diagram: YoungDiagram) -> PoincareP
 
     The stratum for a diagram is the product, over distinct part values, of
     the symmetric power of the surface in the multiplicity of that value.
-    It depends only on the sorted multiplicities, which p(n) strata share
-    far fewer of (1,772 signatures for 37,338 strata at n = 40).
+    It depends only on the sorted multiplicities, the run lengths of the
+    sorted parts, which p(n) strata share far fewer of (1,772 signatures for
+    37,338 strata at n = 40).
     """
-    return _stratum_poincare(surface, tuple(sorted(Counter(diagram.parts).values())))
+    runs = sorted([len(list(run)) for _, run in groupby(diagram.parts)])
+    return _stratum_poincare(surface, tuple(runs))
 
 
 @lru_cache(maxsize=None)
 def _stratum_poincare(surface: SurfaceBetti, mults: tuple[int, ...]) -> PoincarePolynomial:
-    poly = PoincarePolynomial((1,))
-    for mult in mults:
-        poly = poly * symmetric_power_poincare(surface, mult)
-    return poly
+    # one product per signature: the signature less its largest multiplicity
+    # is a signature too, memoized with the rest
+    if not mults:
+        return PoincarePolynomial((1,))
+    return _stratum_poincare(surface, mults[:-1]) * symmetric_power_poincare(surface, mults[-1])
 
 
 def _euler_count(surface: SurfaceBetti, n: int) -> int:
@@ -158,12 +164,22 @@ def _slot_bits(bound: int) -> int:
     return bound.bit_length()
 
 
-def _pack(coefficients, bits: int) -> int:
-    # coefficient i in slot i of `bits` bits
-    packed = 0
-    for c in reversed(coefficients):
-        packed = (packed << bits) | c
-    return packed
+def _log_derivative(surface: SurfaceBetti, n: int) -> list[list[tuple[int, int]]]:
+    """The terms (exponent, coefficient) of D_r(s) for r = 0..n, with s = t^2.
+
+    Goettsche's product is F = prod_k prod_{j = 0,1,2} (1 - s^(k-1+j) q^k)^-b_{2j},
+    so q d/dq log F = sum_r D_r(s) q^r with
+    D_r(s) = sum_{k | r} k sum_j b_{2j} s^((r/k)(k-1+j)).  D_0 is empty.
+    """
+    terms = [{} for _ in range(n + 1)]
+    for k in range(1, n + 1):
+        for m in range(1, n // k + 1):
+            d = terms[k * m]
+            for j, b in enumerate(surface):
+                if b:
+                    e = m * (k - 1 + j)
+                    d[e] = d.get(e, 0) + k * b
+    return [list(d.items()) for d in terms]
 
 
 StratumContribution = namedtuple("StratumContribution", (
@@ -189,39 +205,46 @@ class StratumLedger(namedtuple("StratumLedger", "n surface")):
     def total(self) -> PoincarePolynomial:
         """Sum over all strata of P(stratum) shifted by its codimension.
 
-        A stratum gives each part value k a multiplicity m_k, with sum k m_k
-        = n, and contributes the product of the P(Sym^{m_k} S) shifted by
-        sum 2 m_k (k - 1).  So the sum is a knapsack over part values:
-        sums[w] totals the partitions of w into the values seen so far, and
-        value k with multiplicity m carries sums[w] to sums[w + k m] times
-        P(Sym^m S), shifted by 2 m (k - 1).  No stratum is listed.
+        This is F_n, the coefficient of q^n in Goettsche's product F, in
+        s = t^2 (no odd degree occurs).  From q d/dq F = F q d/dq log F the
+        graded Euler recurrence N F_N = sum_{r=1..N} D_r F_(N-r) builds
+        F_1, ..., F_n from the few terms of each D_r (`_log_derivative`).
+        No stratum is listed.
 
-        Every degree is even, so each polynomial is packed into one int, the
-        coefficient of t^(2i) in slot i of `bits` bits (Kronecker
-        substitution): a product of polynomials is then one int product and
-        a shift one int shift.  No slot carries into the next: every
-        coefficient met is nonnegative and, at t = 1, a term of the total for
-        at most n points, so at most a(n), the total at t = 1, which is below
-        2^bits.  The unpacked slots must sum to a(n), as they do only if no
-        slot carried; if they do not, RuntimeError.
+        Each F_N is packed into one int, the coefficient of s^i in slot i of
+        `bits` bits (Kronecker substitution), so a term of D_r F_(N-r) is a
+        small-int multiple, a power of s is a shift, and the division by N is
+        one int division; a remainder raises RuntimeError.  At s = 1 the
+        recurrence is `_euler_count`'s, so every slot of N F_N is at most
+        N a(N) <= n a(n) and, every term being nonnegative, no slot carries
+        into the next.  The unpacked slots must sum to a(n), as they do only
+        if no slot carried; if they do not, RuntimeError.
         """
         n = self.n
         count = _euler_count(self.surface, n)
-        bits = _slot_bits(count)
-        sym = [_pack(symmetric_power_poincare(self.surface, m).betti[::2], bits)
-               for m in range(n + 1)]
-        sums = [0] * (n + 1)
-        sums[0] = 1
-        for k in range(1, n + 1):
-            # w falls, so sums[w] does not hold value k yet when it is read
-            for w in range(n - k, -1, -1):
-                x = sums[w]
-                for m in range(1, (n - w) // k + 1):
-                    sums[w + k * m] += (x * sym[m]) << (bits * m * (k - 1))
+        bits = _slot_bits(n * count)
+        derivative = _log_derivative(self.surface, n)
+        tables = [1]
+        for big_n in range(1, n + 1):
+            # by_power[e]: the packed sum of c F_(N-r) over the terms c s^e of
+            # every D_r; then N F_N = sum_e by_power[e] s^e, by Horner's rule
+            by_power = [0] * (2 * big_n + 1)
+            for r in range(1, big_n + 1):
+                lower = tables[big_n - r]
+                for e, c in derivative[r]:
+                    by_power[e] += c * lower
+            acc = 0
+            for x in reversed(by_power):
+                acc = (acc << bits) + x
+            table, remainder = divmod(acc, big_n)
+            if remainder:
+                raise RuntimeError(f"graded Euler recurrence left a remainder dividing by "
+                                   f"N = {big_n}")
+            tables.append(table)
         mask = (1 << bits) - 1
-        slots = [(sums[n] >> (bits * i)) & mask for i in range(2 * n + 1)]
+        slots = [(tables[n] >> (bits * i)) & mask for i in range(2 * n + 1)]
         if sum(slots) != count:
-            raise RuntimeError("packed Betti knapsack carried between slots")
+            raise RuntimeError("packed Betti recurrence carried between slots")
         betti = [0] * (4 * n + 1)
         betti[::2] = slots
         return PoincarePolynomial(tuple(betti))
@@ -246,12 +269,12 @@ class StratumLedger(namedtuple("StratumLedger", "n surface")):
         return tuple(out)
 
 
-# `betti` sums the strata by part value and lists none: the knapsack on packed
-# ints is polynomial in n, and `betti --n 100 --json` takes 0.6-0.7 s on a
-# 2-core VM (0.7-0.9 s on the surface 1,30,1, whose slots are the widest)
+# `betti` lists no stratum: the graded Euler recurrence on packed ints takes
+# O(n^2 log n) steps, and `betti --n 100 --json` takes 0.2 s on a 2-core VM
+# (0.5-0.9 s on 1,1000000,1 and 1,1000000,1000000, whose slots are the widest)
 MAX_BETTI_N = 100
-# `strata` lists all p(n) strata: at n = 40 (37,338 strata) `strata --json`
-# takes about 3 s and writes 42 MB on a 2-core VM
+# `strata` lists all p(n) strata: at n = 40 (37,338 strata in 1,772
+# signatures) `strata --json` takes 1.6-1.8 s and writes 42 MB on a 2-core VM
 MAX_STRATA_N = 40
 
 

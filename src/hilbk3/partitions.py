@@ -75,12 +75,13 @@ def _rows(remaining: int, previous: int | None, rows):
 
 @lru_cache(maxsize=None)
 def diagrams_of(n: int) -> tuple[YoungDiagram, ...]:
-    return tuple(YoungDiagram(p) for p in partitions_of(n))
+    # the walk yields weakly decreasing positive parts: nothing to check
+    return tuple(map(YoungDiagram._make, zip(partitions_of(n))))
 
 
 def codim_diagonal(diagram: YoungDiagram) -> int:
     """Complex codimension of the stratum: 2 * sum(part - 1)."""
-    return 2 * sum(p - 1 for p in diagram.parts)
+    return 2 * (sum(diagram.parts) - len(diagram.parts))
 
 
 def fiber_dimension(diagram: YoungDiagram) -> int:
@@ -89,7 +90,7 @@ def fiber_dimension(diagram: YoungDiagram) -> int:
     The fiber over a cycle with multiplicities n_i is a product of punctual
     pieces of dimension n_i - 1 each.
     """
-    return sum(p - 1 for p in diagram.parts)
+    return sum(diagram.parts) - len(diagram.parts)
 
 
 def verify_semismall(diagram: YoungDiagram) -> bool:

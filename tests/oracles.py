@@ -2,7 +2,10 @@
 
 The oracles compute by a different route than the library code they check:
 generating-function expansions, the per-stratum sum over all p(n) strata,
-brute-force multiset enumeration,
+the packed knapsack over part values that the graded Euler recurrence
+replaced, the `strata` report built from one dict row per stratum,
+brute-force multiset enumeration and the cycle index of S_n for symmetric
+powers, the plain product over a signature's multiplicities,
 exhaustive subset scans (the full p(n) pinning audit, the 2^N sweep of
 ideal supports), the check of every basis triple for associativity, the
 Frobenius pairing and ideal-closure checks over every degree, sympy
@@ -27,16 +30,17 @@ and random isotropic vectors.
 
 import argparse
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import lcm
+from math import factorial, lcm
 
 import sympy
 
 from hilbk3 import cli, linalg
 from hilbk3.bb_lattice import PeriodTriple
-from hilbk3.cohomology import PoincarePolynomial
+from hilbk3.cohomology import PoincarePolynomial, SurfaceBetti, symmetric_power_poincare
 from hilbk3.frobenius import harmonic_basis, laplacian_matrix, monomial_basis
 from hilbk3.partitions import YoungDiagram, diagrams_of, is_triangular, partitions_of
 
@@ -92,6 +96,43 @@ def stratum_entries_in_degree(ledger, i):
     return tuple(out)
 
 
+def _knapsack(sym, n, bits):
+    # sums[w] totals the partitions of w into the part values seen so far;
+    # value k with multiplicity m carries sums[w] to sums[w + k m] times
+    # sym[m], shifted by m (k - 1) slots of `bits` bits
+    sums = [1] + [0] * n
+    for k in range(1, n + 1):
+        # w falls, so sums[w] does not hold value k yet when it is read
+        for w in range(n - k, -1, -1):
+            x = sums[w]
+            for m in range(1, (n - w) // k + 1):
+                sums[w + k * m] += (x * sym[m]) << (bits * m * (k - 1))
+    return sums[n]
+
+
+def knapsack_betti(surface, n):
+    """The Betti table of n points summed as a knapsack over part values.
+
+    A stratum gives each part value k a multiplicity m_k, with sum k m_k = n,
+    and contributes the product of the P(Sym^{m_k} S) shifted by
+    sum 2 m_k (k - 1).  Each even-degree polynomial is one int, the
+    coefficient of t^(2i) in slot i (Kronecker substitution), so a product
+    is one int product.  The slots are as wide as the total at t = 1, the
+    same knapsack over the dimensions of the symmetric powers, which bounds
+    every coefficient met; the unpacked slots must sum to it.
+    """
+    polys = [symmetric_power_poincare(surface, m).betti[::2] for m in range(n + 1)]
+    count = _knapsack([sum(p) for p in polys], n, 0)
+    bits = count.bit_length()
+    packed = _knapsack([sum(c << (bits * i) for i, c in enumerate(p)) for p in polys], n, bits)
+    slots = [(packed >> (bits * i)) & ((1 << bits) - 1) for i in range(2 * n + 1)]
+    if sum(slots) != count:
+        raise ArithmeticError("packed Betti knapsack carried between slots")
+    betti = [0] * (4 * n + 1)
+    betti[::2] = slots
+    return PoincarePolynomial(tuple(betti))
+
+
 def euler_numbers_24(n_max):
     """chi of the Hilbert schemes of a surface with chi = 24.
 
@@ -105,7 +146,8 @@ def euler_numbers_24(n_max):
             for k in range(m, n_max + 1):
                 new[k] += new[k - m]
             series = new
-    assert all(c.denominator == 1 for c in series)
+    if any(c.denominator != 1 for c in series):
+        raise ArithmeticError("the eta-product coefficients must be integers")
     return tuple(int(c) for c in series)
 
 
@@ -124,6 +166,85 @@ def brute_symmetric_power(b0, b2, b4, n):
         counts[degree] = counts.get(degree, 0) + 1
     top = max(counts)
     return tuple(counts.get(d, 0) for d in range(top + 1))
+
+
+def cycle_index_symmetric_power(b0, b2, b4, n):
+    """Graded dimensions of the n-th symmetric power by the cycle index of S_n.
+
+    Sym^n of a graded space with Poincare polynomial P and no odd part has
+    Poincare polynomial sum over lambda |- n of prod_i P(t^lambda_i) / z_lambda
+    (Polya, Macdonald), with z_lambda = prod_k k^(m_k) m_k! for the
+    multiplicities m_k of the parts k; polynomial in b0, b2, b4, so any size
+    of surface costs the same.
+    """
+    out = [Fraction(0)] * (4 * n + 1)
+    for parts in partitions_of(n):
+        z = 1
+        for k, m in Counter(parts).items():
+            z *= k ** m * factorial(m)
+        term = [Fraction(1, z)]
+        for k in parts:
+            # times P(t^k) = b0 + b2 t^(2k) + b4 t^(4k)
+            grown = [Fraction(0)] * (len(term) + 4 * k)
+            for i, c in enumerate(term):
+                for d, b in ((0, b0), (2 * k, b2), (4 * k, b4)):
+                    grown[i + d] += c * b
+            term = grown
+        for d, c in enumerate(term):
+            out[d] += c
+    if any(c.denominator != 1 for c in out):
+        raise ArithmeticError("the cycle-index sum must be integral")
+    return PoincarePolynomial(tuple(int(c) for c in out))
+
+
+def plain_stratum_poincare(surface, mults):
+    """The product of P(Sym^m S) over the multiplicities, one factor at a time,
+    on plain coefficient lists."""
+    out = [1]
+    for m in mults:
+        factor = symmetric_power_poincare(surface, m).betti
+        grown = [0] * (len(out) + len(factor) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(factor):
+                grown[i + j] += x * y
+        out = grown
+    return PoincarePolynomial(tuple(out))
+
+
+def strata_report(n, surface=None, as_json=True):
+    """The stdout of `strata --n n [--surface b0,b2,b4]`, --json or --table.
+
+    The payload holds one dict per stratum with its polynomial as a list, as
+    the report built it before it rendered each polynomial once per
+    signature: the codimension and fiber dimension come from the parts, the
+    polynomial is the plain product over the part multiplicities (once per
+    multiplicity signature), and `cli._json` or `cli._flatten` writes it.
+    """
+    b0, b2, b4 = (1, 22, 1) if surface is None else map(int, surface.split(","))
+    polys = {}
+    rows = []
+    for d in diagrams_of(n):
+        mults = tuple(sorted(Counter(d.parts).values()))
+        if mults not in polys:
+            polys[mults] = plain_stratum_poincare(SurfaceBetti(b0, b2, b4), mults)
+        fiber = sum(p - 1 for p in d.parts)
+        codim = 2 * sum(p - 1 for p in d.parts)
+        rows.append({"diagram": list(d.parts), "codim": codim, "fiber_dimension": fiber,
+                     "semismall": 2 * fiber == codim, "poincare": list(polys[mults].betti)})
+    semismall = all(r["semismall"] for r in rows)
+    payload = {
+        "schema": cli.SCHEMA,
+        "command": "strata",
+        "parameters": {"n": n} if surface is None else {"n": n, "surface": surface},
+        "result": {"n": n, "surface": {"b0": b0, "b2": b2, "b4": b4}, "strata": rows},
+        "checks": [{"name": "semismall-equality-all-strata", "ok": semismall}],
+        "status": "ok" if semismall else "failed",
+    }
+    if as_json:
+        return cli._json(payload, "") + "\n"
+    lines = []
+    cli._flatten("", payload, lines)
+    return "\n".join(lines) + "\n"
 
 
 def json_report(payload):

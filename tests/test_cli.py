@@ -17,7 +17,8 @@ import hilbk3
 from hilbk3 import bb_lattice, cli, cohomology, frobenius, invariant_ideals, linalg
 from hilbk3.cli import SCHEMA, main
 
-from oracles import FROBENIUS_CELLS, frobenius_grams, json_report, reference_parser
+from oracles import (FROBENIUS_CELLS, frobenius_grams, json_report, reference_parser,
+                     strata_report)
 
 
 def run(argv, capsys):
@@ -593,6 +594,26 @@ def test_stratum_output_bytes_are_pinned(capsys):
             digest.update(f"{code}\n{out}".encode())
     assert digest.hexdigest() == (
         "359f8b2730799d75247f6a28e1a3ebe398cad0d993620106b693e6c60e570ab0")
+
+
+@pytest.mark.parametrize("surface", [None, "1,0,0", "1,6,1", "1,1000000,1"], ids=str)
+def test_stratum_bytes_match_the_dict_row_oracle(capsys, surface):
+    # each polynomial's text is rendered once per signature; the oracle
+    # renders one dict row per stratum, in both output formats
+    extra = ["--surface", surface] if surface else []
+    for n in range(1, 26):
+        for fmt in ("--json", "--table"):
+            code, out = run(["strata", "--n", str(n), fmt] + extra, capsys)
+            assert code == 0
+            assert out == strata_report(n, surface, as_json=fmt == "--json")
+
+
+def test_stratum_bytes_match_the_dict_row_oracle_at_the_cap(capsys):
+    n = cohomology.MAX_STRATA_N
+    for fmt in ("--json", "--table"):
+        code, out = run(["strata", "--n", str(n), fmt], capsys)
+        assert code == 0
+        assert out == strata_report(n, as_json=fmt == "--json")
 
 
 def test_table_output_bytes_are_pinned(capsys):

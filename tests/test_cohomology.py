@@ -1,4 +1,9 @@
+from collections import Counter
+from math import comb
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilbk3 import cohomology
 from hilbk3.cohomology import (
@@ -14,14 +19,21 @@ from hilbk3.partitions import YoungDiagram, codim_diagonal, diagrams_of
 
 from oracles import (
     brute_symmetric_power,
+    cycle_index_symmetric_power,
     euler_numbers_24,
     goettsche_betti,
     goettsche_rows,
+    knapsack_betti,
+    plain_stratum_poincare,
     stratum_entries_in_degree,
     stratum_sum,
 )
 
 K3 = SurfaceBetti.k3()
+# surfaces with b2 and b4 from 0 to the --surface bound 10^6
+_SURFACES = st.builds(SurfaceBetti, st.just(1),
+                      st.sampled_from((0, 22, 10 ** 6)) | st.integers(0, 30),
+                      st.sampled_from((0, 10 ** 6)) | st.integers(0, 3))
 
 
 def test_poincare_polynomial_basics():
@@ -73,6 +85,30 @@ def test_symmetric_power_against_brute_force():
             assert got.betti == want
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(surface=_SURFACES, n=st.integers(0, 6))
+def test_symmetric_power_matches_brute_force_and_the_cycle_index(surface, n):
+    # the multichoose columns against the cycle index of S_n on every surface,
+    # and against multiset enumeration wherever that is affordable
+    got = symmetric_power_poincare(surface, n)
+    assert got == cycle_index_symmetric_power(*surface, n)
+    if comb(sum(surface) + n - 1, n) <= 20_000:
+        assert got.betti == brute_symmetric_power(*surface, n)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(surface=_SURFACES, parts=st.lists(st.integers(1, 6), min_size=1, max_size=14))
+def test_prefix_built_stratum_polynomial_is_the_plain_product(surface, parts):
+    # the signature read from the run lengths of the sorted parts, and the
+    # product built from the signature one shorter, against one product per
+    # multiplicity taken factor by factor
+    diagram = YoungDiagram(tuple(sorted(parts, reverse=True)))
+    mults = tuple(sorted(Counter(parts).values()))
+    want = plain_stratum_poincare(surface, mults)
+    assert cohomology._stratum_poincare(surface, mults) == want
+    assert diagonal_poincare(surface, diagram) == want
+
+
 def test_symmetric_power_edge_cases():
     assert symmetric_power_poincare(K3, 0).betti == (1,)
     assert symmetric_power_poincare(K3, 1).betti == (1, 0, 22, 0, 1)
@@ -122,28 +158,39 @@ def test_stratum_ledger_structure():
 
 
 def test_knapsack_matches_per_stratum_sum_and_goettsche_on_k3():
-    # one expansion of the product gives every row
+    # the recurrence, the knapsack by part value, the per-stratum sum and one
+    # expansion of the product give every row
     rows = goettsche_rows(1, 22, 1, 30)
     for n in range(1, 31):
         ledger = hilbert_stratum_ledger(K3, n)
         total = ledger.total()
         assert total.betti == rows[n]
-        assert total == stratum_sum(ledger)
+        assert total == knapsack_betti(K3, n) == stratum_sum(ledger)
         for i in range(7):
             assert ledger.entries_in_degree(i) == stratum_entries_in_degree(ledger, i)
 
 
 def test_knapsack_matches_goettsche_past_the_strata_cap():
     # betti runs up to MAX_BETTI_N, where no per-stratum sum could follow;
-    # on K3 and on the surfaces with the widest and the narrowest packed
-    # slots, b0 + b2 + b4 = 24, 32 and 1
+    # the recurrence and the knapsack on K3 and on 1,30,1 and 1,0,0, with
+    # b0 + b2 + b4 = 24, 32 and 1
     for surface in (K3, SurfaceBetti(1, 30, 1), SurfaceBetti(1, 0, 0)):
         rows = goettsche_rows(*surface, MAX_BETTI_N)
         for n in (MAX_STRATA_N + 1, 64, MAX_BETTI_N):
             assert hilbert_stratum_ledger(surface, n).total().betti == rows[n]
+            assert knapsack_betti(surface, n).betti == rows[n]
 
 
-def test_packed_knapsack_raises_when_its_slots_carry(monkeypatch):
+@pytest.mark.parametrize("surface", [SurfaceBetti(1, 10 ** 6, 1), SurfaceBetti(1, 0, 10 ** 6),
+                                     SurfaceBetti(1, 10 ** 6, 10 ** 6)], ids=str)
+def test_recurrence_matches_the_knapsack_on_surfaces_at_the_bound(surface):
+    # the widest slots --surface allows, where the product expansion, one
+    # factor per class, cannot follow
+    for n in (1, 2, 3, 7, 16, 30, 50):
+        assert hilbert_stratum_ledger(surface, n).total() == knapsack_betti(surface, n)
+
+
+def test_packed_recurrence_raises_when_its_slots_carry(monkeypatch):
     # one-bit slots carry as soon as a Betti number exceeds 1: the slot sum
     # catches it, even with assertions stripped, and no wrong table is returned
     cases = [(surface, n) for surface in (K3, SurfaceBetti(1, 30, 1), SurfaceBetti(1, 0, 0))
@@ -158,12 +205,30 @@ def test_packed_knapsack_raises_when_its_slots_carry(monkeypatch):
             assert hilbert_stratum_ledger(surface, n).total() == table
 
 
+def test_recurrence_raises_when_a_division_leaves_a_remainder(monkeypatch):
+    # D_2 without its constant term b0 (divisor k = 1): 2 F_2 then has an odd
+    # constant term on these surfaces, and the exact division by N = 2
+    # catches it, even with assertions stripped; no wrong table is returned
+    derivative = cohomology._log_derivative
+
+    def defective(surface, n):
+        terms = derivative(surface, n)
+        terms[2] = [(e, c) for e, c in terms[2] if e]
+        return terms
+
+    monkeypatch.setattr(cohomology, "_log_derivative", defective)
+    for surface in (K3, SurfaceBetti(1, 0, 0), SurfaceBetti(1, 7, 1)):
+        for n in (2, 5, 16):
+            with pytest.raises(RuntimeError, match="remainder"):
+                hilbert_stratum_ledger(surface, n).total()
+
+
 @pytest.mark.parametrize("surface", [SurfaceBetti(1, 0, 1), SurfaceBetti(1, 7, 1),
                                      SurfaceBetti(1, 2, 3)], ids=str)
 def test_knapsack_matches_per_stratum_sum_on_other_surfaces(surface):
     for n in range(1, 25):
         ledger = hilbert_stratum_ledger(surface, n)
-        assert ledger.total() == stratum_sum(ledger)
+        assert ledger.total() == knapsack_betti(surface, n) == stratum_sum(ledger)
         for i in range(7):
             assert ledger.entries_in_degree(i) == stratum_entries_in_degree(ledger, i)
 
