@@ -297,7 +297,7 @@ def random_period_triple(lat: H2Lattice, rng: random.Random) -> PeriodTriple:
         raise RuntimeError("failed to draw a valid period triple")
     vs = [_numerators([sum(m * b[i] for m, b in zip(mix, basis)) for i in range(dim)])
           for mix in mixes]
-    rows = lat._integral_gram[1]
+    gden, rows = lat._integral_gram
     # the mixes span a positive-definite 3-space, so the Gram-Schmidt norms
     # of scale * v + noise are all positive once the scale is large enough.
     # A class w = W / den is kept with its numerator norm nu = W^T G W (times
@@ -322,8 +322,10 @@ def random_period_triple(lat: H2Lattice, rng: random.Random) -> PeriodTriple:
             break
         scale *= 2
     ws = [tuple(Fraction(a, den) for a in w) + (Fraction(0),) for w, den, _ in kept]
+    # q(w_0) = nu / (gden den^2) for the kept (W, den, nu) of w_0
+    _, den, nu = kept[0]
     scale = 1
-    while scale * scale * q_norm(lat, ws[0]) <= 2 * (lat.n - 1):
+    while scale * scale * nu <= 2 * (lat.n - 1) * gden * den * den:
         scale *= 2
     ws[0] = tuple(scale * a for a in ws[0][:dim]) + (Fraction(1),)
     return PeriodTriple(lat, (ws[0], ws[1], ws[2]))

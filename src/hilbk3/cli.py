@@ -25,8 +25,8 @@ SCHEMA = "hilbk3.report/1"
 # gram grows faster than linearly with the size of its entries
 MAX_GRAM_ENTRY = 10 ** 6
 # bound on the dimension of a gram file, checked before any entry is parsed:
-# a dense 32 x 32 gram of p/q entries near MAX_GRAM_ENTRY takes 15-16.5 s for
-# `certify --n 3` and 5.4-6.1 s for `frobenius --dimv 32 --n 2` (2-core VM)
+# a dense 32 x 32 gram of p/q entries near MAX_GRAM_ENTRY takes 14-17 s for
+# `certify --n 3` and 5.7-6.5 s for `frobenius --dimv 32 --n 2` (2-core VM)
 MAX_GRAM_DIM = 32
 # bound on the characters of a gram file, read before it is parsed: a dense
 # 32 x 32 gram of p/q entries near MAX_GRAM_ENTRY is about 18 KB of JSON
@@ -468,7 +468,8 @@ def main(argv=None) -> int:
     try:
         result, checks = _COMMANDS[args.command](args)
     except (ValueError, OSError, KeyError, RuntimeError) as exc:
-        internal = isinstance(exc, RuntimeError)
+        # no input reaches a KeyError: it, like a RuntimeError, is a defect
+        internal = isinstance(exc, (RuntimeError, KeyError))
         payload = {
             "schema": SCHEMA,
             "command": args.command,

@@ -106,10 +106,6 @@ def _times(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(operator.add, a, b))
 
 
-def _unit_vectors(size: int) -> list[list[int]]:
-    return [[int(r == c) for c in range(size)] for r in range(size)]
-
-
 class FrobeniusAlgebra:
     """The model algebra as its table of monomial normal forms.
 
@@ -223,34 +219,26 @@ class FrobeniusAlgebra:
         j = 2 * self.n - i
         # integer unit vectors: multiply skips their zeros with no Fraction
         # arithmetic
-        units = _unit_vectors(self.dim(j))
+        units = linalg.identity(self.dim(j))
         rows = []
-        for r, a in enumerate(_unit_vectors(self.dim(i))):
+        for r, a in enumerate(linalg.identity(self.dim(i))):
             lower = [rows[s][r] for s in range(r)] if i == j else []
             rows.append(lower + [self.multiply(i, a, j, b)[0]
                                  for b in units[len(lower):]])
         return rows
 
     def power_of_linear(self, alpha, p: int) -> list[Fraction]:
-        """Coordinates of alpha^p in A_{2p} for a vector alpha of V."""
+        """Coordinates of alpha^p in A_{2p} for a vector alpha of V: alpha
+        multiplied into 1 p times, so empty past degree 2n."""
         if p < 0:
             raise ValueError("power must be nonnegative")
-        if p > 2 * self.n:
-            return []
         alpha = [Fraction(x) for x in alpha]
         if len(alpha) != self.dim_v:
             raise ValueError("alpha must be a vector of V")
-        # expand (sum alpha_i v_i)^p degree by degree
-        current = {(0,) * self.dim_v: Fraction(1)}
-        for _ in range(p):
-            grown: dict[tuple[int, ...], Fraction] = {}
-            for mono, coeff in current.items():
-                for x, ai in zip(monomial_basis(self.dim_v, 1), alpha):
-                    if ai:
-                        key = _times(mono, x)
-                        grown[key] = grown.get(key, 0) + coeff * ai
-            current = grown
-        return self._normal_form(p, current.items())
+        power = [1]
+        for k in range(p):
+            power = self.multiply(1, alpha, k, power)
+        return power
 
     def check_pairing_nondegenerate(self) -> bool:
         """Whether the top coordinate of a * b pairs A_{2i} with A_{2(2n-i)}

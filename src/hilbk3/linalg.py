@@ -6,8 +6,9 @@ by arithmetic).  No floats anywhere: ranks, kernels, determinants and
 congruences are exact.  `Echelon` holds the only row-elimination loop and
 works on sparse {column: value} rows throughout, each value an int when its
 denominator is 1 and a Fraction otherwise; rank, nullspace and det pass
-their dense rows through `sparse` once and read their answers off it, and
-det returns a Fraction.
+their dense rows through `sparse` once and read their answers off it.  The
+identity and the nullspace vectors follow the same rule, their 0 and 1
+entries ints; det returns a Fraction.
 `Gram` is the one check of a gram: square, symmetric and nondegenerate.  It
 keeps no determinant; the diagonal D of its congruence gives det = prod D.
 """
@@ -21,12 +22,9 @@ from math import prod
 Vector = list
 Matrix = list
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 def identity(n: int) -> Matrix:
-    return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def symmetric_rows(a: Matrix, name: str = "matrix") -> Matrix:
@@ -144,8 +142,8 @@ def nullspace(a: Matrix, ncols: int) -> list[Vector]:
     rows = _echelon(a, ncols).rows
     basis = []
     for fc in sorted(set(range(ncols)) - {p for p, _ in rows}):
-        v = [_ZERO] * ncols
-        v[fc] = _ONE
+        v = [0] * ncols
+        v[fc] = 1
         for p, row in rows:
             if fc in row:
                 v[p] = -row[fc]

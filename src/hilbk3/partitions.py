@@ -40,9 +40,6 @@ class YoungDiagram(namedtuple("YoungDiagram", "parts")):
     def length(self) -> int:
         return len(self.parts)
 
-    def __str__(self) -> str:
-        return "(" + ",".join(str(p) for p in self.parts) + ")"
-
 
 def partitions_of(n: int, *, rows=None):
     """Yield partitions of n as weakly decreasing tuples, largest part first.

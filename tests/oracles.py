@@ -8,8 +8,9 @@ brute-force multiset enumeration and the cycle index of S_n for symmetric
 powers, the plain product over a signature's multiplicities,
 exhaustive subset scans (the full p(n) pinning audit, the 2^N sweep of
 ideal supports), the check of every basis triple for associativity, the
-Frobenius pairing and ideal-closure checks over every degree, sympy
-eliminations, the standard library's JSON encoder, and the hand-written
+Frobenius pairing and ideal-closure checks over every degree, powers of
+a linear class expanded in the symmetric algebra, sympy eliminations, the
+standard library's JSON encoder, and the hand-written
 argparse parser of the six reports.  Values frozen in the
 tests were produced by these functions and cross-checked against the
 literature before freezing.
@@ -627,6 +628,26 @@ def all_degree_closure(alg):
                 if reduced_first != alg._normal_form(d + 1, ((times(m, x), 1),)):
                     return False
     return True
+
+
+def expanded_power(alg, alpha, p):
+    """Coordinates of alpha^p in A_{2p} of a FrobeniusAlgebra, empty past 2n.
+
+    The route the library's repeated products replaced: (sum alpha_i v_i)^p
+    is expanded monomial by monomial in Sym^p and reduced once.
+    """
+    if p > 2 * alg.n:
+        return []
+    current = {(0,) * alg.dim_v: Fraction(1)}
+    for _ in range(p):
+        grown = {}
+        for mono, coeff in current.items():
+            for x, ai in zip(monomial_basis(alg.dim_v, 1), alpha):
+                if ai:
+                    key = tuple(a + b for a, b in zip(mono, x))
+                    grown[key] = grown.get(key, 0) + coeff * Fraction(ai)
+        current = grown
+    return alg._normal_form(p, current.items())
 
 
 def shapes_by_grammar(n):

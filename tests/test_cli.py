@@ -401,6 +401,84 @@ def test_internal_failure_is_its_own_status(monkeypatch, capsys):
                                 "message": "failed to draw a valid period triple"}
 
 
+def test_a_key_error_is_an_internal_failure(monkeypatch, capsys):
+    # no input reaches a KeyError, so one comes only from a defect
+    def broken(surface, n):
+        raise KeyError((2, 0))
+    monkeypatch.setattr(cohomology, "hilbert_stratum_ledger", broken)
+    code, payload = run_json(["betti", "--n", "4"], capsys)
+    assert (code, payload["status"]) == (3, "internal-error")
+    assert payload["error"] == {"type": "KeyError", "message": "(2, 0)"}
+
+
+def _bump_total(degree):
+    """A defect in the Betti table: one more class in the given degree."""
+    def inject(monkeypatch):
+        real = cohomology.StratumLedger.total
+
+        def total(self):
+            betti = list(real(self).betti)
+            betti[degree] += 1
+            return cohomology.PoincarePolynomial(tuple(betti))
+        monkeypatch.setattr(cohomology.StratumLedger, "total", total)
+    return inject
+
+
+def _drop_degree_2_entry(monkeypatch):
+    real = cohomology.StratumLedger.entries_in_degree
+    monkeypatch.setattr(cohomology.StratumLedger, "entries_in_degree",
+                        lambda self, i: real(self, i)[1:])
+
+
+def _su2_always_invariant(monkeypatch):
+    monkeypatch.setattr(bb_lattice, "is_su2_invariant", lambda lat, form, triple: True)
+
+
+def _zero_pairing_row(monkeypatch):
+    real = frobenius.FrobeniusAlgebra.pairing_matrix
+
+    def pairing_matrix(self, i):
+        m = real(self, i)
+        m[0] = [0] * len(m[0])
+        return m
+    monkeypatch.setattr(frobenius.FrobeniusAlgebra, "pairing_matrix", pairing_matrix)
+
+
+def _flip_a_normal_form(monkeypatch):
+    real = frobenius.FrobeniusAlgebra._build
+
+    def build(self):
+        real(self)
+        forms = self._forms[self.n + 1]
+        mono = next(m for m, form in forms.items() if form)
+        forms[mono] = tuple((t, -x) for t, x in forms[mono])
+    monkeypatch.setattr(frobenius.FrobeniusAlgebra, "_build", build)
+
+
+# each printed check that a defect in its computation can fail: the report,
+# and the defect injected (None where the input alone fails the check)
+FAILABLE_CHECKS = {
+    "b0-is-1": (["betti", "--n", "2"], _bump_total(0)),
+    "odd-degrees-vanish": (["betti", "--n", "2"], _bump_total(1)),
+    "b2-is-surface-b2-plus-1": (["betti", "--n", "2"], _bump_total(2)),
+    "degree-2-ledger-has-two-strata": (["betti", "--n", "2"], _drop_degree_2_entry),
+    "poincare-duality": (["betti", "--n", "3", "--surface", "1,0,5"], None),
+    "verdict-certified": (["certify", "--n", "3"], _su2_always_invariant),
+    "pairing-nondegenerate": (["frobenius", "--dimv", "2", "--n", "2"], _zero_pairing_row),
+    "associative": (["frobenius", "--dimv", "2", "--n", "2"], _flip_a_normal_form),
+}
+
+
+@pytest.mark.parametrize("name", FAILABLE_CHECKS)
+def test_each_failable_check_is_seen_failing(monkeypatch, capsys, name):
+    argv, inject = FAILABLE_CHECKS[name]
+    if inject is not None:
+        inject(monkeypatch)
+    code, payload = run_json(argv, capsys)
+    assert (code, payload["status"]) == (1, "failed")
+    assert {c["name"]: c["ok"] for c in payload["checks"]}[name] is False
+
+
 def test_certify_rejects_bad_n(capsys):
     code, payload = run_json(["certify", "--n", "0"], capsys)
     assert code == 1

@@ -26,6 +26,7 @@ from oracles import (
     all_degree_pairing_nondegenerate,
     delta_class,
     dense_normal_forms,
+    expanded_power,
     find_isotropic,
     frobenius_grams,
     ideal_normal_forms,
@@ -365,6 +366,22 @@ def test_power_of_linear_isotropic_vanishing():
             # powers survive exactly through degree n
             assert any(x != 0 for x in alg.power_of_linear(alpha, n))
             assert all(x == 0 for x in alg.power_of_linear(alpha, n + 1))
+            for p in range(2 * n + 2):
+                assert alg.power_of_linear(alpha, p) == expanded_power(alg, alpha, p), p
+
+
+@pytest.mark.parametrize("cell", FROBENIUS_CELLS, ids=lambda cell: "dimv%d-n%d" % cell)
+def test_powers_of_linear_classes_match_the_expanded_power(cell):
+    # repeated products against the expansion in Sym^p, through degree
+    # 2n + 1 where both are empty
+    dim, n = cell
+    rng = random.Random(dim * 10 + n)
+    for kind, gram in frobenius_grams(dim).items():
+        alg = build_algebra(gram, n)
+        for _ in range(2):
+            alpha = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim)]
+            for p in range(2 * n + 2):
+                assert alg.power_of_linear(alpha, p) == expanded_power(alg, alpha, p), (kind, p)
 
 
 def test_power_of_linear_anisotropic_top():
