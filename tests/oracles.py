@@ -7,13 +7,16 @@ replaced, the `strata` report built from one dict row per stratum,
 brute-force multiset enumeration and the cycle index of S_n for symmetric
 powers, the plain product over a signature's multiplicities,
 exhaustive subset scans (the full p(n) pinning audit, the 2^N sweep of
-ideal supports), the check of every basis triple for associativity, the
-Frobenius pairing and ideal-closure checks over every degree, powers of
-a linear class expanded in the symmetric algebra, sympy eliminations, the
-standard library's JSON encoder, and the hand-written
-argparse parser of the six reports.  Values frozen in the
-tests were produced by these functions and cross-checked against the
-literature before freezing.
+ideal supports), the whole truncated ring C[x, y]/m^N with its
+single-monomial operators e and f (its slice matrices of e, the ideal
+recheck and staircase check that the library's one closure rule replaced,
+and the `ideals` report built from the ideals its slices generate), the
+check of every basis triple for associativity, the Frobenius pairing and
+ideal-closure checks over every degree, powers of a linear class expanded
+in the symmetric algebra, sympy eliminations, the standard library's JSON
+encoder, and the hand-written argparse parser of the six reports.  Values
+frozen in the tests were produced by these functions and cross-checked
+against the literature before freezing.
 
 The constructions below them exist only so tests can compare or sample
 with them, and the reports never run them: the dense Frobenius build the
@@ -34,7 +37,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from math import factorial, lcm
 
 import sympy
@@ -441,6 +444,132 @@ def brute_invariant_supports(truncation):
                for a, b in members):
             hits.append(degrees)
     return sorted(hits)
+
+
+class TruncatedRing:
+    """Monomial model of C[x, y]/m^N with the degree-preserving operators e and f."""
+
+    def __init__(self, truncation: int):
+        if not isinstance(truncation, int) or truncation < 1:
+            raise ValueError("truncation must be a positive integer")
+        self.truncation = truncation
+        self.monomials = tuple(
+            (a, l - a) for l in range(truncation) for a in range(l, -1, -1)
+        )
+
+    def degree_indices(self, l: int) -> tuple[int, ...]:
+        return tuple(k for k, (a, b) in enumerate(self.monomials) if a + b == l)
+
+    # single-monomial actions; None means the image is zero
+    def act_e(self, mono):
+        a, b = mono
+        return (b, (a + 1, b - 1)) if b >= 1 else None
+
+    def act_f(self, mono):
+        a, b = mono
+        return (a, (a - 1, b + 1)) if a >= 1 else None
+
+    def matrix_e_on_degree(self, l: int) -> list[list[int]]:
+        idx = self.degree_indices(l)
+        monos = [self.monomials[k] for k in idx]
+        pos = {m: r for r, m in enumerate(monos)}
+        out = [[0] * len(monos) for _ in range(len(monos))]
+        for c, mono in enumerate(monos):
+            image = self.act_e(mono)
+            if image is not None and image[0] != 0:
+                out[pos[image[1]]][c] = image[0]
+        return out
+
+
+def ring_recheck_ideal(ring, degrees):
+    """The ideal recheck on the whole ring: the span of the ring's monomials
+    of the given degrees is closed under x, y, e and f, with e and f applied
+    through the ring's single-monomial actions."""
+    support = set(degrees)
+    members = {m for m in ring.monomials if sum(m) in support}
+    for (a, b) in members:
+        for shifted in ((a + 1, b), (a, b + 1)):
+            if sum(shifted) < ring.truncation and shifted not in members:
+                return False
+        image = ring.act_e((a, b))
+        if image is not None and image[0] != 0 and image[1] not in members:
+            return False
+        image = ring.act_f((a, b))
+        if image is not None and image[0] != 0 and image[1] not in members:
+            return False
+    return True
+
+
+def staircase_is_stable(quotient):
+    """The staircase check on the quotient cells: e = x d/dy sends the ideal
+    monomial (a-1, b+1) onto the quotient cell (a, b), and f = y d/dx sends
+    (a+1, b-1) there, so stability fails exactly at such a preimage."""
+    for (a, b) in quotient:
+        if a >= 1 and (a - 1, b + 1) not in quotient:
+            return False
+        if b >= 1 and (a + 1, b - 1) not in quotient:
+            return False
+    return True
+
+
+def _ring_ideal_generated_by(ring, seed):
+    """The monomials of the smallest subspace containing `seed` that is
+    closed under x, y, e and f, grown one monomial image at a time."""
+    members = set(seed)
+    todo = list(seed)
+    while todo:
+        a, b = todo.pop()
+        images = [(a + 1, b), (a, b + 1)]
+        for act in (ring.act_e, ring.act_f):
+            image = act((a, b))
+            if image is not None and image[0] != 0:
+                images.append(image[1])
+        for m in images:
+            if sum(m) < ring.truncation and m not in members:
+                members.add(m)
+                todo.append(m)
+    return members
+
+
+def ideals_report(truncation):
+    """The stdout of `ideals --N truncation --json`, built on the ring route.
+
+    Each slice is certified irreducible by the nullspace of the ring's
+    matrix of e, so an invariant ideal is a sum of the ideals generated by
+    single slices; each of those is grown monomial by monomial in
+    `TruncatedRing`, rechecked by `ring_recheck_ideal`, and `cli._json`
+    writes the payload.
+    """
+    n = truncation
+    ring = TruncatedRing(n)
+    for l in range(n):
+        if len(linalg.nullspace(ring.matrix_e_on_degree(l), l + 1)) != 1:
+            raise RuntimeError(f"degree {l} slice is reducible")
+    supports = []
+    for l in range(1, n):
+        degrees = tuple(sorted({a + b for a, b in _ring_ideal_generated_by(
+            ring, [m for m in ring.monomials if sum(m) == l])}))
+        if not ring_recheck_ideal(ring, degrees):
+            raise RuntimeError(f"the ideal generated in degree {l} is not closed")
+        if degrees not in supports:
+            supports.append(degrees)
+    rows = [{"degrees": list(s),
+             "maximal_ideal_power": s[0] if s == tuple(range(s[0], n)) else None}
+            for s in supports]
+    checks = [
+        {"name": "every-invariant-ideal-is-a-power-of-m",
+         "ok": all(r["maximal_ideal_power"] is not None for r in rows)},
+        {"name": "count-is-N-minus-1", "ok": len(rows) == n - 1},
+    ]
+    payload = {
+        "schema": cli.SCHEMA,
+        "command": "ideals",
+        "parameters": {"N": n},
+        "result": {"truncation": n, "ideals": rows},
+        "checks": checks,
+        "status": "ok" if all(c["ok"] for c in checks) else "failed",
+    }
+    return cli._json(payload, "") + "\n"
 
 
 def ideal_normal_forms(gram, n, d):
@@ -995,7 +1124,11 @@ def orbit_dimension_d2(lat, triple):
 # alpha^(n+1) = 0 in the Frobenius models.
 
 def find_isotropic(gram):
-    """A nonzero isotropic vector by small search, or None."""
+    """A nonzero isotropic vector by small search, or None.
+
+    Tries e_i, then e_i + a e_j with a in +-1, +-2, then e_i + a e_j + b e_k
+    with a, b in +-1, +-2, +-3, and returns the first isotropic one.
+    """
     dim = len(gram)
     def q(v):
         return sum(v[i] * gram[i][j] * v[j] for i in range(dim) for j in range(dim))
@@ -1012,6 +1145,14 @@ def find_isotropic(gram):
                 v[j] = Fraction(a)
                 if q(v) == 0:
                     return v
+    for i, j, k in combinations(range(dim), 3):
+        for a, b in product((1, -1, 2, -2, 3, -3), repeat=2):
+            v = [Fraction(0)] * dim
+            v[i] = Fraction(1)
+            v[j] = Fraction(a)
+            v[k] = Fraction(b)
+            if q(v) == 0:
+                return v
     return None
 
 

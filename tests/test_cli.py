@@ -17,8 +17,8 @@ import hilbk3
 from hilbk3 import bb_lattice, cli, cohomology, frobenius, invariant_ideals, linalg
 from hilbk3.cli import SCHEMA, main
 
-from oracles import (FROBENIUS_CELLS, frobenius_grams, json_report, reference_parser,
-                     strata_report)
+from oracles import (FROBENIUS_CELLS, frobenius_grams, ideals_report, json_report,
+                     reference_parser, strata_report)
 
 
 def run(argv, capsys):
@@ -692,6 +692,13 @@ def test_stratum_bytes_match_the_dict_row_oracle_at_the_cap(capsys):
         code, out = run(["strata", "--n", str(n), fmt], capsys)
         assert code == 0
         assert out == strata_report(n, as_json=fmt == "--json")
+
+
+def test_ideals_bytes_match_the_ring_route(capsys):
+    for n in range(1, 13):
+        code, out = run(["ideals", "--N", str(n), "--json"], capsys)
+        assert code == 0
+        assert out == ideals_report(n), n
 
 
 def test_table_output_bytes_are_pinned(capsys):

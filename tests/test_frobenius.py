@@ -357,17 +357,29 @@ def test_pairing_matrix_reads_the_top_coordinate():
         assert all(type(x) is int for row in m for x in row)
 
 
+def _check_isotropic_powers(gram, n, rng, draws):
+    alg = build_algebra(gram, n)
+    for _ in range(draws):
+        alpha = random_isotropic(gram, rng)
+        # powers survive exactly through degree n
+        assert any(x != 0 for x in alg.power_of_linear(alpha, n))
+        assert all(x == 0 for x in alg.power_of_linear(alpha, n + 1))
+        for p in range(2 * n + 2):
+            assert alg.power_of_linear(alpha, p) == expanded_power(alg, alpha, p), p
+
+
 def test_power_of_linear_isotropic_vanishing():
     for gram, n in ((U, 2), (U2, 2), (U4, 3)):
-        alg = build_algebra(gram, n)
-        rng = random.Random(11)
-        for _ in range(5):
-            alpha = random_isotropic(gram, rng)
-            # powers survive exactly through degree n
-            assert any(x != 0 for x in alg.power_of_linear(alpha, n))
-            assert all(x == 0 for x in alg.power_of_linear(alpha, n + 1))
-            for p in range(2 * n + 2):
-                assert alg.power_of_linear(alpha, p) == expanded_power(alg, alpha, p), p
+        _check_isotropic_powers(gram, n, random.Random(11), 5)
+
+
+@pytest.mark.parametrize(
+    "dim, n, kind",
+    [(dim, n, kind) for dim, n in FROBENIUS_CELLS for kind, gram in frobenius_grams(dim).items()
+     if find_isotropic(gram) is not None],
+    ids=lambda v: str(v))
+def test_power_of_linear_isotropic_vanishing_on_the_benchmark_grams(dim, n, kind):
+    _check_isotropic_powers(frobenius_grams(dim)[kind], n, random.Random(dim * 10 + n), 2)
 
 
 @pytest.mark.parametrize("cell", FROBENIUS_CELLS, ids=lambda cell: "dimv%d-n%d" % cell)
@@ -449,6 +461,11 @@ def test_restriction_functional_structure():
 
 def test_find_isotropic():
     assert find_isotropic(((1, 0), (0, 1))) is None
+    # the support-3 pass reaches the benchmark grams; identity grams are definite
+    found = [(kind, dim) for dim in range(2, 7) for kind, gram in frobenius_grams(dim).items()
+             if find_isotropic(gram) is not None]
+    assert sorted(found) == [("diagonal", d) for d in (4, 5, 6)] + [
+        ("rational", d) for d in (3, 4, 5, 6)]
     v = find_isotropic(U)
     assert v is not None and any(x != 0 for x in v)
     assert sum(v[i] * U[i][j] * v[j] for i in range(2) for j in range(2)) == 0

@@ -7,7 +7,6 @@ from hilbk3.invariant_ideals import (
     MAX_COLENGTH,
     MAX_TRUNCATION,
     MonomialIdeal,
-    TruncatedRing,
     classify_invariant_ideals,
     irreducibility_certificate,
     punctual_fixed_points,
@@ -15,11 +14,14 @@ from hilbk3.invariant_ideals import (
 from hilbk3.partitions import YoungDiagram, is_triangular
 
 from oracles import (
+    TruncatedRing,
     brute_invariant_supports,
     brute_stable_staircases,
     mat_add,
     mat_mul,
     mat_scale,
+    ring_recheck_ideal,
+    staircase_is_stable,
 )
 
 
@@ -107,6 +109,30 @@ def test_classification_is_powers_of_the_maximal_ideal():
 def test_classification_matches_the_support_sweep():
     for n in range(1, 13):
         assert [i.degrees for i in classify_invariant_ideals(n)] == brute_invariant_supports(n)
+
+
+def test_closure_rule_matches_the_ring_routes(monkeypatch):
+    # the ideal recheck against the whole-ring recheck on every support the
+    # sweep visits
+    for n in range(1, 11):
+        ring = TruncatedRing(n)
+        for mask in range(1, (1 << n) - 1):
+            degrees = tuple(l for l in range(n) if mask >> l & 1)
+            assert invariant_ideals._recheck_ideal(n, degrees) == (
+                ring_recheck_ideal(ring, degrees)), degrees
+    # the staircase check against the quotient-cell scan on every partition
+    for i in range(1, 15):
+        for parts in partitions.partitions_of(i):
+            quotient = MonomialIdeal(YoungDiagram(parts), i + 1).quotient_monomials()
+            assert invariant_ideals._closed_under_e_and_f(quotient) == (
+                staircase_is_stable(quotient)), parts
+    # each slice matrix the certificate builds against the ring's
+    seen = []
+    nullspace = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace", lambda m, ncols: seen.append(m) or nullspace(m, ncols))
+    for l in range(MAX_TRUNCATION):
+        assert irreducibility_certificate(l)
+        assert seen.pop() == TruncatedRing(l + 1).matrix_e_on_degree(l), l
 
 
 def test_classification_cap():
