@@ -14,13 +14,13 @@ fixes the quotient basis and its kernel is closed under multiplication by
 V, so the kernel is an ideal and the table is the quotient map by it.  The
 closure is checked on monomials of degrees n + 1..2n - 1 only, since below
 that every monomial is its own normal form.  The pairing, (a, b) -> the
-coordinate of a*b in the one-dimensional top degree, is checked
-nondegenerate on degrees 0..n only, since monomial products commute and
-the matrix of degree 2n - i is the transpose of that of degree i.  Powers
-of isotropic classes of V vanish exactly above degree 2n, and special
-orthogonal substitutions act by algebra automorphisms; all of this is
-exercised by the test suite with exact arithmetic, in ints wherever a
-value is integral.
+coordinate of a*b in the one-dimensional top degree, is read off the
+table's top degree and checked nondegenerate on degrees 0..n only, since
+monomial products commute and the matrix of degree 2n - i is the
+transpose of that of degree i.  Powers of isotropic classes of V vanish
+exactly above degree 2n, and special orthogonal substitutions act by
+algebra automorphisms; all of this is exercised by the test suite with
+exact arithmetic, in ints wherever a value is integral.
 
 Full multiplication tables are capped at dim V <= 6 and n <= 4.  For larger
 spaces (e.g. the 23-dimensional H^2 of a Hilbert scheme) only the closed
@@ -64,25 +64,25 @@ def monomial_basis(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def laplacian_matrix(gram, degree: int) -> list[list[Fraction]]:
+def laplacian_matrix(gram, degree: int) -> list[list[int | Fraction]]:
     """Contraction Sym^degree -> Sym^(degree-2) pairing two slots with the form."""
     dim = len(gram)
     src = monomial_basis(dim, degree)
     dst = monomial_basis(dim, degree - 2)
     index = {m: k for k, m in enumerate(dst)}
-    out = [[Fraction(0)] * len(src) for _ in range(len(dst))]
+    out = [[0] * len(src) for _ in range(len(dst))]
     for s, e in enumerate(src):
         for i in range(dim):
             if e[i] >= 2 and gram[i][i] != 0:
                 f = list(e)
                 f[i] -= 2
-                out[index[tuple(f)]][s] += Fraction(e[i] * (e[i] - 1), 2) * gram[i][i]
+                out[index[tuple(f)]][s] += e[i] * (e[i] - 1) // 2 * gram[i][i]
             for j in range(i + 1, dim):
                 if e[i] >= 1 and e[j] >= 1 and gram[i][j] != 0:
                     f = list(e)
                     f[i] -= 1
                     f[j] -= 1
-                    out[index[tuple(f)]][s] += Fraction(e[i] * e[j]) * gram[i][j]
+                    out[index[tuple(f)]][s] += e[i] * e[j] * gram[i][j]
     return out
 
 
@@ -203,7 +203,8 @@ class FrobeniusAlgebra:
         """Product A_{2i} x A_{2j} -> A_{2(i+j)} in quotient coordinates."""
         if i + j > 2 * self.n:
             return []
-        # only nonzero coefficients: pairing_matrix multiplies unit vectors
+        # only nonzero coefficients: check_associative multiplies a unit
+        # vector by a sparse normal form
         bs = [(mb, cb) for mb, cb in zip(self._quotient_monomials[j], b) if cb]
         return self._normal_form(i + j, (
             (_times(ma, mb), ca * cb)
@@ -211,21 +212,14 @@ class FrobeniusAlgebra:
 
     def pairing_matrix(self, i: int) -> list[list[Fraction]]:
         """The coordinate of a_r * b_s in the one-dimensional A_{4n}, over
-        bases of A_{2i} and A_{2(2n-i)}: an int where it is integral.
-
-        Monomial products commute, so the middle matrix (i = n) is symmetric
-        and only its upper triangle is multiplied out.
+        the basis monomials a_r of A_{2i} and b_s of A_{2(2n-i)}: read off
+        the table's normal form of the monomial a_r * b_s, an int where it
+        is integral.
         """
-        j = 2 * self.n - i
-        # integer unit vectors: multiply skips their zeros with no Fraction
-        # arithmetic
-        units = linalg.identity(self.dim(j))
-        rows = []
-        for r, a in enumerate(linalg.identity(self.dim(i))):
-            lower = [rows[s][r] for s in range(r)] if i == j else []
-            rows.append(lower + [self.multiply(i, a, j, b)[0]
-                                 for b in units[len(lower):]])
-        return rows
+        top = self._forms[2 * self.n]
+        return [[form[0][1] if (form := top[_times(a, b)]) else 0
+                 for b in self._quotient_monomials[2 * self.n - i]]
+                for a in self._quotient_monomials[i]]
 
     def power_of_linear(self, alpha, p: int) -> list[Fraction]:
         """Coordinates of alpha^p in A_{2p} for a vector alpha of V: alpha
@@ -265,23 +259,24 @@ class FrobeniusAlgebra:
         below 2n and every variable x.  The first makes m - NF(m) lie in the
         kernel of NF, the second closes that kernel under multiplication by
         V, so it is an ideal and NF(NF(ab) c) = NF(abc) = NF(a NF(bc)) for
-        all a, b, c.  The work is one normal form per monomial and variable,
-        not one per basis triple.  The second condition is checked for m of
-        degree n + 1..2n - 1 only: below that every monomial is a basis
-        monomial, which the first condition fixes as its own normal form,
-        so both sides are the same normal form of x * m.
+        all a, b, c.  The left side is the algebra's product of x with
+        NF(m), one per monomial and variable, not one per basis triple.  The
+        second condition is checked for m of degree n + 1..2n - 1 only:
+        below that every monomial is a basis monomial, which the first
+        condition fixes as its own normal form, so both sides are the same
+        normal form of x * m.
         """
         basis, forms = self._quotient_monomials, self._forms
         for d in range(2 * self.n + 1):
             if any(forms[d][m] != ((t, 1),) for t, m in enumerate(basis[d])):
                 return False
-        variables = monomial_basis(self.dim_v, 1)
+        units = linalg.identity(len(basis[1]))
         for d in range(self.n + 1, 2 * self.n):
-            for m, form in forms[d].items():
-                for x in variables:
-                    reduced_first = self._normal_form(
-                        d + 1, ((_times(basis[d][t], x), c) for t, c in form))
-                    if reduced_first != self._normal_form(d + 1, ((_times(m, x), 1),)):
+            for m in forms[d]:
+                coords = self._normal_form(d, ((m, 1),))
+                for x, e_x in zip(basis[1], units):
+                    if (self.multiply(1, e_x, d, coords)
+                            != self._normal_form(d + 1, ((_times(m, x), 1),))):
                         return False
         return True
 

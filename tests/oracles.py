@@ -711,10 +711,10 @@ def triple_associativity(alg):
 def all_degree_pairing_nondegenerate(alg):
     """The pairing check of a FrobeniusAlgebra over all 2n + 1 degrees.
 
-    The route the library's check replaced, which takes determinants in
-    degrees 0..n only and fills the middle matrix from its upper triangle:
-    here every matrix of top coordinates of a_r * b_s is multiplied out in
-    full and every determinant is taken.
+    The route the library's check replaced, which reads each matrix off the
+    table's top degree and takes determinants in degrees 0..n only: here
+    every matrix of top coordinates of a_r * b_s is multiplied out through
+    `multiply` on unit vectors and every determinant is taken.
     """
     n = alg.n
 

@@ -128,6 +128,11 @@ def test_laplacian_on_isotropic_power():
         basis = monomial_basis(2, d)
         vec = [Fraction(1) if m == (d, 0) else Fraction(0) for m in basis]
         assert all(x == 0 for x in mat_vec(laplacian_matrix(U, d), vec))
+    # on an integral gram every entry is an int: e_i (e_i - 1) / 2 is one
+    for gram in (U, U2, U4):
+        for d in range(2, 6):
+            m = laplacian_matrix(gram, d)
+            assert all(type(x) is int for row in m for x in row), (gram, d)
 
 
 def test_quadric_is_laplacian_eigenvector():
@@ -344,17 +349,20 @@ def test_multiplication_truncates_past_top():
     assert alg.multiply(2, top, 2, top) == []
 
 
-def test_pairing_matrix_reads_the_top_coordinate():
-    # each entry is the one coordinate of a basis product in A_{4n}, and on
-    # an integral table it stays an int
-    alg = build_algebra(U, 2)
-    assert alg.dim(4) == 1
-    for i in range(5):
-        units = linalg.identity(alg.dim(4 - i))
-        m = alg.pairing_matrix(i)
-        assert m == [[alg.multiply(i, a, 4 - i, b)[0] for b in units]
-                     for a in linalg.identity(alg.dim(i))]
-        assert all(type(x) is int for row in m for x in row)
+@pytest.mark.parametrize("cell", FROBENIUS_CELLS, ids=lambda cell: "dimv%d-n%d" % cell)
+def test_pairing_matrix_reads_the_top_coordinate(cell):
+    # each entry read off the table is the one coordinate in A_{4n} of the
+    # product of two basis unit vectors, and an int wherever it is integral
+    dim, n = cell
+    for kind, gram in frobenius_grams(dim).items():
+        alg = build_algebra(gram, n)
+        assert alg.dim(2 * n) == 1
+        for i in range(2 * n + 1):
+            units = linalg.identity(alg.dim(2 * n - i))
+            m = alg.pairing_matrix(i)
+            assert m == [[alg.multiply(i, a, 2 * n - i, b)[0] for b in units]
+                         for a in linalg.identity(alg.dim(i))], (kind, i)
+            assert all(type(x) is int or x.denominator > 1 for row in m for x in row), (kind, i)
 
 
 def _check_isotropic_powers(gram, n, rng, draws):
