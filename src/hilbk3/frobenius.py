@@ -2,9 +2,13 @@
 
 For a rational quadratic space (V, q) and n >= 1 the model algebra is
 Sym(V) modulo the ideal generated by the harmonic part of degree n + 1,
-where harmonic means killed by the Laplacian of q (the contraction pairing
-two symmetric slots with the form).  The graded pieces sit in cohomological
-degrees 0, 2, ..., 4n with
+where harmonic means killed by the Laplacian Delta of q (the contraction
+pairing two symmetric slots with the form).  In each degree n < d <= 2n
+that ideal is the kernel of Delta^(d-n), which is how it is built:
+Delta^(d-n) of h * p, h harmonic of degree n + 1, contracts two slots of h
+in every term, and both spaces have codimension dim Sym^(2n-d), since
+Sym^d = H_d + q Sym^(d-2) makes Delta^(d-n) onto.  The graded pieces sit
+in cohomological degrees 0, 2, ..., 4n with
 
     dim A_{2i} = dim Sym^{min(i, 2n-i)} V,
 
@@ -32,7 +36,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from . import linalg
 
@@ -64,31 +68,39 @@ def monomial_basis(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def laplacian_matrix(gram, degree: int) -> list[list[int | Fraction]]:
-    """Contraction Sym^degree -> Sym^(degree-2) pairing two slots with the form."""
+def laplacian_matrix(gram, degree: int, power: int = 1) -> list[list[int | Fraction]]:
+    """Delta^power: Sym^degree -> Sym^(degree - 2 power), where the Laplacian
+    Delta contracts two slots with the form.  Delta^k of a monomial is
+    Delta^(k-1) of the terms of its Delta, each kept for the one call."""
     dim = len(gram)
-    src = monomial_basis(dim, degree)
-    dst = monomial_basis(dim, degree - 2)
-    index = {m: k for k, m in enumerate(dst)}
-    out = [[0] * len(src) for _ in range(len(dst))]
-    for s, e in enumerate(src):
-        for i in range(dim):
-            if e[i] >= 2 and gram[i][i] != 0:
-                f = list(e)
-                f[i] -= 2
-                out[index[tuple(f)]][s] += e[i] * (e[i] - 1) // 2 * gram[i][i]
-            for j in range(i + 1, dim):
-                if e[i] >= 1 and e[j] >= 1 and gram[i][j] != 0:
+    form = [(i, j, g) for i in range(dim) for j in range(i, dim) if (g := gram[i][j])]
+    images: dict[tuple[int, ...], dict] = {}  # the degree of e fixes k
+
+    def image(e, k):
+        if k and e not in images:
+            out = images[e] = {}
+            for i, j, g in form:
+                if e[i] > (i == j) and e[j]:
                     f = list(e)
                     f[i] -= 1
                     f[j] -= 1
-                    out[index[tuple(f)]][s] += e[i] * e[j] * gram[i][j]
-    return out
+                    c = (e[i] * (e[i] - 1) // 2 if i == j else e[i] * e[j]) * g
+                    for h, x in image(tuple(f), k - 1).items():
+                        out[h] = out.get(h, 0) + c * x
+        return images[e] if k else {e: 1}
+
+    columns = [image(e, power) for e in monomial_basis(dim, degree)]
+    return [[col.get(m, 0) for col in columns] for m in monomial_basis(dim, degree - 2 * power)]
 
 
-def harmonic_basis(gram, degree: int) -> list[list[Fraction]]:
-    """Kernel of the contraction in the given degree (all of Sym^degree below 2)."""
-    return linalg.nullspace(laplacian_matrix(gram, degree), len(monomial_basis(len(gram), degree)))
+def harmonic_basis(gram, degree: int, power: int = 1) -> list[dict]:
+    """The kernel of Delta^power in the given degree (all of Sym^degree below
+    2 power), as the sparse reduced echelon basis of `linalg.nullspace`.
+    Delta of cG is c Delta of G, so the form is scaled to ints first."""
+    scale = lcm(*(x.denominator for row in gram for x in row))
+    gram = [[int(x * scale) for x in row] for row in gram]
+    return linalg.nullspace(laplacian_matrix(gram, degree, power),
+                            len(monomial_basis(len(gram), degree)))
 
 
 def algebra_dimension_pattern(dim_v: int, n: int) -> tuple[int, ...]:
@@ -114,12 +126,10 @@ class FrobeniusAlgebra:
     d <= 2n the table maps each monomial to its normal form, sparse
     coordinates ((t, coeff), ...) over that basis in increasing t.  Below
     degree n + 1 the ideal is zero and each monomial is its own normal form;
-    in degrees n + 1..2n it is the monomial's sparse unit vector reduced by
-    the echelon.  The echelon is built from sparse rows: the harmonics in
-    degree n + 1, then each variable times the rows of the degree below, and
-    no dense vector is formed.  Elements of A_{2d} are coordinate vectors
-    over the basis, and reduction, products, pairings and the ideal-closure
-    proof of associativity all read the one table.
+    in degree d > n it is the monomial's sparse unit vector reduced by the
+    echelon, which takes the kernel of Delta^(d-n) as `harmonic_basis`
+    returns it.  Elements of A_{2d} are coordinates over the basis, and
+    reduction, products, pairings and the closure proof read the one table.
 
     The argument checks run cheapest first: n and the caps before the
     `linalg.Gram` check of the gram, which a `Gram` has passed already.
@@ -141,28 +151,17 @@ class FrobeniusAlgebra:
         expected = algebra_dimension_pattern(dim, n)
         self._quotient_monomials: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._forms: dict[int, dict[tuple[int, ...], tuple[tuple[int, Fraction], ...]]] = {}
-        variables = monomial_basis(dim, 1)
-        ideal = None  # echelon of the ideal in degree d, once d > n
         for d in range(2 * n + 1):
             basis = monomial_basis(dim, d)
             normal = ({k: 1} for k in range(len(basis)))
+            ideal = linalg.Echelon(len(basis))
             if d > n:
-                if ideal is None:
-                    generators = map(linalg.sparse, harmonic_basis(self.gram, d))
-                else:
-                    # x times each row of the ideal in degree d - 1; multiplying
-                    # by x is injective on monomials, so no two terms collide
-                    index = {m: k for k, m in enumerate(basis)}
-                    prev = monomial_basis(dim, d - 1)
-                    generators = [{index[_times(prev[k], x)]: c for k, c in row.items()}
-                                  for _, row in ideal.rows for x in variables]
-                ideal = linalg.Echelon(len(basis))
-                for g in generators:
-                    ideal.add(g)
+                for v in harmonic_basis(self.gram, d, d - n):
+                    ideal.add(v)
                 # a monomial off the pivots reduces to itself, a pivot
                 # monomial to minus its row without the pivot
                 normal = map(ideal.reduce, normal)
-            pivots = set(ideal.pivots) if ideal else set()
+            pivots = set(ideal.pivots)
             quotient = [k for k in range(len(basis)) if k not in pivots]
             if len(quotient) != expected[d]:
                 raise ConstructionError(

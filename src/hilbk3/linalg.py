@@ -6,9 +6,9 @@ by arithmetic).  No floats anywhere: ranks, kernels, determinants and
 congruences are exact.  `Echelon` holds the only row-elimination loop and
 works on sparse {column: value} rows throughout, each value an int when its
 denominator is 1 and a Fraction otherwise; rank, nullspace and det pass
-their dense rows through `sparse` once and read their answers off it.  The
-identity and the nullspace vectors follow the same rule, their 0 and 1
-entries ints; det returns a Fraction.
+their dense rows through `sparse` once and read their answers off it, the
+kernel as its reduced echelon basis of such sparse vectors.  The
+identity's 0 and 1 entries are ints; det returns a Fraction.
 `Gram` is the one check of a gram: square, symmetric and nondegenerate.  It
 keeps no determinant; the diagonal D of its congruence gives det = prod D.
 """
@@ -136,19 +136,20 @@ def rank(rows: Matrix) -> int:
     return _echelon(rows, len(rows[0]) if rows else 0).rank
 
 
-def nullspace(a: Matrix, ncols: int) -> list[Vector]:
-    """Basis of the right kernel, one vector per free column, read off the
-    sparse rows of the reduced echelon form."""
-    rows = _echelon(a, ncols).rows
-    basis = []
-    for fc in sorted(set(range(ncols)) - {p for p, _ in rows}):
-        v = [0] * ncols
-        v[fc] = 1
-        for p, row in rows:
-            if fc in row:
-                v[p] = -row[fc]
-        basis.append(v)
-    return basis
+def nullspace(a: Matrix, ncols: int) -> list[dict]:
+    """The reduced echelon basis of the right kernel, unique for the
+    subspace: sparse vectors in pivot order, each 1 on its own pivot and 0
+    on the others, so an `Echelon` takes them without elimination.
+
+    a is eliminated with its columns reversed.  A free column f there gives
+    the vector with 1 at f and -row[f] at the pivot of each row; mapped
+    back to ncols - 1 - f, that 1 comes first, the pivots after it.
+    """
+    last = ncols - 1
+    rows = _echelon([row[::-1] for row in a], ncols).rows
+    pivots = {p for p, _ in rows}
+    return [{last - f: 1, **{last - p: -row[f] for p, row in rows if f in row}}
+            for f in range(last, -1, -1) if f not in pivots]
 
 
 def det(a: Matrix) -> Fraction:

@@ -13,15 +13,18 @@ recheck and staircase check that the library's one closure rule replaced,
 and the `ideals` report built from the ideals its slices generate), the
 check of every basis triple for associativity, the Frobenius pairing and
 ideal-closure checks over every degree, powers of a linear class expanded
-in the symmetric algebra, sympy eliminations, the standard library's JSON
+in the symmetric algebra, the top power of the Laplacian differentiated
+out term by term (the pairing and the Fujiki relation checked with no
+elimination), sympy eliminations, the standard library's JSON
 encoder, and the hand-written argparse parser of the six reports.  Values
 frozen in the tests were produced by these functions and cross-checked
 against the literature before freezing.
 
 The constructions below them exist only so tests can compare or sample
-with them, and the reports never run them: the dense Frobenius build the
-library's sparse one replaced, the shape grammar, explicit BB classes, the
-routes of the degree-4 path the library replaced (BB pairing and
+with them, and the reports never run them: the dense Frobenius build by
+propagation that the library's kernel of a power of the Laplacian
+replaced, the shape grammar, explicit BB classes, the routes of the
+degree-4 path the library replaced (BB pairing and
 period-triple Gram-Schmidt in Fractions, period triples orthogonal to
 delta, congruence column operations over
 zero entries too, with the signature read off them), a matrix inverse and
@@ -636,12 +639,13 @@ def _dense(row, size):
 def dense_normal_forms(gram, n):
     """Quotient monomials and normal forms of the Frobenius model, densely.
 
-    The route the library's sparse build replaced: the ideal's generators in
-    each degree d > n are dense rows (the harmonics of degree n + 1, then
-    each variable times every dense row of the ideal in degree d - 1), and
-    every dense unit vector of degree d is reduced against their echelon,
-    zeros and all.  Returns two dicts by degree, shaped like a
-    FrobeniusAlgebra's _quotient_monomials and _forms.
+    The route by propagation that the library's kernel of a power of the
+    Laplacian replaced: the ideal in degree n + 1 is spanned by the
+    harmonics, and in each degree d > n + 1 by each variable times every
+    dense row of the ideal in degree d - 1; every dense unit vector of
+    degree d is reduced against their echelon, zeros and all.  Returns two
+    dicts by degree, shaped like a FrobeniusAlgebra's _quotient_monomials
+    and _forms.
     """
     gram = [[Fraction(x) for x in row] for row in gram]
     dim = len(gram)
@@ -653,7 +657,7 @@ def dense_normal_forms(gram, n):
         pivots = set()
         if d > n:
             if rows is None:
-                generators = harmonic_basis(gram, d)
+                generators = harmonic_basis(gram, d)  # sparse already
             else:
                 index = {m: k for k, m in enumerate(basis)}
                 prev = monomial_basis(dim, d - 1)
@@ -664,10 +668,10 @@ def dense_normal_forms(gram, n):
                         for k, coeff in enumerate(row):
                             if coeff:
                                 image[index[tuple(a + b for a, b in zip(prev[k], x))]] += coeff
-                        generators.append(image)
+                        generators.append(linalg.sparse(image))
             ech = linalg.Echelon(len(basis))
             for g in generators:
-                ech.add(linalg.sparse(g))
+                ech.add(g)
             rows = [_dense(row, len(basis)) for _, row in ech.rows]
             normal = [_dense(ech.reduce(linalg.sparse(v)), len(basis)) for v in normal]
             pivots = set(ech.pivots)
@@ -777,6 +781,83 @@ def expanded_power(alg, alpha, p):
                     grown[key] = grown.get(key, 0) + coeff * Fraction(ai)
         current = grown
     return alg._normal_form(p, current.items())
+
+
+def top_laplacian_values(gram, n):
+    """Delta^n of the monomials of degree 2n, as a function of the exponent.
+
+    Delta = 1/2 sum_ij g_ij d_i d_j over every ordered pair (i, j), each
+    term differentiated out with the power rule; Delta^k of a monomial of
+    degree 2k is Delta^(k-1) of the terms of its Delta, each kept once.  No
+    elimination and no `laplacian_matrix`.
+    """
+    dim = len(gram)
+    gram = [[Fraction(x) for x in row] for row in gram]
+    values = {(0,) * dim: Fraction(1)}
+
+    def derivative(poly, i):
+        out = {}
+        for e, c in poly.items():
+            if e[i]:
+                f = e[:i] + (e[i] - 1,) + e[i + 1:]
+                out[f] = out.get(f, 0) + c * e[i]
+        return out
+
+    def value(e):
+        if e not in values:
+            image = {}
+            for i in range(dim):
+                first = derivative({e: 1}, i)
+                for j in range(dim):
+                    for f, c in derivative(first, j).items():
+                        image[f] = image.get(f, 0) + gram[i][j] * c / 2
+            values[e] = sum((c * value(f) for f, c in image.items()), Fraction(0))
+        return values[e]
+
+    return value
+
+
+def laplacian_pairing(alg):
+    """Whether pairing_matrix(i)[r][s] * Delta^n(q0) = Delta^n(a_r * b_s)
+    for every degree i and every pair of basis monomials of a
+    FrobeniusAlgebra, q0 its one basis monomial of degree 2n.
+
+    The ideal in degree 2n is the kernel of Delta^n, so a monomial equals
+    its top coordinate times q0 modulo that kernel; Delta^n(q0) != 0.
+    """
+    n = alg.n
+    value = top_laplacian_values(alg.gram, n)
+    (q0,) = alg._quotient_monomials[2 * n]
+    top = value(q0)
+    if top == 0:
+        return False
+    for i in range(2 * n + 1):
+        matrix = alg.pairing_matrix(i)
+        for row, a in zip(matrix, alg._quotient_monomials[i]):
+            for entry, b in zip(row, alg._quotient_monomials[2 * n - i]):
+                if entry * top != value(tuple(x + y for x, y in zip(a, b))):
+                    return False
+    return True
+
+
+def laplacian_fujiki(alg, rng, samples=3):
+    """Whether the top coordinate of alpha^(2n) times Delta^n(q0) equals
+    (2n)! / 2^n * q(alpha)^n for seeded random alpha in V (the Fujiki
+    relation), q0 the one basis monomial of degree 2n of a FrobeniusAlgebra.
+
+    Delta(l^m) = q(alpha) m (m - 1) / 2 * l^(m - 2) for the linear form l of
+    alpha, so Delta^n(l^(2n)) = (2n)! / 2^n * q(alpha)^n.
+    """
+    n, dim = alg.n, alg.dim_v
+    value = top_laplacian_values(alg.gram, n)
+    (q0,) = alg._quotient_monomials[2 * n]
+    for _ in range(samples):
+        alpha = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(dim)]
+        q = sum(alpha[i] * alg.gram[i][j] * alpha[j] for i in range(dim) for j in range(dim))
+        top = alg.power_of_linear(alpha, 2 * n)[0]
+        if top * value(q0) != Fraction(factorial(2 * n), 2 ** n) * q ** n:
+            return False
+    return True
 
 
 def shapes_by_grammar(n):

@@ -31,6 +31,8 @@ from oracles import (
     frobenius_grams,
     ideal_normal_forms,
     inverse,
+    laplacian_fujiki,
+    laplacian_pairing,
     mat_add,
     mat_mul,
     mat_scale,
@@ -143,17 +145,41 @@ def test_quadric_is_laplacian_eigenvector():
         assert image == [Fraction(dim)]
 
 
+def _laplacian_test_grams():
+    yield from (U, U2, U4)
+    for dim in (2, 3, 4):
+        yield from frobenius_grams(dim).values()
+
+
 def test_harmonic_dimensions():
-    from math import comb
-    for gram in (U, U2):
+    # Delta^k maps Sym^d onto Sym^(d-2k) for a nondegenerate form, so its
+    # kernel has the difference of the two dimensions
+    for gram in _laplacian_test_grams():
         dim = len(gram)
-        for d in range(2, 5):
-            expect = comb(dim + d - 1, d) - comb(dim + d - 3, d - 2)
-            assert len(harmonic_basis(gram, d)) == expect
+        for d in range(7):
+            for k in range(1, d // 2 + 1):
+                expect = len(monomial_basis(dim, d)) - len(monomial_basis(dim, d - 2 * k))
+                assert len(harmonic_basis(gram, d, k)) == expect, (gram, d, k)
     # low degrees: the Laplacian has no rows, so everything is harmonic
     for d in (0, 1):
         assert laplacian_matrix(U, d) == []
-        assert harmonic_basis(U, d) == linalg.identity(len(monomial_basis(2, d)))
+        assert harmonic_basis(U, d) == [{k: 1} for k in range(len(monomial_basis(2, d)))]
+
+
+def test_laplacian_power_is_the_composite():
+    # Delta^k is Delta applied k times; on a gram of ints every entry of it
+    # is an int
+    for gram in _laplacian_test_grams():
+        integral = all(type(x) is int for row in gram for x in row)
+        for d in range(7):
+            composite = None
+            for k in range(1, d // 2 + 1):
+                step = laplacian_matrix(gram, d - 2 * k + 2)
+                composite = step if composite is None else mat_mul(step, composite)
+                power = laplacian_matrix(gram, d, k)
+                assert power == composite, (gram, d, k)
+                if integral:
+                    assert all(type(x) is int for row in power for x in row), (gram, d, k)
 
 
 def test_dimension_pattern():
@@ -363,6 +389,23 @@ def test_pairing_matrix_reads_the_top_coordinate(cell):
             assert m == [[alg.multiply(i, a, 2 * n - i, b)[0] for b in units]
                          for a in linalg.identity(alg.dim(i))], (kind, i)
             assert all(type(x) is int or x.denominator > 1 for row in m for x in row), (kind, i)
+
+
+LAPLACIAN_CASES = ([(name, gram, n) for name, gram in (("U", U), ("U2", U2), ("U4", U4))
+                    for n in range(1, 5)]
+                   + [("%s-dimv%d" % (kind, dim), gram, n) for dim, n in FROBENIUS_CELLS
+                      for kind, gram in frobenius_grams(dim).items()])
+
+
+@pytest.mark.parametrize("name, gram, n", LAPLACIAN_CASES,
+                         ids=["%s-n%d" % (name, n) for name, _, n in LAPLACIAN_CASES])
+def test_pairing_and_fujiki_relation_by_the_laplacian_oracle(name, gram, n):
+    # no elimination: Delta^n, differentiated out in the oracle, is the
+    # pairing up to the factor Delta^n(q0), and gives the top coordinate
+    # of alpha^(2n) as (2n)!/2^n q(alpha)^n
+    alg = build_algebra(gram, n)
+    assert laplacian_pairing(alg)
+    assert laplacian_fujiki(alg, random.Random(len(gram) * 10 + n))
 
 
 def _check_isotropic_powers(gram, n, rng, draws):

@@ -22,6 +22,11 @@ from oracles import (
 )
 
 
+def _dense(v, ncols):
+    """A sparse {column: value} vector written out over ncols columns."""
+    return [v.get(j, 0) for j in range(ncols)]
+
+
 def _random_matrix(rng, rows, cols, lo=-5, hi=5):
     return [[Fraction(rng.randint(lo, hi)) for _ in range(cols)] for _ in range(rows)]
 
@@ -65,7 +70,7 @@ def test_nullspace_vectors_annihilate():
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 5)
         a = _random_matrix(rng, rows, cols, -3, 3)
-        basis = linalg.nullspace(a, cols)
+        basis = [_dense(v, cols) for v in linalg.nullspace(a, cols)]
         assert len(basis) == cols - linalg.rank(a)
         for v in basis:
             assert all(x == 0 for x in mat_vec(a, v))
@@ -75,7 +80,7 @@ def test_nullspace_vectors_annihilate():
 
 def test_nullspace_of_empty_matrix_is_everything():
     basis = linalg.nullspace([], 4)
-    assert basis == linalg.identity(4)
+    assert basis == [{j: 1} for j in range(4)]
 
 
 def _echelon_rows(a, ncols):
@@ -256,8 +261,11 @@ def test_rank_and_rref_match_sympy(a):
 @PROPERTY
 @given(matrices())
 def test_nullspace_matches_sympy_span(a):
+    # the reduced echelon basis of the kernel, unique for the subspace: the
+    # rows of sympy's RREF of any kernel basis, with 0 and 1 entries ints
     ncols = _ncols(a)
-    basis = linalg.nullspace(a, ncols)
+    sparse_basis = linalg.nullspace(a, ncols)
+    basis = [_dense(v, ncols) for v in sparse_basis]
     expect = [list(v) for v in _sym(a, ncols).nullspace()]
     assert len(basis) == len(expect)
     for v in basis:
@@ -265,6 +273,10 @@ def test_nullspace_matches_sympy_span(a):
     if basis:
         both = [[_frac(x) for x in v] for v in expect] + basis
         assert _sym(both, ncols).rank() == len(basis)
+        rref, _ = sympy.Matrix(expect).rref()
+        assert basis == [[_frac(x) for x in rref.row(i)] for i in range(len(basis))]
+    assert all(x != 0 for v in sparse_basis for x in v.values())
+    assert all(type(x) is int for v in sparse_basis for x in v.values() if x.denominator == 1)
 
 
 @PROPERTY
