@@ -121,15 +121,16 @@ def _times(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 class FrobeniusAlgebra:
     """The model algebra as its table of monomial normal forms.
 
-    The basis of A_{2d} is a set of monomials of Sym^d V: those off the
-    pivot columns of the ideal's echelon in degree d.  For every degree
-    d <= 2n the table maps each monomial to its normal form, sparse
-    coordinates ((t, coeff), ...) over that basis in increasing t.  Below
-    degree n + 1 the ideal is zero and each monomial is its own normal form;
-    in degree d > n it is the monomial's sparse unit vector reduced by the
-    echelon, which takes the kernel of Delta^(d-n) as `harmonic_basis`
-    returns it.  Elements of A_{2d} are coordinates over the basis, and
-    reduction, products, pairings and the closure proof read the one table.
+    For every degree d <= 2n the table maps each monomial of Sym^d V to its
+    normal form, sparse coordinates ((t, coeff), ...) over the basis of
+    A_{2d} in increasing t.  In degree d > n the table is read straight off
+    the kernel of Delta^(d-n) as `harmonic_basis` returns it, each vector 1
+    at its least column (a pivot monomial) and 0 at every other vector's, a
+    contract the build checks: a pivot's normal form is minus its vector
+    without the pivot, and every other monomial, like every monomial below
+    degree n + 1, is a basis monomial and its own normal form.  Elements of
+    A_{2d} are coordinates over the basis, and reduction, products,
+    pairings and the closure proof read the one table.
 
     The argument checks run cheapest first: n and the caps before the
     `linalg.Gram` check of the gram, which a `Gram` has passed already.
@@ -153,23 +154,19 @@ class FrobeniusAlgebra:
         self._forms: dict[int, dict[tuple[int, ...], tuple[tuple[int, Fraction], ...]]] = {}
         for d in range(2 * n + 1):
             basis = monomial_basis(dim, d)
-            normal = ({k: 1} for k in range(len(basis)))
-            ideal = linalg.Echelon(len(basis))
-            if d > n:
-                for v in harmonic_basis(self.gram, d, d - n):
-                    ideal.add(v)
-                # a monomial off the pivots reduces to itself, a pivot
-                # monomial to minus its row without the pivot
-                normal = map(ideal.reduce, normal)
-            pivots = set(ideal.pivots)
-            quotient = [k for k in range(len(basis)) if k not in pivots]
+            # the kernel's reduced echelon basis, keyed by pivot
+            rows = {min(v): v for v in harmonic_basis(self.gram, d, d - n)} if d > n else {}
+            quotient = [k for k in range(len(basis)) if k not in rows]
             if len(quotient) != expected[d]:
                 raise ConstructionError(
                     f"degree {2 * d}: got dimension {len(quotient)}, expected {expected[d]}")
+            if any(v[k] != 1 or any(j in rows for j in v if j != k) for k, v in rows.items()):
+                raise ConstructionError(f"degree {2 * d}: kernel basis is not reduced echelon")
             column = {k: t for t, k in enumerate(quotient)}
             self._quotient_monomials[d] = tuple(basis[k] for k in quotient)
-            self._forms[d] = {m: tuple((column[k], x) for k, x in sorted(form.items()))
-                              for m, form in zip(basis, normal)}
+            self._forms[d] = {
+                m: tuple((column[j], -x) for j, x in sorted(rows[k].items()) if j != k)
+                if k in rows else ((column[k], 1),) for k, m in enumerate(basis)}
 
     def dim(self, i: int) -> int:
         """Dimension of A_{2i} (zero outside 0..2n)."""

@@ -62,29 +62,22 @@ class Echelon:
     """Incremental row span kept in reduced echelon form.
 
     The package's only row-elimination loop.  Rows are sparse
-    {column: value} dicts with pivot entry 1, each reduced against all the
-    others, so a vector r reduces to r - sum_p r[p] * row_p with every r[p]
-    read straight from the input.  Vectors go in and come out sparse:
-    {column: value} dicts over nonzero values only (see `sparse`).  Every
-    value it stores or returns is an int when its denominator is 1 and a
-    Fraction otherwise, so rows that stay integral cost int arithmetic.
+    {column: value} dicts whose pivot is their least column, with entry 1
+    there and 0 at every other row's pivot, so a vector r reduces to
+    r - sum_p r[p] * row_p with every r[p] read straight from the input.
+    Vectors go in and come out sparse: {column: value} dicts over nonzero
+    values only (see `sparse`).  Every value it stores or returns is an int
+    when its denominator is 1 and a Fraction otherwise, so rows that stay
+    integral cost int arithmetic.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self._rows: dict[int, dict] = {}  # pivot column -> row
 
-    def _reduced(self, vec: dict) -> dict:
-        r = {j: _exact(a) for j, a in vec.items()}
-        # subtracting row p leaves the other pivot columns of r alone, so each
-        # r[p] is still the input's value when its turn comes
-        for p in [p for p in r if p in self._rows]:
-            _subtract(r, r[p], self._rows[p])
-        return r
-
     def _insert(self, vec: dict) -> tuple[int, int | Fraction] | None:
         """Add vec to the span: (pivot column, pivot value), or None if dependent."""
-        r = self._reduced(vec)
+        r = self.reduce(vec)
         if not r:
             return None
         lead = min(r)
@@ -105,11 +98,16 @@ class Echelon:
 
     def reduce(self, vec: dict) -> dict:
         """vec minus its component in the span; empty if vec lies in it."""
-        return self._reduced(vec)
+        r = {j: _exact(a) for j, a in vec.items()}
+        # subtracting row p leaves the other pivot columns of r alone, so each
+        # r[p] is still the input's value when its turn comes
+        for p in [p for p in r if p in self._rows]:
+            _subtract(r, r[p], self._rows[p])
+        return r
 
     def contains(self, vec: dict) -> bool:
         # no caller in the package; benchmarks/tracing.py wraps it by name
-        return not self._reduced(vec)
+        return not self.reduce(vec)
 
     @property
     def rank(self) -> int:
@@ -128,7 +126,7 @@ class Echelon:
 def _echelon(rows: Matrix, ncols: int) -> Echelon:
     ech = Echelon(ncols)
     for row in rows:
-        ech._insert(sparse(row))
+        ech.add(sparse(row))
     return ech
 
 
@@ -138,8 +136,9 @@ def rank(rows: Matrix) -> int:
 
 def nullspace(a: Matrix, ncols: int) -> list[dict]:
     """The reduced echelon basis of the right kernel, unique for the
-    subspace: sparse vectors in pivot order, each 1 on its own pivot and 0
-    on the others, so an `Echelon` takes them without elimination.
+    subspace: sparse vectors in pivot order, each 1 at its least column
+    (its pivot) and 0 at every other vector's least column.  The Frobenius
+    build reads its normal forms straight off that contract.
 
     a is eliminated with its columns reversed.  A free column f there gives
     the vector with 1 at f and -row[f] at the pivot of each row; mapped

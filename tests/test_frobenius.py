@@ -1,9 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from hilbk3 import linalg
+from hilbk3 import cli, frobenius, linalg
 from hilbk3.bb_lattice import k3_lattice, q_norm, restriction_functional
 from hilbk3.cohomology import SurfaceBetti, hilbert_stratum_ledger
 from hilbk3.frobenius import (
@@ -353,6 +354,54 @@ def test_argument_checks_run_before_the_determinant(monkeypatch):
         FrobeniusAlgebra(big, 2)
     with pytest.raises(ValueError, match="full tables capped"):
         FrobeniusAlgebra(U, MAX_N + 1)
+
+
+def _plus(u, v):
+    """u + v on sparse vectors, zeros dropped."""
+    return {j: x for j in sorted(u.keys() | v.keys()) if (x := u.get(j, 0) + v.get(j, 0))}
+
+
+# kernel bases that break what _build reads off `harmonic_basis`: each
+# vector 1 at its least column and 0 at every other vector's least column
+BAD_KERNEL_BASES = {
+    "v0-doubled": lambda b: [{j: 2 * x for j, x in b[0].items()}] + b[1:],
+    "v0-plus-v1-for-v0": lambda b: [_plus(b[0], b[1])] + b[1:],
+    # two vectors with one least column: the dimension check
+    "v1-plus-v0-for-v1": lambda b: [b[0], _plus(b[1], b[0])] + b[2:],
+}
+
+
+def _spoil_kernel(monkeypatch, spoil):
+    real = frobenius.harmonic_basis
+    monkeypatch.setattr(frobenius, "harmonic_basis",
+                        lambda gram, degree, power=1: spoil(real(gram, degree, power)))
+
+
+@pytest.mark.parametrize("spoil", BAD_KERNEL_BASES.values(), ids=BAD_KERNEL_BASES)
+def test_a_kernel_basis_off_the_contract_is_a_construction_error(monkeypatch, spoil):
+    # not a KeyError and not a wrong table
+    _spoil_kernel(monkeypatch, spoil)
+    with pytest.raises(ConstructionError):
+        build_algebra(U2, 2)
+
+
+def test_a_kernel_basis_off_the_contract_is_an_internal_failure(monkeypatch, capsys):
+    _spoil_kernel(monkeypatch, BAD_KERNEL_BASES["v0-plus-v1-for-v0"])
+    code = cli.main(["frobenius", "--dimv", "2", "--n", "2", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert (code, payload["status"]) == (3, "internal-error")
+    assert payload["error"]["type"] == "ConstructionError"
+
+
+def test_the_k3_h2_generates_the_even_cohomology_at_n_2(monkeypatch):
+    # the paper's own H^2, the K3 lattice plus delta, above the table cap
+    monkeypatch.setattr(frobenius, "MAX_DIM_V", 23)
+    alg = build_algebra(k3_lattice(2).full_gram, 2)
+    dims = tuple(alg.dim(i) for i in range(5))
+    even = hilbert_stratum_ledger(SurfaceBetti.k3(), 2).total().betti[::2]
+    assert dims == (1, 23, 276, 23, 1) == even
+    assert alg.check_associative()
+    assert alg.check_pairing_nondegenerate()
 
 
 def test_unit_and_commutativity():
