@@ -269,7 +269,7 @@ def h4_obstruction(lat: H2Lattice, triple: PeriodTriple) -> bool:
 
 def _positive_basis(lat: H2Lattice) -> tuple[tuple[Fraction, ...], ...]:
     p, diag = lat.gram.congruence
-    cols = [[p[i][j] for i in range(lat.dim_v)] for j in range(lat.dim_v) if diag[j] > 0]
+    cols = [c for c, d in zip(p, diag) if d > 0]
     if len(cols) < 3:
         raise ValueError("surface gram has no positive 3-space")
     return tuple(tuple(c) for c in cols[:3])
@@ -291,7 +291,7 @@ def random_period_triple(lat: H2Lattice, rng: random.Random) -> PeriodTriple:
         for _ in range(3):
             mixes.append([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in basis])
             noise.append([rng.randint(-1, 1) for _ in range(dim)])
-        if linalg.rank(mixes) == 3:
+        if linalg.det(mixes) != 0:
             break
     else:
         raise RuntimeError("failed to draw a valid period triple")

@@ -257,10 +257,10 @@ class FrobeniusAlgebra:
         V, so it is an ideal and NF(NF(ab) c) = NF(abc) = NF(a NF(bc)) for
         all a, b, c.  The left side is the algebra's product of x with
         NF(m), one per monomial and variable, not one per basis triple.  The
-        second condition is checked for m of degree n + 1..2n - 1 only:
-        below that every monomial is a basis monomial, which the first
-        condition fixes as its own normal form, so both sides are the same
-        normal form of x * m.
+        second condition is checked only for the m of degree below 2n
+        outside the quotient basis, all of degree n + 1 or more: for a basis
+        monomial the first condition makes NF(m) = m, so both sides are
+        NF(x * m).
         """
         basis, forms = self._quotient_monomials, self._forms
         for d in range(2 * self.n + 1):
@@ -268,7 +268,10 @@ class FrobeniusAlgebra:
                 return False
         units = linalg.identity(len(basis[1]))
         for d in range(self.n + 1, 2 * self.n):
+            quotient = set(basis[d])
             for m in forms[d]:
+                if m in quotient:
+                    continue
                 coords = self._normal_form(d, ((m, 1),))
                 for x, e_x in zip(basis[1], units):
                     if (self.multiply(1, e_x, d, coords)

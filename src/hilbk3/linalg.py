@@ -2,13 +2,13 @@
 symmetric congruence; no matrix products.
 
 Matrices are lists of rows; entries are Fraction or int (ints are promoted
-by arithmetic).  No floats anywhere: ranks, kernels, determinants and
-congruences are exact.  `Echelon` holds the only row-elimination loop and
-works on sparse {column: value} rows throughout, each value an int when its
-denominator is 1 and a Fraction otherwise; rank, nullspace and det pass
-their dense rows through `sparse` once and read their answers off it, the
-kernel as its reduced echelon basis of such sparse vectors.  The
-identity's 0 and 1 entries are ints; det returns a Fraction.
+by arithmetic).  No floats anywhere: kernels, determinants and congruences
+are exact.  `Echelon` holds the only row-elimination loop and works on
+sparse {column: value} rows throughout, each value an int when its
+denominator is 1 and a Fraction otherwise; nullspace and det pass their
+dense rows through `sparse` once and read their answers off it, the kernel
+as its reduced echelon basis of such sparse vectors.  The identity's 0 and
+1 entries are ints; det returns a Fraction.
 `Gram` is the one check of a gram: square, symmetric and nondegenerate.  It
 keeps no determinant; the diagonal D of its congruence gives det = prod D.
 """
@@ -110,10 +110,6 @@ class Echelon:
         return not self.reduce(vec)
 
     @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    @property
     def pivots(self) -> list[int]:
         return sorted(self._rows)
 
@@ -121,17 +117,6 @@ class Echelon:
     def rows(self) -> list[tuple[int, dict]]:
         """(pivot column, sparse row) in pivot order; the rows are copies."""
         return [(p, dict(self._rows[p])) for p in self.pivots]
-
-
-def _echelon(rows: Matrix, ncols: int) -> Echelon:
-    ech = Echelon(ncols)
-    for row in rows:
-        ech.add(sparse(row))
-    return ech
-
-
-def rank(rows: Matrix) -> int:
-    return _echelon(rows, len(rows[0]) if rows else 0).rank
 
 
 def nullspace(a: Matrix, ncols: int) -> list[dict]:
@@ -145,7 +130,10 @@ def nullspace(a: Matrix, ncols: int) -> list[dict]:
     back to ncols - 1 - f, that 1 comes first, the pivots after it.
     """
     last = ncols - 1
-    rows = _echelon([row[::-1] for row in a], ncols).rows
+    ech = Echelon(ncols)
+    for row in a:
+        ech.add(sparse(row[::-1]))
+    rows = ech.rows
     pivots = {p for p, _ in rows}
     return [{last - f: 1, **{last - p: -row[f] for p, row in rows if f in row}}
             for f in range(last, -1, -1) if f not in pivots]
@@ -170,7 +158,9 @@ def det(a: Matrix) -> Fraction:
 def congruence_diagonalize(gram: Matrix) -> tuple[Matrix, list]:
     """Basis change P with P^T G P diagonal; returns (P columns, diagonal).
 
-    Symmetric input required.  Zero diagonal pivots are repaired with the
+    P is kept as its list of columns, so each column operation on P is the
+    row operation it mirrors on G, run on that list.  Symmetric input
+    required.  Zero diagonal pivots are repaired with the
     characteristic-zero trick of adding a row/column pair.
     """
     a = symmetric_rows(gram)
@@ -178,24 +168,21 @@ def congruence_diagonalize(gram: Matrix) -> tuple[Matrix, list]:
     p = identity(n)
 
     def add_col(dst, src, f):
-        # column operation on a (and matching row op), mirrored into p; zero
-        # entries of the source add nothing, and grams are mostly zeros
-        for i in range(n):
-            if a[i][src]:
-                a[i][dst] += f * a[i][src]
-        for j in range(n):
-            if a[src][j]:
-                a[dst][j] += f * a[src][j]
-        for i in range(n):
-            if p[i][src]:
-                p[i][dst] += f * p[i][src]
+        # column operation on a, then the matching row operation on a and on
+        # p's columns; zero source entries add nothing, and grams are mostly zeros
+        for row in a:
+            if row[src]:
+                row[dst] += f * row[src]
+        for m in (a, p):
+            for j, x in enumerate(m[src]):
+                if x:
+                    m[dst][j] += f * x
 
     def swap_col(i, j):
-        for r in range(n):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        a[i], a[j] = a[j], a[i]
-        for r in range(n):
-            p[r][i], p[r][j] = p[r][j], p[r][i]
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for m in (a, p):
+            m[i], m[j] = m[j], m[i]
 
     for k in range(n):
         if a[k][k] == 0:

@@ -27,12 +27,12 @@ replaced, the shape grammar, explicit BB classes, the routes of the
 degree-4 path the library replaced (BB pairing and
 period-triple Gram-Schmidt in Fractions, period triples orthogonal to
 delta, congruence column operations over
-zero entries too, with the signature read off them), a matrix inverse and
-the dense matrix and matrix-vector products, the three dense rotation
-operators of a period triple with the dense invariance checks built from
-them (the 2-form check the library replaced, and the contravariant one),
-the inverse and transported BB tensors, the rotation modules of d and d^2,
-and random isotropic vectors.
+zero entries too, with the signature read off them), a rank, a matrix
+inverse and the dense matrix and matrix-vector products, the three dense
+rotation operators of a period triple with the dense invariance checks
+built from them (the 2-form check the library replaced, and the
+contravariant one), the inverse and transported BB tensors, the rotation
+modules of d and d^2, and random isotropic vectors.
 """
 
 import argparse
@@ -954,7 +954,8 @@ def fraction_bb_pair(lat, x, y):
 
 def dense_congruence_diagonalize(gram):
     """(P columns, diagonal) with P^T G P diagonal, every column and row
-    operation run over all entries, zeros included."""
+    operation run over all entries, zeros included.  P is kept as the
+    matrix itself and its columns are read off at the end."""
     a = linalg.symmetric_rows(gram)
     n = len(a)
     p = linalg.identity(n)
@@ -991,7 +992,7 @@ def dense_congruence_diagonalize(gram):
         for j in range(k + 1, n):
             if a[k][j] != 0:
                 add_col(j, k, -a[k][j] / piv)
-    return p, [a[i][i] for i in range(n)]
+    return transpose(p), [a[i][i] for i in range(n)]
 
 
 def signature(gram):
@@ -1010,14 +1011,14 @@ def fraction_period_triple(lat, rng, with_delta=True):
     rescaled and gets no delta coordinate."""
     p, diag = dense_congruence_diagonalize(lat.gram)
     dim = lat.dim_v
-    basis = [[p[i][j] for i in range(dim)] for j in range(dim) if diag[j] > 0][:3]
+    basis = [c for c, d in zip(p, diag) if d > 0][:3]
     no_delta = (Fraction(0),) * (lat.total_dim - dim)
     for _ in range(256):
         mixes, noise = [], []
         for _ in range(3):
             mixes.append([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in basis])
             noise.append([Fraction(rng.randint(-1, 1)) for _ in range(dim)])
-        if linalg.rank(mixes) == 3:
+        if rank(mixes) == 3:
             break
     else:
         raise RuntimeError("failed to draw a valid period triple")
@@ -1080,6 +1081,12 @@ def vec_mat(v, a):
 
 def is_zero_matrix(a):
     return all(x == 0 for row in a for x in row)
+
+
+def rank(rows):
+    """The number of rows an `Echelon` keeps of a dense matrix."""
+    ech = linalg.Echelon(len(rows[0]) if rows else 0)
+    return sum(ech.add(linalg.sparse(row)) for row in rows)
 
 
 def inverse(a):
@@ -1170,7 +1177,7 @@ def _saturation_rank(start, ops, act, flat, ncols):
                 if ech.add(linalg.sparse(flat(y))):
                     grown.append(y)
         frontier = grown
-    return ech.rank
+    return len(ech.pivots)
 
 
 def delta_module_dimension(lat, triple):

@@ -513,6 +513,44 @@ def test_random_period_triple_is_deterministic():
     assert t1 != t3
 
 
+class ScriptedRandom(random.Random):
+    """A seeded Random whose first randint calls return scripted values;
+    `seeded` counts the calls after them."""
+
+    def __init__(self, seed, values):
+        super().__init__(seed)
+        self.values = list(values)
+        self.seeded = 0
+
+    def randint(self, a, b):
+        if self.values:
+            x = self.values.pop(0)
+            assert a <= x <= b
+            return x
+        self.seeded += 1
+        return super().randint(a, b)
+
+
+def test_random_period_triple_redraws_singular_mixes():
+    # a first draw of three dependent mix rows is thrown away, so the triple
+    # is the one the seeded Random draws first, in as many calls as the
+    # script; the scripted noise keeps positive norms, so a kept singular
+    # draw would end in another triple (and not loop)
+    lat = small_lattice(3)
+    rows = ([1, 1, 1], [2, 2, 2], [-1, -1, -1])
+    noise = ([1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])
+    script = []
+    for row, z in zip(rows, noise):
+        for x in row:
+            script += [x, 1]  # Fraction(x, 1)
+        script += z
+    rng = ScriptedRandom(5, script)
+    assert linalg.det([list(map(Fraction, row)) for row in rows]) == 0
+    triple = random_period_triple(lat, rng)
+    assert not rng.values and rng.seeded == len(script)
+    assert triple == random_period_triple(lat, random.Random(5))
+
+
 def test_certify_n6_structure():
     report = certify_no_trianalytic(6, gram=SMALL)
     assert report.verdict == "certified"

@@ -16,6 +16,7 @@ from oracles import (
     mat_add,
     mat_mul,
     mat_vec,
+    rank,
     signature,
     transpose,
     vec_mat,
@@ -58,10 +59,10 @@ def test_vec_mat_is_transpose_action():
 
 
 def test_rank_known_values():
-    assert linalg.rank([[1, 2], [2, 4]]) == 1
-    assert linalg.rank([[1, 0], [0, 1]]) == 2
-    assert linalg.rank([]) == 0
-    assert linalg.rank([[0, 0, 0]]) == 0
+    assert rank([[1, 2], [2, 4]]) == 1
+    assert rank([[1, 0], [0, 1]]) == 2
+    assert rank([]) == 0
+    assert rank([[0, 0, 0]]) == 0
 
 
 def test_nullspace_vectors_annihilate():
@@ -71,11 +72,11 @@ def test_nullspace_vectors_annihilate():
         cols = rng.randint(1, 5)
         a = _random_matrix(rng, rows, cols, -3, 3)
         basis = [_dense(v, cols) for v in linalg.nullspace(a, cols)]
-        assert len(basis) == cols - linalg.rank(a)
+        assert len(basis) == cols - rank(a)
         for v in basis:
             assert all(x == 0 for x in mat_vec(a, v))
         # basis vectors are independent
-        assert linalg.rank(basis) == len(basis)
+        assert rank(basis) == len(basis)
 
 
 def test_nullspace_of_empty_matrix_is_everything():
@@ -97,7 +98,7 @@ def test_echelon_rows_span_the_input():
     for _ in range(20):
         a = _random_matrix(rng, 4, 4, -2, 2)
         pivots, rows = _echelon_rows(a, 4)
-        assert len(rows) == len(pivots) == linalg.rank(a)
+        assert len(rows) == len(pivots) == rank(a)
         # each row has pivot entry 1 and zeros in the other pivot columns
         for p, row in zip(pivots, rows):
             assert [row[q] for q in pivots] == [int(q == p) for q in pivots]
@@ -107,7 +108,7 @@ def test_echelon_rows_span_the_input():
             back.add(linalg.sparse(row))
         for row in a:
             assert not back.reduce(linalg.sparse(row))
-        assert linalg.rank(a + rows) == len(rows)
+        assert rank(a + rows) == len(rows)
 
 
 def test_det_rank_consistency():
@@ -116,7 +117,7 @@ def test_det_rank_consistency():
         n = rng.randint(1, 4)
         a = _random_matrix(rng, n, n, -3, 3)
         d = linalg.det(a)
-        if linalg.rank(a) < n:
+        if rank(a) < n:
             assert d == 0
         else:
             assert d != 0
@@ -153,7 +154,7 @@ def test_echelon_membership():
     assert ech.add({0: 1, 1: 1})
     assert ech.add({1: 1, 2: 1})
     assert not ech.add({0: 1, 1: 2, 2: 1})  # dependent
-    assert ech.rank == 2
+    assert len(ech.pivots) == 2
     assert not ech.reduce({0: 2, 1: 3, 2: 1})
     assert ech.reduce({2: 1}) == {2: 1}
     assert not ech.reduce({})
@@ -171,7 +172,8 @@ def test_congruence_diagonalize_property():
         n = rng.randint(1, 5)
         a = _random_matrix(rng, n, n, -3, 3)
         gram = mat_add(a, transpose(a))
-        p, diag = linalg.congruence_diagonalize(gram)
+        cols, diag = linalg.congruence_diagonalize(gram)
+        p = transpose(cols)
         ptgp = mat_mul(transpose(p), mat_mul(gram, p))
         for i in range(n):
             for j in range(n):
@@ -253,7 +255,7 @@ def test_rank_and_rref_match_sympy(a):
     ncols = _ncols(a)
     expect, expect_pivots = _sym(a, ncols).rref()
     pivots, rows = _echelon_rows(a, ncols)
-    assert linalg.rank(a) == _sym(a, ncols).rank() == len(expect_pivots)
+    assert rank(a) == _sym(a, ncols).rank() == len(expect_pivots)
     assert pivots == list(expect_pivots)
     assert rows == [[_frac(x) for x in expect.row(i)] for i in range(len(pivots))]
 
