@@ -186,10 +186,13 @@ def _gram_entry(x) -> Fraction:
         too_long = max(len(num), len(den)) > len(str(MAX_GRAM_ENTRY))
         p, q = (MAX_GRAM_ENTRY + 1, 1) if too_long else (int(sign + num), int(den))
     else:
-        raise ValueError("gram entries must be integers or 'p/q' strings")
+        p, q = 0, 0
     if abs(p) > MAX_GRAM_ENTRY or q > MAX_GRAM_ENTRY:
         raise ValueError(f"gram entries p/q must have |p| <= {MAX_GRAM_ENTRY} "
                          f"and q <= {MAX_GRAM_ENTRY}")
+    if q == 0:
+        # another form, or a zero denominator
+        raise ValueError("gram entries must be integers or 'p/q' strings")
     return Fraction(p, q)
 
 
@@ -217,10 +220,7 @@ def _load_gram(path: str | None):
     dim = data["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ValueError("gram file dim must be a positive integer")
-    try:
-        rows = [[_gram_entry(x) for x in row] for row in data["rows"]]
-    except ZeroDivisionError:
-        raise ValueError("gram entries must be integers or 'p/q' strings") from None
+    rows = [[_gram_entry(x) for x in row] for row in data["rows"]]
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise ValueError("gram file dimensions are inconsistent")
     return linalg.Gram(rows)
@@ -293,14 +293,11 @@ def cmd_ideals(args) -> tuple[dict, list[dict]]:
     from . import invariant_ideals
 
     found = invariant_ideals.classify_invariant_ideals(args.N)
-    rows = []
-    all_powers = True
-    for ideal in found:
-        power = ideal.maximal_ideal_power()
-        all_powers = all_powers and power is not None
-        rows.append({"degrees": list(ideal.degrees), "maximal_ideal_power": power})
+    rows = [{"degrees": list(ideal.degrees), "maximal_ideal_power": ideal.maximal_ideal_power()}
+            for ideal in found]
     checks = [
-        {"name": "every-invariant-ideal-is-a-power-of-m", "ok": all_powers},
+        {"name": "every-invariant-ideal-is-a-power-of-m",
+         "ok": all(r["maximal_ideal_power"] is not None for r in rows)},
         {"name": "count-is-N-minus-1", "ok": len(found) == args.N - 1},
     ]
     return {"truncation": args.N, "ideals": rows}, checks
@@ -344,7 +341,7 @@ def cmd_frobenius(args) -> tuple[dict, list[dict]]:
         "dimensions": list(pattern),
         "total_dimension": sum(pattern),
     }
-    if args.dimv <= frobenius.MAX_DIM_V and args.n <= frobenius.MAX_N:
+    if frobenius.full_table(args.dimv, args.n):
         if gram is None:
             gram = linalg.identity(args.dimv)
         algebra = frobenius.build_algebra(gram, args.n)
@@ -460,36 +457,24 @@ def _argparser():
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse(argv) or _argparser().parse_args(argv)
-    as_json = bool(args.json)
-    parameters = {
-        k: v for k, v in vars(args).items()
-        if k not in ("command", "json", "table") and v is not None
-    }
+    parameters = {k: v for k, v in vars(args).items()
+                  if k not in ("command", "json", "table") and v is not None}
+    # the head of every payload; --table prints the keys in insertion order
+    payload = {"schema": SCHEMA, "command": args.command, "parameters": parameters}
     try:
         result, checks = _COMMANDS[args.command](args)
     except (ValueError, OSError, KeyError, RuntimeError) as exc:
         # no input reaches a KeyError: it, like a RuntimeError, is a defect
         internal = isinstance(exc, (RuntimeError, KeyError))
-        payload = {
-            "schema": SCHEMA,
-            "command": args.command,
-            "parameters": parameters,
-            "status": "internal-error" if internal else "error",
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        _emit(payload, as_json)
-        return 3 if internal else 1
-    ok = all(c["ok"] for c in checks)
-    payload = {
-        "schema": SCHEMA,
-        "command": args.command,
-        "parameters": parameters,
-        "result": result,
-        "checks": checks,
-        "status": "ok" if ok else "failed",
-    }
-    _emit(payload, as_json)
-    return 0 if ok else 1
+        payload["status"] = "internal-error" if internal else "error"
+        payload["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        code = 3 if internal else 1
+    else:
+        ok = all(c["ok"] for c in checks)
+        payload.update(result=result, checks=checks, status="ok" if ok else "failed")
+        code = 0 if ok else 1
+    _emit(payload, bool(args.json))
+    return code
 
 
 if __name__ == "__main__":

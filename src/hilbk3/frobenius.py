@@ -40,6 +40,10 @@ from math import comb, lcm
 
 from . import linalg
 
+# full-table cap, read only by `full_table`: at (6, 4) the exact pairing
+# determinants take 13.4-13.8 s of a 13.9-14.7 s report on a 6 x 6 gram of
+# p/q entries near cli.MAX_GRAM_ENTRY, and 1.8 s of 3.0-4.1 s on the p/q
+# gram of the tests (2-core VM, Python 3.11)
 MAX_DIM_V = 6
 MAX_N = 4
 # dimensions-only budget: at dim V 32, n 10,000 the pattern prints about
@@ -113,6 +117,11 @@ def algebra_dimension_pattern(dim_v: int, n: int) -> tuple[int, ...]:
     return tuple(comb(dim_v + min(i, 2 * n - i) - 1, min(i, 2 * n - i)) for i in range(2 * n + 1))
 
 
+def full_table(dim_v: int, n: int) -> bool:
+    """Whether the full table is built at (dim V, n), not the pattern only."""
+    return dim_v <= MAX_DIM_V and n <= MAX_N
+
+
 def _times(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Product of two monomials as exponent tuples."""
     return tuple(map(operator.add, a, b))
@@ -139,7 +148,7 @@ class FrobeniusAlgebra:
     def __init__(self, gram, n: int):
         if not isinstance(n, int) or n < 1:
             raise ValueError("n must be a positive integer")
-        if len(gram) > MAX_DIM_V or n > MAX_N:
+        if not full_table(len(gram), n):
             raise ValueError(f"full tables capped at dim V <= {MAX_DIM_V}, n <= {MAX_N}; "
                              f"use algebra_dimension_pattern for larger spaces")
         self.gram = linalg.Gram(gram)

@@ -75,8 +75,9 @@ class Echelon:
         self.ncols = ncols
         self._rows: dict[int, dict] = {}  # pivot column -> row
 
-    def _insert(self, vec: dict) -> tuple[int, int | Fraction] | None:
-        """Add vec to the span: (pivot column, pivot value), or None if dependent."""
+    def add(self, vec: dict) -> tuple[int, int | Fraction] | None:
+        """Insert vec into the span: the pivot column and the value there
+        of its reduced row, or None if vec was already in the span."""
         r = self.reduce(vec)
         if not r:
             return None
@@ -91,10 +92,6 @@ class Echelon:
                 _subtract(row, f, r)
         self._rows[lead] = r
         return lead, value
-
-    def add(self, vec: dict) -> bool:
-        """Insert vec into the span; False if it was already there."""
-        return self._insert(vec) is not None
 
     def reduce(self, vec: dict) -> dict:
         """vec minus its component in the span; empty if vec lies in it."""
@@ -140,14 +137,15 @@ def nullspace(a: Matrix, ncols: int) -> list[dict]:
 
 
 def det(a: Matrix) -> Fraction:
-    """Sign of the row-to-pivot-column permutation times the pivot values.
+    """Sign of the row-to-pivot-column permutation times the pivot values
+    that `Echelon.add` returns.
 
     Each row is reduced only against the rows before it, so the reduced rows
     differ from a by a unit lower-triangular factor and are triangular up to
     that permutation of columns.
     """
     ech = Echelon(len(a))
-    hits = [ech._insert(sparse(row)) for row in a]
+    hits = [ech.add(sparse(row)) for row in a]
     if None in hits:
         return Fraction(0)
     inversions = sum(p > q for i, (p, _) in enumerate(hits) for q, _ in hits[i + 1:])

@@ -1086,7 +1086,7 @@ def is_zero_matrix(a):
 def rank(rows):
     """The number of rows an `Echelon` keeps of a dense matrix."""
     ech = linalg.Echelon(len(rows[0]) if rows else 0)
-    return sum(ech.add(linalg.sparse(row)) for row in rows)
+    return sum(ech.add(linalg.sparse(row)) is not None for row in rows)
 
 
 def inverse(a):

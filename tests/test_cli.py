@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -399,6 +400,21 @@ def test_internal_failure_is_its_own_status(monkeypatch, capsys):
     assert payload["status"] == "internal-error"
     assert payload["error"] == {"type": "RuntimeError",
                                 "message": "failed to draw a valid period triple"}
+
+
+def test_a_basis_that_is_not_positive_ends_in_an_internal_failure(monkeypatch, capsys):
+    # three congruence columns with D < 0 span a negative-definite 3-space,
+    # so no scale makes the Gram-Schmidt norms positive: the doublings stop
+    # at their bound instead of running forever
+    def negative_basis(lat):
+        p, diag = lat.gram.congruence
+        return tuple(tuple(c) for c, d in zip(p, diag) if d < 0)[:3]
+    monkeypatch.setattr(bb_lattice, "_positive_basis", negative_basis)
+    with pytest.raises(RuntimeError):
+        bb_lattice.random_period_triple(bb_lattice.k3_lattice(3), random.Random(0))
+    code, payload = run_json(["certify", "--n", "3"], capsys)
+    assert (code, payload["status"]) == (3, "internal-error")
+    assert payload["error"]["type"] == "RuntimeError"
 
 
 def test_a_key_error_is_an_internal_failure(monkeypatch, capsys):

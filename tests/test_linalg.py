@@ -150,10 +150,11 @@ def test_inverse_rejects_singular():
 
 
 def test_echelon_membership():
+    # add returns the pivot column and the value there of the reduced row
     ech = linalg.Echelon(3)
-    assert ech.add({0: 1, 1: 1})
-    assert ech.add({1: 1, 2: 1})
-    assert not ech.add({0: 1, 1: 2, 2: 1})  # dependent
+    assert ech.add({0: 1, 1: 1}) == (0, 1)
+    assert ech.add({1: 2, 2: 2}) == (1, 2)
+    assert ech.add({0: 1, 1: 2, 2: 1}) is None  # dependent
     assert len(ech.pivots) == 2
     assert not ech.reduce({0: 2, 1: 3, 2: 1})
     assert ech.reduce({2: 1}) == {2: 1}
