@@ -86,7 +86,8 @@ def default_k3_gram() -> linalg.Gram:
     if any(g[i][i] % 2 for i in range(22)):
         raise RuntimeError("default gram is not even")
     gram = linalg.Gram(g)
-    # P is built from unit shears and swaps, so det G = prod D
+    # the Gram check's elimination run once more, carrying P; P is built
+    # from unit shears, pair adds and swaps, so det G = prod D
     diag = gram.congruence[1]
     if prod(diag) not in (1, -1):
         raise RuntimeError("default gram is not unimodular")

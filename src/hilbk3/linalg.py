@@ -1,16 +1,16 @@
 """Exact linear algebra over the rationals: one sparse elimination core plus
-symmetric congruence; no matrix products.
+one symmetric elimination for grams; no matrix products.
 
 Matrices are lists of rows; entries are Fraction or int (ints are promoted
 by arithmetic).  No floats anywhere: kernels, determinants and congruences
-are exact.  `Echelon` holds the only row-elimination loop and works on
+are exact.  `Echelon` holds the sparse row-elimination loop and works on
 sparse {column: value} rows throughout, each value an int when its
 denominator is 1 and a Fraction otherwise; nullspace and det pass their
 dense rows through `sparse` once and read their answers off it, the kernel
 as its reduced echelon basis of such sparse vectors.  The identity's 0 and
-1 entries are ints; det returns a Fraction.
-`Gram` is the one check of a gram: square, symmetric and nondegenerate.  It
-keeps no determinant; the diagonal D of its congruence gives det = prod D.
+1 entries are ints; det returns a Fraction.  Every gram goes through
+`_diagonalize`: `Gram`, the one check of a gram, reads nondegeneracy off its
+diagonal D (det = prod D), and `congruence_diagonalize` reads P off [G | I].
 """
 
 from __future__ import annotations
@@ -153,65 +153,65 @@ def det(a: Matrix) -> Fraction:
     return -value if inversions % 2 else value
 
 
-def congruence_diagonalize(gram: Matrix) -> tuple[Matrix, list]:
-    """Basis change P with P^T G P diagonal; returns (P columns, diagonal).
+def _add_row(row: Vector, f, src: Vector) -> None:
+    """row += f * src over src's nonzero entries; row's other entries keep their type."""
+    for j, x in enumerate(src):
+        if x:
+            row[j] += f * x
 
-    P is kept as its list of columns, so each column operation on P is the
-    row operation it mirrors on G, run on that list.  Symmetric input
-    required.  Zero diagonal pivots are repaired with the
-    characteristic-zero trick of adding a row/column pair.
+
+def _diagonalize(rows: Matrix) -> list:
+    """Symmetric elimination, in place, of the square symmetric Fraction block
+    that leads `rows`; returns its diagonal D, with det = prod D.
+
+    Whole-row operations clear each pivot's column below it and leave the
+    symmetric Schur complement, so no step mirrors a column operation; only
+    the pivot swap and the zero-pivot repair (add a row/column pair) touch
+    the block's columns.  Columns past the block ride along: on [G | I] the
+    right halves end as the columns of P, with P^T G P = diag(D).
     """
-    a = symmetric_rows(gram)
-    n = len(a)
-    p = identity(n)
-
-    def add_col(dst, src, f):
-        # column operation on a, then the matching row operation on a and on
-        # p's columns; zero source entries add nothing, and grams are mostly zeros
-        for row in a:
-            if row[src]:
-                row[dst] += f * row[src]
-        for m in (a, p):
-            for j, x in enumerate(m[src]):
-                if x:
-                    m[dst][j] += f * x
-
-    def swap_col(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for m in (a, p):
-            m[i], m[j] = m[j], m[i]
-
+    n = len(rows)
     for k in range(n):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
-            if pivot is not None:
-                swap_col(k, pivot)
-            else:
-                off = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0), None)
+        if rows[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if rows[i][i] != 0), None)
+            if pivot is None:
+                off = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                            if rows[i][j] != 0), None)
                 if off is None:
                     break  # remaining block is zero
-                i, j = off
-                add_col(i, j, Fraction(1))  # makes a[i][i] = 2 a[i][j] != 0
-                if i != k:
-                    swap_col(k, i)
-        piv = a[k][k]
-        for j in range(k + 1, n):
-            if a[k][j] != 0:
-                add_col(j, k, -a[k][j] / piv)
-    return p, [a[i][i] for i in range(n)]
+                pivot, j = off
+                for row in rows[k:]:
+                    row[pivot] += row[j]
+                _add_row(rows[pivot], Fraction(1), rows[j])  # diagonal 2 a[pivot][j] != 0
+            for row in rows[k:]:
+                row[k], row[pivot] = row[pivot], row[k]
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+        top = rows[k]
+        for row in rows[k + 1:]:
+            if row[k]:
+                _add_row(row, -row[k] / top[k], top)
+    return [rows[i][i] for i in range(n)]
+
+
+def congruence_diagonalize(gram: Matrix) -> tuple[Matrix, list]:
+    """Basis change P with P^T G P diagonal; returns (P columns, diagonal).
+    Symmetric input required."""
+    a = symmetric_rows(gram)
+    rows = [row + unit for row, unit in zip(a, identity(len(a)))]
+    diag = _diagonalize(rows)
+    return [row[len(a):] for row in rows], diag
 
 
 class Gram(tuple):
-    """Square, symmetric, nondegenerate Fraction rows: the package's only
-    check of a gram.  It passes a `Gram` through unchanged; `congruence`,
-    the (P, D) of `congruence_diagonalize`, is computed on first use."""
+    """The package's only check of a gram: square, symmetric Fraction rows
+    with no 0 in the D of `_diagonalize`.  A `Gram` passes through unchanged;
+    `congruence`, `congruence_diagonalize`'s (P, D), is computed on first use."""
 
     def __new__(cls, rows):
         if isinstance(rows, Gram):
             return rows
         rows = symmetric_rows(rows, "gram")
-        if det(rows) == 0:
+        if 0 in _diagonalize([row[:] for row in rows]):
             raise ValueError("gram must be nondegenerate")
         return super().__new__(cls, map(tuple, rows))
 

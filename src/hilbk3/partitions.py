@@ -95,18 +95,23 @@ def verify_semismall(diagram: YoungDiagram) -> bool:
     return 2 * fiber_dimension(diagram) == codim_diagonal(diagram)
 
 
+def _triangular_root(m: int) -> int:
+    """The largest l >= 0 with l(l+1)/2 <= m, for m >= 0."""
+    return (isqrt(8 * m + 1) - 1) // 2
+
+
 def is_triangular(m: int) -> tuple[bool, int | None]:
     """Whether m = l(l+1)/2 for some l >= 1, and that l."""
     if m < 1:
         return False, None
-    l = (isqrt(8 * m + 1) - 1) // 2
-    return (l * (l + 1) // 2 == m, l if l * (l + 1) // 2 == m else None)
+    l = _triangular_root(m)
+    return (True, l) if l * (l + 1) // 2 == m else (False, None)
 
 
 def _triangular_rows(previous: int | None, remaining: int):
     # the triangular numbers up to the bound, largest first
     top = remaining if previous is None else min(previous, remaining)
-    return (l * (l + 1) // 2 for l in range((isqrt(8 * top + 1) - 1) // 2, 0, -1))
+    return (l * (l + 1) // 2 for l in range(_triangular_root(top), 0, -1))
 
 
 def trianalytic_candidates(n: int) -> tuple[YoungDiagram, ...]:

@@ -344,24 +344,31 @@ def test_gram_file_is_read_up_to_its_character_cap(tmp_path, capsys, argv, over)
     (["certify"], 4),
 ])
 def test_degenerate_gram_is_rejected_in_every_mode(tmp_path, capsys, argv, dim):
+    # the zero gram, a rank-one gram with no zero diagonal entry, and a
+    # hyperbolic plane beside a zero direction, which the check reaches only
+    # through the zero-pivot repair
     path = tmp_path / "gram.json"
-    path.write_text(json.dumps({"dim": dim, "rows": [[0] * dim for _ in range(dim)]}))
-    code, payload = run_json(argv + ["--n", "2", "--gram", str(path)], capsys)
-    assert code == 1
-    assert payload["status"] == "error"
-    assert payload["error"]["message"] == "gram must be nondegenerate"
+    for rows in ([[0] * dim for _ in range(dim)], [[1, 1], [1, 1]],
+                 [[0, 1, 0], [1, 0, 0], [0, 0, 0]]):
+        path.write_text(json.dumps({"dim": len(rows), "rows": rows}))
+        code, payload = run_json(argv + ["--n", "2", "--gram", str(path)], capsys)
+        assert code == 1
+        assert payload["status"] == "error"
+        assert payload["error"]["message"] == "gram must be nondegenerate"
 
 
-# the eliminations a report runs on the gram itself: the one determinant of
-# the Gram check and, where period triples are drawn, the one congruence
-# they are drawn from.  A call counts when its argument has the gram's size
-# and entries, so the determinants of the Frobenius pairing matrices do not.
+# the eliminations a report runs on the gram itself: the one symmetric
+# elimination of the Gram check, no determinant, and, where period triples
+# are drawn, the one congruence they are drawn from.  A call counts when its
+# argument has the gram's size and entries, so neither the determinants of
+# the Frobenius pairing matrices nor the congruence's own elimination of
+# [G | I] do.
 GRAM_ELIMINATIONS = [
     (["certify", "--n", "3", "--gram"], ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)),
-     {"det": 1, "congruence_diagonalize": 1}),
-    (["certify", "--n", "3"], None, {"det": 1, "congruence_diagonalize": 1}),
+     {"det": 0, "_diagonalize": 1, "congruence_diagonalize": 1}),
+    (["certify", "--n", "3"], None, {"det": 0, "_diagonalize": 1, "congruence_diagonalize": 1}),
     (["frobenius", "--dimv", "2", "--n", "2", "--gram"], ((2, 1), (1, -3)),
-     {"det": 1, "congruence_diagonalize": 0}),
+     {"det": 0, "_diagonalize": 1, "congruence_diagonalize": 0}),
 ]
 
 

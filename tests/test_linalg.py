@@ -366,6 +366,32 @@ def test_congruence_diagonalize_matches_dense_column_operations(data):
 
 @PROPERTY
 @given(st.data())
+def test_diagonalize_reads_the_determinant(data):
+    # the Gram check's route: a zero in D exactly when det is 0, and prod D
+    # is det, on random forms, on forms singular by construction (B^T diag B
+    # of rank below n), and on zero-diagonal forms, which reach the pair-add
+    # repair and the zero-block stop
+    n = data.draw(st.integers(1, 7))
+    kind = data.draw(st.sampled_from(("random", "low-rank", "zero-diagonal")))
+    if kind == "low-rank":
+        r = data.draw(st.integers(0, n - 1))
+        b = [[data.draw(ENTRIES) for _ in range(n)] for _ in range(r)]
+        d = [data.draw(ENTRIES) for _ in range(r)]
+        gram = [[sum((b[k][i] * d[k] * b[k][j] for k in range(r)), Fraction(0))
+                 for j in range(n)] for i in range(n)]
+    else:
+        lower = [[Fraction(0) if kind == "zero-diagonal" and i == j else data.draw(SPARSE)
+                  for j in range(i + 1)] for i in range(n)]
+        gram = [[lower[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+    diag = linalg._diagonalize([row[:] for row in gram])
+    det = linalg.det(gram)
+    assert (0 in diag) == (det == 0)
+    assert prod(diag, start=Fraction(1)) == det
+    assert kind != "low-rank" or det == 0
+
+
+@PROPERTY
+@given(st.data())
 def test_mat_vec_matches_the_dense_product(data):
     nrows, ncols = data.draw(st.integers(0, 8)), data.draw(st.integers(1, 8))
     a = data.draw(st.lists(st.lists(SPARSE, min_size=ncols, max_size=ncols),
