@@ -5,7 +5,7 @@ surface M is H^2(M) perp Q.delta, where delta is half the exceptional
 divisor of the cycle map and q(delta) = -2(n-1); on H^2(M) the BB form is
 the intersection form.  The default surface gram is E8(-1) + E8(-1) + three
 hyperbolic planes, self-tested to be even, and unimodular of signature
-(3,19) as read off the diagonal D of its congruence (det G = prod D).
+(3,19) as read off the diagonal D of its Gram check (det G = prod D).
 
 A lattice exists for n >= 2 only.  A class is a tuple of total_dim =
 dim V + 1 rationals: its surface coordinates, then its delta coordinate
@@ -46,7 +46,8 @@ H^2(M), d(delta) = 1; with that normalization f(delta, delta) = 0).
 The lattice, triple and certificate types are named tuples, checked when
 they are built: immutable and hashable, and, being tuples, they also
 iterate, have a length and equal the plain tuple of their fields.  A
-lattice's gram is a `linalg.Gram`, whose congruence gives every triple.
+lattice's gram is a `linalg.Gram`; its check's elimination gives the three
+positive columns of a congruence, which every triple is drawn from.
 """
 
 from __future__ import annotations
@@ -86,9 +87,9 @@ def default_k3_gram() -> linalg.Gram:
     if any(g[i][i] % 2 for i in range(22)):
         raise RuntimeError("default gram is not even")
     gram = linalg.Gram(g)
-    # the Gram check's elimination run once more, carrying P; P is built
-    # from unit shears, pair adds and swaps, so det G = prod D
-    diag = gram.congruence[1]
+    # the Gram check's elimination: T^T G T = L diag(D) L^T with T built
+    # from pair adds and swaps, so det G = prod D
+    diag = gram.diagonal
     if prod(diag) not in (1, -1):
         raise RuntimeError("default gram is not unimodular")
     if sum(x > 0 for x in diag) != 3:  # nondegenerate: 19 negative
@@ -269,11 +270,11 @@ def h4_obstruction(lat: H2Lattice, triple: PeriodTriple) -> bool:
 
 
 def _positive_basis(lat: H2Lattice) -> tuple[tuple[Fraction, ...], ...]:
-    p, diag = lat.gram.congruence
-    cols = [c for c, d in zip(p, diag) if d > 0]
-    if len(cols) < 3:
+    gram = lat.gram
+    positive = [c for c, d in enumerate(gram.diagonal) if d > 0][:3]
+    if len(positive) < 3:
         raise ValueError("surface gram has no positive 3-space")
-    return tuple(tuple(c) for c in cols[:3])
+    return tuple(tuple(gram.column(c)) for c in positive)
 
 
 def random_period_triple(lat: H2Lattice, rng: random.Random) -> PeriodTriple:

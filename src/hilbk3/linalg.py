@@ -8,15 +8,14 @@ sparse {column: value} rows throughout, each value an int when its
 denominator is 1 and a Fraction otherwise; nullspace and det pass their
 dense rows through `sparse` once and read their answers off it, the kernel
 as its reduced echelon basis of such sparse vectors.  The identity's 0 and
-1 entries are ints; det returns a Fraction.  Every gram goes through
-`_diagonalize`: `Gram`, the one check of a gram, reads nondegeneracy off its
-diagonal D (det = prod D), and `congruence_diagonalize` reads P off [G | I].
+1 entries are ints; det returns a Fraction.  `Gram`, the one check of a
+gram, reads nondegeneracy off the diagonal D of `congruence_diagonalize`
+(det = prod D) and solves columns of P off the rows it eliminated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import prod
 
 Vector = list
@@ -154,23 +153,26 @@ def det(a: Matrix) -> Fraction:
 
 
 def _add_row(row: Vector, f, src: Vector) -> None:
-    """row += f * src over src's nonzero entries; row's other entries keep their type."""
+    """row += f * src over src's nonzero entries only."""
     for j, x in enumerate(src):
         if x:
             row[j] += f * x
 
 
-def _diagonalize(rows: Matrix) -> list:
-    """Symmetric elimination, in place, of the square symmetric Fraction block
-    that leads `rows`; returns its diagonal D, with det = prod D.
+def congruence_diagonalize(rows: Matrix) -> tuple[list, list]:
+    """Symmetric elimination, in place, of square symmetric Fraction rows G;
+    returns (D, moves), with det G = prod D.
 
     Whole-row operations clear each pivot's column below it and leave the
-    symmetric Schur complement, so no step mirrors a column operation; only
-    the pivot swap and the zero-pivot repair (add a row/column pair) touch
-    the block's columns.  Columns past the block ride along: on [G | I] the
-    right halves end as the columns of P, with P^T G P = diag(D).
+    symmetric Schur complement, so no step mirrors a column operation.  The
+    pivot swap ("swap", k, i) and the zero-pivot repair ("add", i, j), which
+    adds column and row j to column and row i, act on every row and are
+    logged as moves; T is their product.  Each row k ends as D[k] * L[i][k]
+    in its columns i > k, where T^T G T = L diag(D) L^T with L unit lower
+    triangular, so P = T L^-T has P^T G P = diag(D) (`Gram.column`).
     """
     n = len(rows)
+    moves = []
     for k in range(n):
         if rows[k][k] == 0:
             pivot = next((i for i in range(k + 1, n) if rows[i][i] != 0), None)
@@ -180,41 +182,50 @@ def _diagonalize(rows: Matrix) -> list:
                 if off is None:
                     break  # remaining block is zero
                 pivot, j = off
-                for row in rows[k:]:
+                for row in rows:
                     row[pivot] += row[j]
-                _add_row(rows[pivot], Fraction(1), rows[j])  # diagonal 2 a[pivot][j] != 0
-            for row in rows[k:]:
+                _add_row(rows[pivot], 1, rows[j])  # diagonal 2 a[pivot][j] != 0
+                moves.append(("add", pivot, j))
+            for row in rows:
                 row[k], row[pivot] = row[pivot], row[k]
             rows[k], rows[pivot] = rows[pivot], rows[k]
+            moves.append(("swap", k, pivot))
         top = rows[k]
         for row in rows[k + 1:]:
             if row[k]:
                 _add_row(row, -row[k] / top[k], top)
-    return [rows[i][i] for i in range(n)]
-
-
-def congruence_diagonalize(gram: Matrix) -> tuple[Matrix, list]:
-    """Basis change P with P^T G P diagonal; returns (P columns, diagonal).
-    Symmetric input required."""
-    a = symmetric_rows(gram)
-    rows = [row + unit for row, unit in zip(a, identity(len(a)))]
-    diag = _diagonalize(rows)
-    return [row[len(a):] for row in rows], diag
+    return [rows[i][i] for i in range(n)], moves
 
 
 class Gram(tuple):
     """The package's only check of a gram: square, symmetric Fraction rows
-    with no 0 in the D of `_diagonalize`.  A `Gram` passes through unchanged;
-    `congruence`, `congruence_diagonalize`'s (P, D), is computed on first use."""
+    with no 0 in the D of `congruence_diagonalize`.  A `Gram` passes through
+    unchanged and keeps that one elimination: its `diagonal` D and, through
+    `column`, the columns of P with P^T G P = diag(D)."""
 
     def __new__(cls, rows):
         if isinstance(rows, Gram):
             return rows
         rows = symmetric_rows(rows, "gram")
-        if 0 in _diagonalize([row[:] for row in rows]):
+        eliminated = [row[:] for row in rows]
+        diagonal, moves = congruence_diagonalize(eliminated)
+        if 0 in diagonal:
             raise ValueError("gram must be nondegenerate")
-        return super().__new__(cls, map(tuple, rows))
+        gram = super().__new__(cls, map(tuple, rows))
+        gram.diagonal, gram._eliminated, gram._moves = tuple(diagonal), eliminated, moves
+        return gram
 
-    @cached_property
-    def congruence(self) -> tuple[Matrix, list]:
-        return congruence_diagonalize(self)
+    def column(self, c: int) -> list:
+        """P e_c = T L^-T e_c: back-substitution in L^T x = e_c, then the
+        moves applied last to first.  Every entry is a Fraction."""
+        rows, d = self._eliminated, self.diagonal
+        x = [Fraction(0)] * len(d)
+        x[c] = Fraction(1)
+        for j in range(c - 1, -1, -1):
+            x[j] = -sum(rows[j][i] * x[i] for i in range(j + 1, c + 1)) / d[j]
+        for kind, i, j in reversed(self._moves):
+            if kind == "swap":
+                x[i], x[j] = x[j], x[i]
+            else:  # column i += column j: T x gains x[i] at j
+                x[j] += x[i]
+        return x

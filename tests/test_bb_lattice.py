@@ -93,12 +93,13 @@ def test_default_gram_shape_and_invariants():
     rows = [list(map(Fraction, row)) for row in g]
     assert linalg.det(rows) in (1, -1)
     assert signature(rows) == (3, 19, 0)
-    assert linalg.congruence_diagonalize(rows) == dense_congruence_diagonalize(rows)
-    # the checked gram every K3 lattice shares, with the eliminations it keeps
+    # the checked gram every K3 lattice shares, with the elimination it keeps;
+    # its U blocks take the zero-pivot repair
     assert isinstance(g, linalg.Gram) and k3_lattice(3).gram is g is k3_lattice(6).gram
-    assert g.congruence == dense_congruence_diagonalize(rows)
-    # the self-test reads unimodularity off the congruence: det = prod D
-    assert prod(g.congruence[1]) == linalg.det(rows)
+    p, diag = dense_congruence_diagonalize(rows)
+    assert list(g.diagonal) == diag and [g.column(c) for c in range(22)] == p
+    # the self-test reads unimodularity off the check's D: det = prod D
+    assert prod(g.diagonal) == linalg.det(rows)
 
 
 def _set_first_diagonal(value):

@@ -358,17 +358,15 @@ def test_degenerate_gram_is_rejected_in_every_mode(tmp_path, capsys, argv, dim):
 
 
 # the eliminations a report runs on the gram itself: the one symmetric
-# elimination of the Gram check, no determinant, and, where period triples
-# are drawn, the one congruence they are drawn from.  A call counts when its
-# argument has the gram's size and entries, so neither the determinants of
-# the Frobenius pairing matrices nor the congruence's own elimination of
-# [G | I] do.
+# elimination of the Gram check, which period triples are also drawn from,
+# and no determinant.  A call counts when its argument has the gram's size
+# and entries, so the determinants of the Frobenius pairing matrices do not.
 GRAM_ELIMINATIONS = [
     (["certify", "--n", "3", "--gram"], ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)),
-     {"det": 0, "_diagonalize": 1, "congruence_diagonalize": 1}),
-    (["certify", "--n", "3"], None, {"det": 0, "_diagonalize": 1, "congruence_diagonalize": 1}),
+     {"det": 0, "congruence_diagonalize": 1}),
+    (["certify", "--n", "3"], None, {"det": 0, "congruence_diagonalize": 1}),
     (["frobenius", "--dimv", "2", "--n", "2", "--gram"], ((2, 1), (1, -3)),
-     {"det": 0, "_diagonalize": 1, "congruence_diagonalize": 0}),
+     {"det": 0, "congruence_diagonalize": 1}),
 ]
 
 
@@ -414,8 +412,8 @@ def test_a_basis_that_is_not_positive_ends_in_an_internal_failure(monkeypatch, c
     # so no scale makes the Gram-Schmidt norms positive: the doublings stop
     # at their bound instead of running forever
     def negative_basis(lat):
-        p, diag = lat.gram.congruence
-        return tuple(tuple(c) for c, d in zip(p, diag) if d < 0)[:3]
+        negative = [c for c, d in enumerate(lat.gram.diagonal) if d < 0][:3]
+        return tuple(tuple(lat.gram.column(c)) for c in negative)
     monkeypatch.setattr(bb_lattice, "_positive_basis", negative_basis)
     with pytest.raises(RuntimeError):
         bb_lattice.random_period_triple(bb_lattice.k3_lattice(3), random.Random(0))

@@ -207,6 +207,18 @@ def test_pattern_matches_hilbert_even_betti():
     assert algebra_dimension_pattern(23, 2) == even
 
 
+def test_pattern_is_bounded_by_hilbert_even_betti():
+    # the pattern is that of the subalgebra of H^*(Hilb^n(K3)) generated by
+    # H^2 (Verbitsky), so degree by degree it is at most the even Betti
+    # number, and it is all of the cohomology only at n = 2
+    for n in range(2, 41):
+        even = hilbert_stratum_ledger(SurfaceBetti.k3(), n).total().betti[::2]
+        pattern = algebra_dimension_pattern(23, n)
+        assert len(pattern) == len(even)
+        assert all(a <= b for a, b in zip(pattern, even)), n
+        assert (pattern == even) == (n == 2), n
+
+
 def test_algebra_dimensions_and_checks():
     for gram, n in ((U, 1), (U, 2), (U2, 2), (U4, 2), (U4, 3)):
         alg = build_algebra(gram, n)

@@ -173,17 +173,20 @@ def test_congruence_diagonalize_property():
         n = rng.randint(1, 5)
         a = _random_matrix(rng, n, n, -3, 3)
         gram = mat_add(a, transpose(a))
-        cols, diag = linalg.congruence_diagonalize(gram)
-        p = transpose(cols)
+        diag, _ = linalg.congruence_diagonalize([row[:] for row in gram])
+        pos = sum(1 for d in diag if d > 0)
+        neg = sum(1 for d in diag if d < 0)
+        zero = sum(1 for d in diag if d == 0)
+        assert signature(gram) == (pos, neg, zero)
+        if zero:
+            continue
+        checked = linalg.Gram(gram)
+        p = transpose([checked.column(c) for c in range(n)])
         ptgp = mat_mul(transpose(p), mat_mul(gram, p))
         for i in range(n):
             for j in range(n):
                 expect = diag[i] if i == j else 0
                 assert ptgp[i][j] == expect
-        pos = sum(1 for d in diag if d > 0)
-        neg = sum(1 for d in diag if d < 0)
-        zero = sum(1 for d in diag if d == 0)
-        assert signature(gram) == (pos, neg, zero)
 
 
 def test_gram_is_checked_once_and_keeps_its_eliminations():
@@ -192,12 +195,13 @@ def test_gram_is_checked_once_and_keeps_its_eliminations():
     assert isinstance(gram, tuple) and gram == tuple(tuple(map(Fraction, r)) for r in rows)
     assert all(type(row) is tuple and all(type(x) is Fraction for x in row) for row in gram)
     assert not hasattr(gram, "det") and linalg.det(rows) == Fraction(3, 2)
-    # P is built from unit shears and swaps, so the diagonal D of the kept
-    # congruence has the gram's determinant as its product
-    assert prod(gram.congruence[1]) == linalg.det(rows)
+    # T is built from pair adds and swaps, so the diagonal D the check keeps
+    # has the gram's determinant as its product
+    assert prod(gram.diagonal) == linalg.det(rows)
     assert linalg.Gram(gram) is gram
-    assert gram.congruence is gram.congruence
-    assert gram.congruence == linalg.congruence_diagonalize(rows)
+    dense = dense_congruence_diagonalize(rows)
+    assert list(gram.diagonal) == dense[1]
+    assert [gram.column(c) for c in range(3)] == dense[0]
     assert signature(rows) == (1, 2, 0)
     for bad, message in ((((1, 0),), "square"), (((0, 1), (2, 0)), "symmetric"),
                          (((1, 1), (1, 1)), "nondegenerate"), (((0,),), "nondegenerate")):
@@ -351,43 +355,51 @@ def test_det_stays_a_fraction():
 
 
 SPARSE = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), ENTRIES)
+NONZERO = st.builds(Fraction, st.sampled_from([p for p in range(-6, 7) if p]), st.integers(1, 4))
 
 
+@pytest.mark.parametrize("kind", ("random", "low-rank", "zero-diagonal", "sheared"))
 @PROPERTY
-@given(st.data())
-def test_congruence_diagonalize_matches_dense_column_operations(data):
-    # skipping zero entries changes no entry: the same (P, D), also on
-    # mostly-zero forms, where zero pivots need the repair step
-    n = data.draw(st.integers(1, 7))
-    lower = [[data.draw(SPARSE) for _ in range(i + 1)] for i in range(n)]
-    gram = [[lower[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
-    assert linalg.congruence_diagonalize(gram) == dense_congruence_diagonalize(gram)
-
-
-@PROPERTY
-@given(st.data())
-def test_diagonalize_reads_the_determinant(data):
-    # the Gram check's route: a zero in D exactly when det is 0, and prod D
-    # is det, on random forms, on forms singular by construction (B^T diag B
-    # of rank below n), and on zero-diagonal forms, which reach the pair-add
-    # repair and the zero-block stop
-    n = data.draw(st.integers(1, 7))
-    kind = data.draw(st.sampled_from(("random", "low-rank", "zero-diagonal")))
+@given(data=st.data())
+def test_congruence_diagonalize_matches_det_and_the_dense_oracle(kind, data):
+    # D: a zero exactly when det is 0, and prod D is det, on random forms, on
+    # forms singular by construction (B^T diag B of rank below n), and on
+    # zero-diagonal forms, which reach the pair-add repair and the zero-block
+    # stop.  On every nondegenerate form, each column of the Gram's P equals
+    # the dense oracle's.  A swap or a pair-add at step k must act on the
+    # rows before k too.  The sheared forms Z + d a a^T, with a[0] = 1 and
+    # Z zero in its first row and column and at (1, 1), reach one of them at
+    # k = 1, where Z is the Schur complement and row 0, d a^T, still reaches
+    # every column: the repair if Z's diagonal is zero, else the swap
+    n = data.draw(st.integers(3 if kind == "sheared" else 1, 7))
     if kind == "low-rank":
         r = data.draw(st.integers(0, n - 1))
         b = [[data.draw(ENTRIES) for _ in range(n)] for _ in range(r)]
         d = [data.draw(ENTRIES) for _ in range(r)]
         gram = [[sum((b[k][i] * d[k] * b[k][j] for k in range(r)), Fraction(0))
                  for j in range(n)] for i in range(n)]
+    elif kind == "sheared":
+        repair = data.draw(st.booleans())
+        lower = [[Fraction(0) if j == 0 or i == j and (i == 1 or repair)
+                  else data.draw(NONZERO if i == j else ENTRIES) for j in range(i + 1)]
+                 for i in range(n)]
+        d = data.draw(NONZERO)
+        a = [Fraction(1)] + [data.draw(NONZERO) for _ in range(n - 1)]
+        gram = [[lower[max(i, j)][min(i, j)] + d * a[i] * a[j] for j in range(n)]
+                for i in range(n)]
     else:
         lower = [[Fraction(0) if kind == "zero-diagonal" and i == j else data.draw(SPARSE)
                   for j in range(i + 1)] for i in range(n)]
         gram = [[lower[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
-    diag = linalg._diagonalize([row[:] for row in gram])
+    diag, _ = linalg.congruence_diagonalize([row[:] for row in gram])
     det = linalg.det(gram)
     assert (0 in diag) == (det == 0)
     assert prod(diag, start=Fraction(1)) == det
     assert kind != "low-rank" or det == 0
+    if det != 0:
+        checked = linalg.Gram(gram)
+        assert list(checked.diagonal) == diag
+        assert [checked.column(c) for c in range(n)] == dense_congruence_diagonalize(gram)[0]
 
 
 @PROPERTY
