@@ -22,8 +22,7 @@ also iterate, have a length and equal the plain tuple of their fields.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property, lru_cache
-from itertools import groupby
+from functools import lru_cache
 from math import comb
 
 from .partitions import YoungDiagram, codim_diagonal, diagrams_of, partitions_of
@@ -124,12 +123,12 @@ def diagonal_poincare(surface: SurfaceBetti, diagram: YoungDiagram) -> PoincareP
 
     The stratum for a diagram is the product, over distinct part values, of
     the symmetric power of the surface in the multiplicity of that value.
-    It depends only on the sorted multiplicities, the run lengths of the
-    sorted parts, which p(n) strata share far fewer of (1,772 signatures for
-    37,338 strata at n = 40).
+    It depends only on the sorted multiplicities, the count of each
+    distinct part value, which p(n) strata share far fewer of (1,772
+    signatures for 37,338 strata at n = 40).
     """
-    runs = sorted([len(list(run)) for _, run in groupby(diagram.parts)])
-    return _stratum_poincare(surface, tuple(runs))
+    parts = diagram.parts
+    return _stratum_poincare(surface, tuple(sorted(map(parts.count, set(parts)))))
 
 
 @lru_cache(maxsize=None)
@@ -192,11 +191,11 @@ StratumContribution = namedtuple("StratumContribution", (
 class StratumLedger(namedtuple("StratumLedger", "n surface")):
     """The diagonal strata of one Hilbert scheme and their shifted sum."""
 
-    # no __slots__: `contributions` is cached in the instance dict
+    __slots__ = ()
 
-    @cached_property
+    @property
     def contributions(self) -> tuple[StratumContribution, ...]:
-        """Every stratum, in `diagrams_of` order: p(n) of them."""
+        """Every stratum, in `diagrams_of` order: p(n) of them, listed on each read."""
         return tuple(
             StratumContribution(d, codim_diagonal(d), diagonal_poincare(self.surface, d))
             for d in diagrams_of(self.n)

@@ -171,7 +171,7 @@ def punctual_fixed_points(i: int) -> tuple[MonomialIdeal, ...]:
     truncation = i + 1
     fixed = []
     for parts in partitions_of(i, rows=_staircase_rows):
-        ideal = MonomialIdeal(YoungDiagram(parts), truncation)
+        ideal = MonomialIdeal(YoungDiagram._make((parts,)), truncation)
         quotient = ideal.quotient_monomials()
         # e and f map the cells of one degree onto each other, so the ideal
         # is closed under them exactly when its quotient is

@@ -10,11 +10,15 @@ Every list of partitions comes from one walk, `partitions_of`, which places
 rows largest first.  A row rule `rows(previous, remaining)` names the parts
 allowed below each row, so a constrained walk (triangular parts for the
 candidates, one-shorter rows for the punctual staircases) visits only the
-partitions it keeps.
+partitions it keeps.  The walk's levels share one prefix list, so a
+partition becomes a tuple once, when it is complete.
 
 `YoungDiagram` is a named tuple of one field, checked when it is built: it
 is immutable and hashable, sorts by its parts, and, being a tuple, also
-iterates, has a length and equals the plain tuple `(parts,)`.
+iterates, has a length and equals the plain tuple `(parts,)`.  The walk
+yields only weakly decreasing positive parts, so the diagrams listed here
+and in `invariant_ideals` are built from its tuples unchecked, with
+`YoungDiagram._make`.
 """
 
 from __future__ import annotations
@@ -55,19 +59,23 @@ def partitions_of(n: int, *, rows=None):
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    yield from _rows(n, None, rows)
+    yield from _rows(n, None, rows, [])
 
 
-def _rows(remaining: int, previous: int | None, rows):
+def _rows(remaining: int, previous: int | None, rows, parts: list[int]):
+    # the levels share one prefix list: each appends its row and pops it after
+    # the walk below it, and a finished partition is copied out as a tuple,
+    # so no level builds one and the caller may keep what it is given
     if remaining == 0:
-        yield ()
+        yield tuple(parts)
         return
     bound = remaining if previous is None else min(remaining, previous)
     for p in range(bound, 0, -1) if rows is None else rows(previous, remaining):
         if rows is not None and not 0 < p <= bound:
             raise ValueError(f"row rule yielded {p} outside 1..{bound}")
-        for rest in _rows(remaining - p, p, rows):
-            yield (p,) + rest
+        parts.append(p)
+        yield from _rows(remaining - p, p, rows, parts)
+        parts.pop()
 
 
 @lru_cache(maxsize=None)
@@ -123,4 +131,4 @@ def trianalytic_candidates(n: int) -> tuple[YoungDiagram, ...]:
     the unpinned shape is left, and it survives iff every part is
     triangular.  The walk places triangular rows only.
     """
-    return tuple(YoungDiagram(p) for p in partitions_of(n, rows=_triangular_rows))
+    return tuple(map(YoungDiagram._make, zip(partitions_of(n, rows=_triangular_rows))))

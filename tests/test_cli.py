@@ -741,14 +741,20 @@ def test_table_output_bytes_are_pinned(capsys):
         "43431895a3a2fa2753f5ae0f365b954c2410f2f9504bc862e9c43fdee5da5261")
 
 
-# report payload trees of the types `_plain` produces: keys and strings with
-# non-ASCII, control and surrogate characters, bools among ints, ints of
-# hundreds of digits, empty and nested containers
-_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+# report payload trees of the types `_plain` produces: bools among ints, ints
+# of hundreds of digits, empty and nested containers, with keys and strings
+# drawn from one of each class `_quote` treats differently (empty, printable
+# ASCII, '"', backslash, DEL, C0 controls, non-ASCII, lone surrogates); every
+# key and every string goes through `_quote` wherever it sits, so the
+# all-category text is drawn once, in the string test below
+_STRINGS = st.sampled_from(["", "a", "B", " ~", "x y", "\"", "\\", "\x7f", "\x00", "\t", "\n",
+                            "\x1f", "\u00e9", "\u2028", "\U0001f600", "\ud800", "\udfff",
+                            "a\"b\\c\x01\u00f1\ud800"])
 _SCALARS = (st.none() | st.booleans() | st.integers()
-            | st.integers(-10 ** 300, 10 ** 300) | _TEXT)
-_PAYLOADS = st.dictionaries(_TEXT, st.recursive(
-    _SCALARS, lambda inner: st.lists(inner, max_size=6) | st.dictionaries(_TEXT, inner, max_size=6),
+            | st.integers(-10 ** 300, 10 ** 300) | _STRINGS)
+_PAYLOADS = st.dictionaries(_STRINGS, st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(_STRINGS, inner, max_size=6),
     max_leaves=40), max_size=6)
 
 
@@ -760,6 +766,13 @@ _PAYLOADS = st.dictionaries(_TEXT, st.recursive(
 # printable ASCII is quoted without the standard encoder; '"', backslash and DEL are not
 @example(payload={"a\"b": ["\\", "\x7f", " ~", "", "x\\y"], "\"": "'", "\\": "\t"})
 def test_json_emitter_matches_the_standard_encoder(payload):
+    assert cli._json(payload, "") == json_report(payload)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(text=st.text(st.characters(exclude_categories=()), max_size=8))
+def test_json_emitter_quotes_strings_as_the_standard_encoder(text):
+    payload = {text: [text]}
     assert cli._json(payload, "") == json_report(payload)
 
 

@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.utilities.iterables import partitions as sympy_partitions
 
 from hilbk3.partitions import (
     YoungDiagram,
@@ -45,6 +46,16 @@ def test_partition_counts():
     for n, count in zip(range(1, 13), expected):
         assert len(list(partitions_of(n))) == count
         assert len(diagrams_of(n)) == count
+
+
+def test_walk_matches_the_sympy_partitions():
+    # sympy yields {part: multiplicity} dicts; the walk's order is reverse
+    # lexicographic on the weakly decreasing tuples
+    for n in range(31):
+        expected = sorted((tuple(p for p in sorted(d, reverse=True) for _ in range(d[p]))
+                           for d in sympy_partitions(n)), reverse=True)
+        assert list(partitions_of(n)) == expected
+    assert list(partitions_of(0)) == [()]
 
 
 PAIRS = st.sets(st.tuples(st.none() | st.integers(1, 12), st.integers(1, 12)), max_size=60)
