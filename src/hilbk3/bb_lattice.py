@@ -11,15 +11,15 @@ A lattice exists for n >= 2 only.  A class is a tuple of total_dim =
 dim V + 1 rationals: its surface coordinates, then its delta coordinate
 last.  A 2-form is a plain matrix F in the same coordinates with
 f(x, y) = x^T F y, so forms transform with lower indices, as the gram
-does.  Every pairing reads the one full gram, surface gram plus
-delta-delta entry, that each lattice builds once.
+does.  The full gram is the surface gram plus the delta-delta entry.
 
 Classes, grams and forms go in and come out as Fractions, but the degree-4
 path computes on Python ints: a class x is X / den with X an int vector,
-and a pairing reads the full gram scaled by the lcm of its denominators,
-kept once per lattice as sparse (column, int) rows.  Fractions are formed
-only where a value leaves the path, and being canonical they equal what
-Fraction arithmetic gives, so no triple or verdict depends on the route.
+and a pairing reads the surface gram's `integral` rows, scaled by the lcm
+gden of its denominators and kept once per gram by `linalg.Gram`, plus
+the delta-delta entry -2(n-1) gden.  Fractions are formed only where a
+value leaves the path, and being canonical they equal what Fraction
+arithmetic gives, so no triple or verdict depends on the route.
 
 A hyperkaehler rotation is encoded by a period triple: three pairwise
 BB-orthogonal classes of positive norm.  The induced su(2) action on H^2 is
@@ -41,13 +41,16 @@ the exact pullback coefficient on the exceptional square for candidates
 coming from a smaller Hilbert scheme, and the failure of su(2)-invariance of
 the degree-4 restriction functional f = B + 2(n-1) d^2 for the punctual
 candidate, where d is the coordinate functional dual to delta (d vanishes on
-H^2(M), d(delta) = 1; with that normalization f(delta, delta) = 0).
+H^2(M), d(delta) = 1; with that normalization f(delta, delta) = 0).  That
+verdict is reached twice: by the su(2) identity on f, and in closed form,
+since B is invariant and f is invariant iff d^2 is.
 
 The lattice, triple and certificate types are named tuples, checked when
-they are built: immutable and hashable, and, being tuples, they also
-iterate, have a length and equal the plain tuple of their fields.  A
-lattice's gram is a `linalg.Gram`; its check's elimination gives the three
-positive columns of a congruence, which every triple is drawn from.
+they are built: immutable (no instance dict, so no attribute can be set)
+and hashable, and, being tuples, they also iterate, have a length and
+equal the plain tuple of their fields.  A lattice's gram is a
+`linalg.Gram`; its check's elimination gives the three positive columns of
+a congruence, which every triple is drawn from.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, lcm, prod
 
 from . import linalg
@@ -100,7 +103,7 @@ def default_k3_gram() -> linalg.Gram:
 class H2Lattice(namedtuple("H2Lattice", "n gram")):
     """H^2(M) + Q delta for the Hilbert scheme of n >= 2 points."""
 
-    # no __slots__: `full_gram` is cached in the instance dict
+    __slots__ = ()
 
     def __new__(cls, n: int, gram):
         if not isinstance(n, int) or n < 2:
@@ -119,17 +122,12 @@ class H2Lattice(namedtuple("H2Lattice", "n gram")):
     def delta_norm(self) -> Fraction:
         return Fraction(-2 * (self.n - 1))
 
-    @cached_property
+    @property
     def full_gram(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The BB gram on all total_dim coordinates, delta last."""
+        """The BB gram on all total_dim coordinates, delta last, built on each read."""
         zero = Fraction(0)
         return (tuple(row + (zero,) for row in self.gram)
                 + ((zero,) * self.dim_v + (self.delta_norm,),))
-
-    @cached_property
-    def _integral_gram(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
-        """(gden, rows): the full gram times gden, the lcm of its denominators."""
-        return _integral_rows(self.full_gram)
 
 
 def _numerators(x) -> tuple[list[int], int]:
@@ -138,21 +136,22 @@ def _numerators(x) -> tuple[list[int], int]:
     return [a.numerator * (den // a.denominator) for a in x], den
 
 
-def _integral_rows(m) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
-    """(den, rows): den the lcm of the denominators of m, rows den * m as
-    sparse (column, int) pairs over the nonzero entries."""
-    den = lcm(*(a.denominator for row in m for a in row))
-    return den, tuple(tuple((j, a.numerator * (den // a.denominator))
-                            for j, a in enumerate(row) if a) for row in m)
-
-
 def _times(rows, x) -> list[int]:
     """The int matrix of sparse rows times the int vector x."""
     return [sum(g * x[j] for j, g in row) for row in rows]
 
 
+def _gram_images(lat: H2Lattice, triple: PeriodTriple) -> tuple[list, list]:
+    """(W, g): the int numerators W_a of the triple's classes, and g_a the
+    full gram times W_a, scaled by the surface gram's gden."""
+    gden, rows = lat.gram.integral
+    ws = [_numerators(w)[0] for w in triple.w]
+    return ws, [_times(rows, w) + [-2 * (lat.n - 1) * gden * w[-1]] for w in ws]
+
+
 def _pair(rows, x, y) -> int:
-    """x^T M y for the int matrix M of sparse rows; x may be shorter than M."""
+    """x^T M y for the int matrix M of sparse rows; only M's rows and
+    columns count, so x and y may run past them (as a class's delta does)."""
     return sum(a * sum(g * y[j] for j, g in row) for a, row in zip(x, rows) if a)
 
 
@@ -164,9 +163,10 @@ def bb_pair(lat: H2Lattice, x, y) -> Fraction:
     """B(x, y) for two classes of lat, each a sequence of total_dim rationals."""
     if len(x) != lat.total_dim or len(y) != lat.total_dim:
         raise ValueError(f"classes must have {lat.total_dim} coordinates")
-    gden, rows = lat._integral_gram
+    gden, rows = lat.gram.integral
     (xs, dx), (ys, dy) = _numerators(x), _numerators(y)
-    return Fraction(_pair(rows, xs, ys), gden * dx * dy)
+    pair = _pair(rows, xs, ys) - 2 * (lat.n - 1) * gden * xs[-1] * ys[-1]
+    return Fraction(pair, gden * dx * dy)
 
 
 def q_norm(lat: H2Lattice, x) -> Fraction:
@@ -239,9 +239,8 @@ def is_su2_invariant(lat: H2Lattice, form, triple: PeriodTriple) -> bool:
         raise ValueError("form size mismatch")
     if triple.lattice != lat:
         raise ValueError("triple belongs to a different lattice")
-    grows, frows = lat._integral_gram[1], _integral_rows(f)[1]
-    ws = [_numerators(w)[0] for w in triple.w]
-    g = [_times(grows, w) for w in ws]
+    ws, g = _gram_images(lat, triple)
+    frows = linalg.integral_rows(f)[1]
     phi = [_times(frows, w) for w in ws]
     for b, c in ((1, 2), (2, 0)):
         gb, gc, pb, pc = g[b], g[c], phi[b], phi[c]
@@ -258,6 +257,12 @@ def h4_obstruction(lat: H2Lattice, triple: PeriodTriple) -> bool:
     Requires n triangular >= 3 (the punctual candidate exists only there)
     and a triple with nonzero projection of the delta functional onto the
     span, i.e. some w_a with a delta component.
+
+    The verdict is reached twice, and a RuntimeError reports any
+    disagreement.  Once by the su(2) identity on f; once in closed form:
+    B is invariant, so f is iff d^2 = e e^T is, where e is the delta
+    functional, and that holds iff L_a^T e = e(w_c) g_b - e(w_b) g_c
+    vanishes for a = 0, 1, compared on the int numerators of the triple.
     """
     n = lat.n
     ok, _ = is_triangular(n)
@@ -266,7 +271,12 @@ def h4_obstruction(lat: H2Lattice, triple: PeriodTriple) -> bool:
     if not triple.has_delta_component:
         raise ValueError("period triple is orthogonal to the exceptional class; "
                          "the precondition proj(delta-dual) != 0 fails")
-    return not is_su2_invariant(lat, restriction_functional(lat), triple)
+    ws, g = _gram_images(lat, triple)
+    obstructed = any(ws[c][-1] * x != ws[b][-1] * y
+                     for b, c in ((1, 2), (2, 0)) for x, y in zip(g[b], g[c]))
+    if obstructed == is_su2_invariant(lat, restriction_functional(lat), triple):
+        raise RuntimeError("the su(2) identity and the closed form disagree on f")
+    return obstructed
 
 
 def _positive_basis(lat: H2Lattice) -> tuple[tuple[Fraction, ...], ...]:
@@ -299,7 +309,7 @@ def random_period_triple(lat: H2Lattice, rng: random.Random) -> PeriodTriple:
         raise RuntimeError("failed to draw a valid period triple")
     vs = [_numerators([sum(m * b[i] for m, b in zip(mix, basis)) for i in range(dim)])
           for mix in mixes]
-    gden, rows = lat._integral_gram
+    gden, rows = lat.gram.integral
     # the mixes span a positive-definite 3-space, so the Gram-Schmidt norms
     # of scale * v + noise are all positive once the scale is large enough.
     # A class w = W / den is kept with its numerator norm nu = W^T G W (times

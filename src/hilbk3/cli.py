@@ -5,7 +5,9 @@ Output is deterministic byte-for-byte for fixed arguments: JSON with sorted
 keys (--json) or a flat key: value listing (--table, default).  Rationals
 are serialized as "p/q" strings.  Exit status is 0 iff every reported check
 passed; 1 for a failed check ("failed") or bad input ("error"), 2 for a
-usage error, and 3 for an internal failure ("internal-error").
+usage error, and 3 for an internal failure ("internal-error").  A --gram
+path must name a regular file: a FIFO, device or directory is bad input,
+refused before it is read.
 """
 
 from __future__ import annotations
@@ -201,11 +203,21 @@ def _load_gram(path: str | None):
     if path is None:
         return None
     import json
+    import os
+    import stat
 
     from . import linalg
 
-    with open(path) as fh:
-        text = fh.read(MAX_GRAM_CHARS + 1)
+    # opened without blocking and checked before it is read: a FIFO with no
+    # writer would block open() and read() with no bound
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise ValueError("gram file must be a regular file")
+        with open(fd, closefd=False) as fh:
+            text = fh.read(MAX_GRAM_CHARS + 1)
+    finally:
+        os.close(fd)
     if len(text) > MAX_GRAM_CHARS:
         raise ValueError(f"gram files are capped at {MAX_GRAM_CHARS} characters")
     try:

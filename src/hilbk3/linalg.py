@@ -10,13 +10,16 @@ dense rows through `sparse` once and read their answers off it, the kernel
 as its reduced echelon basis of such sparse vectors.  The identity's 0 and
 1 entries are ints; det returns a Fraction.  `Gram`, the one check of a
 gram, reads nondegeneracy off the diagonal D of `congruence_diagonalize`
-(det = prod D) and solves columns of P off the rows it eliminated.
+(det = prod D) and solves columns of P off the rows it eliminated.  It
+also keeps its entries scaled to ints, once per gram, by `integral_rows`,
+the one rule that scales a rational matrix to a common denominator and
+sparse int rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 Vector = list
 Matrix = list
@@ -34,6 +37,14 @@ def symmetric_rows(a: Matrix, name: str = "matrix") -> Matrix:
     if any(rows[i][j] != rows[j][i] for i in range(len(rows)) for j in range(i)):
         raise ValueError(f"{name} must be symmetric")
     return rows
+
+
+def integral_rows(m: Matrix) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+    """(den, rows): den the lcm of the denominators of m, rows den * m as
+    sparse (column, int) pairs over the nonzero entries."""
+    den = lcm(*(a.denominator for row in m for a in row))
+    return den, tuple(tuple((j, a.numerator * (den // a.denominator))
+                            for j, a in enumerate(row) if a) for row in m)
 
 
 def sparse(row: Vector) -> dict:
@@ -201,18 +212,19 @@ class Gram(tuple):
     """The package's only check of a gram: square, symmetric Fraction rows
     with no 0 in the D of `congruence_diagonalize`.  A `Gram` passes through
     unchanged and keeps that one elimination: its `diagonal` D and, through
-    `column`, the columns of P with P^T G P = diag(D)."""
+    `column`, the columns of P with P^T G P = diag(D).  It also keeps
+    `integral`, the `integral_rows` of its own entries."""
 
     def __new__(cls, rows):
         if isinstance(rows, Gram):
             return rows
         rows = symmetric_rows(rows, "gram")
-        eliminated = [row[:] for row in rows]
-        diagonal, moves = congruence_diagonalize(eliminated)
+        gram = super().__new__(cls, map(tuple, rows))
+        diagonal, moves = congruence_diagonalize(rows)  # rows are a copy already
         if 0 in diagonal:
             raise ValueError("gram must be nondegenerate")
-        gram = super().__new__(cls, map(tuple, rows))
-        gram.diagonal, gram._eliminated, gram._moves = tuple(diagonal), eliminated, moves
+        gram.diagonal, gram._eliminated, gram._moves = tuple(diagonal), rows, moves
+        gram.integral = integral_rows(gram)
         return gram
 
     def column(self, c: int) -> list:

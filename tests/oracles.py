@@ -27,7 +27,8 @@ replaced, the shape grammar, explicit BB classes, the routes of the
 degree-4 path the library replaced (BB pairing and
 period-triple Gram-Schmidt in Fractions, period triples orthogonal to
 delta, congruence column operations over
-zero entries too, with the signature read off them), a rank, a matrix
+zero entries too, with the signature read off them), the two grams at
+the entry bound that CI writes, a rank, a matrix
 inverse and the dense matrix and matrix-vector products, the three dense
 rotation operators of a period triple with the dense invariance checks
 built from them (the 2-form check the library replaced, and the
@@ -37,6 +38,7 @@ modules of d and d^2, and random isotropic vectors.
 
 import argparse
 import json
+import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -1002,6 +1004,33 @@ def signature(gram):
     pos = sum(1 for x in d if x > 0)
     neg = sum(1 for x in d if x < 0)
     return pos, neg, len(d) - pos - neg
+
+
+def entry_bound_grams():
+    """{name: Fraction rows} of the two 32 x 32 grams at the entry bound that
+    CI writes as JSON, drawn as its scripts draw them: `bound32`, dense
+    p/q entries with |p| and q from 900,000..10^6, and `last32`, a
+    negative-definite 29 x 29 block before a positive diagonal 3 x 3 block."""
+    b = 10 ** 6
+    r = random.Random(1)
+    low = [[f"{r.choice((-1, 1)) * r.randint(b - 10 ** 5, b)}/{r.randint(b - 10 ** 5, b)}"
+            for j in range(i + 1)] for i in range(32)]
+    grams = {"bound32": low}
+    r = random.Random(2)
+
+    def q():
+        return r.randint(b - 10 ** 5, b)
+
+    def entry(i, j):
+        if max(i, j) >= 29:
+            return f"{q()}/{q()}" if i == j else 0
+        if i == j:
+            return f"-{q()}/{q()}"
+        return f"{r.choice((-1, 1)) * r.randint(10 ** 4, 2 * 10 ** 4)}/{q()}"
+
+    grams["last32"] = [[entry(i, j) for j in range(i + 1)] for i in range(32)]
+    return {name: [[Fraction(low[max(i, j)][min(i, j)]) for j in range(32)] for i in range(32)]
+            for name, low in grams.items()}
 
 
 def fraction_period_triple(lat, rng, with_delta=True):

@@ -34,6 +34,7 @@ from oracles import (
     delta_squared_form,
     dense_congruence_diagonalize,
     dense_su2_invariant,
+    entry_bound_grams,
     flat_period_triple,
     fraction_bb_pair,
     fraction_period_triple,
@@ -158,7 +159,19 @@ def test_full_gram_blocks():
         for j in range(4):
             assert fg[i][j] == SMALL[i][j]
     assert fg[4][4] == -4
-    assert lat.full_gram is fg  # built once per lattice
+    assert lat.full_gram == fg  # built again on each read, from the one gram
+
+
+def test_lattice_rows_are_the_integral_rows_of_the_full_gram():
+    # the surface gram's integral rows, kept once per gram, plus the delta
+    # entry -2(n-1) gden are the full gram scaled to ints, on the K3 gram and
+    # on the two 32 x 32 grams at the entry bound that CI certifies on
+    for gram in (default_k3_gram(), *map(linalg.Gram, entry_bound_grams().values())):
+        for n in (2, 3, 28):
+            lat = k3_lattice(n, gram)
+            gden, rows = lat.gram.integral
+            assert linalg.integral_rows(lat.full_gram) == (
+                gden, rows + (((lat.dim_v, -2 * (n - 1) * gden),),))
 
 
 def test_bb_pair_and_coords():
@@ -640,3 +653,20 @@ def test_certify_is_seed_and_gram_independent(seed, drawn, n):
     statuses = tuple(c.status for c in report.certificates)
     assert statuses == tuple(c.status for c in certify_no_trianalytic(n, gram=gram).certificates)
     assert statuses == k3_statuses(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), drawn=signature_3k_grams(),
+       n=st.sampled_from((3, 6, 10)))
+def test_the_two_degree_4_routes_agree(seed, drawn, n):
+    # h4_obstruction raises RuntimeError when its closed form and the su(2)
+    # identity disagree, so a returned verdict is one both routes reach; the
+    # dense operators agree with it.  A triple with no delta component leaves
+    # d^2, and so f, invariant
+    lat = k3_lattice(n, drawn[1])
+    f = restriction_functional(lat)
+    triple = random_period_triple(lat, random.Random(seed))
+    assert h4_obstruction(lat, triple)
+    assert not dense_su2_invariant(lat, f, triple)
+    flat = flat_period_triple(lat, random.Random(seed))
+    assert is_su2_invariant(lat, f, flat) and dense_su2_invariant(lat, f, flat)

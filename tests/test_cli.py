@@ -359,14 +359,16 @@ def test_degenerate_gram_is_rejected_in_every_mode(tmp_path, capsys, argv, dim):
 
 # the eliminations a report runs on the gram itself: the one symmetric
 # elimination of the Gram check, which period triples are also drawn from,
-# and no determinant.  A call counts when its argument has the gram's size
-# and entries, so the determinants of the Frobenius pairing matrices do not.
+# and no determinant; and the one scaling of the gram to ints that the
+# check keeps.  A call counts when its argument has the gram's size and
+# entries, so the determinants of the Frobenius pairing matrices and the
+# scaling of the degree-4 functional do not.
 GRAM_ELIMINATIONS = [
     (["certify", "--n", "3", "--gram"], ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)),
-     {"det": 0, "congruence_diagonalize": 1}),
-    (["certify", "--n", "3"], None, {"det": 0, "congruence_diagonalize": 1}),
+     {"det": 0, "congruence_diagonalize": 1, "integral_rows": 1}),
+    (["certify", "--n", "3"], None, {"det": 0, "congruence_diagonalize": 1, "integral_rows": 1}),
     (["frobenius", "--dimv", "2", "--n", "2", "--gram"], ((2, 1), (1, -3)),
-     {"det": 0, "congruence_diagonalize": 1}),
+     {"det": 0, "congruence_diagonalize": 1, "integral_rows": 1}),
 ]
 
 
@@ -451,8 +453,8 @@ def _drop_degree_2_entry(monkeypatch):
                         lambda self, i: real(self, i)[1:])
 
 
-def _su2_always_invariant(monkeypatch):
-    monkeypatch.setattr(bb_lattice, "is_su2_invariant", lambda lat, form, triple: True)
+def _h4_not_obstructed(monkeypatch):
+    monkeypatch.setattr(bb_lattice, "h4_obstruction", lambda lat, triple: False)
 
 
 def _zero_pairing_row(monkeypatch):
@@ -484,7 +486,7 @@ FAILABLE_CHECKS = {
     "b2-is-surface-b2-plus-1": (["betti", "--n", "2"], _bump_total(2)),
     "degree-2-ledger-has-two-strata": (["betti", "--n", "2"], _drop_degree_2_entry),
     "poincare-duality": (["betti", "--n", "3", "--surface", "1,0,5"], None),
-    "verdict-certified": (["certify", "--n", "3"], _su2_always_invariant),
+    "verdict-certified": (["certify", "--n", "3"], _h4_not_obstructed),
     "pairing-nondegenerate": (["frobenius", "--dimv", "2", "--n", "2"], _zero_pairing_row),
     "associative": (["frobenius", "--dimv", "2", "--n", "2"], _flip_a_normal_form),
 }
@@ -498,6 +500,16 @@ def test_each_failable_check_is_seen_failing(monkeypatch, capsys, name):
     code, payload = run_json(argv, capsys)
     assert (code, payload["status"]) == (1, "failed")
     assert {c["name"]: c["ok"] for c in payload["checks"]}[name] is False
+
+
+def test_an_su2_check_that_disagrees_with_the_closed_form_is_an_internal_failure(
+        monkeypatch, capsys):
+    # the degree-4 verdict is reached twice, so a defect in the su(2) check
+    # that calls f invariant ends the report instead of failing its check
+    monkeypatch.setattr(bb_lattice, "is_su2_invariant", lambda lat, form, triple: True)
+    code, payload = run_json(["certify", "--n", "3"], capsys)
+    assert (code, payload["status"]) == (3, "internal-error")
+    assert payload["error"]["type"] == "RuntimeError"
 
 
 def test_certify_rejects_bad_n(capsys):
@@ -782,6 +794,22 @@ def test_json_emitter_quotes_strings_as_the_standard_encoder(text):
 def test_json_emitter_rejects_other_types(payload):
     with pytest.raises(TypeError):
         cli._json(payload, "")
+
+
+def test_a_gram_path_that_is_not_a_regular_file_is_refused(tmp_path, capsys):
+    # a FIFO with no writer would block open(); the report runs in a child
+    # process, so that a block fails this test instead of hanging the suite
+    fifo = tmp_path / "gram.fifo"
+    os.mkfifo(fifo)
+    src = os.path.dirname(os.path.dirname(hilbk3.__file__))
+    proc = subprocess.run([sys.executable, "-m", "hilbk3", "certify", "--n", "3", "--gram",
+                           str(fifo), "--json"], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=30, check=False)
+    refused = {"type": "ValueError", "message": "gram file must be a regular file"}
+    payload = json.loads(proc.stdout)
+    assert (proc.returncode, payload["status"], payload["error"]) == (1, "error", refused)
+    code, payload = run_json(["certify", "--n", "3", "--gram", str(tmp_path)], capsys)
+    assert (code, payload["status"], payload["error"]) == (1, "error", refused)
 
 
 def test_error_payload_quoting_a_non_ascii_path_stays_ascii(tmp_path, monkeypatch, capsys):

@@ -4,7 +4,7 @@ from math import prod
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hilbk3 import linalg
@@ -202,6 +202,8 @@ def test_gram_is_checked_once_and_keeps_its_eliminations():
     dense = dense_congruence_diagonalize(rows)
     assert list(gram.diagonal) == dense[1]
     assert [gram.column(c) for c in range(3)] == dense[0]
+    # its entries scaled to ints, read off the gram and not its elimination
+    assert gram.integral == (2, (((1, 2),), ((0, 2),), ((2, -3),)))
     assert signature(rows) == (1, 2, 0)
     for bad, message in ((((1, 0),), "square"), (((0, 1), (2, 0)), "symmetric"),
                          (((1, 1), (1, 1)), "nondegenerate"), (((0,),), "nondegenerate")):
@@ -238,6 +240,25 @@ def matrices(draw, square=False, min_rows=0):
         elif kind == "dependent-row":
             a[i] = [x + c * y for x, y in zip(a[j], a[k])]
     return a
+
+
+@PROPERTY
+@given(a=matrices(min_rows=1))
+@example(a=[[Fraction(-3, 4)]])
+@example(a=[[Fraction(0)]])
+def test_integral_rows_match_fraction_arithmetic(a):
+    def scales(d):
+        return all((d * x).denominator == 1 for row in a for x in row)
+
+    den, rows = linalg.integral_rows(a)
+    # the least scale that makes every entry integral
+    assert scales(den) and not any(den % p == 0 and scales(den // p) for p in range(2, den + 1))
+    assert len(rows) == len(a)
+    for row, sparse_row in zip(a, rows):
+        assert all(type(v) is int and v for _, v in sparse_row)
+        assert [j for j, _ in sparse_row] == sorted({j for j, _ in sparse_row})
+        dense = dict(sparse_row)
+        assert [Fraction(dense.get(j, 0), den) for j in range(len(row))] == row
 
 
 def _sym(a, ncols):

@@ -10,6 +10,7 @@ from hilbk3.bb_lattice import (
     CertificationReport,
     H2Lattice,
     PeriodTriple,
+    bb_pair,
     k3_lattice,
 )
 from hilbk3.cohomology import (
@@ -58,15 +59,24 @@ def test_value_types_are_immutable_values(cls):
     for name in fields:
         with pytest.raises(AttributeError):
             setattr(value, name, getattr(value, name))
-    if cls is not H2Lattice:  # it caches its grams per instance
-        with pytest.raises(AttributeError):
-            value.extra = None
+    with pytest.raises(AttributeError):
+        value.extra = None
     twin = cls(*args)
     assert value == twin and hash(value) == hash(twin)
     assert cls(*other) != value
     assert cls(**dict(zip(fields, args))) == value
     shown = ", ".join(f"{name}={getattr(value, name)!r}" for name in fields)
     assert repr(value) == f"{cls.__name__}({shown})"
+
+
+def test_equal_lattices_pair_equally():
+    # with an instance dict, an assigned full gram would let two equal
+    # lattices give delta different norms
+    a, b = H2Lattice(3, GRAM), H2Lattice(3, GRAM)
+    with pytest.raises(AttributeError):
+        a.full_gram = tuple((0,) * 5 for _ in range(5))
+    delta = (0, 0, 0, 0, 1)
+    assert a == b and bb_pair(a, delta, delta) == bb_pair(b, delta, delta) == -4
 
 
 def test_values_are_normalised_when_built():
