@@ -15,9 +15,11 @@ does.  The full gram is the surface gram plus the delta-delta entry.
 
 Classes, grams and forms go in and come out as Fractions, but the degree-4
 path computes on Python ints: a class x is X / den with X an int vector,
-and a pairing reads the surface gram's `integral` rows, scaled by the lcm
-gden of its denominators and kept once per gram by `linalg.Gram`, plus
-the delta-delta entry -2(n-1) gden.  Fractions are formed only where a
+and every pairing reads the lattice's one integral view `integral`, the
+full gram scaled by the lcm gden of its denominators.  That view is the
+surface gram's `integral` rows, kept once per gram by `linalg.Gram`, plus
+delta's row, whose one entry -2(n-1) gden is data like any other; no
+pairing writes the delta term out.  Fractions are formed only where a
 value leaves the path, and being canonical they equal what Fraction
 arithmetic gives, so no triple or verdict depends on the route.
 
@@ -129,6 +131,13 @@ class H2Lattice(namedtuple("H2Lattice", "n gram")):
         return (tuple(row + (zero,) for row in self.gram)
                 + ((zero,) * self.dim_v + (self.delta_norm,),))
 
+    @property
+    def integral(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+        """`linalg.integral_rows` of the full gram, built on each read: the
+        surface gram's rows, then delta's row with its entry -2(n-1) gden."""
+        gden, rows = self.gram.integral
+        return gden, rows + (((self.dim_v, -2 * (self.n - 1) * gden),),)
+
 
 def _numerators(x) -> tuple[list[int], int]:
     """(X, den) with x = X / den, den the lcm of the denominators of x."""
@@ -143,15 +152,15 @@ def _times(rows, x) -> list[int]:
 
 def _gram_images(lat: H2Lattice, triple: PeriodTriple) -> tuple[list, list]:
     """(W, g): the int numerators W_a of the triple's classes, and g_a the
-    full gram times W_a, scaled by the surface gram's gden."""
-    gden, rows = lat.gram.integral
+    lattice's integral view times W_a."""
+    _, rows = lat.integral
     ws = [_numerators(w)[0] for w in triple.w]
-    return ws, [_times(rows, w) + [-2 * (lat.n - 1) * gden * w[-1]] for w in ws]
+    return ws, [_times(rows, w) for w in ws]
 
 
 def _pair(rows, x, y) -> int:
-    """x^T M y for the int matrix M of sparse rows; only M's rows and
-    columns count, so x and y may run past them (as a class's delta does)."""
+    """x^T M y for the int matrix M of sparse rows; x may stop short of M's
+    rows, as a surface class against the full gram does."""
     return sum(a * sum(g * y[j] for j, g in row) for a, row in zip(x, rows) if a)
 
 
@@ -163,10 +172,9 @@ def bb_pair(lat: H2Lattice, x, y) -> Fraction:
     """B(x, y) for two classes of lat, each a sequence of total_dim rationals."""
     if len(x) != lat.total_dim or len(y) != lat.total_dim:
         raise ValueError(f"classes must have {lat.total_dim} coordinates")
-    gden, rows = lat.gram.integral
+    gden, rows = lat.integral
     (xs, dx), (ys, dy) = _numerators(x), _numerators(y)
-    pair = _pair(rows, xs, ys) - 2 * (lat.n - 1) * gden * xs[-1] * ys[-1]
-    return Fraction(pair, gden * dx * dy)
+    return Fraction(_pair(rows, xs, ys), gden * dx * dy)
 
 
 def q_norm(lat: H2Lattice, x) -> Fraction:
@@ -309,7 +317,7 @@ def random_period_triple(lat: H2Lattice, rng: random.Random) -> PeriodTriple:
         raise RuntimeError("failed to draw a valid period triple")
     vs = [_numerators([sum(m * b[i] for m, b in zip(mix, basis)) for i in range(dim)])
           for mix in mixes]
-    gden, rows = lat.gram.integral
+    rows = lat.integral[1]  # the surface classes below read its surface block
     # the mixes span a positive-definite 3-space, so the Gram-Schmidt norms
     # of scale * v + noise are all positive once the scale is large enough.
     # A class w = W / den is kept with its numerator norm nu = W^T G W (times
@@ -339,10 +347,12 @@ def random_period_triple(lat: H2Lattice, rng: random.Random) -> PeriodTriple:
     else:
         raise RuntimeError("period triple norms stayed non-positive")
     ws = [tuple(Fraction(a, den) for a in w) + (Fraction(0),) for w, den, _ in kept]
-    # q(w_0) = nu / (gden den^2) for the kept (W, den, nu) of w_0
+    # q(w_0) = nu / (gden den^2) for the kept (W, den, nu) of w_0, and
+    # delta's one entry in the view is q(delta) gden
     _, den, nu = kept[0]
+    ((_, delta),) = rows[-1]
     scale = 1
-    while scale * scale * nu <= 2 * (lat.n - 1) * gden * den * den:
+    while scale * scale * nu <= -delta * den * den:
         scale *= 2
     ws[0] = tuple(scale * a for a in ws[0][:dim]) + (Fraction(1),)
     return PeriodTriple(lat, (ws[0], ws[1], ws[2]))

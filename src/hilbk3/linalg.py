@@ -13,7 +13,7 @@ gram, reads nondegeneracy off the diagonal D of `congruence_diagonalize`
 (det = prod D) and solves columns of P off the rows it eliminated.  It
 also keeps its entries scaled to ints, once per gram, by `integral_rows`,
 the one rule that scales a rational matrix to a common denominator and
-sparse int rows.
+sparse int rows.  A checked `Gram` is read-only, like every value type.
 """
 
 from __future__ import annotations
@@ -213,7 +213,10 @@ class Gram(tuple):
     with no 0 in the D of `congruence_diagonalize`.  A `Gram` passes through
     unchanged and keeps that one elimination: its `diagonal` D and, through
     `column`, the columns of P with P^T G P = diag(D).  It also keeps
-    `integral`, the `integral_rows` of its own entries."""
+    `integral`, the `integral_rows` of its own entries.  A checked `Gram` is
+    read-only: everything it keeps is a tuple, and setting or deleting any
+    attribute raises AttributeError, so every holder of it pairs against
+    the numbers its one check produced."""
 
     def __new__(cls, rows):
         if isinstance(rows, Gram):
@@ -223,9 +226,14 @@ class Gram(tuple):
         diagonal, moves = congruence_diagonalize(rows)  # rows are a copy already
         if 0 in diagonal:
             raise ValueError("gram must be nondegenerate")
-        gram.diagonal, gram._eliminated, gram._moves = tuple(diagonal), rows, moves
-        gram.integral = integral_rows(gram)
+        vars(gram).update(diagonal=tuple(diagonal), integral=integral_rows(gram),
+                          _eliminated=tuple(map(tuple, rows)), _moves=tuple(moves))
         return gram
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a checked Gram is read-only: {name!r} cannot change")
+
+    __delattr__ = __setattr__  # called with the name alone
 
     def column(self, c: int) -> list:
         """P e_c = T L^-T e_c: back-substitution in L^T x = e_c, then the

@@ -163,14 +163,15 @@ def test_full_gram_blocks():
 
 
 def test_lattice_rows_are_the_integral_rows_of_the_full_gram():
-    # the surface gram's integral rows, kept once per gram, plus the delta
-    # entry -2(n-1) gden are the full gram scaled to ints, on the K3 gram and
-    # on the two 32 x 32 grams at the entry bound that CI certifies on
+    # the lattice's view, the surface gram's integral rows, kept once per
+    # gram, plus delta's row with its entry -2(n-1) gden, is the full gram
+    # scaled to ints, on the K3 gram and on the two 32 x 32 grams at the
+    # entry bound that CI certifies on
     for gram in (default_k3_gram(), *map(linalg.Gram, entry_bound_grams().values())):
         for n in (2, 3, 28):
             lat = k3_lattice(n, gram)
             gden, rows = lat.gram.integral
-            assert linalg.integral_rows(lat.full_gram) == (
+            assert lat.integral == linalg.integral_rows(lat.full_gram) == (
                 gden, rows + (((lat.dim_v, -2 * (n - 1) * gden),),))
 
 
@@ -670,3 +671,25 @@ def test_the_two_degree_4_routes_agree(seed, drawn, n):
     assert not dense_su2_invariant(lat, f, triple)
     flat = flat_period_triple(lat, random.Random(seed))
     assert is_su2_invariant(lat, f, flat) and dense_su2_invariant(lat, f, flat)
+
+
+NONZERO_FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=signature_3k_grams(), data=st.data(), n=st.integers(2, 100))
+def test_the_integral_view_is_the_full_gram(drawn, data, n):
+    # the signature (3, k) family under c D G D for a rational c > 0 and a
+    # diagonal D of nonzero rationals: the same signature and zero diagonal
+    # entries, with p/q entries; every pairing reads the view, delta's row
+    # included, so bb_pair is x^T G y over the full gram in Fractions
+    k, gram = drawn
+    c = data.draw(NONZERO_FRACTIONS.map(abs))
+    d = data.draw(st.lists(NONZERO_FRACTIONS, min_size=k + 3, max_size=k + 3))
+    lat = k3_lattice(n, [[c * a * b * g for b, g in zip(d, row)] for a, row in zip(d, gram)])
+    assert lat.integral == linalg.integral_rows(lat.full_gram)
+    classes = data.draw(st.lists(st.tuples(*[st.fractions(-9, 9, max_denominator=7)] * (k + 3),
+                                           NONZERO_FRACTIONS), min_size=2, max_size=4))
+    for x in classes:
+        for y in classes:
+            assert bb_pair(lat, x, y) == fraction_bb_pair(lat, x, y)

@@ -1,6 +1,7 @@
 """The value types: immutable, equal and hashed by value, printed field by
 field in their definition order, and checked when they are built."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,10 @@ from hilbk3.bb_lattice import (
     H2Lattice,
     PeriodTriple,
     bb_pair,
+    default_k3_gram,
     k3_lattice,
 )
+from hilbk3.cli import main
 from hilbk3.cohomology import (
     PoincarePolynomial,
     StratumContribution,
@@ -77,6 +80,30 @@ def test_equal_lattices_pair_equally():
         a.full_gram = tuple((0,) * 5 for _ in range(5))
     delta = (0, 0, 0, 0, 1)
     assert a == b and bb_pair(a, delta, delta) == bb_pair(b, delta, delta) == -4
+
+
+def test_a_checked_gram_is_read_only(capsys):
+    # a write to the cached K3 gram would reach every lattice built on it
+    # later in the process: the integral below makes bb_pair read 0, and
+    # the diagonal makes certify fail
+    gram = default_k3_gram()
+    columns = [gram.column(c) for c in range(22)]
+    kept = (gram.diagonal, gram.integral, gram._eliminated, gram._moves)
+    poison = {"integral": (1, ((),) * 22), "diagonal": (1,) * 22,
+              "_eliminated": ((0,) * 22,) * 22, "_moves": (("swap", 0, 1),), "extra": None}
+    for name, value in poison.items():
+        with pytest.raises(AttributeError):
+            setattr(gram, name, value)
+        with pytest.raises(AttributeError):
+            delattr(gram, name)
+    assert (gram.diagonal, gram.integral, gram._eliminated, gram._moves) == kept
+    assert all(type(x) is tuple for x in (*kept, *gram._eliminated))  # nothing kept can change
+    e0 = (1,) + (0,) * 22
+    assert bb_pair(k3_lattice(6), e0, e0) == -2
+    assert [gram.column(c) for c in range(22)] == columns
+    assert main(["certify", "--n", "3", "--seed", "1", "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "f10f0b7576df928f958c8d20822764b22ee8d13652334ea1ad7a434a7348978f")
 
 
 def test_values_are_normalised_when_built():
