@@ -43,7 +43,6 @@ _EXPORTS = {
     "is_su2_invariant": "bb_lattice",
     "bb_pair": "bb_lattice",
     # result types
-    "YoungDiagram": "partitions",
     "PoincarePolynomial": "cohomology",
     "StratumLedger": "cohomology",
     "H2Lattice": "bb_lattice",

@@ -398,7 +398,7 @@ def certify_no_trianalytic(n: int, gram=None, seed: int = 0) -> CertificationRep
     rng = random.Random(seed)
     certificates = []
     for d in trianalytic_candidates(n):
-        values = set(d.parts)
+        values = set(d)
         if values == {1}:
             certificates.append(CandidateCertificate(
                 diagram=d, kind="improper", status="whole-space", method=None,
@@ -406,7 +406,7 @@ def certify_no_trianalytic(n: int, gram=None, seed: int = 0) -> CertificationRep
                 detail="all parts 1: the unpinned shape is the whole space, not a proper subvariety",
             ))
         elif len(values) == 1:
-            l = d.length
+            l = len(d)
             if l >= 2:
                 c = obstruction_coefficient(n, l)
                 status = "obstructed" if c != 0 else "not-obstructed"

@@ -41,24 +41,18 @@ MAX_SURFACE_BETTI = 10 ** 6
 
 
 def _plain(obj):
-    from .partitions import YoungDiagram
-
-    def plain(obj):
-        if obj is None or isinstance(obj, (int, str)):
-            return obj
-        if hasattr(obj, "denominator"):
-            # a Fraction, recognised without importing `fractions`
-            return f"{obj.numerator}/{obj.denominator}"
-        if isinstance(obj, YoungDiagram):
-            return list(obj.parts)
-        if hasattr(obj, "_fields"):
-            # a record: its fields in the order it defines them
-            return {name: plain(value) for name, value in zip(obj._fields, obj)}
-        if isinstance(obj, tuple):
-            return [plain(x) for x in obj]
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-    return plain(obj)
+    if obj is None or isinstance(obj, (int, str)):
+        return obj
+    if hasattr(obj, "denominator"):
+        # a Fraction, recognised without importing `fractions`
+        return f"{obj.numerator}/{obj.denominator}"
+    if hasattr(obj, "_fields"):
+        # a record: its fields in the order it defines them
+        return {name: _plain(value) for name, value in zip(obj._fields, obj)}
+    if isinstance(obj, tuple):
+        # a tuple of ints, such as a diagram, is copied whole
+        return list(obj) if _INTS.issuperset(map(type, obj)) else [_plain(x) for x in obj]
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 _CONTAINERS = {dict, list}
@@ -283,7 +277,7 @@ def cmd_strata(args) -> tuple[dict, list[dict]]:
     texts = {p: _Text(_json(list(p.betti), " " * 8)) if args.json
              else " ".join(map(str, p.betti)) for p in {c.poincare for c in strata}}
     rows = [{
-        "diagram": list(c.diagram.parts),
+        "diagram": list(c.diagram),
         "codim": c.codim,
         "fiber_dimension": partitions.fiber_dimension(c.diagram),
         "semismall": partitions.verify_semismall(c.diagram),

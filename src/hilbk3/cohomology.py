@@ -25,7 +25,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
-from .partitions import YoungDiagram, codim_diagonal, diagrams_of, partitions_of
+from .partitions import codim_diagonal, diagrams_of, partitions_of
 
 
 def _multichoose(m: int, k: int) -> int:
@@ -118,7 +118,7 @@ def symmetric_power_poincare(surface: SurfaceBetti, n: int) -> PoincarePolynomia
     return PoincarePolynomial(tuple(out))
 
 
-def diagonal_poincare(surface: SurfaceBetti, diagram: YoungDiagram) -> PoincarePolynomial:
+def diagonal_poincare(surface: SurfaceBetti, diagram: tuple[int, ...]) -> PoincarePolynomial:
     """Poincare polynomial of a diagonal stratum closure.
 
     The stratum for a diagram is the product, over distinct part values, of
@@ -127,8 +127,7 @@ def diagonal_poincare(surface: SurfaceBetti, diagram: YoungDiagram) -> PoincareP
     distinct part value, which p(n) strata share far fewer of (1,772
     signatures for 37,338 strata at n = 40).
     """
-    parts = diagram.parts
-    return _stratum_poincare(surface, tuple(sorted(map(parts.count, set(parts)))))
+    return _stratum_poincare(surface, tuple(sorted(map(diagram.count, set(diagram)))))
 
 
 @lru_cache(maxsize=None)
@@ -248,7 +247,7 @@ class StratumLedger(namedtuple("StratumLedger", "n surface")):
         betti[::2] = slots
         return PoincarePolynomial(tuple(betti))
 
-    def entries_in_degree(self, i: int) -> tuple[tuple[YoungDiagram, int], ...]:
+    def entries_in_degree(self, i: int) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Nonzero contributions b_{i - codim}(stratum), in `diagrams_of` order.
 
         Only strata of codimension 2e <= i can contribute; their diagrams are
@@ -259,7 +258,7 @@ class StratumLedger(namedtuple("StratumLedger", "n surface")):
             for mu in partitions_of(e):
                 if len(mu) <= self.n - e:
                     ones = (1,) * (self.n - e - len(mu))
-                    diagrams.append(YoungDiagram(tuple(p + 1 for p in mu) + ones))
+                    diagrams.append(tuple(p + 1 for p in mu) + ones)
         out = []
         for d in sorted(diagrams, reverse=True):
             b = diagonal_poincare(self.surface, d).coefficient(i - codim_diagonal(d))

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .partitions import YoungDiagram, is_triangular, partitions_of
+from .partitions import is_triangular, partitions_of
 
 # the slice certificates and the ideal rechecks grow polynomially in N:
 # classify_invariant_ideals(60) takes 0.08-0.12 s, (100) 0.3-0.55 s (best of
@@ -119,20 +119,20 @@ def classify_invariant_ideals(truncation: int) -> tuple[InvariantIdeal, ...]:
 class MonomialIdeal(namedtuple("MonomialIdeal", "staircase truncation")):
     """A monomial ideal of colength |staircase| with the staircase quotient.
 
-    The quotient basis is {x^a y^b : a < staircase.parts[b]}, parts indexed
-    by the y-exponent.
+    The quotient basis is {x^a y^b : a < staircase[b]}, the staircase's
+    parts indexed by the y-exponent.
     """
 
     __slots__ = ()
 
     def quotient_monomials(self) -> frozenset[tuple[int, int]]:
         return frozenset(
-            (a, b) for b, part in enumerate(self.staircase.parts) for a in range(part)
+            (a, b) for b, part in enumerate(self.staircase) for a in range(part)
         )
 
     def generators(self) -> tuple[tuple[int, int], ...]:
         """Minimal monomial generators (the staircase corners)."""
-        parts = self.staircase.parts
+        parts = self.staircase
         gens = [(parts[0], 0)]
         for b in range(1, len(parts)):
             if parts[b] < parts[b - 1]:
@@ -171,7 +171,7 @@ def punctual_fixed_points(i: int) -> tuple[MonomialIdeal, ...]:
     truncation = i + 1
     fixed = []
     for parts in partitions_of(i, rows=_staircase_rows):
-        ideal = MonomialIdeal(YoungDiagram._make((parts,)), truncation)
+        ideal = MonomialIdeal(parts, truncation)
         quotient = ideal.quotient_monomials()
         # e and f map the cells of one degree onto each other, so the ideal
         # is closed under them exactly when its quotient is

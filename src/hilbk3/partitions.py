@@ -13,36 +13,13 @@ candidates, one-shorter rows for the punctual staircases) visits only the
 partitions it keeps.  The walk's levels share one prefix list, so a
 partition becomes a tuple once, when it is complete.
 
-`YoungDiagram` is a named tuple of one field, checked when it is built: it
-is immutable and hashable, sorts by its parts, and, being a tuple, also
-iterates, has a length and equals the plain tuple `(parts,)`.  The walk
-yields only weakly decreasing positive parts, so the diagrams listed here
-and in `invariant_ideals` are built from its tuples unchecked, with
-`YoungDiagram._make`.
+A diagram is the walk's tuple of weakly decreasing positive parts.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache
 from math import isqrt
-
-
-class YoungDiagram(namedtuple("YoungDiagram", "parts")):
-    """Weakly decreasing tuple of positive integer parts."""
-
-    __slots__ = ()
-
-    def __new__(cls, parts: tuple[int, ...]):
-        if not all(isinstance(p, int) and p >= 1 for p in parts):
-            raise ValueError("parts must be positive integers")
-        if any(a < b for a, b in zip(parts, parts[1:])):
-            raise ValueError("parts must be weakly decreasing")
-        return super().__new__(cls, parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
 
 
 def partitions_of(n: int, *, rows=None):
@@ -79,26 +56,25 @@ def _rows(remaining: int, previous: int | None, rows, parts: list[int]):
 
 
 @lru_cache(maxsize=None)
-def diagrams_of(n: int) -> tuple[YoungDiagram, ...]:
-    # the walk yields weakly decreasing positive parts: nothing to check
-    return tuple(map(YoungDiagram._make, zip(partitions_of(n))))
+def diagrams_of(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(partitions_of(n))
 
 
-def codim_diagonal(diagram: YoungDiagram) -> int:
+def codim_diagonal(diagram: tuple[int, ...]) -> int:
     """Complex codimension of the stratum: 2 * sum(part - 1)."""
-    return 2 * (sum(diagram.parts) - len(diagram.parts))
+    return 2 * (sum(diagram) - len(diagram))
 
 
-def fiber_dimension(diagram: YoungDiagram) -> int:
+def fiber_dimension(diagram: tuple[int, ...]) -> int:
     """Dimension of the punctual fiber over the stratum.
 
     The fiber over a cycle with multiplicities n_i is a product of punctual
     pieces of dimension n_i - 1 each.
     """
-    return sum(diagram.parts) - len(diagram.parts)
+    return sum(diagram) - len(diagram)
 
 
-def verify_semismall(diagram: YoungDiagram) -> bool:
+def verify_semismall(diagram: tuple[int, ...]) -> bool:
     """Fiber dimension equals half the codimension (exact, both sides computed)."""
     return 2 * fiber_dimension(diagram) == codim_diagonal(diagram)
 
@@ -122,7 +98,7 @@ def _triangular_rows(previous: int | None, remaining: int):
     return (l * (l + 1) // 2 for l in range(_triangular_root(top), 0, -1))
 
 
-def trianalytic_candidates(n: int) -> tuple[YoungDiagram, ...]:
+def trianalytic_candidates(n: int) -> tuple[tuple[int, ...], ...]:
     """The diagrams of n whose parts are all triangular, in `diagrams_of` order.
 
     Of the 2^k ways to pin parts of a k-part diagram, pinnings touching a
@@ -131,4 +107,4 @@ def trianalytic_candidates(n: int) -> tuple[YoungDiagram, ...]:
     the unpinned shape is left, and it survives iff every part is
     triangular.  The walk places triangular rows only.
     """
-    return tuple(map(YoungDiagram._make, zip(partitions_of(n, rows=_triangular_rows))))
+    return tuple(partitions_of(n, rows=_triangular_rows))

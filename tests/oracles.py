@@ -51,7 +51,7 @@ from hilbk3 import cli, linalg
 from hilbk3.bb_lattice import PeriodTriple
 from hilbk3.cohomology import PoincarePolynomial, SurfaceBetti, symmetric_power_poincare
 from hilbk3.frobenius import harmonic_basis, laplacian_matrix, monomial_basis
-from hilbk3.partitions import YoungDiagram, diagrams_of, is_triangular, partitions_of
+from hilbk3.partitions import diagrams_of, is_triangular, partitions_of
 
 
 def goettsche_rows(b0, b2, b4, n_max):
@@ -233,12 +233,12 @@ def strata_report(n, surface=None, as_json=True):
     polys = {}
     rows = []
     for d in diagrams_of(n):
-        mults = tuple(sorted(Counter(d.parts).values()))
+        mults = tuple(sorted(Counter(d).values()))
         if mults not in polys:
             polys[mults] = plain_stratum_poincare(SurfaceBetti(b0, b2, b4), mults)
-        fiber = sum(p - 1 for p in d.parts)
-        codim = 2 * sum(p - 1 for p in d.parts)
-        rows.append({"diagram": list(d.parts), "codim": codim, "fiber_dimension": fiber,
+        fiber = sum(p - 1 for p in d)
+        codim = 2 * sum(p - 1 for p in d)
+        rows.append({"diagram": list(d), "codim": codim, "fiber_dimension": fiber,
                      "semismall": 2 * fiber == codim, "poincare": list(polys[mults].betti)})
     semismall = all(r["semismall"] for r in rows)
     payload = {
@@ -340,7 +340,7 @@ class CandidateAudit:
     every part is triangular.
     """
 
-    diagram: YoungDiagram
+    diagram: tuple
     shapes_total: int
     dropped_fat_pinned: int
     dropped_pinned: int
@@ -349,11 +349,11 @@ class CandidateAudit:
 
 
 def _annotate(diagram):
-    values = set(diagram.parts)
+    values = set(diagram)
     if values == {1}:
         return "improper: the unpinned shape with all parts 1 is the whole space"
     if len(values) == 1:
-        return f"simple candidate, l={diagram.length}"
+        return f"simple candidate, l={len(diagram)}"
     return "product case (mixed part sizes): excluded by a product-type argument, flagged here"
 
 
@@ -365,9 +365,9 @@ def full_pinning_audit(n):
     """
     audits = []
     for d in diagrams_of(n):
-        units = sum(1 for p in d.parts if p == 1)
-        total = 1 << d.length
-        survives = all(is_triangular(p)[0] for p in d.parts)
+        units = sum(1 for p in d if p == 1)
+        total = 1 << len(d)
+        survives = all(is_triangular(p)[0] for p in d)
         audits.append(CandidateAudit(
             diagram=d,
             shapes_total=total,

@@ -25,7 +25,6 @@ from hilbk3.cohomology import SurfaceBetti, hilbert_stratum_ledger
 from hilbk3.frobenius import algebra_dimension_pattern, build_algebra
 from hilbk3.invariant_ideals import classify_invariant_ideals, punctual_fixed_points
 from hilbk3.partitions import (
-    YoungDiagram,
     diagrams_of,
     is_triangular,
     trianalytic_candidates,
@@ -69,8 +68,8 @@ def test_01_second_betti_number_is_23():
         for n in range(2, 11):
             ledger = hilbert_stratum_ledger(K3, n)
             entries = dict(ledger.entries_in_degree(2))
-            open_stratum = YoungDiagram((1,) * n)
-            doubled = YoungDiagram((2,) + (1,) * (n - 2))
+            open_stratum = (1,) * n
+            doubled = (2,) + (1,) * (n - 2)
             assert entries == {open_stratum: 22, doubled: 1}
             assert ledger.total().coefficient(2) == 23
 
@@ -258,13 +257,13 @@ def test_11_invariant_ideals_and_punctual_fixed_points():
             flag, l = is_triangular(i)
             if flag:
                 assert len(pts) == 1
-                assert pts[0].staircase == YoungDiagram(tuple(range(l, 0, -1)))
+                assert pts[0].staircase == tuple(range(l, 0, -1))
             else:
                 assert pts == ()
         for n in range(1, 9):
             universal = set(trianalytic_candidates(n))
             for d in diagrams_of(n):
-                expected = all(len(punctual_fixed_points(p)) == 1 for p in d.parts)
+                expected = all(len(punctual_fixed_points(p)) == 1 for p in d)
                 assert (d in universal) == expected
 
     _report(11, "the invariant ideals of the truncated ring are exactly the "

@@ -24,7 +24,7 @@ from hilbk3.bb_lattice import (
     random_period_triple,
     restriction_functional,
 )
-from hilbk3.partitions import YoungDiagram, is_triangular
+from hilbk3.partitions import is_triangular
 
 from oracles import (
     basis_class,
@@ -571,17 +571,17 @@ def test_certify_n6_structure():
     assert report.verdict == "certified"
     by_diagram = {c.diagram: c for c in report.certificates}
     assert set(by_diagram) == {
-        YoungDiagram((6,)),
-        YoungDiagram((3, 3)),
-        YoungDiagram((3, 1, 1, 1)),
-        YoungDiagram((1, 1, 1, 1, 1, 1)),
+        (6,),
+        (3, 3),
+        (3, 1, 1, 1),
+        (1, 1, 1, 1, 1, 1),
     }
-    assert by_diagram[YoungDiagram((3, 3))].status == "obstructed"
-    assert by_diagram[YoungDiagram((3, 3))].coefficient == Fraction(1, 5)
-    assert by_diagram[YoungDiagram((6,))].status == "obstructed"
-    assert by_diagram[YoungDiagram((6,))].coefficient is None
-    assert by_diagram[YoungDiagram((3, 1, 1, 1))].status == "flagged"
-    assert by_diagram[YoungDiagram((1,) * 6)].status == "whole-space"
+    assert by_diagram[(3, 3)].status == "obstructed"
+    assert by_diagram[(3, 3)].coefficient == Fraction(1, 5)
+    assert by_diagram[(6,)].status == "obstructed"
+    assert by_diagram[(6,)].coefficient is None
+    assert by_diagram[(3, 1, 1, 1)].status == "flagged"
+    assert by_diagram[(1,) * 6].status == "whole-space"
 
 
 def test_certify_small_n():
@@ -595,9 +595,9 @@ def test_certify_n12_coefficients():
     report = certify_no_trianalytic(12, gram=SMALL)
     assert report.verdict == "certified"
     by_diagram = {c.diagram: c for c in report.certificates}
-    assert by_diagram[YoungDiagram((3, 3, 3, 3))].coefficient == Fraction(1, 33)
-    assert by_diagram[YoungDiagram((6, 6))].coefficient == Fraction(5, 22)
-    assert YoungDiagram((12,)) not in by_diagram  # 12 is not triangular
+    assert by_diagram[(3, 3, 3, 3)].coefficient == Fraction(1, 33)
+    assert by_diagram[(6, 6)].coefficient == Fraction(5, 22)
+    assert (12,) not in by_diagram  # 12 is not triangular
 
 
 def test_certify_deterministic_and_seed_stable():

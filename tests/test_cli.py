@@ -959,7 +959,7 @@ def test_package_exports_are_pinned():
         "trianalytic_candidates", "obstruction_coefficient", "default_k3_gram",
         "k3_lattice", "random_period_triple", "h4_obstruction", "restriction_functional",
         "is_su2_invariant", "bb_pair",
-        "YoungDiagram", "PoincarePolynomial", "StratumLedger",
+        "PoincarePolynomial", "StratumLedger",
         "H2Lattice", "PeriodTriple", "CandidateCertificate",
         "CertificationReport", "FrobeniusAlgebra", "InvariantIdeal", "MonomialIdeal",
     ])

@@ -15,7 +15,7 @@ from hilbk3.cohomology import (
     hilbert_stratum_ledger,
     symmetric_power_poincare,
 )
-from hilbk3.partitions import YoungDiagram, codim_diagonal, diagrams_of
+from hilbk3.partitions import codim_diagonal, diagrams_of
 
 from oracles import (
     brute_symmetric_power,
@@ -102,7 +102,7 @@ def test_prefix_built_stratum_polynomial_is_the_plain_product(surface, parts):
     # the signature read from the run lengths of the sorted parts, and the
     # product built from the signature one shorter, against one product per
     # multiplicity taken factor by factor
-    diagram = YoungDiagram(tuple(sorted(parts, reverse=True)))
+    diagram = tuple(sorted(parts, reverse=True))
     mults = tuple(sorted(Counter(parts).values()))
     want = plain_stratum_poincare(surface, mults)
     assert cohomology._stratum_poincare(surface, mults) == want
@@ -115,7 +115,7 @@ def test_symmetric_power_edge_cases():
 
 
 def test_diagonal_poincare_is_product_over_distinct_part_values():
-    d = YoungDiagram((2, 2, 1))
+    d = (2, 2, 1)
     got = diagonal_poincare(K3, d)
     want = symmetric_power_poincare(K3, 2) * symmetric_power_poincare(K3, 1)
     assert got.betti == want.betti
@@ -237,8 +237,8 @@ def test_degree_two_ledger_entries():
     ledger = hilbert_stratum_ledger(K3, 4)
     entries = dict(ledger.entries_in_degree(2))
     assert entries == {
-        YoungDiagram((1, 1, 1, 1)): 22,
-        YoungDiagram((2, 1, 1)): 1,
+        (1, 1, 1, 1): 22,
+        (2, 1, 1): 1,
     }
 
 

@@ -11,7 +11,7 @@ from hilbk3.invariant_ideals import (
     irreducibility_certificate,
     punctual_fixed_points,
 )
-from hilbk3.partitions import YoungDiagram, is_triangular
+from hilbk3.partitions import is_triangular
 
 from oracles import (
     TruncatedRing,
@@ -123,7 +123,7 @@ def test_closure_rule_matches_the_ring_routes(monkeypatch):
     # the staircase check against the quotient-cell scan on every partition
     for i in range(1, 15):
         for parts in partitions.partitions_of(i):
-            quotient = MonomialIdeal(YoungDiagram(parts), i + 1).quotient_monomials()
+            quotient = MonomialIdeal(parts, i + 1).quotient_monomials()
             assert invariant_ideals._closed_under_e_and_f(quotient) == (
                 staircase_is_stable(quotient)), parts
     # each slice matrix the certificate builds against the ring's
@@ -141,8 +141,8 @@ def test_classification_cap():
 
 
 def test_monomial_ideal_geometry():
-    ideal = MonomialIdeal(YoungDiagram((2, 1)), truncation=4)
-    assert sum(ideal.staircase.parts) == len(ideal.quotient_monomials()) == 3
+    ideal = MonomialIdeal((2, 1), truncation=4)
+    assert sum(ideal.staircase) == len(ideal.quotient_monomials()) == 3
     assert ideal.quotient_monomials() == {(0, 0), (1, 0), (0, 1)}
     assert ideal.generators() == ((2, 0), (1, 1), (0, 2))
 
@@ -153,14 +153,14 @@ def test_punctual_fixed_points_are_staircases():
         flag, l = is_triangular(i)
         if flag:
             assert len(pts) == 1
-            assert pts[0].staircase == YoungDiagram(tuple(range(l, 0, -1)))
+            assert pts[0].staircase == tuple(range(l, 0, -1))
         else:
             assert pts == ()
 
 
 def test_punctual_fixed_points_match_brute_force():
     for i in range(1, 31):
-        fast = sorted(tuple(p.staircase.parts) for p in punctual_fixed_points(i))
+        fast = sorted(p.staircase for p in punctual_fixed_points(i))
         brute = sorted(brute_stable_staircases(i))
         assert fast == brute
 
@@ -176,7 +176,7 @@ def test_punctual_fixed_points_at_the_budget():
     for i in (MAX_COLENGTH, 99681):  # 99681 = 446 * 447 / 2, the last triangular one
         flag, l = is_triangular(i)
         pts = punctual_fixed_points(i)
-        assert [p.staircase.parts for p in pts] == ([tuple(range(l, 0, -1))] if flag else [])
+        assert [p.staircase for p in pts] == ([tuple(range(l, 0, -1))] if flag else [])
 
 
 def test_unstable_staircase_from_the_walk_is_an_invariant_failure(monkeypatch):

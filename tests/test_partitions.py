@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from sympy.utilities.iterables import partitions as sympy_partitions
 
 from hilbk3.partitions import (
-    YoungDiagram,
     codim_diagonal,
     diagrams_of,
     fiber_dimension,
@@ -27,17 +26,6 @@ from oracles import (
 
 def surviving_candidates(n):
     return tuple(a for a in full_pinning_audit(n) if a.survives)
-
-
-def test_young_diagram_validation():
-    d = YoungDiagram((3, 1, 1))
-    assert sum(d.parts) == 5 and d.length == 3
-    with pytest.raises(ValueError):
-        YoungDiagram((1, 3))
-    with pytest.raises(ValueError):
-        YoungDiagram((2, 0))
-    empty = YoungDiagram(())
-    assert empty.parts == () and empty.length == 0
 
 
 def test_partition_counts():
@@ -104,13 +92,13 @@ def test_row_rule_edge_cases():
 
 
 def test_codim_and_fiber_dimensions():
-    d = YoungDiagram((2, 1, 1))
+    d = (2, 1, 1)
     assert codim_diagonal(d) == 2
     assert fiber_dimension(d) == 1
-    full = YoungDiagram((4,))
+    full = (4,)
     assert codim_diagonal(full) == 6
     assert fiber_dimension(full) == 3
-    open_stratum = YoungDiagram((1, 1, 1, 1))
+    open_stratum = (1, 1, 1, 1)
     assert codim_diagonal(open_stratum) == 0
     assert fiber_dimension(open_stratum) == 0
 
@@ -138,14 +126,14 @@ def test_enumerate_universal_reldim0():
         return set(trianalytic_candidates(n))
 
     assert universal(6) == {
-        YoungDiagram((6,)),
-        YoungDiagram((3, 3)),
-        YoungDiagram((3, 1, 1, 1)),
-        YoungDiagram((1, 1, 1, 1, 1, 1)),
+        (6,),
+        (3, 3),
+        (3, 1, 1, 1),
+        (1, 1, 1, 1, 1, 1),
     }
     # 4 has no all-triangular partition with a part > 1 except using 3+1
-    assert YoungDiagram((4,)) not in universal(4)
-    assert YoungDiagram((3, 1)) in universal(4)
+    assert (4,) not in universal(4)
+    assert (3, 1) in universal(4)
 
 
 def test_natural_shapes_grammar_equals_marked():
@@ -180,12 +168,12 @@ def test_candidate_audit_against_brute_force():
         audits = {a.diagram: a for a in full_pinning_audit(n)}
         assert set(audits) == set(diagrams_of(n))
         for d, audit in audits.items():
-            total, fat, pinned, survivors = brute_pinning_audit(d.parts)
+            total, fat, pinned, survivors = brute_pinning_audit(d)
             assert audit.shapes_total == total
             assert audit.dropped_fat_pinned == fat
             assert audit.dropped_pinned == pinned
             expected_survives = survivors == 1 and all(
-                is_triangular(p)[0] for p in d.parts
+                is_triangular(p)[0] for p in d
             )
             assert audit.survives == expected_survives
 
@@ -193,15 +181,15 @@ def test_candidate_audit_against_brute_force():
 def test_surviving_candidates_n6():
     survivors = {a.diagram: a for a in surviving_candidates(6)}
     assert set(survivors) == {
-        YoungDiagram((6,)),
-        YoungDiagram((3, 3)),
-        YoungDiagram((3, 1, 1, 1)),
-        YoungDiagram((1, 1, 1, 1, 1, 1)),
+        (6,),
+        (3, 3),
+        (3, 1, 1, 1),
+        (1, 1, 1, 1, 1, 1),
     }
-    assert survivors[YoungDiagram((6,))].annotation == "simple candidate, l=1"
-    assert survivors[YoungDiagram((3, 3))].annotation == "simple candidate, l=2"
-    assert "product case" in survivors[YoungDiagram((3, 1, 1, 1))].annotation
-    assert "whole space" in survivors[YoungDiagram((1, 1, 1, 1, 1, 1))].annotation
+    assert survivors[(6,)].annotation == "simple candidate, l=1"
+    assert survivors[(3, 3)].annotation == "simple candidate, l=2"
+    assert "product case" in survivors[(3, 1, 1, 1)].annotation
+    assert "whole space" in survivors[(1, 1, 1, 1, 1, 1)].annotation
 
 
 def test_candidate_audit_is_frozen_record():

@@ -12,6 +12,7 @@ from hilbk3.bb_lattice import (
     H2Lattice,
     PeriodTriple,
     bb_pair,
+    certify_no_trianalytic,
     default_k3_gram,
     k3_lattice,
 )
@@ -21,26 +22,26 @@ from hilbk3.cohomology import (
     StratumContribution,
     StratumLedger,
     SurfaceBetti,
+    hilbert_stratum_ledger,
 )
-from hilbk3.invariant_ideals import InvariantIdeal, MonomialIdeal
-from hilbk3.partitions import YoungDiagram, diagrams_of
+from hilbk3.invariant_ideals import InvariantIdeal, MonomialIdeal, punctual_fixed_points
+from hilbk3.partitions import diagrams_of, trianalytic_candidates
 
 # diag(1, 1, 1, -1) on the surface part; n = 2 adds delta with q = -2
 GRAM = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1))
 LATTICE = H2Lattice(2, GRAM)
 TRIPLE = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0))
-CERTIFICATE = (YoungDiagram((3, 3)), "simple", "obstructed", "pullback-coefficient",
+CERTIFICATE = ((3, 3), "simple", "obstructed", "pullback-coefficient",
                Fraction(-1, 10), "detail")
 
 # each type, its fields in definition order, and two sets of arguments that
 # build different values
 VALUES = {
-    YoungDiagram: (("parts",), ((3, 1),), ((2, 2),)),
     PoincarePolynomial: (("betti",), ((1, 0, 2),), ((1, 0, 3),)),
     SurfaceBetti: (("b0", "b2", "b4"), (1, 22, 1), (1, 7, 1)),
     StratumContribution: (("diagram", "codim", "poincare"),
-                          (YoungDiagram((2,)), 2, PoincarePolynomial((1, 0, 1))),
-                          (YoungDiagram((1, 1)), 0, PoincarePolynomial((1, 0, 1)))),
+                          ((2,), 2, PoincarePolynomial((1, 0, 1))),
+                          ((1, 1), 0, PoincarePolynomial((1, 0, 1)))),
     StratumLedger: (("n", "surface"), (3, SurfaceBetti(1, 22, 1)), (4, SurfaceBetti(1, 22, 1))),
     H2Lattice: (("n", "gram"), (2, GRAM), (3, GRAM)),
     PeriodTriple: (("lattice", "w"), (LATTICE, TRIPLE), (LATTICE, TRIPLE[::-1])),
@@ -50,8 +51,7 @@ VALUES = {
                           (6, 0, "certified", (CandidateCertificate(*CERTIFICATE),)),
                           (6, 1, "certified", ())),
     InvariantIdeal: (("truncation", "degrees"), (4, (2, 3)), (4, (1, 2, 3))),
-    MonomialIdeal: (("staircase", "truncation"), (YoungDiagram((2, 1)), 4),
-                    (YoungDiagram((2, 1)), 5)),
+    MonomialIdeal: (("staircase", "truncation"), ((2, 1), 4), ((2, 1), 5)),
 }
 
 
@@ -114,15 +114,30 @@ def test_values_are_normalised_when_built():
 
 
 def test_diagrams_sort_by_their_parts():
-    diagrams = [d for n in range(1, 9) for d in diagrams_of(n)][::-1]
-    for reverse in (False, True):
-        assert (sorted(diagrams, reverse=reverse)
-                == sorted(diagrams, key=lambda d: d.parts, reverse=reverse))
+    # the walk lists the diagrams of n in descending order, the order that
+    # `entries_in_degree` restores by sorting
+    for n in range(1, 9):
+        diagrams = diagrams_of(n)
+        assert sorted(diagrams[::-1], reverse=True) == list(diagrams)
+
+
+def test_a_diagram_is_the_walks_tuple():
+    # every diagram the package hands out is a plain tuple of int parts
+    ledger = hilbert_stratum_ledger(SurfaceBetti(1, 22, 1), 6)
+    sources = [
+        [d for n in range(1, 31) for d in diagrams_of(n)],
+        [d for n in range(1, 31) for d in trianalytic_candidates(n)],
+        [d for d, _ in ledger.entries_in_degree(2)],
+        [c.diagram for c in ledger.contributions],
+        [c.diagram for c in certify_no_trianalytic(28).certificates],
+        [p.staircase for p in punctual_fixed_points(28)],
+    ]
+    for diagrams in sources:
+        assert diagrams
+        assert all(type(d) is tuple and all(type(p) is int for p in d) for d in diagrams)
 
 
 INVALID = [
-    (lambda: YoungDiagram((1, 3)), "parts must be weakly decreasing"),
-    (lambda: YoungDiagram((2, 0)), "parts must be positive integers"),
     (lambda: PoincarePolynomial((1, -1)), "Betti numbers must be nonnegative integers"),
     (lambda: SurfaceBetti(b0=2, b2=22, b4=1), "b0 must be 1 (connected surface)"),
     (lambda: SurfaceBetti(1, -1, 1), "Betti numbers must be nonnegative"),
