@@ -55,8 +55,6 @@ equal the plain tuple of their fields.  A lattice's gram is a
 a congruence, which every triple is drawn from.
 """
 
-from __future__ import annotations
-
 import random
 from collections import namedtuple
 from fractions import Fraction
@@ -150,7 +148,7 @@ def _times(rows, x) -> list[int]:
     return [sum(g * x[j] for j, g in row) for row in rows]
 
 
-def _gram_images(lat: H2Lattice, triple: PeriodTriple) -> tuple[list, list]:
+def _gram_images(lat: H2Lattice, triple: "PeriodTriple") -> tuple[list, list]:
     """(W, g): the int numerators W_a of the triple's classes, and g_a the
     lattice's integral view times W_a."""
     _, rows = lat.integral

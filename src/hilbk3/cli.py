@@ -10,8 +10,6 @@ path must name a regular file: a FIFO, device or directory is bad input,
 refused before it is read.
 """
 
-from __future__ import annotations
-
 import sys
 from types import SimpleNamespace
 
@@ -165,7 +163,7 @@ def _parse_surface(text: str | None):
     return cohomology.SurfaceBetti(*map(_surface_number, parts))
 
 
-def _gram_entry(x) -> Fraction:
+def _gram_entry(x):
     import re
     from fractions import Fraction
 

@@ -19,8 +19,6 @@ and hashable (surfaces key the polynomial caches), and, being tuples, they
 also iterate, have a length and equal the plain tuple of their fields.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import lru_cache
 from math import comb

@@ -31,8 +31,6 @@ spaces (e.g. the 23-dimensional H^2 of a Hilbert scheme) only the closed
 form dimension pattern is exposed, up to dim V <= 32 and n <= 10,000.
 """
 
-from __future__ import annotations
-
 import operator
 from fractions import Fraction
 from functools import lru_cache
@@ -72,7 +70,7 @@ def monomial_basis(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def laplacian_matrix(gram, degree: int, power: int = 1) -> list[list[int | Fraction]]:
+def laplacian_matrix(gram, degree: int, power: int) -> list[list[int | Fraction]]:
     """Delta^power: Sym^degree -> Sym^(degree - 2 power), where the Laplacian
     Delta contracts two slots with the form.  Delta^k of a monomial is
     Delta^(k-1) of the terms of its Delta, each kept for the one call."""
@@ -97,7 +95,7 @@ def laplacian_matrix(gram, degree: int, power: int = 1) -> list[list[int | Fract
     return [[col.get(m, 0) for col in columns] for m in monomial_basis(dim, degree - 2 * power)]
 
 
-def harmonic_basis(gram, degree: int, power: int = 1) -> list[dict]:
+def harmonic_basis(gram, degree: int, power: int) -> list[dict]:
     """The kernel of Delta^power in the given degree (all of Sym^degree below
     2 power), as the sparse reduced echelon basis of `linalg.nullspace`.
     Delta of cG is c Delta of G, so the form is scaled to ints first."""

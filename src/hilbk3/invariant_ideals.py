@@ -31,8 +31,6 @@ hashable, and, being tuples, they also iterate, have a length and equal the
 plain tuple of their fields.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .partitions import is_triangular, partitions_of

@@ -16,8 +16,6 @@ the one rule that scales a rational matrix to a common denominator and
 sparse int rows.  A checked `Gram` is read-only, like every value type.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import lcm, prod
 
@@ -29,7 +27,7 @@ def identity(n: int) -> Matrix:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def symmetric_rows(a: Matrix, name: str = "matrix") -> Matrix:
+def symmetric_rows(a: Matrix, name: str) -> Matrix:
     """Fraction rows of a square symmetric matrix; ValueError otherwise."""
     rows = [[Fraction(x) for x in row] for row in a]
     if any(len(row) != len(rows) for row in rows):

@@ -16,9 +16,6 @@ partition becomes a tuple once, when it is complete.
 A diagram is the walk's tuple of weakly decreasing positive parts.
 """
 
-from __future__ import annotations
-
-from functools import lru_cache
 from math import isqrt
 
 
@@ -55,7 +52,6 @@ def _rows(remaining: int, previous: int | None, rows, parts: list[int]):
         parts.pop()
 
 
-@lru_cache(maxsize=None)
 def diagrams_of(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(partitions_of(n))
 

@@ -593,7 +593,7 @@ def ideal_normal_forms(gram, n, d):
         return sorted((e for e in product(range(deg + 1), repeat=dim) if sum(e) == deg),
                       reverse=True)
 
-    lap = laplacian_matrix(gram, n + 1)
+    lap = laplacian_matrix(gram, n + 1, 1)
     harmonics = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
                               for row in lap]).nullspace()
     low, cols = monomials(n + 1), monomials(d)
@@ -659,7 +659,7 @@ def dense_normal_forms(gram, n):
         pivots = set()
         if d > n:
             if rows is None:
-                generators = harmonic_basis(gram, d)  # sparse already
+                generators = harmonic_basis(gram, d, 1)  # sparse already
             else:
                 index = {m: k for k, m in enumerate(basis)}
                 prev = monomial_basis(dim, d - 1)
@@ -958,7 +958,7 @@ def dense_congruence_diagonalize(gram):
     """(P columns, diagonal) with P^T G P diagonal, every column and row
     operation run over all entries, zeros included.  P is kept as the
     matrix itself and its columns are read off at the end."""
-    a = linalg.symmetric_rows(gram)
+    a = linalg.symmetric_rows(gram, "gram")
     n = len(a)
     p = linalg.identity(n)
 

@@ -1009,7 +1009,7 @@ else:
     code = 0
 loaded = sorted(m.partition(".")[2] or m for m in sys.modules if m.split(".")[0] == "hilbk3")
 unwanted = ("dataclasses", "inspect", "fractions", "decimal", "argparse", "gettext", "locale",
-            "json", "re")
+            "json", "re", "__future__")
 print(code, ",".join(name for name in unwanted if name in sys.modules) or "-", *loaded,
       file=sys.stderr)
 """
@@ -1051,6 +1051,8 @@ def test_each_report_imports_only_its_layers(argv, tmp_path):
     assert not unwanted & {"argparse", "gettext", "locale"}
     if GRAM not in argv:
         assert "json" not in unwanted
+    # annotations are evaluated where they stand: no module defers them
+    assert "__future__" not in unwanted
 
 
 @pytest.mark.parametrize("argv", sorted(_NO_FRACTIONS - {()}), ids=lambda a: a[0])

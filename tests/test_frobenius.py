@@ -130,11 +130,11 @@ def test_laplacian_on_isotropic_power():
     for d in range(2, 5):
         basis = monomial_basis(2, d)
         vec = [Fraction(1) if m == (d, 0) else Fraction(0) for m in basis]
-        assert all(x == 0 for x in mat_vec(laplacian_matrix(U, d), vec))
+        assert all(x == 0 for x in mat_vec(laplacian_matrix(U, d, 1), vec))
     # on an integral gram every entry is an int: e_i (e_i - 1) / 2 is one
     for gram in (U, U2, U4):
         for d in range(2, 6):
-            m = laplacian_matrix(gram, d)
+            m = laplacian_matrix(gram, d, 1)
             assert all(type(x) is int for row in m for x in row), (gram, d)
 
 
@@ -142,7 +142,7 @@ def test_quadric_is_laplacian_eigenvector():
     for gram in (U, U2, U4):
         dim = len(gram)
         q = quadric_element(gram, dim)
-        image = mat_vec(laplacian_matrix(gram, 2), q)
+        image = mat_vec(laplacian_matrix(gram, 2, 1), q)
         assert image == [Fraction(dim)]
 
 
@@ -163,8 +163,8 @@ def test_harmonic_dimensions():
                 assert len(harmonic_basis(gram, d, k)) == expect, (gram, d, k)
     # low degrees: the Laplacian has no rows, so everything is harmonic
     for d in (0, 1):
-        assert laplacian_matrix(U, d) == []
-        assert harmonic_basis(U, d) == [{k: 1} for k in range(len(monomial_basis(2, d)))]
+        assert laplacian_matrix(U, d, 1) == []
+        assert harmonic_basis(U, d, 1) == [{k: 1} for k in range(len(monomial_basis(2, d)))]
 
 
 def test_laplacian_power_is_the_composite():
@@ -175,7 +175,7 @@ def test_laplacian_power_is_the_composite():
         for d in range(7):
             composite = None
             for k in range(1, d // 2 + 1):
-                step = laplacian_matrix(gram, d - 2 * k + 2)
+                step = laplacian_matrix(gram, d - 2 * k + 2, 1)
                 composite = step if composite is None else mat_mul(step, composite)
                 power = laplacian_matrix(gram, d, k)
                 assert power == composite, (gram, d, k)
@@ -386,7 +386,7 @@ BAD_KERNEL_BASES = {
 def _spoil_kernel(monkeypatch, spoil):
     real = frobenius.harmonic_basis
     monkeypatch.setattr(frobenius, "harmonic_basis",
-                        lambda gram, degree, power=1: spoil(real(gram, degree, power)))
+                        lambda gram, degree, power: spoil(real(gram, degree, power)))
 
 
 @pytest.mark.parametrize("spoil", BAD_KERNEL_BASES.values(), ids=BAD_KERNEL_BASES)
@@ -558,7 +558,7 @@ def test_restriction_functional_structure():
     full = lat.full_gram
     d = lat.dim_v
     # a plain symmetric matrix of size total_dim
-    assert linalg.symmetric_rows(rows) == rows and len(rows) == lat.total_dim
+    assert linalg.symmetric_rows(rows, "form") == rows and len(rows) == lat.total_dim
     for i in range(d):
         for j in range(d):
             assert rows[i][j] == full[i][j]
