@@ -11,17 +11,19 @@ A lattice exists for n >= 2 only.  A class is a tuple of total_dim =
 dim V + 1 rationals: its surface coordinates, then its delta coordinate
 last.  A 2-form is a plain matrix F in the same coordinates with
 f(x, y) = x^T F y, so forms transform with lower indices, as the gram
-does.  The full gram is the surface gram plus the delta-delta entry.
+does.  The full gram, the surface gram plus the delta-delta entry, is
+stated once, as the integral view below.
 
 Classes, grams and forms go in and come out as Fractions, but the degree-4
-path computes on Python ints: a class x is X / den with X an int vector,
-and every pairing reads the lattice's one integral view `integral`, the
-full gram scaled by the lcm gden of its denominators.  That view is the
-surface gram's `integral` rows, kept once per gram by `linalg.Gram`, plus
-delta's row, whose one entry -2(n-1) gden is data like any other; no
-pairing writes the delta term out.  Fractions are formed only where a
-value leaves the path, and being canonical they equal what Fraction
-arithmetic gives, so no triple or verdict depends on the route.
+path computes on Python ints: a class x is X / den with X an int vector
+(`linalg.numerators`, the package's one common-denominator rule), and every
+pairing, like the degree-4 functional, reads the lattice's one integral
+view `integral`, the full gram scaled by the lcm gden of its denominators.
+That view is the surface gram's `integral` rows, kept once per gram by
+`linalg.Gram`, plus delta's row, whose one entry -2(n-1) gden is data like
+any other; no pairing writes the delta term out.  Fractions are formed only
+where a value leaves the path, and being canonical they equal what
+Fraction arithmetic gives, so no triple or verdict depends on the route.
 
 A hyperkaehler rotation is encoded by a period triple: three pairwise
 BB-orthogonal classes of positive norm.  The induced su(2) action on H^2 is
@@ -59,7 +61,7 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from . import linalg
 from .partitions import is_triangular, trianalytic_candidates
@@ -119,28 +121,12 @@ class H2Lattice(namedtuple("H2Lattice", "n gram")):
         return self.dim_v + 1
 
     @property
-    def delta_norm(self) -> Fraction:
-        return Fraction(-2 * (self.n - 1))
-
-    @property
-    def full_gram(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The BB gram on all total_dim coordinates, delta last, built on each read."""
-        zero = Fraction(0)
-        return (tuple(row + (zero,) for row in self.gram)
-                + ((zero,) * self.dim_v + (self.delta_norm,),))
-
-    @property
     def integral(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
-        """`linalg.integral_rows` of the full gram, built on each read: the
+        """The BB gram on all total_dim coordinates, delta last, as
+        `linalg.integral_rows` would scale it, built on each read: the
         surface gram's rows, then delta's row with its entry -2(n-1) gden."""
         gden, rows = self.gram.integral
         return gden, rows + (((self.dim_v, -2 * (self.n - 1) * gden),),)
-
-
-def _numerators(x) -> tuple[list[int], int]:
-    """(X, den) with x = X / den, den the lcm of the denominators of x."""
-    den = lcm(*(a.denominator for a in x))
-    return [a.numerator * (den // a.denominator) for a in x], den
 
 
 def _times(rows, x) -> list[int]:
@@ -152,7 +138,7 @@ def _gram_images(lat: H2Lattice, triple: "PeriodTriple") -> tuple[list, list]:
     """(W, g): the int numerators W_a of the triple's classes, and g_a the
     lattice's integral view times W_a."""
     _, rows = lat.integral
-    ws = [_numerators(w)[0] for w in triple.w]
+    ws = [linalg.numerators(w)[0] for w in triple.w]
     return ws, [_times(rows, w) for w in ws]
 
 
@@ -171,7 +157,7 @@ def bb_pair(lat: H2Lattice, x, y) -> Fraction:
     if len(x) != lat.total_dim or len(y) != lat.total_dim:
         raise ValueError(f"classes must have {lat.total_dim} coordinates")
     gden, rows = lat.integral
-    (xs, dx), (ys, dy) = _numerators(x), _numerators(y)
+    (xs, dx), (ys, dy) = linalg.numerators(x), linalg.numerators(y)
     return Fraction(_pair(rows, xs, ys), gden * dx * dy)
 
 
@@ -199,8 +185,14 @@ def obstruction_coefficient(n: int, l: int) -> Fraction:
 
 
 def restriction_functional(lat: H2Lattice) -> list[list[Fraction]]:
-    """The degree-4 functional f = B + 2(n-1) d^2 as matrix rows; checked to kill (delta, delta)."""
-    f = [list(row) for row in lat.full_gram]
+    """The degree-4 functional f = B + 2(n-1) d^2 as Fraction matrix rows,
+    B read off the lattice's integral view that every pairing reads; checked
+    to kill (delta, delta), so the check guards that view's delta entry."""
+    gden, rows = lat.integral
+    f = [[Fraction(0)] * lat.total_dim for _ in rows]
+    for fi, row in zip(f, rows):
+        for j, g in row:
+            fi[j] = Fraction(g, gden)
     f[-1][-1] += 2 * (lat.n - 1)
     if f[-1][-1] != 0:
         raise RuntimeError("restriction functional does not vanish on (delta, delta)")
@@ -313,7 +305,7 @@ def random_period_triple(lat: H2Lattice, rng: random.Random) -> PeriodTriple:
             break
     else:
         raise RuntimeError("failed to draw a valid period triple")
-    vs = [_numerators([sum(m * b[i] for m, b in zip(mix, basis)) for i in range(dim)])
+    vs = [linalg.numerators([sum(m * b[i] for m, b in zip(mix, basis)) for i in range(dim)])
           for mix in mixes]
     rows = lat.integral[1]  # the surface classes below read its surface block
     # the mixes span a positive-definite 3-space, so the Gram-Schmidt norms

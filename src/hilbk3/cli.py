@@ -25,9 +25,10 @@ SCHEMA = "hilbk3.report/1"
 # gram grows faster than linearly with the size of its entries
 MAX_GRAM_ENTRY = 10 ** 6
 # bound on the dimension of a gram file, checked before any entry is parsed:
-# a dense 32 x 32 gram of p/q entries near MAX_GRAM_ENTRY takes 4.3-5.3 s for
+# a dense 32 x 32 gram of p/q entries near MAX_GRAM_ENTRY takes 3.3-3.6 s for
 # `certify --n 3`, most of it the gram check's one symmetric elimination, and
-# 2.6-2.7 s for `frobenius --dimv 32 --n 2`, the check alone (2-core VM)
+# 1.9-2.4 s for `frobenius --dimv 32 --n 2`, the check alone (2-core VM,
+# Python 3.11.7)
 MAX_GRAM_DIM = 32
 # bound on the characters of a gram file, read before it is parsed: a dense
 # 32 x 32 gram of p/q entries near MAX_GRAM_ENTRY is about 18 KB of JSON

@@ -155,11 +155,6 @@ def _euler_count(surface: SurfaceBetti, n: int) -> int:
     return a[n]
 
 
-def _slot_bits(bound: int) -> int:
-    # the width of a slot that holds every integer in 0..bound
-    return bound.bit_length()
-
-
 def _log_derivative(surface: SurfaceBetti, n: int) -> list[list[tuple[int, int]]]:
     """The terms (exponent, coefficient) of D_r(s) for r = 0..n, with s = t^2.
 
@@ -218,7 +213,8 @@ class StratumLedger(namedtuple("StratumLedger", "n surface")):
         """
         n = self.n
         count = _euler_count(self.surface, n)
-        bits = _slot_bits(n * count)
+        # the width of a slot that holds every integer in 0..n a(n)
+        bits = (n * count).bit_length()
         derivative = _log_derivative(self.surface, n)
         tables = [1]
         for big_n in range(1, n + 1):

@@ -7,8 +7,11 @@ pairing two symmetric slots with the form).  In each degree n < d <= 2n
 that ideal is the kernel of Delta^(d-n), which is how it is built:
 Delta^(d-n) of h * p, h harmonic of degree n + 1, contracts two slots of h
 in every term, and both spaces have codimension dim Sym^(2n-d), since
-Sym^d = H_d + q Sym^(d-2) makes Delta^(d-n) onto.  The graded pieces sit
-in cohomological degrees 0, 2, ..., 4n with
+Sym^d = H_d + q Sym^(d-2) makes Delta^(d-n) onto.  Delta reads the form
+as the `integral` rows that the gram's one `linalg.Gram` check keeps, the
+form scaled to ints by the package's one common-denominator rule, so its
+powers are int matrices with the kernels of the rational ones.  The graded
+pieces sit in cohomological degrees 0, 2, ..., 4n with
 
     dim A_{2i} = dim Sym^{min(i, 2n-i)} V,
 
@@ -34,7 +37,7 @@ form dimension pattern is exposed, up to dim V <= 32 and n <= 10,000.
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 
 from . import linalg
 
@@ -70,12 +73,16 @@ def monomial_basis(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def laplacian_matrix(gram, degree: int, power: int) -> list[list[int | Fraction]]:
+def laplacian_matrix(gram, degree: int, power: int) -> list[list[int]]:
     """Delta^power: Sym^degree -> Sym^(degree - 2 power), where the Laplacian
-    Delta contracts two slots with the form.  Delta^k of a monomial is
+    Delta contracts two slots with the form, read as the `integral` rows of
+    the `linalg.Gram` check of the gram: the form scaled by gden to ints, so
+    the matrix is gden^power times Delta^power, with the same kernel.  A
+    `Gram` passes that check unchanged.  Delta^k of a monomial is
     Delta^(k-1) of the terms of its Delta, each kept for the one call."""
     dim = len(gram)
-    form = [(i, j, g) for i in range(dim) for j in range(i, dim) if (g := gram[i][j])]
+    _, rows = linalg.Gram(gram).integral
+    form = [(i, j, g) for i, row in enumerate(rows) for j, g in row if j >= i]
     images: dict[tuple[int, ...], dict] = {}  # the degree of e fixes k
 
     def image(e, k):
@@ -97,10 +104,7 @@ def laplacian_matrix(gram, degree: int, power: int) -> list[list[int | Fraction]
 
 def harmonic_basis(gram, degree: int, power: int) -> list[dict]:
     """The kernel of Delta^power in the given degree (all of Sym^degree below
-    2 power), as the sparse reduced echelon basis of `linalg.nullspace`.
-    Delta of cG is c Delta of G, so the form is scaled to ints first."""
-    scale = lcm(*(x.denominator for row in gram for x in row))
-    gram = [[int(x * scale) for x in row] for row in gram]
+    2 power), as the sparse reduced echelon basis of `linalg.nullspace`."""
     return linalg.nullspace(laplacian_matrix(gram, degree, power),
                             len(monomial_basis(len(gram), degree)))
 

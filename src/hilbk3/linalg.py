@@ -11,12 +11,16 @@ as its reduced echelon basis of such sparse vectors.  The identity's 0 and
 1 entries are ints; det returns a Fraction.  `Gram`, the one check of a
 gram, reads nondegeneracy off the diagonal D of `congruence_diagonalize`
 (det = prod D) and solves columns of P off the rows it eliminated.  It
-also keeps its entries scaled to ints, once per gram, by `integral_rows`,
-the one rule that scales a rational matrix to a common denominator and
-sparse int rows.  A checked `Gram` is read-only, like every value type.
+also keeps its entries scaled to ints, once per gram, by `integral_rows`.
+`numerators` is the one rule that scales rationals to a common
+denominator: a vector's, and through `integral_rows` a matrix's, as sparse
+int rows.  Every other module scales through it, and every reader of a
+gram in ints reads the checked `Gram`'s `integral` rows.  A checked `Gram`
+is read-only, like every value type.
 """
 
 from fractions import Fraction
+from itertools import islice
 from math import lcm, prod
 
 Vector = list
@@ -37,12 +41,22 @@ def symmetric_rows(a: Matrix, name: str) -> Matrix:
     return rows
 
 
+def numerators(x: Vector) -> tuple[list[int], int]:
+    """(X, den) with x = X / den, den the lcm of the denominators of x (1
+    for an empty or all-integer x): the package's one common-denominator
+    rule."""
+    den = lcm(*(a.denominator for a in x))
+    return [a.numerator * (den // a.denominator) for a in x], den
+
+
 def integral_rows(m: Matrix) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
-    """(den, rows): den the lcm of the denominators of m, rows den * m as
-    sparse (column, int) pairs over the nonzero entries."""
-    den = lcm(*(a.denominator for row in m for a in row))
-    return den, tuple(tuple((j, a.numerator * (den // a.denominator))
-                            for j, a in enumerate(row) if a) for row in m)
+    """(den, rows): `numerators` of m's entries, one den for the whole
+    matrix, with rows den * m as sparse (column, int) pairs over the nonzero
+    entries."""
+    flat, den = numerators([a for row in m for a in row])
+    cells = iter(flat)
+    return den, tuple(tuple((j, a) for j, a in enumerate(islice(cells, len(row))) if a)
+                      for row in m)
 
 
 def sparse(row: Vector) -> dict:

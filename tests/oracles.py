@@ -23,8 +23,9 @@ against the literature before freezing.
 The constructions below them exist only so tests can compare or sample
 with them, and the reports never run them: the dense Frobenius build by
 propagation that the library's kernel of a power of the Laplacian
-replaced, the shape grammar, explicit BB classes, the routes of the
-degree-4 path the library replaced (BB pairing and
+replaced, the shape grammar, the full BB gram in Fractions that the
+lattice's integral view states once, explicit BB classes, the routes of
+the degree-4 path the library replaced (BB pairing and
 period-triple Gram-Schmidt in Fractions, period triples orthogonal to
 delta, congruence column operations over
 zero entries too, with the signature read off them), the two grams at
@@ -881,11 +882,21 @@ def shapes_by_grammar(n):
     return current
 
 
-# Constructions on the BB lattice that only the tests use: explicit classes,
-# contravariant tensors (the inverse BB gram and its transport behind the
-# pullback coefficient), the dense rotation operators of a period triple and
-# the rotation modules generated by d and d^2.  Classes are coordinate tuples
-# with delta last, as in the library.
+# Constructions on the BB lattice that only the tests use: the full gram in
+# Fractions, explicit classes, contravariant tensors (the inverse BB gram and
+# its transport behind the pullback coefficient), the dense rotation
+# operators of a period triple and the rotation modules generated by d and
+# d^2.  Classes are coordinate tuples with delta last, as in the library.
+
+def full_gram(lat):
+    """The BB gram on all total_dim coordinates as Fraction rows, delta last:
+    the surface gram, then q(delta) = -2(n-1) on the diagonal.  The Fraction
+    reference that the library's one statement, the integral view
+    `lat.integral`, is compared against."""
+    zero = Fraction(0)
+    return (tuple(row + (zero,) for row in lat.gram)
+            + ((zero,) * lat.dim_v + (Fraction(-2 * (lat.n - 1)),),))
+
 
 def delta_class(lat):
     return (Fraction(0),) * lat.dim_v + (Fraction(1),)
@@ -903,7 +914,7 @@ def basis_class(lat, i):
 
 def bb_inverse_tensor(lat):
     """The BB dual form as a contravariant matrix: the inverse full gram."""
-    return inverse(lat.full_gram)
+    return inverse(full_gram(lat))
 
 
 def transported_bb_tensor(src, dst):
@@ -950,7 +961,7 @@ def obstruction_coefficient_from_tensors(src, dst):
 
 def fraction_bb_pair(lat, x, y):
     """B(x, y) summed in Fractions over the entries of the full gram."""
-    return Fraction(sum(a * g * b for a, row in zip(x, lat.full_gram) if a
+    return Fraction(sum(a * g * b for a, row in zip(x, full_gram(lat)) if a
                         for g, b in zip(row, y) if g))
 
 
@@ -1137,7 +1148,7 @@ def su2_generators(lat, triple):
     """Three BB-skew operators generating the rotation action of the triple."""
     if triple.lattice != lat:
         raise ValueError("triple belongs to a different lattice")
-    g = lat.full_gram
+    g = full_gram(lat)
     ws = triple.w
     gws = [mat_vec(g, w) for w in ws]
     size = lat.total_dim

@@ -38,6 +38,7 @@ from oracles import (
     delta_module_dimension,
     delta_squared_form,
     flat_period_triple,
+    full_gram,
     goettsche_betti,
     obstruction_coefficient_from_tensors,
     orbit_dimension_d2,
@@ -160,7 +161,7 @@ def test_07_rotation_invariance_of_the_tensors():
     def body():
         lat = k3_lattice(3)
         rng = random.Random(20260814)
-        b = lat.full_gram
+        b = full_gram(lat)
         d2 = delta_squared_form(lat)
         # the degree-4 functional is exactly B + 2(n-1) d^2 on plain matrices
         assert restriction_functional(lat) == [[x + 4 * y for x, y in zip(rb, rd)]

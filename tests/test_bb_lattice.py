@@ -38,6 +38,7 @@ from oracles import (
     flat_period_triple,
     fraction_bb_pair,
     fraction_period_triple,
+    full_gram,
     is_contravariant_invariant,
     is_zero_matrix,
     mat_add,
@@ -144,7 +145,10 @@ def test_lattice_validation():
 def test_delta_norm_and_dimensions():
     for n in (2, 3, 5, 11):
         lat = small_lattice(n)
-        assert lat.delta_norm == -2 * (n - 1)
+        assert full_gram(lat)[-1][-1] == -2 * (n - 1)
+        # delta's row of the integral view: one entry, q(delta) gden
+        gden, rows = lat.integral
+        assert rows[-1] == ((4, -2 * (n - 1) * gden),)
         assert lat.dim_v == 4
         assert lat.total_dim == 5
         assert q_norm(lat, delta_class(lat)) == -2 * (n - 1)
@@ -152,14 +156,14 @@ def test_delta_norm_and_dimensions():
 
 def test_full_gram_blocks():
     lat = small_lattice(3)
-    fg = lat.full_gram
+    fg = full_gram(lat)
     assert len(fg) == 5
     for i in range(4):
         assert fg[i][4] == fg[4][i] == 0
         for j in range(4):
             assert fg[i][j] == SMALL[i][j]
     assert fg[4][4] == -4
-    assert lat.full_gram == fg  # built again on each read, from the one gram
+    assert lat.integral == linalg.integral_rows(fg)  # the library's one statement of it
 
 
 def test_lattice_rows_are_the_integral_rows_of_the_full_gram():
@@ -171,7 +175,7 @@ def test_lattice_rows_are_the_integral_rows_of_the_full_gram():
         for n in (2, 3, 28):
             lat = k3_lattice(n, gram)
             gden, rows = lat.gram.integral
-            assert lat.integral == linalg.integral_rows(lat.full_gram) == (
+            assert lat.integral == linalg.integral_rows(full_gram(lat)) == (
                 gden, rows + (((lat.dim_v, -2 * (n - 1) * gden),),))
 
 
@@ -234,7 +238,7 @@ def test_obstruction_coefficient_validation():
 
 def test_tensor_fixtures():
     lat = small_lattice(3)
-    b = lat.full_gram
+    b = full_gram(lat)
     binv = bb_inverse_tensor(lat)
     assert mat_mul(b, binv) == linalg.identity(5)
     rows = delta_squared_form(lat)
@@ -248,7 +252,7 @@ def test_tensor_fixtures():
 def test_is_su2_invariant_validates_the_form():
     lat = small_lattice(3)
     triple = random_period_triple(lat, random.Random(3))
-    good = [list(r) for r in lat.full_gram]
+    good = [list(r) for r in full_gram(lat)]
     assert is_su2_invariant(lat, good, triple)
     with pytest.raises(ValueError):
         is_su2_invariant(lat, [r[:4] for r in good], triple)  # not square
@@ -279,7 +283,7 @@ def test_is_su2_invariant_matches_the_dense_operators():
         for n in (2, 3, 6, 10):
             lat = k3_lattice(n, gram)
             size = lat.total_dim
-            g = lat.full_gram
+            g = full_gram(lat)
             noise = random_symmetric(rng, size)
             i, j = rng.randrange(size), rng.randrange(size)
             bumped = [list(r) for r in g]
@@ -349,7 +353,7 @@ def test_su2_generator_identities():
         ops = su2_generators(lat, triple)
         w = triple.w
         q = [q_norm(lat, c) for c in w]
-        g = lat.full_gram
+        g = full_gram(lat)
         for a in range(3):
             b, c = (a + 1) % 3, (a + 2) % 3
             # annihilates its own period, rotates the other two
@@ -378,11 +382,11 @@ def test_bb_form_always_invariant():
     rng = random.Random(17)
     for draw in (random_period_triple, flat_period_triple):
         triple = draw(lat, rng)
-        assert is_su2_invariant(lat, lat.full_gram, triple)
+        assert is_su2_invariant(lat, full_gram(lat), triple)
         assert is_contravariant_invariant(lat, bb_inverse_tensor(lat), triple)
         # the two index positions are different checks: B as a contravariant
         # tensor, or its inverse as a form, is moved by the rotations
-        assert not is_contravariant_invariant(lat, lat.full_gram, triple)
+        assert not is_contravariant_invariant(lat, full_gram(lat), triple)
         assert not is_su2_invariant(lat, bb_inverse_tensor(lat), triple)
 
 
@@ -496,7 +500,7 @@ def test_random_period_triple_matches_fraction_gram_schmidt():
                 assert [scale * a for a in flat.w[0][:-1]] == list(triple.w[0][:-1])
                 if gram is SCRAMBLED_7_6:
                     for t in (triple, flat):
-                        for form in (lat.full_gram, restriction_functional(lat)):
+                        for form in (full_gram(lat), restriction_functional(lat)):
                             assert (is_su2_invariant(lat, form, t)
                                     == dense_su2_invariant(lat, form, t))
     lat = k3_lattice(3, SCRAMBLED_7_6)
@@ -687,7 +691,7 @@ def test_the_integral_view_is_the_full_gram(drawn, data, n):
     c = data.draw(NONZERO_FRACTIONS.map(abs))
     d = data.draw(st.lists(NONZERO_FRACTIONS, min_size=k + 3, max_size=k + 3))
     lat = k3_lattice(n, [[c * a * b * g for b, g in zip(d, row)] for a, row in zip(d, gram)])
-    assert lat.integral == linalg.integral_rows(lat.full_gram)
+    assert lat.integral == linalg.integral_rows(full_gram(lat))
     classes = data.draw(st.lists(st.tuples(*[st.fractions(-9, 9, max_denominator=7)] * (k + 3),
                                            NONZERO_FRACTIONS), min_size=2, max_size=4))
     for x in classes:

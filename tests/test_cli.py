@@ -409,6 +409,24 @@ def test_internal_failure_is_its_own_status(monkeypatch, capsys):
                                 "message": "failed to draw a valid period triple"}
 
 
+def test_a_wrong_delta_entry_ends_in_an_internal_failure(monkeypatch, capsys):
+    # the integral view is the one statement of the BB gram, delta's entry
+    # included, and the degree-4 functional is read off it: a q(delta) off
+    # by one fails f's check on (delta, delta), even with assertions stripped
+    integral = bb_lattice.H2Lattice.integral
+
+    def wrong_delta(lat):
+        gden, rows = integral.fget(lat)
+        return gden, rows[:-1] + (((lat.dim_v, (-2 * (lat.n - 1) - 1) * gden),),)
+    monkeypatch.setattr(bb_lattice.H2Lattice, "integral", property(wrong_delta))
+    code, payload = run_json(["certify", "--n", "3"], capsys)
+    assert code == 3
+    assert payload["status"] == "internal-error"
+    assert payload["error"] == {
+        "type": "RuntimeError",
+        "message": "restriction functional does not vanish on (delta, delta)"}
+
+
 def test_a_basis_that_is_not_positive_ends_in_an_internal_failure(monkeypatch, capsys):
     # three congruence columns with D < 0 span a negative-definite 3-space,
     # so no scale makes the Gram-Schmidt norms positive: the doublings stop

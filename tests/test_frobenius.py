@@ -30,6 +30,7 @@ from oracles import (
     expanded_power,
     find_isotropic,
     frobenius_grams,
+    full_gram,
     ideal_normal_forms,
     inverse,
     laplacian_fujiki,
@@ -168,10 +169,9 @@ def test_harmonic_dimensions():
 
 
 def test_laplacian_power_is_the_composite():
-    # Delta^k is Delta applied k times; on a gram of ints every entry of it
-    # is an int
+    # Delta^k is Delta applied k times; the form is read as the gram check's
+    # integral rows, so every entry of it is an int, p/q grams included
     for gram in _laplacian_test_grams():
-        integral = all(type(x) is int for row in gram for x in row)
         for d in range(7):
             composite = None
             for k in range(1, d // 2 + 1):
@@ -179,8 +179,7 @@ def test_laplacian_power_is_the_composite():
                 composite = step if composite is None else mat_mul(step, composite)
                 power = laplacian_matrix(gram, d, k)
                 assert power == composite, (gram, d, k)
-                if integral:
-                    assert all(type(x) is int for row in power for x in row), (gram, d, k)
+                assert all(type(x) is int for row in power for x in row), (gram, d, k)
 
 
 def test_dimension_pattern():
@@ -408,7 +407,7 @@ def test_a_kernel_basis_off_the_contract_is_an_internal_failure(monkeypatch, cap
 def test_the_k3_h2_generates_the_even_cohomology_at_n_2(monkeypatch):
     # the paper's own H^2, the K3 lattice plus delta, above the table cap
     monkeypatch.setattr(frobenius, "MAX_DIM_V", 23)
-    alg = build_algebra(k3_lattice(2).full_gram, 2)
+    alg = build_algebra(full_gram(k3_lattice(2)), 2)
     dims = tuple(alg.dim(i) for i in range(5))
     even = hilbert_stratum_ledger(SurfaceBetti.k3(), 2).total().betti[::2]
     assert dims == (1, 23, 276, 23, 1) == even
@@ -555,7 +554,7 @@ def test_so_elements_preserve_form_and_products():
 def test_restriction_functional_structure():
     lat = k3_lattice(3, U4)
     rows = restriction_functional(lat)
-    full = lat.full_gram
+    full = full_gram(lat)
     d = lat.dim_v
     # a plain symmetric matrix of size total_dim
     assert linalg.symmetric_rows(rows, "form") == rows and len(rows) == lat.total_dim

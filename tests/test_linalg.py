@@ -247,18 +247,27 @@ def matrices(draw, square=False, min_rows=0):
 @example(a=[[Fraction(-3, 4)]])
 @example(a=[[Fraction(0)]])
 def test_integral_rows_match_fraction_arithmetic(a):
-    def scales(d):
-        return all((d * x).denominator == 1 for row in a for x in row)
+    def least(d, m):
+        # the least scale that makes every entry integral
+        def scales(d):
+            return all((d * x).denominator == 1 for row in m for x in row)
+        return scales(d) and not any(d % p == 0 and scales(d // p) for p in range(2, d + 1))
 
     den, rows = linalg.integral_rows(a)
-    # the least scale that makes every entry integral
-    assert scales(den) and not any(den % p == 0 and scales(den // p) for p in range(2, den + 1))
+    assert least(den, a)
     assert len(rows) == len(a)
     for row, sparse_row in zip(a, rows):
         assert all(type(v) is int and v for _, v in sparse_row)
         assert [j for j, _ in sparse_row] == sorted({j for j, _ in sparse_row})
         dense = dict(sparse_row)
         assert [Fraction(dense.get(j, 0), den) for j in range(len(row))] == row
+    # the same rule on vectors: each row, the empty vector and an integral one
+    ints = [x.numerator for x in a[0]]
+    for x in (*a, [], ints):
+        xs, d = linalg.numerators(x)
+        assert least(d, [x]) and all(type(v) is int for v in xs)
+        assert [Fraction(v, d) for v in xs] == x
+    assert linalg.numerators([]) == ([], 1) and linalg.numerators(ints) == (ints, 1)
 
 
 def _sym(a, ncols):

@@ -73,11 +73,11 @@ def test_value_types_are_immutable_values(cls):
 
 
 def test_equal_lattices_pair_equally():
-    # with an instance dict, an assigned full gram would let two equal
+    # with an instance dict, an assigned integral view would let two equal
     # lattices give delta different norms
     a, b = H2Lattice(3, GRAM), H2Lattice(3, GRAM)
     with pytest.raises(AttributeError):
-        a.full_gram = tuple((0,) * 5 for _ in range(5))
+        a.integral = (1, ((),) * 5)
     delta = (0, 0, 0, 0, 1)
     assert a == b and bb_pair(a, delta, delta) == bb_pair(b, delta, delta) == -4
 
