@@ -26,8 +26,10 @@ where a value leaves the path, and being canonical they equal what
 Fraction arithmetic gives, so no triple or verdict depends on the route.
 
 A hyperkaehler rotation is encoded by a period triple: three pairwise
-BB-orthogonal classes of positive norm.  The induced su(2) action on H^2 is
-generated by the three skew operators
+BB-orthogonal classes of positive norm, kept with the lattice they were
+checked on, so `is_su2_invariant` and `h4_obstruction` take the triple
+alone and read its lattice.  The induced su(2) action on H^2 is generated by
+the three skew operators
 
     L_a x = w_c B(w_b, x) - w_b B(w_c, x)        ((a,b,c) cyclic),
 
@@ -134,10 +136,10 @@ def _times(rows, x) -> list[int]:
     return [sum(g * x[j] for j, g in row) for row in rows]
 
 
-def _gram_images(lat: H2Lattice, triple: "PeriodTriple") -> tuple[list, list]:
-    """(W, g): the int numerators W_a of the triple's classes, and g_a the
+def _gram_images(triple: "PeriodTriple") -> tuple[list, list]:
+    """(W, g): the int numerators W_a of the triple's classes, and g_a its
     lattice's integral view times W_a."""
-    _, rows = lat.integral
+    _, rows = triple.lattice.integral
     ws = [linalg.numerators(w)[0] for w in triple.w]
     return ws, [_times(rows, w) for w in ws]
 
@@ -221,8 +223,9 @@ class PeriodTriple(namedtuple("PeriodTriple", "lattice w")):
         return any(x[-1] != 0 for x in self.w)
 
 
-def is_su2_invariant(lat: H2Lattice, form, triple: PeriodTriple) -> bool:
-    """The rotation derivations L^T F + F L vanish on the 2-form matrix F.
+def is_su2_invariant(form, triple: PeriodTriple) -> bool:
+    """The rotation derivations L^T F + F L vanish on the 2-form matrix F,
+    given in the coordinates of the triple's lattice.
 
     With g = G w and phi = F w, each L_a = w_c g_b^T - w_b g_c^T has rank two
     and L_a^T F + F L_a = S + S^T for S = g_b phi_c^T - g_c phi_b^T, so
@@ -233,24 +236,24 @@ def is_su2_invariant(lat: H2Lattice, form, triple: PeriodTriple) -> bool:
     1 / (den_b den_c), so it is compared on the int numerators of g and phi.
     """
     f = linalg.symmetric_rows(form, "form")
-    if len(f) != lat.total_dim:
+    dim = triple.lattice.total_dim
+    if len(f) != dim:
         raise ValueError("form size mismatch")
-    if triple.lattice != lat:
-        raise ValueError("triple belongs to a different lattice")
-    ws, g = _gram_images(lat, triple)
+    ws, g = _gram_images(triple)
     frows = linalg.integral_rows(f)[1]
     phi = [_times(frows, w) for w in ws]
     for b, c in ((1, 2), (2, 0)):
         gb, gc, pb, pc = g[b], g[c], phi[b], phi[c]
-        for i in range(lat.total_dim):
+        for i in range(dim):
             for j in range(i + 1):
                 if gb[i] * pc[j] + gb[j] * pc[i] != gc[i] * pb[j] + gc[j] * pb[i]:
                     return False
     return True
 
 
-def h4_obstruction(lat: H2Lattice, triple: PeriodTriple) -> bool:
-    """Whether f = B + 2(n-1) d^2 fails to be invariant under the triple.
+def h4_obstruction(triple: PeriodTriple) -> bool:
+    """Whether f = B + 2(n-1) d^2 on the triple's lattice fails to be
+    invariant under the triple.
 
     Requires n triangular >= 3 (the punctual candidate exists only there)
     and a triple with nonzero projection of the delta functional onto the
@@ -262,17 +265,17 @@ def h4_obstruction(lat: H2Lattice, triple: PeriodTriple) -> bool:
     functional, and that holds iff L_a^T e = e(w_c) g_b - e(w_b) g_c
     vanishes for a = 0, 1, compared on the int numerators of the triple.
     """
-    n = lat.n
+    n = triple.lattice.n
     ok, _ = is_triangular(n)
     if not ok or n < 3:
         raise ValueError(f"n = {n} is not a triangular number >= 3")
     if not triple.has_delta_component:
         raise ValueError("period triple is orthogonal to the exceptional class; "
                          "the precondition proj(delta-dual) != 0 fails")
-    ws, g = _gram_images(lat, triple)
+    ws, g = _gram_images(triple)
     obstructed = any(ws[c][-1] * x != ws[b][-1] * y
                      for b, c in ((1, 2), (2, 0)) for x, y in zip(g[b], g[c]))
-    if obstructed == is_su2_invariant(lat, restriction_functional(lat), triple):
+    if obstructed == is_su2_invariant(restriction_functional(triple.lattice), triple):
         raise RuntimeError("the su(2) identity and the closed form disagree on f")
     return obstructed
 
@@ -389,43 +392,31 @@ def certify_no_trianalytic(n: int, gram=None, seed: int = 0) -> CertificationRep
     certificates = []
     for d in trianalytic_candidates(n):
         values = set(d)
+        l, method, coefficient = len(d), None, None
         if values == {1}:
-            certificates.append(CandidateCertificate(
-                diagram=d, kind="improper", status="whole-space", method=None,
-                coefficient=None,
-                detail="all parts 1: the unpinned shape is the whole space, not a proper subvariety",
-            ))
-        elif len(values) == 1:
-            l = len(d)
-            if l >= 2:
-                c = obstruction_coefficient(n, l)
-                status = "obstructed" if c != 0 else "not-obstructed"
-                certificates.append(CandidateCertificate(
-                    diagram=d, kind="simple", status=status,
-                    method="pullback-coefficient", coefficient=c,
-                    detail=(f"pullback of the BB dual along the map from {l} points: "
-                            f"coefficient 1/(2*{l - 1}) - {n // l}/(2*{n - 1}) = {c} "
-                            f"on the exceptional square"),
-                ))
-            else:
-                lat = k3_lattice(n, gram)
-                triple = random_period_triple(lat, rng)
-                obstructed = h4_obstruction(lat, triple)
-                verb = "is not" if obstructed else "is"
-                certificates.append(CandidateCertificate(
-                    diagram=d, kind="simple",
-                    status="obstructed" if obstructed else "not-obstructed",
-                    method="degree-4-functional", coefficient=None,
-                    detail=(f"f = B + 2*{n - 1}*d^2 (with f(delta,delta) = 0) {verb} "
-                            f"invariant under the rotations of a period triple with a "
-                            f"delta component (seed={seed})"),
-                ))
+            kind, status = "improper", "whole-space"
+            detail = "all parts 1: the unpinned shape is the whole space, not a proper subvariety"
+        elif len(values) > 1:
+            kind, status = "mixed", "flagged"
+            detail = "mixed part sizes: product-type candidate, flagged, not certified here"
         else:
-            certificates.append(CandidateCertificate(
-                diagram=d, kind="mixed", status="flagged", method=None,
-                coefficient=None,
-                detail="mixed part sizes: product-type candidate, flagged, not certified here",
-            ))
+            kind = "simple"
+            if l >= 2:
+                method, coefficient = "pullback-coefficient", obstruction_coefficient(n, l)
+                obstructed = coefficient != 0
+                detail = (f"pullback of the BB dual along the map from {l} points: "
+                          f"coefficient 1/(2*{l - 1}) - {n // l}/(2*{n - 1}) = {coefficient} "
+                          f"on the exceptional square")
+            else:
+                method = "degree-4-functional"
+                lat = k3_lattice(n, gram)
+                obstructed = h4_obstruction(random_period_triple(lat, rng))
+                verb = "is not" if obstructed else "is"
+                detail = (f"f = B + 2*{n - 1}*d^2 (with f(delta,delta) = 0) {verb} "
+                          f"invariant under the rotations of a period triple with a "
+                          f"delta component (seed={seed})")
+            status = "obstructed" if obstructed else "not-obstructed"
+        certificates.append(CandidateCertificate(d, kind, status, method, coefficient, detail))
     simple = [c for c in certificates if c.kind == "simple"]
     verdict = "certified" if all(c.status == "obstructed" for c in simple) else "inconclusive"
     return CertificationReport(n=n, seed=seed, verdict=verdict,

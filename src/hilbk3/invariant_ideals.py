@@ -114,7 +114,7 @@ def classify_invariant_ideals(truncation: int) -> tuple[InvariantIdeal, ...]:
     return found
 
 
-class MonomialIdeal(namedtuple("MonomialIdeal", "staircase truncation")):
+class MonomialIdeal(namedtuple("MonomialIdeal", "staircase")):
     """A monomial ideal of colength |staircase| with the staircase quotient.
 
     The quotient basis is {x^a y^b : a < staircase[b]}, the staircase's
@@ -166,16 +166,15 @@ def punctual_fixed_points(i: int) -> tuple[MonomialIdeal, ...]:
         raise ValueError("colength must be >= 1")
     if i > MAX_COLENGTH:
         raise ValueError(f"staircase search capped at colength {MAX_COLENGTH}")
-    truncation = i + 1
     fixed = []
     for parts in partitions_of(i, rows=_staircase_rows):
-        ideal = MonomialIdeal(parts, truncation)
+        ideal = MonomialIdeal(parts)
         quotient = ideal.quotient_monomials()
         # e and f map the cells of one degree onto each other, so the ideal
         # is closed under them exactly when its quotient is
         if not _closed_under_e_and_f(quotient):
             raise RuntimeError(f"row rule admitted the unstable staircase {parts}")
-        if len(quotient) != i or any(a + b >= truncation for a, b in quotient):
+        if len(quotient) != i or any(a + b >= i + 1 for a, b in quotient):
             raise RuntimeError("colength recheck failed")
         fixed.append(ideal)
     return tuple(fixed)

@@ -171,15 +171,15 @@ def test_07_rotation_invariance_of_the_tensors():
             # the library's triples always touch delta; the flat ones come
             # from the oracle, from the same draws
             triple = (random_period_triple if with_delta else flat_period_triple)(lat, rng)
-            assert is_su2_invariant(lat, b, triple)
+            assert is_su2_invariant(b, triple)
             m = delta_module_dimension(lat, triple)
             orbit = orbit_dimension_d2(lat, triple)
             if with_delta:
-                assert not is_su2_invariant(lat, d2, triple)
+                assert not is_su2_invariant(d2, triple)
                 assert m == 4
                 assert orbit == m * (m + 1) // 2 - 1 == 9
             else:
-                assert is_su2_invariant(lat, d2, triple)
+                assert is_su2_invariant(d2, triple)
                 assert m == 1
                 assert orbit == 1
 
@@ -195,7 +195,7 @@ def test_08_degree_four_functional_obstructs_punctual_candidates():
             rng = random.Random(n)
             for _ in range(10):
                 triple = random_period_triple(lat, rng)
-                assert h4_obstruction(lat, triple)
+                assert h4_obstruction(triple)
 
     _report(8, "f = B + 2(n-1)d^2 fails rotation-invariance for every one "
                "of 10 random period triples at each of n = 3, 6, 10", body)

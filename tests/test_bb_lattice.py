@@ -253,18 +253,15 @@ def test_is_su2_invariant_validates_the_form():
     lat = small_lattice(3)
     triple = random_period_triple(lat, random.Random(3))
     good = [list(r) for r in full_gram(lat)]
-    assert is_su2_invariant(lat, good, triple)
+    assert is_su2_invariant(good, triple)
     with pytest.raises(ValueError):
-        is_su2_invariant(lat, [r[:4] for r in good], triple)  # not square
+        is_su2_invariant([r[:4] for r in good], triple)  # not square
     with pytest.raises(ValueError):
-        is_su2_invariant(lat, [r[:4] for r in good[:4]], triple)  # wrong size
+        is_su2_invariant([r[:4] for r in good[:4]], triple)  # wrong size
     skew = [list(r) for r in good]
     skew[0][1] += 1
     with pytest.raises(ValueError):
-        is_su2_invariant(lat, skew, triple)  # not symmetric
-    foreign = random_period_triple(small_lattice(2), random.Random(3))
-    with pytest.raises(ValueError):
-        is_su2_invariant(lat, good, foreign)  # triple of another lattice
+        is_su2_invariant(skew, triple)  # not symmetric
 
 
 def random_symmetric(rng, size):
@@ -297,7 +294,7 @@ def test_is_su2_invariant_matches_the_dense_operators():
             for draw in (flat_period_triple, random_period_triple):
                 triple = draw(lat, rng)
                 for form in forms:
-                    answer = is_su2_invariant(lat, form, triple)
+                    answer = is_su2_invariant(form, triple)
                     assert answer == dense_su2_invariant(lat, form, triple)
                     answers.append(answer)
     # invariant: the gram and zero under both triples, f and d^2 under the
@@ -382,12 +379,12 @@ def test_bb_form_always_invariant():
     rng = random.Random(17)
     for draw in (random_period_triple, flat_period_triple):
         triple = draw(lat, rng)
-        assert is_su2_invariant(lat, full_gram(lat), triple)
+        assert is_su2_invariant(full_gram(lat), triple)
         assert is_contravariant_invariant(lat, bb_inverse_tensor(lat), triple)
         # the two index positions are different checks: B as a contravariant
         # tensor, or its inverse as a form, is moved by the rotations
         assert not is_contravariant_invariant(lat, full_gram(lat), triple)
-        assert not is_su2_invariant(lat, bb_inverse_tensor(lat), triple)
+        assert not is_su2_invariant(bb_inverse_tensor(lat), triple)
 
 
 def test_delta_squared_invariance_depends_on_periods():
@@ -395,10 +392,10 @@ def test_delta_squared_invariance_depends_on_periods():
     rng = random.Random(23)
     triple = random_period_triple(lat, rng)
     assert triple.has_delta_component
-    assert not is_su2_invariant(lat, delta_squared_form(lat), triple)
+    assert not is_su2_invariant(delta_squared_form(lat), triple)
     flat = flat_period_triple(lat, rng)
     assert not flat.has_delta_component
-    assert is_su2_invariant(lat, delta_squared_form(lat), flat)
+    assert is_su2_invariant(delta_squared_form(lat), flat)
 
 
 def test_orbit_dimensions():
@@ -418,18 +415,18 @@ def test_h4_obstruction_holds():
     for n in (3, 6):
         lat = small_lattice(n)
         triple = random_period_triple(lat, rng)
-        assert h4_obstruction(lat, triple)
+        assert h4_obstruction(triple)
 
 
 def test_h4_obstruction_preconditions():
     rng = random.Random(43)
     lat4 = small_lattice(4)
     with pytest.raises(ValueError):
-        h4_obstruction(lat4, random_period_triple(lat4, rng))
+        h4_obstruction(random_period_triple(lat4, rng))
     lat3 = small_lattice(3)
     flat = flat_period_triple(lat3, rng)
     with pytest.raises(ValueError):
-        h4_obstruction(lat3, flat)
+        h4_obstruction(flat)
 
 
 def test_random_period_triple_needs_the_exceptional_class():
@@ -501,10 +498,10 @@ def test_random_period_triple_matches_fraction_gram_schmidt():
                 if gram is SCRAMBLED_7_6:
                     for t in (triple, flat):
                         for form in (full_gram(lat), restriction_functional(lat)):
-                            assert (is_su2_invariant(lat, form, t)
+                            assert (is_su2_invariant(form, t)
                                     == dense_su2_invariant(lat, form, t))
     lat = k3_lattice(3, SCRAMBLED_7_6)
-    assert h4_obstruction(lat, random_period_triple(lat, random.Random(0)))
+    assert h4_obstruction(random_period_triple(lat, random.Random(0)))
 
 
 def test_random_period_triple_draws_are_pinned():
@@ -671,10 +668,10 @@ def test_the_two_degree_4_routes_agree(seed, drawn, n):
     lat = k3_lattice(n, drawn[1])
     f = restriction_functional(lat)
     triple = random_period_triple(lat, random.Random(seed))
-    assert h4_obstruction(lat, triple)
+    assert h4_obstruction(triple)
     assert not dense_su2_invariant(lat, f, triple)
     flat = flat_period_triple(lat, random.Random(seed))
-    assert is_su2_invariant(lat, f, flat) and dense_su2_invariant(lat, f, flat)
+    assert is_su2_invariant(f, flat) and dense_su2_invariant(lat, f, flat)
 
 
 NONZERO_FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)

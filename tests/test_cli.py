@@ -472,7 +472,7 @@ def _drop_degree_2_entry(monkeypatch):
 
 
 def _h4_not_obstructed(monkeypatch):
-    monkeypatch.setattr(bb_lattice, "h4_obstruction", lambda lat, triple: False)
+    monkeypatch.setattr(bb_lattice, "h4_obstruction", lambda triple: False)
 
 
 def _zero_pairing_row(monkeypatch):
@@ -524,7 +524,7 @@ def test_an_su2_check_that_disagrees_with_the_closed_form_is_an_internal_failure
         monkeypatch, capsys):
     # the degree-4 verdict is reached twice, so a defect in the su(2) check
     # that calls f invariant ends the report instead of failing its check
-    monkeypatch.setattr(bb_lattice, "is_su2_invariant", lambda lat, form, triple: True)
+    monkeypatch.setattr(bb_lattice, "is_su2_invariant", lambda form, triple: True)
     code, payload = run_json(["certify", "--n", "3"], capsys)
     assert (code, payload["status"]) == (3, "internal-error")
     assert payload["error"]["type"] == "RuntimeError"
@@ -658,6 +658,33 @@ def test_certify_output_bytes_are_pinned(capsys):
     assert output_digest([["certify", "--n", str(n), "--seed", "3", "--json"]
                           for n in range(1, 46)], capsys) == (
         "e96f1f51665c9ed30ceaf8eed08f93c69b80f5adbc27355cce9022acd56da570")
+
+
+def test_certify_bytes_are_pinned_past_the_default_pins(tmp_path, monkeypatch, capsys):
+    # `certify --seed 3` in both formats where the pins above stop: near the
+    # cap on the default gram, on a 4 x 4 gram of signature (3, 1) with a
+    # p/q entry, and with each simple route made to leave its candidate
+    # not obstructed (verdict inconclusive, exit 1); the exit code of every
+    # report is hashed too
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dev.json").write_text(json.dumps(
+        {"dim": 4, "rows": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, "2/3", 0], [0, 0, 0, 2]]}))
+    argvs = [["certify", "--n", str(n)] for n in (91, 100)]
+    argvs += [["certify", "--n", str(n), "--gram", "dev.json"] for n in (3, 6, 10, 28, 91)]
+    digest = hashlib.sha256()
+
+    def update(argvs):
+        for argv in argvs:
+            for fmt in ("--json", "--table"):
+                code, out = run(argv + ["--seed", "3", fmt], capsys)
+                digest.update(f"{code}\n{out}".encode())
+    update(argvs)
+    for name, value in (("obstruction_coefficient", Fraction(0)), ("h4_obstruction", False)):
+        with monkeypatch.context() as patch:
+            patch.setattr(bb_lattice, name, lambda *args: value)
+            update([["certify", "--n", "6"]])
+    assert digest.hexdigest() == (
+        "efe1b5f45f806a0697963beafcadfe8707ece787875ee41b5aa87e7507c75fdb")
 
 
 def test_ideals_output_bytes_are_pinned(capsys):

@@ -123,7 +123,7 @@ def test_closure_rule_matches_the_ring_routes(monkeypatch):
     # the staircase check against the quotient-cell scan on every partition
     for i in range(1, 15):
         for parts in partitions.partitions_of(i):
-            quotient = MonomialIdeal(parts, i + 1).quotient_monomials()
+            quotient = MonomialIdeal(parts).quotient_monomials()
             assert invariant_ideals._closed_under_e_and_f(quotient) == (
                 staircase_is_stable(quotient)), parts
     # each slice matrix the certificate builds against the ring's
@@ -141,7 +141,7 @@ def test_classification_cap():
 
 
 def test_monomial_ideal_geometry():
-    ideal = MonomialIdeal((2, 1), truncation=4)
+    ideal = MonomialIdeal((2, 1))
     assert sum(ideal.staircase) == len(ideal.quotient_monomials()) == 3
     assert ideal.quotient_monomials() == {(0, 0), (1, 0), (0, 1)}
     assert ideal.generators() == ((2, 0), (1, 1), (0, 2))

@@ -51,7 +51,7 @@ VALUES = {
                           (6, 0, "certified", (CandidateCertificate(*CERTIFICATE),)),
                           (6, 1, "certified", ())),
     InvariantIdeal: (("truncation", "degrees"), (4, (2, 3)), (4, (1, 2, 3))),
-    MonomialIdeal: (("staircase", "truncation"), ((2, 1), 4), ((2, 1), 5)),
+    MonomialIdeal: (("staircase",), ((2, 1),), ((3, 2, 1),)),
 }
 
 
