@@ -192,7 +192,10 @@ def _gram_entry(x):
     return Fraction(p, q)
 
 
-def _load_gram(path: str | None):
+def _load_gram(path: str | None, dim_v: int | None = None):
+    """The checked `linalg.Gram` of a gram file, None for no path.  A dim_v
+    that the file's size must match is compared before the gram is
+    eliminated, since the Gram check is the costliest step."""
     if path is None:
         return None
     import json
@@ -229,6 +232,8 @@ def _load_gram(path: str | None):
     rows = [[_gram_entry(x) for x in row] for row in data["rows"]]
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise ValueError("gram file dimensions are inconsistent")
+    if dim_v not in (None, dim):
+        raise ValueError("--dimv disagrees with the gram file")
     return linalg.Gram(rows)
 
 
@@ -335,11 +340,9 @@ def cmd_frobenius(args) -> tuple[dict, list[dict]]:
     from . import frobenius, linalg
 
     # the pattern first: an argument over its budget is reported before the
-    # gram file is read
+    # gram file is read, and the file's size before its Gram check
     pattern = frobenius.algebra_dimension_pattern(args.dimv, args.n)
-    gram = _load_gram(args.gram)
-    if gram is not None and len(gram) != args.dimv:
-        raise ValueError("--dimv disagrees with the gram file")
+    gram = _load_gram(args.gram, args.dimv)
     checks = [{"name": "dimension-pattern-palindromic", "ok": pattern == pattern[::-1]}]
     result = {
         "dim_v": args.dimv,

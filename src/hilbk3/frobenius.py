@@ -10,7 +10,9 @@ in every term, and both spaces have codimension dim Sym^(2n-d), since
 Sym^d = H_d + q Sym^(d-2) makes Delta^(d-n) onto.  Delta reads the form
 as the `integral` rows that the gram's one `linalg.Gram` check keeps, the
 form scaled to ints by the package's one common-denominator rule, so its
-powers are int matrices with the kernels of the rational ones.  The graded
+powers are int matrices with the kernels of the rational ones; each goes
+to `linalg.nullspace` as the sparse rows read off its images, in the one
+row form of every elimination, and no dense matrix is built.  The graded
 pieces sit in cohomological degrees 0, 2, ..., 4n with
 
     dim A_{2i} = dim Sym^{min(i, 2n-i)} V,
@@ -73,13 +75,16 @@ def monomial_basis(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def laplacian_matrix(gram, degree: int, power: int) -> list[list[int]]:
-    """Delta^power: Sym^degree -> Sym^(degree - 2 power), where the Laplacian
-    Delta contracts two slots with the form, read as the `integral` rows of
-    the `linalg.Gram` check of the gram: the form scaled by gden to ints, so
-    the matrix is gden^power times Delta^power, with the same kernel.  A
-    `Gram` passes that check unchanged.  Delta^k of a monomial is
-    Delta^(k-1) of the terms of its Delta, each kept for the one call."""
+def laplacian_matrix(gram, degree: int, power: int) -> list[dict]:
+    """Delta^power: Sym^degree -> Sym^(degree - 2 power) as sparse int rows,
+    one {column: value} row per monomial of Sym^(degree - 2 power) over the
+    monomials of Sym^degree, in the row form `linalg.nullspace` takes.  The
+    Laplacian Delta contracts two slots with the form, read as the
+    `integral` rows of the `linalg.Gram` check of the gram: the form scaled
+    by gden to ints, so the matrix is gden^power times Delta^power, with the
+    same kernel.  A `Gram` passes that check unchanged.  Delta^k of a
+    monomial is Delta^(k-1) of the terms of its Delta, each kept for the
+    one call, and the rows are read straight off those images."""
     dim = len(gram)
     _, rows = linalg.Gram(gram).integral
     form = [(i, j, g) for i, row in enumerate(rows) for j, g in row if j >= i]
@@ -98,8 +103,12 @@ def laplacian_matrix(gram, degree: int, power: int) -> list[list[int]]:
                         out[h] = out.get(h, 0) + c * x
         return images[e] if k else {e: 1}
 
-    columns = [image(e, power) for e in monomial_basis(dim, degree)]
-    return [[col.get(m, 0) for col in columns] for m in monomial_basis(dim, degree - 2 * power)]
+    rows = {m: {} for m in monomial_basis(dim, degree - 2 * power)}
+    for c, e in enumerate(monomial_basis(dim, degree)):
+        for m, x in image(e, power).items():
+            if x:
+                rows[m][c] = x
+    return list(rows.values())
 
 
 def harmonic_basis(gram, degree: int, power: int) -> list[dict]:

@@ -66,9 +66,9 @@ def irreducibility_certificate(l: int) -> bool:
 
     if l < 0:
         raise ValueError("degree must be nonnegative")
-    # e sends x^(l-r) y^r, column r, to r x^(l-r+1) y^(r-1), row r - 1
-    e = [[r + 1 if c == r + 1 else 0 for c in range(l + 1)] for r in range(l + 1)]
-    return len(linalg.nullspace(e, l + 1)) == 1
+    # e sends x^(l-r) y^r, column r, to r x^(l-r+1) y^(r-1), row r - 1; row
+    # l is zero
+    return len(linalg.nullspace([{r + 1: r + 1} for r in range(l)], l + 1)) == 1
 
 
 class InvariantIdeal(namedtuple("InvariantIdeal", "truncation degrees")):

@@ -1,24 +1,26 @@
-"""Exact linear algebra over the rationals: one sparse elimination core plus
-one symmetric elimination for grams; no matrix products.
+"""Exact linear algebra over the rationals: one sparse row form and one
+inner loop for every elimination; no matrix products.
 
 Matrices are lists of rows; entries are Fraction or int (ints are promoted
 by arithmetic).  No floats anywhere: kernels, determinants and congruences
-are exact.  `Echelon` holds the sparse row-elimination loop and works on
-sparse {column: value} rows throughout, each value an int when its
-denominator is 1 and a Fraction otherwise; nullspace and det pass their
-dense rows through `sparse` once and read their answers off it, the kernel
-as its reduced echelon basis of such sparse vectors.  The identity's 0 and
-1 entries are ints; det returns a Fraction.  `Gram`, the one check of a
+are exact.  Every elimination works on sparse {column: value} rows, each
+value an int when its denominator is 1 and a Fraction otherwise, and
+updates them through `_subtract`, which drops every entry that cancels.
+`Echelon` holds the row span in reduced echelon form; nullspace takes such
+sparse rows and returns the kernel as its reduced echelon basis of sparse
+vectors.  `det` is the one routine that takes dense rows: it passes them
+through `sparse` once and reads its answer off `Echelon`.  The identity's 0
+and 1 entries are ints; det returns a Fraction.  `Gram`, the one check of a
 gram, reads nondegeneracy off the diagonal D of `congruence_diagonalize`
-(det = prod D) and solves columns of P off the rows it eliminated.  It
-also keeps its entries scaled to ints, once per gram, by `integral_rows`.
-`numerators` is the one rule that scales rationals to a common
-denominator: a vector's, and through `integral_rows` a matrix's, as sparse
-int rows.  Every other module scales through it, and every reader of a
-gram in ints reads the checked `Gram`'s `integral` rows.  A checked `Gram`
-is read-only, like every value type.
+(det = prod D), the symmetric elimination on the same sparse rows, and
+solves columns of P off the rows it eliminated.  It also keeps its entries
+scaled to ints, once per gram, by `integral_rows`.  `numerators` is the
+one rule that scales rationals to a common denominator: a vector's, and
+through `integral_rows` a matrix's, as sparse int rows.  Every other module
+scales through it, and every reader of a gram in ints reads the checked
+`Gram`'s `integral` rows.  A checked `Gram` is read-only, like every value
+type.
 """
-
 from fractions import Fraction
 from itertools import islice
 from math import lcm, prod
@@ -59,18 +61,21 @@ def integral_rows(m: Matrix) -> tuple[int, tuple[tuple[tuple[int, int], ...], ..
                       for row in m)
 
 
-def sparse(row: Vector) -> dict:
-    """{column: entry} over the nonzero entries of a dense row."""
-    return {j: a for j, a in enumerate(row) if a}
-
-
 def _exact(a):
     """a as an int when its denominator is 1, else a itself."""
     return a if type(a) is int or a.denominator != 1 else a.numerator
 
 
+def sparse(row: Vector) -> dict:
+    """A dense row in the package's sparse row form: {column: entry} over
+    its nonzero entries, each an int when its denominator is 1."""
+    return {j: _exact(a) for j, a in enumerate(row) if a}
+
+
 def _subtract(x: dict, f, y: dict) -> None:
-    """x -= f * y in place on sparse rows (f != 0); cancelled entries are dropped."""
+    """x -= f * y in place on sparse rows (f != 0); cancelled entries are
+    dropped.  The inner loop of every elimination: `Echelon`'s and the
+    gram congruence's."""
     for j, b in y.items():
         a = x.get(j, 0) - f * b
         if a:
@@ -83,14 +88,14 @@ def _subtract(x: dict, f, y: dict) -> None:
 class Echelon:
     """Incremental row span kept in reduced echelon form.
 
-    The package's only row-elimination loop.  Rows are sparse
-    {column: value} dicts whose pivot is their least column, with entry 1
-    there and 0 at every other row's pivot, so a vector r reduces to
-    r - sum_p r[p] * row_p with every r[p] read straight from the input.
-    Vectors go in and come out sparse: {column: value} dicts over nonzero
-    values only (see `sparse`).  Every value it stores or returns is an int
-    when its denominator is 1 and a Fraction otherwise, so rows that stay
-    integral cost int arithmetic.
+    Rows are in the package's one sparse row form, {column: value} dicts
+    over nonzero values only (see `sparse`), and are updated by the one
+    inner loop, `_subtract`, that `congruence_diagonalize` shares.  A row's
+    pivot is its least column, with entry 1 there and 0 at every other
+    row's pivot, so a vector r reduces to r - sum_p r[p] * row_p with every
+    r[p] read straight from the input.  Every value it stores or returns is
+    an int when its denominator is 1 and a Fraction otherwise, so rows that
+    stay integral cost int arithmetic.
     """
 
     def __init__(self, ncols: int):
@@ -138,11 +143,12 @@ class Echelon:
         return [(p, dict(self._rows[p])) for p in self.pivots]
 
 
-def nullspace(a: Matrix, ncols: int) -> list[dict]:
-    """The reduced echelon basis of the right kernel, unique for the
-    subspace: sparse vectors in pivot order, each 1 at its least column
-    (its pivot) and 0 at every other vector's least column.  The Frobenius
-    build reads its normal forms straight off that contract.
+def nullspace(a: list[dict], ncols: int) -> list[dict]:
+    """The reduced echelon basis of the right kernel of the sparse rows a
+    over ncols columns, unique for the subspace: sparse vectors in pivot
+    order, each 1 at its least column (its pivot) and 0 at every other
+    vector's least column.  The Frobenius build reads its normal forms
+    straight off that contract.
 
     a is eliminated with its columns reversed.  A free column f there gives
     the vector with 1 at f and -row[f] at the pivot of each row; mapped
@@ -151,7 +157,7 @@ def nullspace(a: Matrix, ncols: int) -> list[dict]:
     last = ncols - 1
     ech = Echelon(ncols)
     for row in a:
-        ech.add(sparse(row[::-1]))
+        ech.add({last - j: x for j, x in row.items()})
     rows = ech.rows
     pivots = {p for p, _ in rows}
     return [{last - f: 1, **{last - p: -row[f] for p, row in rows if f in row}}
@@ -175,16 +181,9 @@ def det(a: Matrix) -> Fraction:
     return -value if inversions % 2 else value
 
 
-def _add_row(row: Vector, f, src: Vector) -> None:
-    """row += f * src over src's nonzero entries only."""
-    for j, x in enumerate(src):
-        if x:
-            row[j] += f * x
-
-
-def congruence_diagonalize(rows: Matrix) -> tuple[list, list]:
-    """Symmetric elimination, in place, of square symmetric Fraction rows G;
-    returns (D, moves), with det G = prod D.
+def congruence_diagonalize(rows: list[dict]) -> tuple[list, list]:
+    """Symmetric elimination, in place, of the sparse rows (see `sparse`) of
+    a square symmetric matrix G; returns (D, moves), with det G = prod D.
 
     Whole-row operations clear each pivot's column below it and leave the
     symmetric Schur complement, so no step mirrors a column operation.  The
@@ -192,32 +191,38 @@ def congruence_diagonalize(rows: Matrix) -> tuple[list, list]:
     adds column and row j to column and row i, act on every row and are
     logged as moves; T is their product.  Each row k ends as D[k] * L[i][k]
     in its columns i > k, where T^T G T = L diag(D) L^T with L unit lower
-    triangular, so P = T L^-T has P^T G P = diag(D) (`Gram.column`).
+    triangular, so P = T L^-T has P^T G P = diag(D) (`Gram.column`).  The
+    rows keep `Echelon`'s form throughout: no zero entry, and every value
+    an int when its denominator is 1.
     """
     n = len(rows)
     moves = []
     for k in range(n):
-        if rows[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if rows[i][i] != 0), None)
+        if k not in rows[k]:
+            pivot = next((i for i in range(k + 1, n) if i in rows[i]), None)
             if pivot is None:
-                off = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
-                            if rows[i][j] != 0), None)
-                if off is None:
+                # the block's first nonzero row has no entry left of its
+                # diagonal, which is zero: its least column j is the first
+                # nonzero entry above the block's diagonal
+                pivot = next((i for i in range(k, n) if rows[i]), None)
+                if pivot is None:
                     break  # remaining block is zero
-                pivot, j = off
+                j = min(rows[pivot])
                 for row in rows:
-                    row[pivot] += row[j]
-                _add_row(rows[pivot], 1, rows[j])  # diagonal 2 a[pivot][j] != 0
+                    if j in row:
+                        _subtract(row, -row[j], {pivot: 1})
+                _subtract(rows[pivot], -1, rows[j])  # diagonal 2 a[pivot][j] != 0
                 moves.append(("add", pivot, j))
-            for row in rows:
-                row[k], row[pivot] = row[pivot], row[k]
-            rows[k], rows[pivot] = rows[pivot], rows[k]
+            swap = {k: pivot, pivot: k}
+            rows[:] = [{swap.get(c, c): x for c, x in rows[swap.get(i, i)].items()}
+                       for i in range(n)]
             moves.append(("swap", k, pivot))
         top = rows[k]
         for row in rows[k + 1:]:
-            if row[k]:
-                _add_row(row, -row[k] / top[k], top)
-    return [rows[i][i] for i in range(n)], moves
+            if k in row:
+                # Fraction, not /: two int values would give a float
+                _subtract(row, _exact(Fraction(row[k], top[k])), top)
+    return [row.get(i, 0) for i, row in enumerate(rows)], moves
 
 
 class Gram(tuple):
@@ -233,13 +238,13 @@ class Gram(tuple):
     def __new__(cls, rows):
         if isinstance(rows, Gram):
             return rows
-        rows = symmetric_rows(rows, "gram")
-        gram = super().__new__(cls, map(tuple, rows))
-        diagonal, moves = congruence_diagonalize(rows)  # rows are a copy already
+        gram = super().__new__(cls, map(tuple, symmetric_rows(rows, "gram")))
+        rows = list(map(sparse, gram))
+        diagonal, moves = congruence_diagonalize(rows)
         if 0 in diagonal:
             raise ValueError("gram must be nondegenerate")
         vars(gram).update(diagonal=tuple(diagonal), integral=integral_rows(gram),
-                          _eliminated=tuple(map(tuple, rows)), _moves=tuple(moves))
+                          _eliminated=tuple(tuple(r.items()) for r in rows), _moves=tuple(moves))
         return gram
 
     def __setattr__(self, name, value=None):
@@ -248,13 +253,14 @@ class Gram(tuple):
     __delattr__ = __setattr__  # called with the name alone
 
     def column(self, c: int) -> list:
-        """P e_c = T L^-T e_c: back-substitution in L^T x = e_c, then the
-        moves applied last to first.  Every entry is a Fraction."""
+        """P e_c = T L^-T e_c: back-substitution in L^T x = e_c over the
+        eliminated rows' (column, value) pairs, then the moves applied last
+        to first.  Every entry is a Fraction."""
         rows, d = self._eliminated, self.diagonal
         x = [Fraction(0)] * len(d)
         x[c] = Fraction(1)
         for j in range(c - 1, -1, -1):
-            x[j] = -sum(rows[j][i] * x[i] for i in range(j + 1, c + 1)) / d[j]
+            x[j] = -sum((v * x[i] for i, v in rows[j] if j < i <= c), Fraction(0)) / d[j]
         for kind, i, j in reversed(self._moves):
             if kind == "swap":
                 x[i], x[j] = x[j], x[i]

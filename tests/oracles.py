@@ -549,7 +549,7 @@ def ideals_report(truncation):
     n = truncation
     ring = TruncatedRing(n)
     for l in range(n):
-        if len(linalg.nullspace(ring.matrix_e_on_degree(l), l + 1)) != 1:
+        if len(linalg.nullspace(list(map(linalg.sparse, ring.matrix_e_on_degree(l))), l + 1)) != 1:
             raise RuntimeError(f"degree {l} slice is reducible")
     supports = []
     for l in range(1, n):
@@ -594,10 +594,10 @@ def ideal_normal_forms(gram, n, d):
         return sorted((e for e in product(range(deg + 1), repeat=dim) if sum(e) == deg),
                       reverse=True)
 
-    lap = laplacian_matrix(gram, n + 1, 1)
+    low, cols = monomials(n + 1), monomials(d)
+    lap = [_dense(row, len(low)) for row in laplacian_matrix(gram, n + 1, 1)]
     harmonics = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
                               for row in lap]).nullspace()
-    low, cols = monomials(n + 1), monomials(d)
     index = {m: k for k, m in enumerate(cols)}
     rows = []
     for h in harmonics:

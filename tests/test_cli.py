@@ -345,24 +345,47 @@ def test_gram_file_is_read_up_to_its_character_cap(tmp_path, capsys, argv, over)
 ])
 def test_degenerate_gram_is_rejected_in_every_mode(tmp_path, capsys, argv, dim):
     # the zero gram, a rank-one gram with no zero diagonal entry, and a
-    # hyperbolic plane beside a zero direction, which the check reaches only
-    # through the zero-pivot repair
+    # hyperbolic plane beside zero directions, which the check reaches only
+    # through the zero-pivot repair.  Each has the report's size (the plane
+    # needs 3, and takes --dimv 3 in full mode): frobenius refuses a file of
+    # another size before its Gram check
     path = tmp_path / "gram.json"
-    for rows in ([[0] * dim for _ in range(dim)], [[1, 1], [1, 1]],
-                 [[0, 1, 0], [1, 0, 0], [0, 0, 0]]):
+    plane = max(dim, 3)
+    for rows in ([[0] * dim for _ in range(dim)], [[1] * dim for _ in range(dim)],
+                 [[int(i + j == 1) for j in range(plane)] for i in range(plane)]):
         path.write_text(json.dumps({"dim": len(rows), "rows": rows}))
-        code, payload = run_json(argv + ["--n", "2", "--gram", str(path)], capsys)
+        sized = argv[:-1] + [str(len(rows))] if argv[0] == "frobenius" else argv
+        code, payload = run_json(sized + ["--n", "2", "--gram", str(path)], capsys)
         assert code == 1
         assert payload["status"] == "error"
         assert payload["error"]["message"] == "gram must be nondegenerate"
+
+
+def test_frobenius_compares_dimv_before_the_gram_check(monkeypatch, tmp_path, capsys):
+    # the file's size against --dimv, before the Gram check's elimination,
+    # the costliest step, runs at all; so a file of the wrong size that is
+    # also degenerate reads as the wrong size
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps({"dim": 2, "rows": [[1, 0], [0, 1]]}))
+
+    def eliminate(rows):
+        raise RuntimeError("the gram was eliminated")
+
+    monkeypatch.setattr(linalg, "congruence_diagonalize", eliminate)
+    for dimv in ("6", "7"):  # a full table and dimensions only
+        code, payload = run_json(["frobenius", "--dimv", dimv, "--n", "2", "--gram", str(path)],
+                                 capsys)
+        assert (code, payload["status"]) == (1, "error")
+        assert payload["error"]["message"] == "--dimv disagrees with the gram file"
 
 
 # the eliminations a report runs on the gram itself: the one symmetric
 # elimination of the Gram check, which period triples are also drawn from,
 # and no determinant; and the one scaling of the gram to ints that the
 # check keeps.  A call counts when its argument has the gram's size and
-# entries, so the determinants of the Frobenius pairing matrices and the
-# scaling of the degree-4 functional do not.
+# entries, written out densely where it is sparse rows, so the determinants
+# of the Frobenius pairing matrices and the scaling of the degree-4
+# functional do not.
 GRAM_ELIMINATIONS = [
     (["certify", "--n", "3", "--gram"], ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)),
      {"det": 0, "congruence_diagonalize": 1, "integral_rows": 1}),
@@ -388,7 +411,9 @@ def test_each_report_eliminates_the_gram_once(monkeypatch, tmp_path, capsys, arg
     counts = Counter({name: 0 for name in expected})
     for name in expected:
         def spy(a, *rest, _real=getattr(linalg, name), _name=name):
-            if len(a) == len(target) and [[Fraction(x) for x in row] for row in a] == target:
+            dense = [[row.get(j, 0) for j in range(len(a))] if isinstance(row, dict) else row
+                     for row in a]
+            if len(a) == len(target) and [[Fraction(x) for x in row] for row in dense] == target:
                 counts[_name] += 1
             return _real(a, *rest)
         monkeypatch.setattr(linalg, name, spy)

@@ -126,24 +126,32 @@ def test_monomial_basis_counts():
             assert len(set(basis)) == len(basis)
 
 
+def dense_laplacian(gram, degree, power):
+    """The sparse rows of `laplacian_matrix` written out over the monomials
+    of Sym^degree."""
+    ncols = len(monomial_basis(len(gram), degree))
+    return [[row.get(c, 0) for c in range(ncols)] for row in laplacian_matrix(gram, degree, power)]
+
+
 def test_laplacian_on_isotropic_power():
     # x^d is harmonic when x is isotropic: Delta picks up B(x, x) = 0
     for d in range(2, 5):
         basis = monomial_basis(2, d)
         vec = [Fraction(1) if m == (d, 0) else Fraction(0) for m in basis]
-        assert all(x == 0 for x in mat_vec(laplacian_matrix(U, d, 1), vec))
-    # on an integral gram every entry is an int: e_i (e_i - 1) / 2 is one
+        assert all(x == 0 for x in mat_vec(dense_laplacian(U, d, 1), vec))
+    # on an integral gram every entry is an int: e_i (e_i - 1) / 2 is one;
+    # the sparse rows hold no zero
     for gram in (U, U2, U4):
         for d in range(2, 6):
             m = laplacian_matrix(gram, d, 1)
-            assert all(type(x) is int for row in m for x in row), (gram, d)
+            assert all(type(x) is int and x for row in m for x in row.values()), (gram, d)
 
 
 def test_quadric_is_laplacian_eigenvector():
     for gram in (U, U2, U4):
         dim = len(gram)
         q = quadric_element(gram, dim)
-        image = mat_vec(laplacian_matrix(gram, 2, 1), q)
+        image = mat_vec(dense_laplacian(gram, 2, 1), q)
         assert image == [Fraction(dim)]
 
 
@@ -175,11 +183,12 @@ def test_laplacian_power_is_the_composite():
         for d in range(7):
             composite = None
             for k in range(1, d // 2 + 1):
-                step = laplacian_matrix(gram, d - 2 * k + 2, 1)
+                step = dense_laplacian(gram, d - 2 * k + 2, 1)
                 composite = step if composite is None else mat_mul(step, composite)
+                assert dense_laplacian(gram, d, k) == composite, (gram, d, k)
                 power = laplacian_matrix(gram, d, k)
-                assert power == composite, (gram, d, k)
-                assert all(type(x) is int for row in power for x in row), (gram, d, k)
+                assert all(type(x) is int and x for row in power for x in row.values()), (
+                    gram, d, k)
 
 
 def test_dimension_pattern():

@@ -93,8 +93,8 @@ def test_irreducibility_certificates():
     e = ring.matrix_e_on_degree(4)
     m = len(e)
     doubled = [row + [0] * m for row in e] + [[0] * m + row for row in e]
-    assert len(linalg.nullspace(e, m)) == 1
-    assert len(linalg.nullspace(doubled, 2 * m)) == 2
+    assert len(linalg.nullspace(list(map(linalg.sparse, e)), m)) == 1
+    assert len(linalg.nullspace(list(map(linalg.sparse, doubled)), 2 * m)) == 2
 
 
 def test_classification_is_powers_of_the_maximal_ideal():
@@ -126,13 +126,15 @@ def test_closure_rule_matches_the_ring_routes(monkeypatch):
             quotient = MonomialIdeal(parts).quotient_monomials()
             assert invariant_ideals._closed_under_e_and_f(quotient) == (
                 staircase_is_stable(quotient)), parts
-    # each slice matrix the certificate builds against the ring's
+    # each slice matrix the certificate builds against the ring's: its sparse
+    # rows are the ring's nonzero rows, and the ring's last row is zero
     seen = []
     nullspace = linalg.nullspace
     monkeypatch.setattr(linalg, "nullspace", lambda m, ncols: seen.append(m) or nullspace(m, ncols))
     for l in range(MAX_TRUNCATION):
         assert irreducibility_certificate(l)
-        assert seen.pop() == TruncatedRing(l + 1).matrix_e_on_degree(l), l
+        *rows, last = TruncatedRing(l + 1).matrix_e_on_degree(l)
+        assert seen.pop() == list(map(linalg.sparse, rows)) and not any(last), l
 
 
 def test_classification_cap():

@@ -71,7 +71,7 @@ def test_nullspace_vectors_annihilate():
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 5)
         a = _random_matrix(rng, rows, cols, -3, 3)
-        basis = [_dense(v, cols) for v in linalg.nullspace(a, cols)]
+        basis = [_dense(v, cols) for v in linalg.nullspace(list(map(linalg.sparse, a)), cols)]
         assert len(basis) == cols - rank(a)
         for v in basis:
             assert all(x == 0 for x in mat_vec(a, v))
@@ -173,7 +173,7 @@ def test_congruence_diagonalize_property():
         n = rng.randint(1, 5)
         a = _random_matrix(rng, n, n, -3, 3)
         gram = mat_add(a, transpose(a))
-        diag, _ = linalg.congruence_diagonalize([row[:] for row in gram])
+        diag, _ = linalg.congruence_diagonalize(list(map(linalg.sparse, gram)))
         pos = sum(1 for d in diag if d > 0)
         neg = sum(1 for d in diag if d < 0)
         zero = sum(1 for d in diag if d == 0)
@@ -301,7 +301,7 @@ def test_nullspace_matches_sympy_span(a):
     # the reduced echelon basis of the kernel, unique for the subspace: the
     # rows of sympy's RREF of any kernel basis, with 0 and 1 entries ints
     ncols = _ncols(a)
-    sparse_basis = linalg.nullspace(a, ncols)
+    sparse_basis = linalg.nullspace(list(map(linalg.sparse, a)), ncols)
     basis = [_dense(v, ncols) for v in sparse_basis]
     expect = [list(v) for v in _sym(a, ncols).nullspace()]
     assert len(basis) == len(expect)
@@ -388,16 +388,20 @@ SPARSE = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), ENTRIES)
 NONZERO = st.builds(Fraction, st.sampled_from([p for p in range(-6, 7) if p]), st.integers(1, 4))
 
 
-@pytest.mark.parametrize("kind", ("random", "low-rank", "zero-diagonal", "sheared"))
+@pytest.mark.parametrize("kind", ("random", "integral", "low-rank", "zero-diagonal",
+                                  "sheared"))
 @PROPERTY
 @given(data=st.data())
 def test_congruence_diagonalize_matches_det_and_the_dense_oracle(kind, data):
     # D: a zero exactly when det is 0, and prod D is det, on random forms, on
-    # forms singular by construction (B^T diag B of rank below n), and on
-    # zero-diagonal forms, which reach the pair-add repair and the zero-block
-    # stop.  On every nondegenerate form, each column of the Gram's P equals
-    # the dense oracle's.  A swap or a pair-add at step k must act on the
-    # rows before k too.  The sheared forms Z + d a a^T, with a[0] = 1 and
+    # int forms, on forms singular by construction (B^T diag B of rank below
+    # n), and on zero-diagonal forms, which reach the pair-add repair and the
+    # zero-block stop.  No D entry and no kept value is a float, and each is
+    # an int exactly when it is integral, on int forms too, where a pivot
+    # factor divides one int by another; no kept row holds a zero.  On every
+    # nondegenerate form, each column of the Gram's P equals the dense
+    # oracle's, and is all Fractions.  A swap or a pair-add at step k must
+    # act on the rows before k too.  The sheared forms Z + d a a^T, with a[0] = 1 and
     # Z zero in its first row and column and at (1, 1), reach one of them at
     # k = 1, where Z is the Schur complement and row 0, d a^T, still reaches
     # every column: the repair if Z's diagonal is zero, else the swap
@@ -417,19 +421,48 @@ def test_congruence_diagonalize_matches_det_and_the_dense_oracle(kind, data):
         a = [Fraction(1)] + [data.draw(NONZERO) for _ in range(n - 1)]
         gram = [[lower[max(i, j)][min(i, j)] + d * a[i] * a[j] for j in range(n)]
                 for i in range(n)]
+    elif kind == "integral":
+        lower = [[data.draw(st.one_of(st.just(0), st.integers(-6, 6))) for j in range(i + 1)]
+                 for i in range(n)]
+        gram = [[lower[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
     else:
         lower = [[Fraction(0) if kind == "zero-diagonal" and i == j else data.draw(SPARSE)
                   for j in range(i + 1)] for i in range(n)]
         gram = [[lower[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
-    diag, _ = linalg.congruence_diagonalize([row[:] for row in gram])
+    rows = list(map(linalg.sparse, gram))
+    diag, _ = linalg.congruence_diagonalize(rows)
     det = linalg.det(gram)
     assert (0 in diag) == (det == 0)
     assert prod(diag, start=Fraction(1)) == det
     assert kind != "low-rank" or det == 0
+    kept = [x for row in rows for x in row.values()]
+    assert 0 not in kept
+    assert _int_exactly_when_integral(diag + kept)
     if det != 0:
         checked = linalg.Gram(gram)
         assert list(checked.diagonal) == diag
-        assert [checked.column(c) for c in range(n)] == dense_congruence_diagonalize(gram)[0]
+        columns = [checked.column(c) for c in range(n)]
+        assert columns == dense_congruence_diagonalize(gram)[0]
+        assert all(type(x) is Fraction for column in columns for x in column)
+
+
+def test_congruence_keeps_no_cancelled_entry():
+    # an int form whose elimination cancels entries, swaps a pivot into place
+    # at k = 1 and repairs the zero-diagonal block at k = 3: every cancelled
+    # entry leaves its row, the swap and the repair included, and the Gram
+    # keeps the same rows as (column, value) pairs
+    gram = [[1, 1, 1, 0, 0], [1, 1, 2, 0, 0], [1, 2, 0, 0, 0], [0, 0, 0, 0, 1], [0, 0, 0, 1, 0]]
+    rows = list(map(linalg.sparse, gram))
+    diag, moves = linalg.congruence_diagonalize(rows)
+    assert diag == [1, -1, 1, 2, Fraction(-1, 2)]
+    assert moves == [("swap", 1, 2), ("add", 3, 4), ("swap", 3, 3)]
+    assert rows == [{0: 1, 1: 1, 2: 1}, {1: -1, 2: 1}, {2: 1}, {3: 2, 4: 1},
+                    {4: Fraction(-1, 2)}]
+    assert _int_exactly_when_integral(x for row in rows for x in row.values())
+    checked = linalg.Gram(gram)
+    assert checked._eliminated == tuple(tuple(row.items()) for row in rows)
+    assert ([checked.column(c) for c in range(5)], list(checked.diagonal)) == (
+        dense_congruence_diagonalize(gram))
 
 
 @PROPERTY
