@@ -49,7 +49,10 @@ the degree-4 restriction functional f = B + 2(n-1) d^2 for the punctual
 candidate, where d is the coordinate functional dual to delta (d vanishes on
 H^2(M), d(delta) = 1; with that normalization f(delta, delta) = 0).  That
 verdict is reached twice: by the su(2) identity on f, and in closed form,
-since B is invariant and f is invariant iff d^2 is.
+since B is invariant and f is invariant iff d^2 is.  Only the degree-4
+route imports `linalg`, in the functions that run on it: the pullback
+coefficient needs no lattice, so certifying a non-triangular n loads no
+linear algebra.
 
 The lattice, triple and certificate types are named tuples, checked when
 they are built: immutable (no instance dict, so no attribute can be set)
@@ -65,7 +68,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
 
-from . import linalg
 from .partitions import is_triangular, trianalytic_candidates
 
 _E8_EDGES = ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8))
@@ -79,8 +81,11 @@ def _e8_cartan() -> list[list[int]]:
 
 
 @lru_cache(maxsize=None)
-def default_k3_gram() -> linalg.Gram:
-    """E8(-1) + E8(-1) + U + U + U, with construction self-test."""
+def default_k3_gram():
+    """E8(-1) + E8(-1) + U + U + U as a `linalg.Gram`, with construction
+    self-test."""
+    from . import linalg
+
     g = [[0] * 22 for _ in range(22)]
     e8 = _e8_cartan()
     for block in range(2):
@@ -110,6 +115,8 @@ class H2Lattice(namedtuple("H2Lattice", "n gram")):
     __slots__ = ()
 
     def __new__(cls, n: int, gram):
+        from . import linalg
+
         if not isinstance(n, int) or n < 2:
             raise ValueError("n must be an integer >= 2")
         return super().__new__(cls, n, linalg.Gram(gram))
@@ -139,6 +146,8 @@ def _times(rows, x) -> list[int]:
 def _gram_images(triple: "PeriodTriple") -> tuple[list, list]:
     """(W, g): the int numerators W_a of the triple's classes, and g_a its
     lattice's integral view times W_a."""
+    from . import linalg
+
     _, rows = triple.lattice.integral
     ws = [linalg.numerators(w)[0] for w in triple.w]
     return ws, [_times(rows, w) for w in ws]
@@ -156,6 +165,8 @@ def k3_lattice(n: int, gram=None) -> H2Lattice:
 
 def bb_pair(lat: H2Lattice, x, y) -> Fraction:
     """B(x, y) for two classes of lat, each a sequence of total_dim rationals."""
+    from . import linalg
+
     if len(x) != lat.total_dim or len(y) != lat.total_dim:
         raise ValueError(f"classes must have {lat.total_dim} coordinates")
     gden, rows = lat.integral
@@ -235,6 +246,8 @@ def is_su2_invariant(form, triple: PeriodTriple) -> bool:
     to constants, every term of the identity for L_a carries the same factor
     1 / (den_b den_c), so it is compared on the int numerators of g and phi.
     """
+    from . import linalg
+
     f = linalg.symmetric_rows(form, "form")
     dim = triple.lattice.total_dim
     if len(f) != dim:
@@ -297,7 +310,9 @@ def random_period_triple(lat: H2Lattice, rng: random.Random) -> PeriodTriple:
     tries).  Then delta is mixed into w1 with a scale keeping the norm
     positive, so the triple has a delta component.
     """
-    basis = _positive_basis(lat)
+    from . import linalg
+
+    basis = [linalg.numerators(b) for b in _positive_basis(lat)]  # (B_b, d_b)
     dim = lat.dim_v
     for _ in range(256):
         mixes, noise = [], []
@@ -308,8 +323,17 @@ def random_period_triple(lat: H2Lattice, rng: random.Random) -> PeriodTriple:
             break
     else:
         raise RuntimeError("failed to draw a valid period triple")
-    vs = [linalg.numerators([sum(m * b[i] for m, b in zip(mix, basis)) for i in range(dim)])
-          for mix in mixes]
+    # a mix sum_b m_b B_b / d_b is N / D in ints, D = prod_b q_b d_b for
+    # m_b = p_b / q_b; cancelling gcd(D, *N) leaves the `numerators` of its
+    # reduced entries
+    vs = []
+    for mix in mixes:
+        dens = [m.denominator * d for m, (_, d) in zip(mix, basis)]
+        big = prod(dens)
+        fs = [m.numerator * (big // q) for m, q in zip(mix, dens)]
+        num = [sum(f * b[i] for f, (b, _) in zip(fs, basis)) for i in range(dim)]
+        k = gcd(big, *num)
+        vs.append(([a // k for a in num], big // k))
     rows = lat.integral[1]  # the surface classes below read its surface block
     # the mixes span a positive-definite 3-space, so the Gram-Schmidt norms
     # of scale * v + noise are all positive once the scale is large enough.

@@ -14,11 +14,12 @@ import sys
 from types import SimpleNamespace
 
 # each report imports the layers it runs when it runs, so that a report
-# loads only those layers; no layer imports `dataclasses` (or `inspect`), and
-# `betti`, `strata` and `punctual` load neither `fractions` nor the `decimal`
-# it imports.  Well-formed argv is read without `argparse` (and the `gettext`
-# and `locale` it loads), and `json` is loaded only to read a gram file or to
-# escape a string
+# loads only those layers: `certify` loads `linalg` only to check a gram file
+# or to build the lattice of a triangular n.  No layer imports `dataclasses`
+# (or `inspect`), and `betti`, `strata` and `punctual` load neither
+# `fractions` nor the `decimal` it imports.  Well-formed argv is read without
+# `argparse` (and the `gettext` and `locale` it loads), and `json` is loaded
+# only to read a gram file or to escape a string
 
 SCHEMA = "hilbk3.report/1"
 # bound on |p| and q for every gram entry p/q; the exact arithmetic on a
@@ -164,32 +165,38 @@ def _parse_surface(text: str | None):
     return cohomology.SurfaceBetti(*map(_surface_number, parts))
 
 
-def _gram_entry(x):
+def _gram_entries(rows) -> list[list]:
+    """The Fraction of each entry of a gram file's rows, row by row; re and
+    the pattern are loaded once per file."""
     import re
     from fractions import Fraction
 
     # sign, then the digits of p and of q without their leading zeros
     rational = re.compile(r"(-?)0*([0-9]+)(?:/0*([0-9]+))?")
+    digits = len(str(MAX_GRAM_ENTRY))
 
-    # only the documented forms, each bounded; an exponent string such as
-    # "1e999999999" would ask for an unbounded amount of exact arithmetic
-    if isinstance(x, int) and not isinstance(x, bool):
-        p, q = x, 1
-    elif isinstance(x, str) and (m := rational.fullmatch(x)):
-        sign, num, den = m.groups("1")
-        # with no leading zeros a longer digit string is over the bound, and
-        # it is never converted
-        too_long = max(len(num), len(den)) > len(str(MAX_GRAM_ENTRY))
-        p, q = (MAX_GRAM_ENTRY + 1, 1) if too_long else (int(sign + num), int(den))
-    else:
-        p, q = 0, 0
-    if abs(p) > MAX_GRAM_ENTRY or q > MAX_GRAM_ENTRY:
-        raise ValueError(f"gram entries p/q must have |p| <= {MAX_GRAM_ENTRY} "
-                         f"and q <= {MAX_GRAM_ENTRY}")
-    if q == 0:
-        # another form, or a zero denominator
-        raise ValueError("gram entries must be integers or 'p/q' strings")
-    return Fraction(p, q)
+    def entry(x):
+        # only the documented forms, each bounded; an exponent string such as
+        # "1e999999999" would ask for an unbounded amount of exact arithmetic
+        if isinstance(x, int) and not isinstance(x, bool):
+            p, q = x, 1
+        elif isinstance(x, str) and (m := rational.fullmatch(x)):
+            sign, num, den = m.groups("1")
+            # with no leading zeros a longer digit string is over the bound,
+            # and it is never converted
+            too_long = max(len(num), len(den)) > digits
+            p, q = (MAX_GRAM_ENTRY + 1, 1) if too_long else (int(sign + num), int(den))
+        else:
+            p, q = 0, 0
+        if abs(p) > MAX_GRAM_ENTRY or q > MAX_GRAM_ENTRY:
+            raise ValueError(f"gram entries p/q must have |p| <= {MAX_GRAM_ENTRY} "
+                             f"and q <= {MAX_GRAM_ENTRY}")
+        if q == 0:
+            # another form, or a zero denominator
+            raise ValueError("gram entries must be integers or 'p/q' strings")
+        return Fraction(p, q)
+
+    return [[entry(x) for x in row] for row in rows]
 
 
 def _load_gram(path: str | None, dim_v: int | None = None):
@@ -229,7 +236,7 @@ def _load_gram(path: str | None, dim_v: int | None = None):
     dim = data["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ValueError("gram file dim must be a positive integer")
-    rows = [[_gram_entry(x) for x in row] for row in data["rows"]]
+    rows = _gram_entries(data["rows"])
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise ValueError("gram file dimensions are inconsistent")
     if dim_v not in (None, dim):

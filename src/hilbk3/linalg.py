@@ -6,6 +6,8 @@ by arithmetic).  No floats anywhere: kernels, determinants and congruences
 are exact.  Every elimination works on sparse {column: value} rows, each
 value an int when its denominator is 1 and a Fraction otherwise, and
 updates them through `_subtract`, which drops every entry that cancels.
+A Fraction entry is taken as given and any other becomes a Fraction once
+(`symmetric_rows`), so a gram read as Fractions is not copied again.
 `Echelon` holds the row span in reduced echelon form; nullspace takes such
 sparse rows and returns the kernel as its reduced echelon basis of sparse
 vectors.  `det` is the one routine that takes dense rows: it passes them
@@ -19,7 +21,8 @@ one rule that scales rationals to a common denominator: a vector's, and
 through `integral_rows` a matrix's, as sparse int rows.  Every other module
 scales through it, and every reader of a gram in ints reads the checked
 `Gram`'s `integral` rows.  A checked `Gram` is read-only, like every value
-type.
+type.  `bb_lattice` imports this module only in its degree-4 functions,
+so `certify` at a non-triangular n, which builds no lattice, never loads it.
 """
 from fractions import Fraction
 from itertools import islice
@@ -34,8 +37,9 @@ def identity(n: int) -> Matrix:
 
 
 def symmetric_rows(a: Matrix, name: str) -> Matrix:
-    """Fraction rows of a square symmetric matrix; ValueError otherwise."""
-    rows = [[Fraction(x) for x in row] for row in a]
+    """Fraction rows of a square symmetric matrix; ValueError otherwise.
+    A Fraction entry is taken as given; any other becomes one Fraction."""
+    rows = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in a]
     if any(len(row) != len(rows) for row in rows):
         raise ValueError(f"{name} must be square")
     if any(rows[i][j] != rows[j][i] for i in range(len(rows)) for j in range(i)):
@@ -213,9 +217,15 @@ def congruence_diagonalize(rows: list[dict]) -> tuple[list, list]:
                         _subtract(row, -row[j], {pivot: 1})
                 _subtract(rows[pivot], -1, rows[j])  # diagonal 2 a[pivot][j] != 0
                 moves.append(("add", pivot, j))
-            swap = {k: pivot, pivot: k}
-            rows[:] = [{swap.get(c, c): x for c, x in rows[swap.get(i, i)].items()}
-                       for i in range(n)]
+            # the symmetric swap: rows k and pivot, then in each row only
+            # those two columns
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            for row in rows:
+                a, b = row.pop(k, 0), row.pop(pivot, 0)
+                if b:
+                    row[k] = b
+                if a:
+                    row[pivot] = a
             moves.append(("swap", k, pivot))
         top = rows[k]
         for row in rows[k + 1:]:
@@ -227,7 +237,10 @@ def congruence_diagonalize(rows: list[dict]) -> tuple[list, list]:
 
 class Gram(tuple):
     """The package's only check of a gram: square, symmetric Fraction rows
-    with no 0 in the D of `congruence_diagonalize`.  A `Gram` passes through
+    with no 0 in the D of `congruence_diagonalize`.  Its entries are the
+    given rows' own where they are Fractions, each other entry converted
+    once, so ints, Fractions or a mix of them give the same D, `integral`
+    and columns, value for value and type for type.  A `Gram` passes through
     unchanged and keeps that one elimination: its `diagonal` D and, through
     `column`, the columns of P with P^T G P = diag(D).  It also keeps
     `integral`, the `integral_rows` of its own entries.  A checked `Gram` is

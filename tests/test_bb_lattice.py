@@ -398,6 +398,23 @@ def test_delta_squared_invariance_depends_on_periods():
     assert is_su2_invariant(delta_squared_form(lat), flat)
 
 
+def test_is_su2_invariant_reads_int_and_fraction_forms_alike():
+    # each integral form as ints, as Fractions and as a mix gets one verdict
+    lat = k3_lattice(3)
+    triple = random_period_triple(lat, random.Random(23))
+    flat = flat_period_triple(lat, random.Random(23))
+    for form, expect in ((full_gram(lat), (True, True)),
+                         (delta_squared_form(lat), (False, True)),
+                         (restriction_functional(lat), (False, True))):
+        fractions = [[Fraction(x) for x in row] for row in form]
+        ints = [[int(x) for x in row] for row in fractions]
+        assert ints == fractions  # integral
+        mixed = [[x if (i + j) % 2 else Fraction(x) for j, x in enumerate(row)]
+                 for i, row in enumerate(ints)]
+        for t, verdict in zip((triple, flat), expect):
+            assert [is_su2_invariant(f, t) for f in (ints, fractions, mixed)] == [verdict] * 3
+
+
 def test_orbit_dimensions():
     lat = small_lattice(3)
     rng = random.Random(31)

@@ -247,12 +247,12 @@ def test_gram_entries_are_bounded_before_they_are_converted():
     bound = cli.MAX_GRAM_ENTRY
     assert bound == 10 ** 6
     for x in (bound, -bound, f"-{bound}/{bound - 1}", f"000{bound}/0{bound}"):
-        assert abs(cli._gram_entry(x)) <= bound
+        assert abs(cli._gram_entries([[x]])[0][0]) <= bound
     # over the bound, also with more digits than int() converts by default
     for x in (bound + 1, -bound - 1, f"{bound + 1}", f"1/{bound + 1}", "9" * 5000,
               f"-1/{'9' * 5000}", 10 ** 1000):
         with pytest.raises(ValueError, match=f"<= {bound}"):
-            cli._gram_entry(x)
+            cli._gram_entries([[x]])
 
 
 # full mode (dim V <= 6) and dimensions-only mode read the gram the same way
@@ -1061,6 +1061,8 @@ _LOADED_BY = {
     ("punctual", "--i", "6"): {"hilbk3", "cli", "invariant_ideals", "partitions"},
     ("ideals", "--N", "4"): {"hilbk3", "cli", "invariant_ideals", "partitions", "linalg"},
     ("certify", "--n", "3"): {"hilbk3", "cli", "bb_lattice", "partitions", "linalg"},
+    # off the triangular n no candidate needs a lattice
+    ("certify", "--n", "7"): {"hilbk3", "cli", "bb_lattice", "partitions"},
     # the gram file is bounded and checked without the Frobenius layer
     ("certify", "--n", "3", "--gram", GRAM): {"hilbk3", "cli", "bb_lattice", "partitions",
                                               "linalg"},
@@ -1105,8 +1107,15 @@ def _loaded(argv, tmp_path, *options):
     return code, set(unwanted.split(",")), set(loaded)
 
 
-@pytest.mark.parametrize("argv", list(_LOADED_BY),
-                         ids=lambda a: (a[0] + "-gram" if GRAM in a else a[0]) if a else "import")
+def _loaded_id(argv):
+    if not argv:
+        return "import"
+    if GRAM in argv:
+        return argv[0] + "-gram"
+    return argv[0] + "-pullback" if argv == ("certify", "--n", "7") else argv[0]
+
+
+@pytest.mark.parametrize("argv", list(_LOADED_BY), ids=_loaded_id)
 def test_each_report_imports_only_its_layers(argv, tmp_path):
     code, unwanted, loaded = _loaded(argv, tmp_path)
     assert code == "0"

@@ -211,6 +211,32 @@ def test_gram_is_checked_once_and_keeps_its_eliminations():
             linalg.Gram(bad)
 
 
+def test_gram_reads_int_and_fraction_entries_alike():
+    # one gram, whose check swaps a pivot and repairs a zero-diagonal block,
+    # fed as ints, as Fractions and as a mix: the same D, integral view and
+    # columns of P, value for value and type for type
+    ints = [[1, 1, 1, 0, 0], [1, 1, 2, 0, 0], [1, 2, 0, 0, 0], [0, 0, 0, 0, 1], [0, 0, 0, 1, 0]]
+    fractions = [[Fraction(x) for x in row] for row in ints]
+    mixed = [[x if (i + j) % 2 else Fraction(x) for j, x in enumerate(row)]
+             for i, row in enumerate(ints)]
+
+    def kept(gram):
+        return [[(type(x), x) for x in values]
+                for values in (gram.diagonal, *[gram.column(c) for c in range(len(gram))])]
+
+    grams = [linalg.Gram(rows) for rows in (ints, fractions, mixed)]
+    assert grams[0] == grams[1] == grams[2]
+    assert kept(grams[0]) == kept(grams[1]) == kept(grams[2])
+    assert grams[0].integral == grams[1].integral == grams[2].integral == (
+        1, tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in ints))
+    assert all(type(x) is int for g in grams for row in g.integral[1] for _, x in row)
+    # every entry is a Fraction, and a Fraction entry is the one given
+    for gram, rows in zip(grams, (ints, fractions, mixed)):
+        assert all(type(x) is Fraction for row in gram for x in row)
+        assert all(x is y for row, given_row in zip(gram, rows)
+                   for x, y in zip(row, given_row) if type(y) is Fraction)
+
+
 def test_is_zero_matrix():
     assert is_zero_matrix([[0, 0], [0, 0]])
     assert not is_zero_matrix([[0, 0], [0, Fraction(1, 7)]])
