@@ -39,7 +39,6 @@ _EXPORTS = {
     "k3_lattice": "bb_lattice",
     "random_period_triple": "bb_lattice",
     "h4_obstruction": "bb_lattice",
-    "restriction_functional": "bb_lattice",
     "is_su2_invariant": "bb_lattice",
     "bb_pair": "bb_lattice",
     # result types

@@ -9,13 +9,14 @@ hyperbolic planes, self-tested to be even, and unimodular of signature
 
 A lattice exists for n >= 2 only.  A class is a tuple of total_dim =
 dim V + 1 rationals: its surface coordinates, then its delta coordinate
-last.  A 2-form is a plain matrix F in the same coordinates with
-f(x, y) = x^T F y, so forms transform with lower indices, as the gram
-does.  The full gram, the surface gram plus the delta-delta entry, is
-stated once, as the integral view below.
+last.  A 2-form F in the same coordinates, f(x, y) = x^T F y, transforms
+with lower indices, as the gram does, and the su(2) check reads it as an
+integral view: the sparse int rows of F scaled by one common denominator
+(`linalg.integral_rows`).  The full gram, the surface gram plus the
+delta-delta entry, is stated once, as the lattice's integral view below.
 
-Classes, grams and forms go in and come out as Fractions, but the degree-4
-path computes on Python ints: a class x is X / den with X an int vector
+Classes and grams go in and come out as Fractions, but the degree-4 path
+computes on Python ints: a class x is X / den with X an int vector
 (`linalg.numerators`, the package's one common-denominator rule), and every
 pairing, like the degree-4 functional, reads the lattice's one integral
 view `integral`, the full gram scaled by the lcm gden of its denominators.
@@ -47,8 +48,10 @@ the exact pullback coefficient on the exceptional square for candidates
 coming from a smaller Hilbert scheme, and the failure of su(2)-invariance of
 the degree-4 restriction functional f = B + 2(n-1) d^2 for the punctual
 candidate, where d is the coordinate functional dual to delta (d vanishes on
-H^2(M), d(delta) = 1; with that normalization f(delta, delta) = 0).  That
-verdict is reached twice: by the su(2) identity on f, and in closed form,
+H^2(M), d(delta) = 1; with that normalization f(delta, delta) = 0).  f
+is stated once, as a view: f = B on every other pair, so its integral view
+is the lattice's with delta's row emptied.  The degree-4 verdict is
+reached twice: by the su(2) identity on f, and in closed form,
 since B is invariant and f is invariant iff d^2 is.  Only the degree-4
 route imports `linalg`, in the functions that run on it: the pullback
 coefficient needs no lattice, so certifying a non-triangular n loads no
@@ -197,21 +200,6 @@ def obstruction_coefficient(n: int, l: int) -> Fraction:
     return Fraction(1, 2 * (l - 1)) - Fraction(t, 2 * (n - 1))
 
 
-def restriction_functional(lat: H2Lattice) -> list[list[Fraction]]:
-    """The degree-4 functional f = B + 2(n-1) d^2 as Fraction matrix rows,
-    B read off the lattice's integral view that every pairing reads; checked
-    to kill (delta, delta), so the check guards that view's delta entry."""
-    gden, rows = lat.integral
-    f = [[Fraction(0)] * lat.total_dim for _ in rows]
-    for fi, row in zip(f, rows):
-        for j, g in row:
-            fi[j] = Fraction(g, gden)
-    f[-1][-1] += 2 * (lat.n - 1)
-    if f[-1][-1] != 0:
-        raise RuntimeError("restriction functional does not vanish on (delta, delta)")
-    return f
-
-
 class PeriodTriple(namedtuple("PeriodTriple", "lattice w")):
     """Three pairwise BB-orthogonal classes of positive norm."""
 
@@ -234,30 +222,37 @@ class PeriodTriple(namedtuple("PeriodTriple", "lattice w")):
         return any(x[-1] != 0 for x in self.w)
 
 
-def is_su2_invariant(form, triple: PeriodTriple) -> bool:
-    """The rotation derivations L^T F + F L vanish on the 2-form matrix F,
-    given in the coordinates of the triple's lattice.
+def is_su2_invariant(rows, triple: PeriodTriple) -> bool:
+    """The rotation derivations L^T F + F L vanish on the 2-form F, given as
+    the sparse (column, int) rows of an integral view, as
+    `linalg.integral_rows` and `H2Lattice.integral` return them, in the
+    coordinates of the triple's lattice.  A form's common denominator does
+    not change the identity, so it is not read.
 
     With g = G w and phi = F w, each L_a = w_c g_b^T - w_b g_c^T has rank two
     and L_a^T F + F L_a = S + S^T for S = g_b phi_c^T - g_c phi_b^T, so
     invariance is an exact identity between six vectors, checked on i >= j
-    for L_0 and L_1 only: [L_0, L_1] = q(w_2) L_2 with q(w_2) > 0, so they
-    imply invariance under L_2.  With w_a = W_a / den_a, G and F integral up
-    to constants, every term of the identity for L_a carries the same factor
-    1 / (den_b den_c), so it is compared on the int numerators of g and phi.
+    for L_1 and L_0 only: [L_0, L_1] = q(w_2) L_2 with q(w_2) > 0, so they
+    imply invariance under L_2.  With w_a = W_a / den_a and G and F integral
+    up to constants, every term of the identity for L_a carries the same
+    factor 1 / (den_b den_c), so it is compared on the int numerators of g
+    and phi.  Only w_0 of a drawn triple has a delta component, so f always
+    passes the identity for L_0 and can fail the one for L_1 only in
+    delta's row: L_1 is checked first, from the last row up.
     """
-    from . import linalg
-
-    f = linalg.symmetric_rows(form, "form")
     dim = triple.lattice.total_dim
-    if len(f) != dim:
+    cells = {(i, j): a for i, row in enumerate(rows) for j, a in row}
+    if any(not 0 <= j < len(rows) for _, j in cells):
+        raise ValueError("form must be square")
+    if len(rows) != dim:
         raise ValueError("form size mismatch")
+    if any(cells.get((j, i), 0) != a for (i, j), a in cells.items()):
+        raise ValueError("form must be symmetric")
     ws, g = _gram_images(triple)
-    frows = linalg.integral_rows(f)[1]
-    phi = [_times(frows, w) for w in ws]
-    for b, c in ((1, 2), (2, 0)):
+    phi = [_times(rows, w) for w in ws]
+    for b, c in ((2, 0), (1, 2)):
         gb, gc, pb, pc = g[b], g[c], phi[b], phi[c]
-        for i in range(dim):
+        for i in range(dim - 1, -1, -1):
             for j in range(i + 1):
                 if gb[i] * pc[j] + gb[j] * pc[i] != gc[i] * pb[j] + gc[j] * pb[i]:
                     return False
@@ -272,23 +267,29 @@ def h4_obstruction(triple: PeriodTriple) -> bool:
     and a triple with nonzero projection of the delta functional onto the
     span, i.e. some w_a with a delta component.
 
-    The verdict is reached twice, and a RuntimeError reports any
-    disagreement.  Once by the su(2) identity on f; once in closed form:
-    B is invariant, so f is iff d^2 = e e^T is, where e is the delta
-    functional, and that holds iff L_a^T e = e(w_c) g_b - e(w_b) g_c
-    vanishes for a = 0, 1, compared on the int numerators of the triple.
+    f is read as a view: f(delta, delta) = 0 and f = B on every other pair,
+    so f's integral view is the lattice's `integral` rows with delta's row
+    emptied, once that row is checked to hold just -2(n-1) gden.  The
+    verdict is reached twice, and a RuntimeError reports any disagreement.
+    Once by the su(2) identity on f; once in closed form: B is invariant,
+    so f is iff d^2 = e e^T is, where e is the delta functional, and that
+    holds iff L_a^T e = e(w_c) g_b - e(w_b) g_c vanishes for a = 0, 1,
+    compared on the int numerators of the triple.
     """
-    n = triple.lattice.n
-    ok, _ = is_triangular(n)
-    if not ok or n < 3:
-        raise ValueError(f"n = {n} is not a triangular number >= 3")
+    lat = triple.lattice
+    ok, _ = is_triangular(lat.n)
+    if not ok or lat.n < 3:
+        raise ValueError(f"n = {lat.n} is not a triangular number >= 3")
     if not triple.has_delta_component:
         raise ValueError("period triple is orthogonal to the exceptional class; "
                          "the precondition proj(delta-dual) != 0 fails")
+    gden, rows = lat.integral
+    if rows[-1] != ((lat.dim_v, -2 * (lat.n - 1) * gden),):
+        raise RuntimeError("restriction functional does not vanish on (delta, delta)")
     ws, g = _gram_images(triple)
     obstructed = any(ws[c][-1] * x != ws[b][-1] * y
                      for b, c in ((1, 2), (2, 0)) for x, y in zip(g[b], g[c]))
-    if obstructed == is_su2_invariant(restriction_functional(triple.lattice), triple):
+    if obstructed == is_su2_invariant(rows[:-1] + ((),), triple):
         raise RuntimeError("the su(2) identity and the closed form disagree on f")
     return obstructed
 

@@ -898,6 +898,16 @@ def full_gram(lat):
             + ((zero,) * lat.dim_v + (Fraction(-2 * (lat.n - 1)),),))
 
 
+def restriction_functional(lat):
+    """The degree-4 functional f = B + 2(n-1) d^2 as Fraction rows: the full
+    gram with 2(n-1) added at (delta, delta), where it cancels.  The
+    Fraction reference for the integral view `bb_lattice.h4_obstruction`
+    hands the su(2) check, which it builds from the lattice's own view."""
+    f = [list(row) for row in full_gram(lat)]
+    f[-1][-1] += 2 * (lat.n - 1)
+    return f
+
+
 def delta_class(lat):
     return (Fraction(0),) * lat.dim_v + (Fraction(1),)
 

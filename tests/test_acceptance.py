@@ -19,7 +19,6 @@ from hilbk3.bb_lattice import (
     obstruction_coefficient,
     q_norm,
     random_period_triple,
-    restriction_functional,
 )
 from hilbk3.cohomology import SurfaceBetti, hilbert_stratum_ledger
 from hilbk3.frobenius import algebra_dimension_pattern, build_algebra
@@ -163,23 +162,27 @@ def test_07_rotation_invariance_of_the_tensors():
         rng = random.Random(20260814)
         b = full_gram(lat)
         d2 = delta_squared_form(lat)
-        # the degree-4 functional is exactly B + 2(n-1) d^2 on plain matrices
-        assert restriction_functional(lat) == [[x + 4 * y for x, y in zip(rb, rd)]
-                                               for rb, rd in zip(b, d2)]
+        # the degree-4 functional B + 2(n-1) d^2 on plain matrices has the
+        # integral view the su(2) check reads: the lattice's, with delta's
+        # row emptied
+        gden, rows = lat.integral
+        assert linalg.integral_rows([[x + 4 * y for x, y in zip(rb, rd)]
+                                     for rb, rd in zip(b, d2)]) == (gden, rows[:-1] + ((),))
+        bview, d2view = linalg.integral_rows(b)[1], linalg.integral_rows(d2)[1]
         for trial in range(20):
             with_delta = trial % 2 == 0
             # the library's triples always touch delta; the flat ones come
             # from the oracle, from the same draws
             triple = (random_period_triple if with_delta else flat_period_triple)(lat, rng)
-            assert is_su2_invariant(b, triple)
+            assert is_su2_invariant(bview, triple)
             m = delta_module_dimension(lat, triple)
             orbit = orbit_dimension_d2(lat, triple)
             if with_delta:
-                assert not is_su2_invariant(d2, triple)
+                assert not is_su2_invariant(d2view, triple)
                 assert m == 4
                 assert orbit == m * (m + 1) // 2 - 1 == 9
             else:
-                assert is_su2_invariant(d2, triple)
+                assert is_su2_invariant(d2view, triple)
                 assert m == 1
                 assert orbit == 1
 

@@ -22,7 +22,6 @@ from hilbk3.bb_lattice import (
     obstruction_coefficient,
     q_norm,
     random_period_triple,
-    restriction_functional,
 )
 from hilbk3.partitions import is_triangular
 
@@ -47,6 +46,7 @@ from oracles import (
     mat_vec,
     obstruction_coefficient_from_tensors,
     orbit_dimension_d2,
+    restriction_functional,
     signature,
     su2_generators,
     transported_bb_tensor,
@@ -234,6 +234,9 @@ def test_obstruction_coefficient_validation():
         obstruction_coefficient(6, 4)
     with pytest.raises(ValueError):
         obstruction_coefficient(8, 2)
+    for n, l in ((6.0, 2), (6, Fraction(2)), ("6", 2)):
+        with pytest.raises(ValueError, match="^n and l must be integers$"):
+            obstruction_coefficient(n, l)
 
 
 def test_tensor_fixtures():
@@ -253,15 +256,17 @@ def test_is_su2_invariant_validates_the_form():
     lat = small_lattice(3)
     triple = random_period_triple(lat, random.Random(3))
     good = [list(r) for r in full_gram(lat)]
-    assert is_su2_invariant(good, triple)
+    assert is_su2_invariant(linalg.integral_rows(good)[1], triple)
+    # sparse rows do not show trailing zero columns, so a row that is too
+    # long shows as a column past the last row
     with pytest.raises(ValueError):
-        is_su2_invariant([r[:4] for r in good], triple)  # not square
+        is_su2_invariant(linalg.integral_rows([r + [1] for r in good])[1], triple)  # not square
     with pytest.raises(ValueError):
-        is_su2_invariant([r[:4] for r in good[:4]], triple)  # wrong size
+        is_su2_invariant(linalg.integral_rows([r[:4] for r in good[:4]])[1], triple)  # wrong size
     skew = [list(r) for r in good]
     skew[0][1] += 1
     with pytest.raises(ValueError):
-        is_su2_invariant(skew, triple)  # not symmetric
+        is_su2_invariant(linalg.integral_rows(skew)[1], triple)  # not symmetric
 
 
 def random_symmetric(rng, size):
@@ -294,7 +299,7 @@ def test_is_su2_invariant_matches_the_dense_operators():
             for draw in (flat_period_triple, random_period_triple):
                 triple = draw(lat, rng)
                 for form in forms:
-                    answer = is_su2_invariant(form, triple)
+                    answer = is_su2_invariant(linalg.integral_rows(form)[1], triple)
                     assert answer == dense_su2_invariant(lat, form, triple)
                     answers.append(answer)
     # invariant: the gram and zero under both triples, f and d^2 under the
@@ -379,12 +384,12 @@ def test_bb_form_always_invariant():
     rng = random.Random(17)
     for draw in (random_period_triple, flat_period_triple):
         triple = draw(lat, rng)
-        assert is_su2_invariant(full_gram(lat), triple)
+        assert is_su2_invariant(linalg.integral_rows(full_gram(lat))[1], triple)
         assert is_contravariant_invariant(lat, bb_inverse_tensor(lat), triple)
         # the two index positions are different checks: B as a contravariant
         # tensor, or its inverse as a form, is moved by the rotations
         assert not is_contravariant_invariant(lat, full_gram(lat), triple)
-        assert not is_su2_invariant(bb_inverse_tensor(lat), triple)
+        assert not is_su2_invariant(linalg.integral_rows(bb_inverse_tensor(lat))[1], triple)
 
 
 def test_delta_squared_invariance_depends_on_periods():
@@ -392,14 +397,16 @@ def test_delta_squared_invariance_depends_on_periods():
     rng = random.Random(23)
     triple = random_period_triple(lat, rng)
     assert triple.has_delta_component
-    assert not is_su2_invariant(delta_squared_form(lat), triple)
+    d2 = linalg.integral_rows(delta_squared_form(lat))[1]
+    assert not is_su2_invariant(d2, triple)
     flat = flat_period_triple(lat, rng)
     assert not flat.has_delta_component
-    assert is_su2_invariant(delta_squared_form(lat), flat)
+    assert is_su2_invariant(d2, flat)
 
 
 def test_is_su2_invariant_reads_int_and_fraction_forms_alike():
-    # each integral form as ints, as Fractions and as a mix gets one verdict
+    # each integral form as ints, as Fractions and as a mix has one integral
+    # view, and so one verdict
     lat = k3_lattice(3)
     triple = random_period_triple(lat, random.Random(23))
     flat = flat_period_triple(lat, random.Random(23))
@@ -412,7 +419,9 @@ def test_is_su2_invariant_reads_int_and_fraction_forms_alike():
         mixed = [[x if (i + j) % 2 else Fraction(x) for j, x in enumerate(row)]
                  for i, row in enumerate(ints)]
         for t, verdict in zip((triple, flat), expect):
-            assert [is_su2_invariant(f, t) for f in (ints, fractions, mixed)] == [verdict] * 3
+            views = [linalg.integral_rows(f)[1] for f in (ints, fractions, mixed)]
+            assert views[0] == views[1] == views[2]
+            assert [is_su2_invariant(v, t) for v in views] == [verdict] * 3
 
 
 def test_orbit_dimensions():
@@ -515,7 +524,7 @@ def test_random_period_triple_matches_fraction_gram_schmidt():
                 if gram is SCRAMBLED_7_6:
                     for t in (triple, flat):
                         for form in (full_gram(lat), restriction_functional(lat)):
-                            assert (is_su2_invariant(form, t)
+                            assert (is_su2_invariant(linalg.integral_rows(form)[1], t)
                                     == dense_su2_invariant(lat, form, t))
     lat = k3_lattice(3, SCRAMBLED_7_6)
     assert h4_obstruction(random_period_triple(lat, random.Random(0)))
@@ -688,7 +697,24 @@ def test_the_two_degree_4_routes_agree(seed, drawn, n):
     assert h4_obstruction(triple)
     assert not dense_su2_invariant(lat, f, triple)
     flat = flat_period_triple(lat, random.Random(seed))
-    assert is_su2_invariant(f, flat) and dense_su2_invariant(lat, f, flat)
+    assert (is_su2_invariant(linalg.integral_rows(f)[1], flat)
+            and dense_su2_invariant(lat, f, flat))
+
+
+def test_h4_obstruction_reads_f_as_the_lattices_view(monkeypatch):
+    # the view the su(2) check gets is f's: the oracle's Fraction
+    # B + 2(n-1) d^2 scaled to ints, with the lattice's gden
+    seen = []
+    real = bb_lattice.is_su2_invariant
+    monkeypatch.setattr(bb_lattice, "is_su2_invariant",
+                        lambda rows, triple: seen.append(rows) or real(rows, triple))
+    for gram in INTEGER_PATH_GRAMS:
+        for n in (3, 6, 28):
+            lat = k3_lattice(n, gram)
+            seen.clear()
+            assert h4_obstruction(random_period_triple(lat, random.Random(n)))
+            assert [(lat.integral[0], rows) for rows in seen] == [
+                linalg.integral_rows(restriction_functional(lat))]
 
 
 NONZERO_FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)

@@ -75,6 +75,12 @@ def test_betti_rejects_bad_surface(capsys):
     assert "error" in payload
 
 
+def test_a_surface_of_two_numbers_is_an_error(capsys):
+    code, payload = run_json(["betti", "--n", "2", "--surface", "1,2"], capsys)
+    assert (code, payload["status"]) == (1, "error")
+    assert payload["error"] == {"type": "ValueError", "message": "--surface expects b0,b2,b4"}
+
+
 def test_surface_betti_numbers_are_bounded_before_they_are_converted(capsys):
     bound = cli.MAX_SURFACE_BETTI
     assert bound == 10 ** 6
@@ -160,6 +166,23 @@ def test_certify_scrambled_gram_file(tmp_path, capsys):
     code, payload = run_json(["certify", "--n", "3", "--seed", "0", "--gram", str(path)], capsys)
     assert code == 0
     assert payload["result"]["verdict"] == "certified"
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],  # signature (2, 2)
+    [[-2, 1], [1, -2]],  # A2(-1), negative definite
+], ids=["signature-2-2", "negative-definite"])
+def test_certify_reads_a_grams_signature_only_on_the_lattice_route(tmp_path, capsys, rows):
+    # a gram file is checked at every n, but its positive 3-space is read only
+    # where a period triple is drawn: at a triangular n >= 3
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps({"dim": len(rows), "rows": rows}))
+    code, payload = run_json(["certify", "--n", "3", "--gram", str(path)], capsys)
+    assert (code, payload["status"]) == (1, "error")
+    assert payload["error"] == {"type": "ValueError",
+                                "message": "surface gram has no positive 3-space"}
+    code, payload = run_json(["certify", "--n", "4", "--gram", str(path)], capsys)
+    assert (code, payload["status"], payload["result"]["verdict"]) == (0, "ok", "certified")
 
 
 MALFORMED_GRAMS = {
@@ -384,8 +407,7 @@ def test_frobenius_compares_dimv_before_the_gram_check(monkeypatch, tmp_path, ca
 # and no determinant; and the one scaling of the gram to ints that the
 # check keeps.  A call counts when its argument has the gram's size and
 # entries, written out densely where it is sparse rows, so the determinants
-# of the Frobenius pairing matrices and the scaling of the degree-4
-# functional do not.
+# of the Frobenius pairing matrices do not.
 GRAM_ELIMINATIONS = [
     (["certify", "--n", "3", "--gram"], ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)),
      {"det": 0, "congruence_diagonalize": 1, "integral_rows": 1}),
@@ -543,6 +565,25 @@ def test_each_failable_check_is_seen_failing(monkeypatch, capsys, name):
     code, payload = run_json(argv, capsys)
     assert (code, payload["status"]) == (1, "failed")
     assert {c["name"]: c["ok"] for c in payload["checks"]}[name] is False
+
+
+class SameDraws(random.Random):
+    """A Random whose every randint is its lower bound: each period-triple
+    draw mixes the positive basis three times alike, a singular mix."""
+
+    def randint(self, a, b):
+        return a
+
+
+def test_singular_mixes_in_every_draw_end_in_an_internal_failure(monkeypatch, capsys):
+    # the mixes are redrawn at most 256 times, then the draw gives up
+    message = "failed to draw a valid period triple"
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        bb_lattice.random_period_triple(bb_lattice.k3_lattice(3), SameDraws(0))
+    monkeypatch.setattr(bb_lattice.random, "Random", SameDraws)
+    code, payload = run_json(["certify", "--n", "3"], capsys)
+    assert (code, payload["status"]) == (3, "internal-error")
+    assert payload["error"] == {"type": "RuntimeError", "message": message}
 
 
 def test_an_su2_check_that_disagrees_with_the_closed_form_is_an_internal_failure(
@@ -1027,8 +1068,7 @@ def test_package_exports_are_pinned():
         "is_triangular", "certify_no_trianalytic", "classify_invariant_ideals",
         "punctual_fixed_points", "algebra_dimension_pattern", "build_algebra",
         "trianalytic_candidates", "obstruction_coefficient", "default_k3_gram",
-        "k3_lattice", "random_period_triple", "h4_obstruction", "restriction_functional",
-        "is_su2_invariant", "bb_pair",
+        "k3_lattice", "random_period_triple", "h4_obstruction", "is_su2_invariant", "bb_pair",
         "PoincarePolynomial", "StratumLedger",
         "H2Lattice", "PeriodTriple", "CandidateCertificate",
         "CertificationReport", "FrobeniusAlgebra", "InvariantIdeal", "MonomialIdeal",

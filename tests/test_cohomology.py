@@ -112,6 +112,8 @@ def test_prefix_built_stratum_polynomial_is_the_plain_product(surface, parts):
 def test_symmetric_power_edge_cases():
     assert symmetric_power_poincare(K3, 0).betti == (1,)
     assert symmetric_power_poincare(K3, 1).betti == (1, 0, 22, 0, 1)
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        symmetric_power_poincare(K3, -1)
 
 
 def test_diagonal_poincare_is_product_over_distinct_part_values():

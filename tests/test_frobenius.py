@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hilbk3 import cli, frobenius, linalg
-from hilbk3.bb_lattice import k3_lattice, q_norm, restriction_functional
+from hilbk3.bb_lattice import k3_lattice, q_norm
 from hilbk3.cohomology import SurfaceBetti, hilbert_stratum_ledger
 from hilbk3.frobenius import (
     MAX_DIM_V,
@@ -40,6 +40,7 @@ from oracles import (
     mat_scale,
     mat_vec,
     random_isotropic,
+    restriction_functional,
     transpose,
     triple_associativity,
 )
@@ -124,6 +125,8 @@ def test_monomial_basis_counts():
             assert len(basis) == comb(dim + deg - 1, deg)
             assert all(sum(m) == deg for m in basis)
             assert len(set(basis)) == len(basis)
+    with pytest.raises(ValueError, match="^dim must be >= 1$"):
+        monomial_basis(0, 1)
 
 
 def dense_laplacian(gram, degree, power):

@@ -44,6 +44,8 @@ def test_walk_matches_the_sympy_partitions():
                            for d in sympy_partitions(n)), reverse=True)
         assert list(partitions_of(n)) == expected
     assert list(partitions_of(0)) == [()]
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        list(partitions_of(-1))
 
 
 PAIRS = st.sets(st.tuples(st.none() | st.integers(1, 12), st.integers(1, 12)), max_size=60)
@@ -117,6 +119,7 @@ def test_is_triangular():
             assert flag and l == hits[m]
         else:
             assert not flag and l is None
+    assert is_triangular(0) == (False, None)
 
 
 def test_enumerate_universal_reldim0():
