@@ -16,7 +16,7 @@ from types import SimpleNamespace
 # each report imports the layers it runs when it runs, so that a report
 # loads only those layers: `certify` loads `linalg` only to check a gram file
 # or to build the lattice of a triangular n.  No layer imports `dataclasses`
-# (or `inspect`), and `betti`, `strata` and `punctual` load neither
+# (or `inspect`), and `betti`, `strata`, `punctual` and `ideals` load neither
 # `fractions` nor the `decimal` it imports.  Well-formed argv is read without
 # `argparse` (and the `gettext` and `locale` it loads), and `json` is loaded
 # only to read a gram file or to escape a string

@@ -8,9 +8,12 @@ brute-force multiset enumeration and the cycle index of S_n for symmetric
 powers, the plain product over a signature's multiplicities,
 exhaustive subset scans (the full p(n) pinning audit, the 2^N sweep of
 ideal supports), the whole truncated ring C[x, y]/m^N with its
-single-monomial operators e and f (its slice matrices of e, the ideal
-recheck and staircase check that the library's one closure rule replaced,
-and the `ideals` report built from the ideals its slices generate), the
+single-monomial operators e and f (its slice matrices of e and their
+highest-weight spaces by elimination, the ideal recheck and staircase
+check that the library's one closure rule replaced, and the `ideals`
+report built from the ideals its slices generate), the slice certificate
+by the nullspace of e's one-entry rows that the library's count of e's
+images replaced, the
 check of every basis triple for associativity, the Frobenius pairing and
 ideal-closure checks over every degree, powers of a linear class expanded
 in the symmetric algebra, the top power of the Laplacian differentiated
@@ -487,6 +490,20 @@ class TruncatedRing:
         return out
 
 
+def highest_weight_dimension(e_matrix):
+    """dim ker e for a square matrix of e, by the nullspace of its sparse rows."""
+    return len(linalg.nullspace(list(map(linalg.sparse, e_matrix)), len(e_matrix)))
+
+
+def nullspace_irreducibility_certificate(l):
+    """The degree-l slice certificate by elimination, which the library's
+    count of e's images on the slice monomials replaced: e sends
+    x^(l-r) y^r, column r, to r x^(l-r+1) y^(r-1), row r - 1, and row l
+    is zero, so the slice is irreducible iff the l one-entry rows leave a
+    one-dimensional nullspace."""
+    return len(linalg.nullspace([{r + 1: r + 1} for r in range(l)], l + 1)) == 1
+
+
 def ring_recheck_ideal(ring, degrees):
     """The ideal recheck on the whole ring: the span of the ring's monomials
     of the given degrees is closed under x, y, e and f, with e and f applied
@@ -549,7 +566,7 @@ def ideals_report(truncation):
     n = truncation
     ring = TruncatedRing(n)
     for l in range(n):
-        if len(linalg.nullspace(list(map(linalg.sparse, ring.matrix_e_on_degree(l))), l + 1)) != 1:
+        if highest_weight_dimension(ring.matrix_e_on_degree(l)) != 1:
             raise RuntimeError(f"degree {l} slice is reducible")
     supports = []
     for l in range(1, n):

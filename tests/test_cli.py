@@ -596,6 +596,33 @@ def test_an_su2_check_that_disagrees_with_the_closed_form_is_an_internal_failure
     assert payload["error"]["type"] == "RuntimeError"
 
 
+# a defect ahead of each internal check of `invariant_ideals`, the message
+# that check raises, and the report that reaches it
+IDEAL_GUARDS = {
+    # e sending x^a y^b to b x^(a+b) kills one monomial of each slice but is
+    # not injective on the others, first in degree 2
+    "slice-certificate": (
+        ["ideals", "--N", "4"], "_act_e", lambda a, b: (b, (a + b, 0)) if b else None,
+        "degree 2 slice failed its irreducibility certificate"),
+    "ideal-recheck": (
+        ["ideals", "--N", "4"], "_closed_under_e_and_f", lambda cells: False,
+        "recheck failed for support (1, 2, 3)"),
+    # a stable staircase of the wrong colength passes the operators
+    "colength-recheck": (
+        ["punctual", "--i", "6"], "partitions_of", lambda n, rows: iter([(2, 1)]),
+        "colength recheck failed"),
+}
+
+
+@pytest.mark.parametrize("name", list(IDEAL_GUARDS))
+def test_each_ideal_guard_ends_in_an_internal_failure(monkeypatch, capsys, name):
+    argv, attribute, defect, message = IDEAL_GUARDS[name]
+    monkeypatch.setattr(invariant_ideals, attribute, defect)
+    code, payload = run_json(argv, capsys)
+    assert (code, payload["status"]) == (3, "internal-error")
+    assert payload["error"] == {"type": "RuntimeError", "message": message}
+
+
 def test_certify_rejects_bad_n(capsys):
     code, payload = run_json(["certify", "--n", "0"], capsys)
     assert code == 1
@@ -1096,10 +1123,10 @@ GRAM = "<gram file>"
 _LOADED_BY = {
     (): {"hilbk3"},
     ("frobenius", "--dimv", "2", "--n", "2"): {"hilbk3", "cli", "frobenius", "linalg"},
-    # the staircase walk eliminates nothing; only the slice certificates of
-    # `ideals` load the linear algebra
+    # the staircase walk and the slice certificates eliminate nothing: they
+    # read e on single monomials, so neither report loads the linear algebra
     ("punctual", "--i", "6"): {"hilbk3", "cli", "invariant_ideals", "partitions"},
-    ("ideals", "--N", "4"): {"hilbk3", "cli", "invariant_ideals", "partitions", "linalg"},
+    ("ideals", "--N", "4"): {"hilbk3", "cli", "invariant_ideals", "partitions"},
     ("certify", "--n", "3"): {"hilbk3", "cli", "bb_lattice", "partitions", "linalg"},
     # off the triangular n no candidate needs a lattice
     ("certify", "--n", "7"): {"hilbk3", "cli", "bb_lattice", "partitions"},
@@ -1127,7 +1154,8 @@ print(code, ",".join(name for name in unwanted if name in sys.modules) or "-", *
 """
 
 # the reports that read no rational: no `fractions`, nor the `decimal` it imports
-_NO_FRACTIONS = {(), ("betti", "--n", "3"), ("strata", "--n", "3"), ("punctual", "--i", "6")}
+_NO_FRACTIONS = {(), ("betti", "--n", "3"), ("strata", "--n", "3"), ("punctual", "--i", "6"),
+                 ("ideals", "--N", "4")}
 
 
 def _loaded(argv, tmp_path, *options):

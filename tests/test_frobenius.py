@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hilbk3 import cli, frobenius, linalg
+from hilbk3 import bb_lattice, cli, frobenius, linalg
 from hilbk3.bb_lattice import k3_lattice, q_norm
 from hilbk3.cohomology import SurfaceBetti, hilbert_stratum_ledger
 from hilbk3.frobenius import (
@@ -40,7 +40,6 @@ from oracles import (
     mat_scale,
     mat_vec,
     random_isotropic,
-    restriction_functional,
     transpose,
     triple_associativity,
 )
@@ -305,6 +304,17 @@ def test_corrupted_table_entries_are_caught():
     assert not alg.check_pairing_nondegenerate()
 
 
+def test_dimensions_that_are_not_palindromic_fail_the_pairing_check(monkeypatch):
+    # A_0 listed twice against the one monomial of A_4: the dimensions are
+    # compared before any determinant is taken
+    alg = build_algebra(U2, 2)
+    assert alg.check_pairing_nondegenerate()
+    monkeypatch.setattr(linalg, "det", lambda m: pytest.fail("a determinant was taken"))
+    alg._quotient_monomials[0] *= 2
+    assert [alg.dim(i) for i in range(5)] == [2, 3, 6, 3, 1]
+    assert alg.check_pairing_nondegenerate() is False
+
+
 @pytest.mark.parametrize("cell", FROBENIUS_CELLS, ids=lambda cell: "dimv%d-n%d" % cell)
 def test_shortened_checks_agree_with_the_all_degree_oracles(cell):
     # the pairing check reads degrees 0..n and the closure check degrees
@@ -563,9 +573,18 @@ def test_so_elements_preserve_form_and_products():
             assert lhs == rhs
 
 
-def test_restriction_functional_structure():
-    lat = k3_lattice(3, U4)
-    rows = restriction_functional(lat)
+def test_restriction_functional_structure(monkeypatch):
+    # the view of f that h4_obstruction hands the su(2) check, as Fractions
+    lat = k3_lattice(3)
+    seen = []
+    real = bb_lattice.is_su2_invariant
+    monkeypatch.setattr(bb_lattice, "is_su2_invariant",
+                        lambda rows, triple: seen.append(rows) or real(rows, triple))
+    assert bb_lattice.h4_obstruction(bb_lattice.random_period_triple(lat, random.Random(3)))
+    [view] = seen
+    assert all(j < len(view) for row in view for j, _ in row)
+    gden = lat.integral[0]
+    rows = [[Fraction(dict(row).get(j, 0), gden) for j in range(len(view))] for row in view]
     full = full_gram(lat)
     d = lat.dim_v
     # a plain symmetric matrix of size total_dim

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hilbk3 import invariant_ideals, linalg, partitions
+from hilbk3 import invariant_ideals, partitions
 from hilbk3.invariant_ideals import (
     MAX_COLENGTH,
     MAX_TRUNCATION,
@@ -17,9 +19,11 @@ from oracles import (
     TruncatedRing,
     brute_invariant_supports,
     brute_stable_staircases,
+    highest_weight_dimension,
     mat_add,
     mat_mul,
     mat_scale,
+    nullspace_irreducibility_certificate,
     ring_recheck_ideal,
     staircase_is_stable,
 )
@@ -93,8 +97,8 @@ def test_irreducibility_certificates():
     e = ring.matrix_e_on_degree(4)
     m = len(e)
     doubled = [row + [0] * m for row in e] + [[0] * m + row for row in e]
-    assert len(linalg.nullspace(list(map(linalg.sparse, e)), m)) == 1
-    assert len(linalg.nullspace(list(map(linalg.sparse, doubled)), 2 * m)) == 2
+    assert highest_weight_dimension(e) == 1
+    assert highest_weight_dimension(doubled) == 2
 
 
 def test_classification_is_powers_of_the_maximal_ideal():
@@ -126,15 +130,71 @@ def test_closure_rule_matches_the_ring_routes(monkeypatch):
             quotient = MonomialIdeal(parts).quotient_monomials()
             assert invariant_ideals._closed_under_e_and_f(quotient) == (
                 staircase_is_stable(quotient)), parts
-    # each slice matrix the certificate builds against the ring's: its sparse
-    # rows are the ring's nonzero rows, and the ring's last row is zero
+    # the images of e the certificate reads against the ring's slice matrix:
+    # it applies e once to each monomial x^(l-r) y^r, column r, and the image
+    # x^(l-s) y^s lands in row s
     seen = []
-    nullspace = linalg.nullspace
-    monkeypatch.setattr(linalg, "nullspace", lambda m, ncols: seen.append(m) or nullspace(m, ncols))
+    act_e = invariant_ideals._act_e
+    monkeypatch.setattr(invariant_ideals, "_act_e",
+                        lambda a, b: seen.append(((a, b), act_e(a, b))) or seen[-1][1])
     for l in range(MAX_TRUNCATION):
+        seen.clear()
         assert irreducibility_certificate(l)
-        *rows, last = TruncatedRing(l + 1).matrix_e_on_degree(l)
-        assert seen.pop() == list(map(linalg.sparse, rows)) and not any(last), l
+        assert [mono for mono, _ in seen] == [(l - r, r) for r in range(l + 1)], l
+        matrix = [[0] * (l + 1) for _ in range(l + 1)]
+        for (_, r), image in seen:
+            if image is not None:
+                coeff, (_, s) = image
+                matrix[s][r] = coeff
+        assert matrix == TruncatedRing(l + 1).matrix_e_on_degree(l), l
+
+
+def test_certificate_matches_the_nullspace_oracle():
+    for l in range(MAX_TRUNCATION):
+        assert irreducibility_certificate(l) is nullspace_irreducibility_certificate(l) is True
+        assert highest_weight_dimension(TruncatedRing(l + 1).matrix_e_on_degree(l)) == 1
+    with pytest.raises(ValueError):
+        irreducibility_certificate(-1)
+
+
+def _certify_with(l, images):
+    """The certificate's verdict on degree l when e sends x^(l-r) y^r to
+    coeff x^(l-s) y^s for images[r] = (coeff, s), and kills it for None;
+    and the oracle's, from the nullspace of that matrix of e."""
+    matrix = [[0] * (l + 1) for _ in range(l + 1)]
+    for r, image in enumerate(images):
+        if image is not None:
+            matrix[image[1]][r] = image[0]
+    act = [image and (image[0], (l - image[1], image[1])) for image in images]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(invariant_ideals, "_act_e", lambda a, b: act[b])
+        verdict = irreducibility_certificate(l)
+    return verdict, highest_weight_dimension(matrix) == 1
+
+
+def test_a_non_injective_e_fails_the_certificate():
+    # e x^a y^b = b x^(a+b) for b >= 1 kills one monomial, like e, but sends
+    # the other l onto one monomial, so its kernel has dimension l
+    for l in range(2, 13):
+        assert _certify_with(l, [None] + [(r, 0) for r in range(1, l + 1)]) == (False, False)
+    # e itself, and e with one image or a coefficient taken away
+    for l in range(1, 13):
+        e = [None] + [(r, r - 1) for r in range(1, l + 1)]
+        assert _certify_with(l, e) == (True, True)
+        assert _certify_with(l, e[:-1] + [None]) == (False, False)
+        assert _certify_with(l, e[:-1] + [(0, l - 1)]) == (False, False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), l=st.integers(0, 8))
+def test_certificate_matches_the_nullspace_on_drawn_raising_maps(data, l):
+    # e raises the h-weight, and so does each drawn map: x^(l-r) y^r goes to
+    # a multiple (possibly 0) of some x^(l-s) y^s with s < r, or to zero.
+    # The count of e's images is then exactly the kernel's dimension
+    images = [None] + [data.draw(st.none() | st.tuples(st.integers(-3, 3), st.integers(0, r - 1)))
+                       for r in range(1, l + 1)]
+    verdict, oracle = _certify_with(l, images)
+    assert verdict == oracle
 
 
 def test_classification_cap():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.utilities.iterables import partitions as sympy_partitions
 
+from hilbk3.bb_lattice import MAX_POINTS
 from hilbk3.partitions import (
     codim_diagonal,
     diagrams_of,
@@ -164,6 +165,19 @@ def test_trianalytic_candidates_match_the_full_audit():
     for n in [*range(1, 31), 36, 45]:
         survivors = tuple(a.diagram for a in full_pinning_audit(n) if a.survives)
         assert trianalytic_candidates(n) == survivors
+
+
+def test_candidate_count_is_the_triangular_parts_series():
+    # the number of partitions of n into triangular parts is the coefficient
+    # of q^n in prod_{l >= 1} 1 / (1 - q^(l(l+1)/2)), expanded as an int series
+    coeffs = [1] + [0] * MAX_POINTS
+    l = 1
+    while (t := l * (l + 1) // 2) <= MAX_POINTS:
+        for k in range(t, MAX_POINTS + 1):
+            coeffs[k] += coeffs[k - t]
+        l += 1
+    for n in range(1, MAX_POINTS + 1):
+        assert len(trianalytic_candidates(n)) == coeffs[n], n
 
 
 def test_candidate_audit_against_brute_force():
