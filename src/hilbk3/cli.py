@@ -166,8 +166,9 @@ def _parse_surface(text: str | None):
 
 
 def _gram_entries(rows) -> list[list]:
-    """The Fraction of each entry of a gram file's rows, row by row; re and
-    the pattern are loaded once per file."""
+    """The value of each entry of a gram file's rows, row by row: an int
+    when it is integral and a Fraction otherwise, the package's one rule.
+    re and the pattern are loaded once per file."""
     import re
     from fractions import Fraction
 
@@ -194,7 +195,7 @@ def _gram_entries(rows) -> list[list]:
         if q == 0:
             # another form, or a zero denominator
             raise ValueError("gram entries must be integers or 'p/q' strings")
-        return Fraction(p, q)
+        return p // q if p % q == 0 else Fraction(p, q)
 
     return [[entry(x) for x in row] for row in rows]
 

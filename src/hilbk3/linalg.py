@@ -6,13 +6,14 @@ by arithmetic).  No floats anywhere: kernels, determinants and congruences
 are exact.  Every elimination works on sparse {column: value} rows, each
 value an int when its denominator is 1 and a Fraction otherwise, and
 updates them through `_subtract`, which drops every entry that cancels.
-A Fraction entry is taken as given and any other becomes a Fraction once
-(`symmetric_rows`), so a gram read as Fractions is not copied again.
+A gram's entries are kept as given: `Gram` refuses any entry that is not an
+int or a Fraction and converts none, so a gram of ints makes no Fraction.
 `Echelon` holds the row span in reduced echelon form; nullspace takes such
 sparse rows and returns the kernel as its reduced echelon basis of sparse
 vectors.  `det` is the one routine that takes dense rows: it passes them
 through `sparse` once and reads its answer off `Echelon`.  The identity's 0
-and 1 entries are ints; det returns a Fraction.  `Gram`, the one check of a
+and 1 entries are ints, and det, like every value an elimination returns,
+is an int exactly when it is integral.  `Gram`, the one check of a
 gram, reads nondegeneracy off the diagonal D of `congruence_diagonalize`
 (det = prod D), the symmetric elimination on the same sparse rows, and
 solves columns of P off the rows it eliminated.  It also keeps its entries
@@ -34,17 +35,6 @@ Matrix = list
 
 def identity(n: int) -> Matrix:
     return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def symmetric_rows(a: Matrix, name: str) -> Matrix:
-    """Fraction rows of a square symmetric matrix; ValueError otherwise.
-    A Fraction entry is taken as given; any other becomes one Fraction."""
-    rows = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in a]
-    if any(len(row) != len(rows) for row in rows):
-        raise ValueError(f"{name} must be square")
-    if any(rows[i][j] != rows[j][i] for i in range(len(rows)) for j in range(i)):
-        raise ValueError(f"{name} must be symmetric")
-    return rows
 
 
 def numerators(x: Vector) -> tuple[list[int], int]:
@@ -168,9 +158,9 @@ def nullspace(a: list[dict], ncols: int) -> list[dict]:
             for f in range(last, -1, -1) if f not in pivots]
 
 
-def det(a: Matrix) -> Fraction:
+def det(a: Matrix) -> int | Fraction:
     """Sign of the row-to-pivot-column permutation times the pivot values
-    that `Echelon.add` returns.
+    that `Echelon.add` returns: an int exactly when it is integral.
 
     Each row is reduced only against the rows before it, so the reduced rows
     differ from a by a unit lower-triangular factor and are triangular up to
@@ -179,9 +169,9 @@ def det(a: Matrix) -> Fraction:
     ech = Echelon(len(a))
     hits = [ech.add(sparse(row)) for row in a]
     if None in hits:
-        return Fraction(0)
+        return 0
     inversions = sum(p > q for i, (p, _) in enumerate(hits) for q, _ in hits[i + 1:])
-    value = prod((v for _, v in hits), start=Fraction(1))
+    value = _exact(prod(v for _, v in hits))
     return -value if inversions % 2 else value
 
 
@@ -236,22 +226,29 @@ def congruence_diagonalize(rows: list[dict]) -> tuple[list, list]:
 
 
 class Gram(tuple):
-    """The package's only check of a gram: square, symmetric Fraction rows
-    with no 0 in the D of `congruence_diagonalize`.  Its entries are the
-    given rows' own where they are Fractions, each other entry converted
-    once, so ints, Fractions or a mix of them give the same D, `integral`
-    and columns, value for value and type for type.  A `Gram` passes through
-    unchanged and keeps that one elimination: its `diagonal` D and, through
-    `column`, the columns of P with P^T G P = diag(D).  It also keeps
-    `integral`, the `integral_rows` of its own entries.  A checked `Gram` is
-    read-only: everything it keeps is a tuple, and setting or deleting any
-    attribute raises AttributeError, so every holder of it pairs against
-    the numbers its one check produced."""
+    """The package's only check of a gram: square, symmetric rows of int or
+    Fraction entries with no 0 in the D of `congruence_diagonalize`.  Its
+    entries are the given rows' own objects, none converted, and `sparse`
+    reads an integral Fraction as an int, so ints, Fractions or a mix of
+    them give the same D, `integral` and columns, value for value and type
+    for type.  A `Gram` passes through unchanged and keeps that
+    one elimination: its `diagonal` D and, through `column`, the columns of
+    P with P^T G P = diag(D).  It also keeps `integral`, the `integral_rows`
+    of its own entries.  A checked `Gram` is read-only: everything it keeps
+    is a tuple, and setting or deleting any attribute raises AttributeError,
+    so every holder of it pairs against the numbers its one check
+    produced."""
 
     def __new__(cls, rows):
         if isinstance(rows, Gram):
             return rows
-        gram = super().__new__(cls, map(tuple, symmetric_rows(rows, "gram")))
+        gram = super().__new__(cls, map(tuple, rows))
+        if not {int, Fraction}.issuperset(type(x) for row in gram for x in row):
+            raise ValueError("gram entries must be ints or Fractions")  # a bool is refused too
+        if any(len(row) != len(gram) for row in gram):
+            raise ValueError("gram must be square")
+        if any(gram[i][j] != gram[j][i] for i in range(len(gram)) for j in range(i)):
+            raise ValueError("gram must be symmetric")
         rows = list(map(sparse, gram))
         diagonal, moves = congruence_diagonalize(rows)
         if 0 in diagonal:

@@ -992,11 +992,23 @@ def fraction_bb_pair(lat, x, y):
                         for g, b in zip(row, y) if g))
 
 
+def symmetric_fraction_rows(a, name):
+    """Fraction rows of a square symmetric matrix; ValueError otherwise.
+    Every entry is converted here, so an oracle never reads the package's
+    own intake of a gram."""
+    rows = [[Fraction(x) for x in row] for row in a]
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError(f"{name} must be square")
+    if any(rows[i][j] != rows[j][i] for i in range(len(rows)) for j in range(i)):
+        raise ValueError(f"{name} must be symmetric")
+    return rows
+
+
 def dense_congruence_diagonalize(gram):
     """(P columns, diagonal) with P^T G P diagonal, every column and row
     operation run over all entries, zeros included.  P is kept as the
     matrix itself and its columns are read off at the end."""
-    a = linalg.symmetric_rows(gram, "gram")
+    a = symmetric_fraction_rows(gram, "gram")
     n = len(a)
     p = linalg.identity(n)
 
@@ -1200,7 +1212,7 @@ def dense_su2_invariant(lat, form, triple):
     and forms both products; rescaling an operator or the form by a nonzero
     constant does not change whether the sum vanishes.
     """
-    f = linalg.symmetric_rows(form, "form")
+    f = symmetric_fraction_rows(form, "form")
     if len(f) != lat.total_dim:
         raise ValueError("form size mismatch")
     t = _integer_scaled(f)
@@ -1218,7 +1230,7 @@ def is_contravariant_invariant(lat, tensor, triple):
     The library's check is for 2-forms (L^T F + F L); a tensor with upper
     indices transforms the other way round.
     """
-    t = linalg.symmetric_rows(tensor, "tensor")
+    t = symmetric_fraction_rows(tensor, "tensor")
     if len(t) != lat.total_dim:
         raise ValueError("tensor size mismatch")
     for op in su2_generators(lat, triple):

@@ -278,6 +278,14 @@ def test_gram_entries_are_bounded_before_they_are_converted():
             cli._gram_entries([[x]])
 
 
+def test_gram_entries_are_ints_where_integral():
+    # the package's one rule: an int when the denominator divides out, a
+    # Fraction otherwise
+    [row] = cli._gram_entries([[3, "-4", "6/3", "1/2", "007"]])
+    assert row == [3, -4, 2, Fraction(1, 2), 7]
+    assert [type(x) for x in row] == [int, int, int, Fraction, int]
+
+
 # full mode (dim V <= 6) and dimensions-only mode read the gram the same way
 GRAM_READERS = (["certify", "--n", "3"], ["frobenius", "--dimv", "2", "--n", "2"],
                 ["frobenius", "--dimv", "7", "--n", "2"])
@@ -932,6 +940,12 @@ def test_json_emitter_quotes_strings_as_the_standard_encoder(text):
 def test_json_emitter_rejects_other_types(payload):
     with pytest.raises(TypeError):
         cli._json(payload, "")
+
+
+@pytest.mark.parametrize("obj", [0.5, {1}, {"x": 1}], ids=["float", "set", "dict"])
+def test_plain_refuses_types_it_does_not_serialize(obj):
+    with pytest.raises(TypeError, match=f"^cannot serialize {type(obj).__name__}$"):
+        cli._plain(obj)
 
 
 def test_a_gram_path_that_is_not_a_regular_file_is_refused(tmp_path, capsys):

@@ -40,6 +40,7 @@ from oracles import (
     mat_scale,
     mat_vec,
     random_isotropic,
+    symmetric_fraction_rows,
     transpose,
     triple_associativity,
 )
@@ -588,7 +589,7 @@ def test_restriction_functional_structure(monkeypatch):
     full = full_gram(lat)
     d = lat.dim_v
     # a plain symmetric matrix of size total_dim
-    assert linalg.symmetric_rows(rows, "form") == rows and len(rows) == lat.total_dim
+    assert symmetric_fraction_rows(rows, "form") == rows and len(rows) == lat.total_dim
     for i in range(d):
         for j in range(d):
             assert rows[i][j] == full[i][j]

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import prod
 
@@ -7,7 +8,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hilbk3 import linalg
+from hilbk3 import bb_lattice, linalg
 
 from oracles import (
     dense_congruence_diagonalize,
@@ -193,7 +194,8 @@ def test_gram_is_checked_once_and_keeps_its_eliminations():
     rows = [[0, 1, 0], [1, 0, 0], [0, 0, Fraction(-3, 2)]]
     gram = linalg.Gram(rows)
     assert isinstance(gram, tuple) and gram == tuple(tuple(map(Fraction, r)) for r in rows)
-    assert all(type(row) is tuple and all(type(x) is Fraction for x in row) for row in gram)
+    assert all(type(row) is tuple and all(x is y for x, y in zip(row, given))
+               for row, given in zip(gram, rows))
     assert not hasattr(gram, "det") and linalg.det(rows) == Fraction(3, 2)
     # T is built from pair adds and swaps, so the diagonal D the check keeps
     # has the gram's determinant as its product
@@ -230,11 +232,27 @@ def test_gram_reads_int_and_fraction_entries_alike():
     assert grams[0].integral == grams[1].integral == grams[2].integral == (
         1, tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in ints))
     assert all(type(x) is int for g in grams for row in g.integral[1] for _, x in row)
-    # every entry is a Fraction, and a Fraction entry is the one given
+    # every entry is the object given
     for gram, rows in zip(grams, (ints, fractions, mixed)):
-        assert all(type(x) is Fraction for row in gram for x in row)
-        assert all(x is y for row, given_row in zip(gram, rows)
-                   for x, y in zip(row, given_row) if type(y) is Fraction)
+        assert all(x is y for row, given_row in zip(gram, rows) for x, y in zip(row, given_row))
+
+
+def test_a_gram_of_ints_keeps_its_int_entries():
+    # no entry of an int gram becomes a Fraction: the identity's and the K3
+    # lattice's entries are the int objects given
+    k3 = [list(row) for row in bb_lattice.default_k3_gram()]
+    for rows in (linalg.identity(4), k3):
+        gram = linalg.Gram(rows)
+        assert all(type(x) is int and x is y
+                   for row, given in zip(gram, rows) for x, y in zip(row, given))
+
+
+@pytest.mark.parametrize("bad", (0.5, "1/2", True, Decimal(1)), ids=repr)
+def test_a_gram_refuses_entries_that_are_not_ints_or_fractions(bad):
+    # a float, str, Decimal or bool entry is refused, not read through Fraction()
+    for rows in ([[bad]], [[1, 0], [0, bad]]):
+        with pytest.raises(ValueError, match="^gram entries must be ints or Fractions$"):
+            linalg.Gram(rows)
 
 
 def test_is_zero_matrix():
@@ -405,9 +423,12 @@ def test_echelon_values_are_ints_exactly_when_integral(data):
             assert _int_exactly_when_integral(ech.reduce(probe).values())
 
 
-def test_det_stays_a_fraction():
-    for a in ([[1, 0], [0, 1]], [[2, 1], [1, 1]], [[1, 2], [2, 4]], [[Fraction(1, 2)]]):
-        assert type(linalg.det(a)) is Fraction
+def test_det_is_an_int_exactly_when_integral():
+    for a, value in (([[1, 0], [0, 1]], 1), ([[2, 1], [1, 1]], 1), ([[1, 2], [2, 4]], 0),
+                     ([[Fraction(1, 2)]], Fraction(1, 2)),
+                     ([[Fraction(1, 2), 0], [0, Fraction(2)]], 1)):
+        det = linalg.det(a)
+        assert det == value and _int_exactly_when_integral([det])
 
 
 SPARSE = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), ENTRIES)
