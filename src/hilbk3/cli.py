@@ -345,13 +345,24 @@ def cmd_punctual(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_frobenius(args) -> tuple[dict, list[dict]]:
+    from math import comb
+
     from . import frobenius, linalg
 
     # the pattern first: an argument over its budget is reported before the
     # gram file is read, and the file's size before its Gram check
     pattern = frobenius.algebra_dimension_pattern(args.dimv, args.n)
     gram = _load_gram(args.gram, args.dimv)
-    checks = [{"name": "dimension-pattern-palindromic", "ok": pattern == pattern[::-1]}]
+    # each entry's mirror recounted from the harmonic dimensions dim H_k =
+    # C(d+k-1, k) - C(d+k-3, k-2): Sym^m = H_m + q Sym^(m-2), so dim Sym^m
+    # is S_m = H_m + S_(m-2).  Both lists start two places early, at 0:
+    # c[k + 2] = C(d+k-1, k) and sym[k + 2] = S_k
+    d, n, c, sym = args.dimv, args.n, [0, 0], [0, 0]
+    for k in range(n + 1):
+        c.append(comb(d + k - 1, k))
+        sym.append(c[k + 2] - c[k] + sym[k])
+    mirror = tuple(sym[2 + min(i, 2 * n - i)] for i in range(2 * n + 1))
+    checks = [{"name": "dimension-pattern-palindromic", "ok": pattern[::-1] == mirror}]
     result = {
         "dim_v": args.dimv,
         "n": args.n,
@@ -492,7 +503,3 @@ def main(argv=None) -> int:
         code = 0 if ok else 1
     _emit(payload, bool(args.json))
     return code
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

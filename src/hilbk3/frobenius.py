@@ -49,8 +49,10 @@ from . import linalg
 # gram of the tests (2-core VM, Python 3.11)
 MAX_DIM_V = 6
 MAX_N = 4
-# dimensions-only budget: at dim V 32, n 10,000 the pattern prints about
-# 2 MB of JSON in 0.1 s; gram files have their own bound, cli.MAX_GRAM_DIM
+# dimensions-only budget: at dim V 32, n 10,000 the report prints about 2 MB
+# of JSON in 0.10-0.13 s, 0.015 s of it the check's recount of the pattern
+# (fresh process, 2-core VM, Python 3.11.7); gram files have their own
+# bound, cli.MAX_GRAM_DIM
 MAX_PATTERN_DIM_V = 32
 MAX_PATTERN_N = 10_000
 

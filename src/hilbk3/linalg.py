@@ -29,15 +29,12 @@ from fractions import Fraction
 from itertools import islice
 from math import lcm, prod
 
-Vector = list
-Matrix = list
 
-
-def identity(n: int) -> Matrix:
+def identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def numerators(x: Vector) -> tuple[list[int], int]:
+def numerators(x: list) -> tuple[list[int], int]:
     """(X, den) with x = X / den, den the lcm of the denominators of x (1
     for an empty or all-integer x): the package's one common-denominator
     rule."""
@@ -45,7 +42,7 @@ def numerators(x: Vector) -> tuple[list[int], int]:
     return [a.numerator * (den // a.denominator) for a in x], den
 
 
-def integral_rows(m: Matrix) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+def integral_rows(m: list[list]) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
     """(den, rows): `numerators` of m's entries, one den for the whole
     matrix, with rows den * m as sparse (column, int) pairs over the nonzero
     entries."""
@@ -60,7 +57,7 @@ def _exact(a):
     return a if type(a) is int or a.denominator != 1 else a.numerator
 
 
-def sparse(row: Vector) -> dict:
+def sparse(row: list) -> dict:
     """A dense row in the package's sparse row form: {column: entry} over
     its nonzero entries, each an int when its denominator is 1."""
     return {j: _exact(a) for j, a in enumerate(row) if a}
@@ -89,7 +86,8 @@ class Echelon:
     row's pivot, so a vector r reduces to r - sum_p r[p] * row_p with every
     r[p] read straight from the input.  Every value it stores or returns is
     an int when its denominator is 1 and a Fraction otherwise, so rows that
-    stay integral cost int arithmetic.
+    stay integral cost int arithmetic.  `_rows`, the pivot -> row map, is
+    the one view of the span: `nullspace` reads it in place, copying no row.
     """
 
     def __init__(self, ncols: int):
@@ -127,15 +125,6 @@ class Echelon:
         # no caller in the package; benchmarks/tracing.py wraps it by name
         return not self.reduce(vec)
 
-    @property
-    def pivots(self) -> list[int]:
-        return sorted(self._rows)
-
-    @property
-    def rows(self) -> list[tuple[int, dict]]:
-        """(pivot column, sparse row) in pivot order; the rows are copies."""
-        return [(p, dict(self._rows[p])) for p in self.pivots]
-
 
 def nullspace(a: list[dict], ncols: int) -> list[dict]:
     """The reduced echelon basis of the right kernel of the sparse rows a
@@ -152,13 +141,12 @@ def nullspace(a: list[dict], ncols: int) -> list[dict]:
     ech = Echelon(ncols)
     for row in a:
         ech.add({last - j: x for j, x in row.items()})
-    rows = ech.rows
-    pivots = {p for p, _ in rows}
+    rows = sorted(ech._rows.items())  # (pivot, row) in pivot order, no row copied
     return [{last - f: 1, **{last - p: -row[f] for p, row in rows if f in row}}
-            for f in range(last, -1, -1) if f not in pivots]
+            for f in range(last, -1, -1) if f not in ech._rows]
 
 
-def det(a: Matrix) -> int | Fraction:
+def det(a: list[list]) -> int | Fraction:
     """Sign of the row-to-pivot-column permutation times the pivot values
     that `Echelon.add` returns: an int exactly when it is integral.
 

@@ -18,17 +18,24 @@ returns a line tracer only for code objects under `src/hilbk3`, and each
 process writes the (file, line) pairs it ran to its own file at exit.  The
 script merges those files and prints every executable line (a line that
 some code object of the module lists in `co_lines()`) that never ran, one
-`path:line: source` a line, then the pytest exit status.
+`path:line: source` a line, then the pytest exit status.  A line inside a
+tracer-pinned member, one of the methods that `benchmarks/tracing.py` wraps
+by name with no caller in the package (`test_callers.UNCALLED`), is marked
+`[tracer-pinned]`.  The script exits 1 when a never-run line falls outside
+those members, and with pytest's status otherwise.
 
 Pytest does not collect this file, and the tier-1 suite does not run it:
 under the hook the suite takes several minutes.
 """
 
+import ast
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from test_callers import UNCALLED, _public_definitions
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hilbk3"
@@ -98,6 +105,13 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
+def pinned_lines(path: Path) -> set[int]:
+    """The lines of the module's tracer-pinned members."""
+    return {line for name, node in _public_definitions(ast.parse(path.read_text()))
+            if (path.stem, name) in UNCALLED
+            for line in range(node.lineno, node.end_lineno + 1)}
+
+
 def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         hook_dir, dump = Path(tmp, "hook"), Path(tmp, "dump")
@@ -115,13 +129,17 @@ def main(argv: list[str]) -> int:
                 name, line = record.rsplit("\t", 1)
                 ran.add((name, int(line)))
     print(f"\nmerged the lines of {len(dumps)} processes; never run:")
+    outside = 0
     for module in sorted(PACKAGE.glob("*.py")):
-        source = module.read_text().splitlines()
+        source, pinned = module.read_text().splitlines(), pinned_lines(module)
         for line in sorted(executable_lines(module)):
             if (str(module), line) not in ran:
-                print(f"{module.relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
+                mark = " [tracer-pinned]" if line in pinned else ""
+                print(f"{module.relative_to(ROOT)}:{line}: {source[line - 1].strip()}{mark}")
+                outside += line not in pinned
+    print(f"never-run lines outside the tracer-pinned members: {outside}")
     print(f"pytest exit status: {status}")
-    return status
+    return 1 if outside else status
 
 
 if __name__ == "__main__":

@@ -692,9 +692,9 @@ def dense_normal_forms(gram, n):
             ech = linalg.Echelon(len(basis))
             for g in generators:
                 ech.add(g)
-            rows = [_dense(row, len(basis)) for _, row in ech.rows]
+            rows = [_dense(row, len(basis)) for _, row in sorted(ech._rows.items())]
             normal = [_dense(ech.reduce(linalg.sparse(v)), len(basis)) for v in normal]
-            pivots = set(ech.pivots)
+            pivots = set(ech._rows)
         quotient = [k for k in range(len(basis)) if k not in pivots]
         column = {k: t for t, k in enumerate(quotient)}
         quotient_monomials[d] = tuple(basis[k] for k in quotient)
@@ -1178,9 +1178,9 @@ def inverse(a):
     ech = linalg.Echelon(2 * n)
     for i, row in enumerate(a):
         ech.add(linalg.sparse(list(row) + [int(i == j) for j in range(n)]))
-    if ech.pivots != list(range(n)):
+    if sorted(ech._rows) != list(range(n)):
         raise ValueError("matrix is singular")
-    return [_dense(row, 2 * n)[n:] for _, row in ech.rows]
+    return [_dense(ech._rows[p], 2 * n)[n:] for p in range(n)]
 
 
 def su2_generators(lat, triple):
@@ -1256,7 +1256,7 @@ def _saturation_rank(start, ops, act, flat, ncols):
                 if ech.add(linalg.sparse(flat(y))):
                     grown.append(y)
         frontier = grown
-    return len(ech.pivots)
+    return len(ech._rows)
 
 
 def delta_module_dimension(lat, triple):

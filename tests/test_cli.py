@@ -551,6 +551,23 @@ def _flip_a_normal_form(monkeypatch):
     monkeypatch.setattr(frobenius.FrobeniusAlgebra, "_build", build)
 
 
+def _add_a_non_suffix_ideal(monkeypatch):
+    real = invariant_ideals.classify_invariant_ideals
+    monkeypatch.setattr(invariant_ideals, "classify_invariant_ideals",
+                        lambda n: real(n) + (invariant_ideals.InvariantIdeal(n, (1, n - 1)),))
+
+
+def _drop_an_ideal(monkeypatch):
+    real = invariant_ideals.classify_invariant_ideals
+    monkeypatch.setattr(invariant_ideals, "classify_invariant_ideals", lambda n: real(n)[1:])
+
+
+def _symmetric_wrong_pattern(monkeypatch):
+    # palindromic, so only the recount from the harmonic dimensions fails it
+    monkeypatch.setattr(frobenius, "algebra_dimension_pattern",
+                        lambda dim_v, n: (1, 24, 276, 24, 1))
+
+
 # each printed check that a defect in its computation can fail: the report,
 # and the defect injected (None where the input alone fails the check)
 FAILABLE_CHECKS = {
@@ -562,6 +579,11 @@ FAILABLE_CHECKS = {
     "verdict-certified": (["certify", "--n", "3"], _h4_not_obstructed),
     "pairing-nondegenerate": (["frobenius", "--dimv", "2", "--n", "2"], _zero_pairing_row),
     "associative": (["frobenius", "--dimv", "2", "--n", "2"], _flip_a_normal_form),
+    "every-invariant-ideal-is-a-power-of-m": (["ideals", "--N", "5"], _add_a_non_suffix_ideal),
+    "count-is-N-minus-1": (["ideals", "--N", "5"], _drop_an_ideal),
+    # dimensions only: the full build checks the pattern itself
+    "dimension-pattern-palindromic": (["frobenius", "--dimv", "23", "--n", "2"],
+                                      _symmetric_wrong_pattern),
 }
 
 

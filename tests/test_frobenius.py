@@ -239,6 +239,13 @@ def test_algebra_dimensions_and_checks():
         assert alg.check_associative()
 
 
+def test_dim_is_zero_outside_the_graded_range():
+    for gram, n in ((U, 1), (U2, 2)):
+        alg = build_algebra(gram, n)
+        assert (alg.dim(-1), alg.dim(2 * n + 1)) == (0, 0)
+        assert alg.dim(0) == alg.dim(2 * n) == 1
+
+
 def test_normal_form_table_matches_sympy_rref():
     diagonal = ((1, 0, 0), (0, 2, 0), (0, 0, -3))
     for gram, n in ((U, 2), (U2, 2), (diagonal, 3), (U4, 2)):

@@ -8,6 +8,7 @@ from hilbk3 import invariant_ideals, partitions
 from hilbk3.invariant_ideals import (
     MAX_COLENGTH,
     MAX_TRUNCATION,
+    InvariantIdeal,
     MonomialIdeal,
     classify_invariant_ideals,
     irreducibility_certificate,
@@ -108,6 +109,13 @@ def test_classification_is_powers_of_the_maximal_ideal():
         assert powers == list(range(1, n))
         for ideal in ideals:
             assert ideal.degrees == tuple(range(ideal.degrees[0], n))
+
+
+def test_a_support_that_is_not_a_suffix_is_no_power_of_m():
+    # the classification lists suffixes only, so these come from no report
+    assert InvariantIdeal(6, (2, 3, 4, 5)).maximal_ideal_power() == 2
+    for degrees in ((2, 4), (1, 2, 3), (0, 2, 3, 4, 5), ()):
+        assert InvariantIdeal(6, degrees).maximal_ideal_power() is None
 
 
 def test_classification_matches_the_support_sweep():

@@ -60,3 +60,11 @@ def test_every_true_division_is_on_the_pinned_list():
     found = [hit for path in sorted(SRC.glob("*.py"))
              for hit in _divisions(ast.parse(path.read_text()), path.stem)]
     assert sorted(found) == sorted(DIVISIONS)
+
+
+def test_only_the_main_module_has_a_main_block():
+    # one entry point: `python -m hilbk3` runs __main__.py, and the installed
+    # script calls cli.main itself
+    assert [hit.split(":")[0] for hit in _offences(
+        lambda node: isinstance(node, ast.If)
+        and ast.unparse(node.test) == "__name__ == '__main__'")] == ["__main__.py"]
