@@ -49,10 +49,10 @@ from . import linalg
 # gram of the tests (2-core VM, Python 3.11)
 MAX_DIM_V = 6
 MAX_N = 4
-# dimensions-only budget: at dim V 32, n 10,000 the report prints about 2 MB
-# of JSON in 0.10-0.13 s, 0.015 s of it the check's recount of the pattern
-# (fresh process, 2-core VM, Python 3.11.7); gram files have their own
-# bound, cli.MAX_GRAM_DIM
+# dimensions-only budget: at dim V 32, n 10,000 the report prints about
+# 1.7 MB of JSON in 0.17-0.18 s, 0.013 s of it the pattern and 0.029 s the
+# check's recount of it (fresh process, 2-core VM, Python 3.11.7); gram
+# files have their own bound, cli.MAX_GRAM_DIM
 MAX_PATTERN_DIM_V = 32
 MAX_PATTERN_N = 10_000
 
@@ -127,7 +127,9 @@ def algebra_dimension_pattern(dim_v: int, n: int) -> tuple[int, ...]:
     if dim_v > MAX_PATTERN_DIM_V or n > MAX_PATTERN_N:
         raise ValueError(f"dimension patterns capped at dim V <= {MAX_PATTERN_DIM_V}, "
                          f"n <= {MAX_PATTERN_N}")
-    return tuple(comb(dim_v + min(i, 2 * n - i) - 1, min(i, 2 * n - i)) for i in range(2 * n + 1))
+    # dim A_2i = dim Sym^min(i, 2n - i) V: n + 1 binomials, mirrored
+    half = [comb(dim_v + i - 1, i) for i in range(n + 1)]
+    return tuple(half + half[-2::-1])
 
 
 def full_table(dim_v: int, n: int) -> bool:

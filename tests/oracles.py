@@ -31,8 +31,9 @@ lattice's integral view states once, explicit BB classes, the routes of
 the degree-4 path the library replaced (BB pairing and
 period-triple Gram-Schmidt in Fractions, period triples orthogonal to
 delta, congruence column operations over
-zero entries too, with the signature read off them), the two grams at
-the entry bound that CI writes, a rank, a matrix
+zero entries too, with the signature read off them), the gram files
+that CI's gates read and each gate's one comparison, which tier-1 calls
+too, a rank, a matrix
 inverse and the dense matrix and matrix-vector products, the three dense
 rotation operators of a period triple with the dense invariance checks
 built from them (the 2-form check the library replaced, and the
@@ -47,14 +48,15 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import factorial, lcm
+from math import factorial, isqrt, lcm, prod
+from pathlib import Path
 
 import sympy
 
-from hilbk3 import cli, linalg
+from hilbk3 import bb_lattice, cli, linalg
 from hilbk3.bb_lattice import PeriodTriple
 from hilbk3.cohomology import PoincarePolynomial, SurfaceBetti, symmetric_power_poincare
-from hilbk3.frobenius import harmonic_basis, laplacian_matrix, monomial_basis
+from hilbk3.frobenius import build_algebra, harmonic_basis, laplacian_matrix, monomial_basis
 from hilbk3.partitions import diagrams_of, is_triangular, partitions_of
 
 
@@ -632,9 +634,10 @@ def ideal_normal_forms(gram, n, d):
     return forms
 
 
-# the (dim V, n) cells of the frobenius benchmark deck
+# the frobenius benchmark deck's (dim V, n) cells, and the three CI builds
+LARGE_FROBENIUS_CELLS = ((5, 4), (6, 3), (6, 4))
 FROBENIUS_CELLS = tuple((d, n) for d in range(2, 7) for n in range(2, 5)
-                        if (d, n) not in ((5, 4), (6, 3), (6, 4)))
+                        if (d, n) not in LARGE_FROBENIUS_CELLS)
 
 
 def frobenius_grams(dim):
@@ -732,26 +735,44 @@ def triple_associativity(alg):
     return True
 
 
+def unit_product_pairing(alg, i):
+    """The pairing of A_{2i} with A_{2(2n-i)} of a FrobeniusAlgebra as the
+    top coordinates of products of basis unit vectors, through `multiply`."""
+    j = 2 * alg.n - i
+    return [[alg.multiply(i, a, j, b)[0] for b in linalg.identity(alg.dim(j))]
+            for a in linalg.identity(alg.dim(i))]
+
+
+def large_cell_failure(cells=LARGE_FROBENIUS_CELLS):
+    """None, or what fails first on the p/q gram at a (dim V, n) cell: the table
+    against the dense oracle, the pairing off it against `unit_product_pairing`
+    in degrees 0..n, the pairing and Fujiki relation by the Laplacian oracle."""
+    for dim, n in cells:
+        gram = frobenius_grams(dim)["rational"]
+        alg = build_algebra(gram, n)
+        if (alg._quotient_monomials, alg._forms) != dense_normal_forms(gram, n):
+            return f"table differs from the dense oracle at {(dim, n)}"
+        for i in range(n + 1):
+            if alg.pairing_matrix(i) != unit_product_pairing(alg, i):
+                return f"pairing off the table differs at {(dim, n, i)}"
+        if not laplacian_pairing(alg):
+            return f"pairing differs from the Laplacian oracle at {(dim, n)}"
+        if not laplacian_fujiki(alg, random.Random(dim * 10 + n)):
+            return f"Fujiki relation fails at {(dim, n)}"
+    return None
+
+
 def all_degree_pairing_nondegenerate(alg):
     """The pairing check of a FrobeniusAlgebra over all 2n + 1 degrees.
 
     The route the library's check replaced, which reads each matrix off the
     table's top degree and takes determinants in degrees 0..n only: here
-    every matrix of top coordinates of a_r * b_s is multiplied out through
-    `multiply` on unit vectors and every determinant is taken.
+    every matrix `unit_product_pairing` is multiplied out and every
+    determinant is taken.
     """
-    n = alg.n
-
-    def units(size):
-        return [[int(r == c) for c in range(size)] for r in range(size)]
-
-    for i in range(2 * n + 1):
-        j = 2 * n - i
-        m = [[alg.multiply(i, a, j, b)[0] for b in units(alg.dim(j))]
-             for a in units(alg.dim(i))]
-        if alg.dim(i) != alg.dim(j):
-            return False
-        if m and linalg.det(m) == 0:
+    for i in range(2 * alg.n + 1):
+        m = unit_product_pairing(alg, i)
+        if alg.dim(i) != alg.dim(2 * alg.n - i) or (m and linalg.det(m) == 0):
             return False
     return True
 
@@ -925,6 +946,25 @@ def restriction_functional(lat):
     return f
 
 
+def su2_views(triple):
+    """(verdict, views): h4_obstruction(triple) and the rows of every form
+    it hands is_su2_invariant, captured by wrapping the check for the call."""
+    seen, real = [], bb_lattice.is_su2_invariant
+    bb_lattice.is_su2_invariant = lambda rows, t: seen.append(rows) or real(rows, t)
+    try:
+        return bb_lattice.h4_obstruction(triple), seen
+    finally:
+        bb_lattice.is_su2_invariant = real
+
+
+def f_view_verdict(lat, rng):
+    """h4_obstruction's verdict on a triple of lat drawn from rng; None unless
+    its one view is `restriction_functional` scaled to ints by lat's gden."""
+    verdict, views = su2_views(bb_lattice.random_period_triple(lat, rng))
+    f = linalg.integral_rows(restriction_functional(lat))
+    return verdict if [(lat.integral[0], rows) for rows in views] == [f] else None
+
+
 def delta_class(lat):
     return (Fraction(0),) * lat.dim_v + (Fraction(1),)
 
@@ -1047,6 +1087,14 @@ def dense_congruence_diagonalize(gram):
     return transpose(p), [a[i][i] for i in range(n)]
 
 
+def congruence_agrees(gram):
+    """Whether a checked `linalg.Gram` has the dense congruence's D and P, and
+    prod D is `linalg.det`, the route the check does not take."""
+    p, d = dense_congruence_diagonalize(gram)
+    return (list(gram.diagonal) == d and [gram.column(c) for c in range(len(gram))] == p
+            and prod(gram.diagonal) == linalg.det(gram))
+
+
 def signature(gram):
     """(positive, negative, zero) inertia of a symmetric matrix, counted on
     the diagonal of the dense congruence; no eigenvalues."""
@@ -1056,31 +1104,76 @@ def signature(gram):
     return pos, neg, len(d) - pos - neg
 
 
-def entry_bound_grams():
-    """{name: Fraction rows} of the two 32 x 32 grams at the entry bound that
-    CI writes as JSON, drawn as its scripts draw them: `bound32`, dense
-    p/q entries with |p| and q from 900,000..10^6, and `last32`, a
-    negative-definite 29 x 29 block before a positive diagonal 3 x 3 block."""
-    b = 10 ** 6
-    r = random.Random(1)
-    low = [[f"{r.choice((-1, 1)) * r.randint(b - 10 ** 5, b)}/{r.randint(b - 10 ** 5, b)}"
-            for j in range(i + 1)] for i in range(32)]
-    grams = {"bound32": low}
-    r = random.Random(2)
+# The gram files that CI's gates read.  bound32 and int32 are dense, with
+# p/q and int entries near +-cli.MAX_GRAM_ENTRY (|p|, q in 900,000..10^6);
+# int32's D has 15 positive pivots, so certify draws period triples.
+# last32 puts a negative-definite 29 x 29 block (diagonal near -1, other
+# entries 0.01-0.02) before a positive diagonal 3 x 3 block, the worst
+# pivot order.  sparse32 holds hyperbolic planes around two E8(-1) blocks,
+# each scaled by its own p/(2q'), p prime and 2q' near the bound, so the
+# congruence's swaps and pair-add repairs run on sparse rows.  dev has
+# signature (3, 1) and a p/q entry; rational5 and rational6 are
+# `frobenius_grams`' p/q grams.
+
+def gate_gram(name):
+    """The rows of a gate gram file, ints and "p/q" strings, drawn here once."""
+    if name == "dev":
+        return [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, "2/3", 0], [0, 0, 0, 2]]
+    if name.startswith("rational"):
+        return [[f"{x.numerator}/{x.denominator}" for x in row]
+                for row in frobenius_grams(int(name[8:]))["rational"]]
+    r, b = random.Random({"bound32": 1, "last32": 2, "sparse32": 3, "int32": 4}[name]), 10 ** 6
 
     def q():
         return r.randint(b - 10 ** 5, b)
 
+    if name == "sparse32":
+        edges = {(i, i + 1) for i in range(6)} | {(4, 7)}
+        e8 = [[-2 if i == j else int((min(i, j), max(i, j)) in edges) for j in range(8)]
+              for i in range(8)]
+        rows, off = [[0] * 32 for _ in range(32)], 0
+        for block in ([[0, 1], [1, 0]] if kind == "U" else e8 for kind in "UEUUEUUUUU"):
+            p = next(x for x in range(r.randint(b - 10 ** 5, b - 10 ** 4), b)
+                     if all(x % d for d in range(2, isqrt(x) + 1)))
+            s = Fraction(p, 2 * r.randint((b - 10 ** 5) // 2, b // 2))
+            for i, row in enumerate(block):
+                for j, x in enumerate(row):
+                    if x:
+                        rows[off + i][off + j] = f"{(x * s).numerator}/{(x * s).denominator}"
+            off += len(block)
+        return rows
+
     def entry(i, j):
+        if name == "bound32":
+            return f"{r.choice((-1, 1)) * q()}/{q()}"
+        if name == "int32":
+            return r.choice((-1, 1)) * q()
         if max(i, j) >= 29:
             return f"{q()}/{q()}" if i == j else 0
         if i == j:
             return f"-{q()}/{q()}"
         return f"{r.choice((-1, 1)) * r.randint(10 ** 4, 2 * 10 ** 4)}/{q()}"
 
-    grams["last32"] = [[entry(i, j) for j in range(i + 1)] for i in range(32)]
-    return {name: [[Fraction(low[max(i, j)][min(i, j)]) for j in range(32)] for i in range(32)]
-            for name, low in grams.items()}
+    low = [[entry(i, j) for j in range(i + 1)] for i in range(32)]
+    return [[low[max(i, j)][min(i, j)] for j in range(32)] for i in range(32)]
+
+
+def write_gate_grams(paths):
+    """Write the gate gram named by each path's stem, with no trailing newline;
+    `huge.json`, one row of 100 MB that the reader refuses, as text."""
+    for path in map(Path, paths):
+        if path.stem == "huge":
+            text = '{"dim": 1, "rows": [[' + "1, " * (100 * 2 ** 20 // 3) + "1]]}"
+        else:
+            rows = gate_gram(path.stem)
+            text = json.dumps({"dim": len(rows), "rows": rows})
+        path.write_text(text)
+
+
+def entry_bound_grams():
+    """{name: Fraction rows} of the dense gate grams bound32 and last32."""
+    return {name: [[Fraction(x) for x in row] for row in gate_gram(name)]
+            for name in ("bound32", "last32")}
 
 
 def fraction_period_triple(lat, rng, with_delta=True):

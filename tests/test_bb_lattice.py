@@ -2,7 +2,6 @@ import hashlib
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -28,12 +27,13 @@ from hilbk3.partitions import is_triangular
 from oracles import (
     basis_class,
     bb_inverse_tensor,
+    congruence_agrees,
     delta_class,
     delta_module_dimension,
     delta_squared_form,
-    dense_congruence_diagonalize,
     dense_su2_invariant,
     entry_bound_grams,
+    f_view_verdict,
     flat_period_triple,
     fraction_bb_pair,
     fraction_period_triple,
@@ -49,6 +49,8 @@ from oracles import (
     restriction_functional,
     signature,
     su2_generators,
+    su2_views,
+    symmetric_fraction_rows,
     transported_bb_tensor,
     transpose,
 )
@@ -98,10 +100,9 @@ def test_default_gram_shape_and_invariants():
     # the checked gram every K3 lattice shares, with the elimination it keeps;
     # its U blocks take the zero-pivot repair
     assert isinstance(g, linalg.Gram) and k3_lattice(3).gram is g is k3_lattice(6).gram
-    p, diag = dense_congruence_diagonalize(rows)
-    assert list(g.diagonal) == diag and [g.column(c) for c in range(22)] == p
-    # the self-test reads unimodularity off the check's D: det = prod D
-    assert prod(g.diagonal) == linalg.det(rows)
+    # D and P are the dense congruence's; the self-test reads unimodularity
+    # off the check's D: det = prod D
+    assert congruence_agrees(g)
 
 
 def _set_first_diagonal(value):
@@ -701,20 +702,34 @@ def test_the_two_degree_4_routes_agree(seed, drawn, n):
             and dense_su2_invariant(lat, f, flat))
 
 
-def test_h4_obstruction_reads_f_as_the_lattices_view(monkeypatch):
-    # the view the su(2) check gets is f's: the oracle's Fraction
-    # B + 2(n-1) d^2 scaled to ints, with the lattice's gden
-    seen = []
-    real = bb_lattice.is_su2_invariant
-    monkeypatch.setattr(bb_lattice, "is_su2_invariant",
-                        lambda rows, triple: seen.append(rows) or real(rows, triple))
+def test_h4_obstruction_reads_f_as_the_lattices_view():
+    # the one view the su(2) check gets is f's: the oracle's Fraction
+    # B + 2(n-1) d^2 scaled to ints, with the lattice's gden; f is obstructed
     for gram in INTEGER_PATH_GRAMS:
         for n in (3, 6, 28):
-            lat = k3_lattice(n, gram)
-            seen.clear()
-            assert h4_obstruction(random_period_triple(lat, random.Random(n)))
-            assert [(lat.integral[0], rows) for rows in seen] == [
-                linalg.integral_rows(restriction_functional(lat))]
+            assert f_view_verdict(k3_lattice(n, gram), random.Random(n)) is True
+
+
+def test_restriction_functional_structure():
+    # the view of f that h4_obstruction hands the su(2) check, as Fractions
+    lat = k3_lattice(3)
+    obstructed, [view] = su2_views(random_period_triple(lat, random.Random(3)))
+    assert obstructed
+    assert all(j < len(view) for row in view for j, _ in row)
+    gden = lat.integral[0]
+    rows = [[Fraction(dict(row).get(j, 0), gden) for j in range(len(view))] for row in view]
+    full, d = full_gram(lat), lat.dim_v
+    # a plain symmetric matrix of size total_dim
+    assert symmetric_fraction_rows(rows, "form") == rows and len(rows) == lat.total_dim
+    for i in range(d):
+        for j in range(d):
+            assert rows[i][j] == full[i][j]
+        assert rows[i][d] == 0 and rows[d][i] == 0
+    # the delta square cancels: -2(n-1) + 2(n-1) = 0
+    assert rows[d][d] == 0
+    assert q_norm(lat, delta_class(lat)) == -4
+    with pytest.raises(ValueError):
+        k3_lattice(1, SMALL)  # no exceptional class, so no lattice
 
 
 NONZERO_FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)

@@ -19,7 +19,7 @@ from hilbk3 import bb_lattice, cli, cohomology, frobenius, invariant_ideals, lin
 from hilbk3.cli import SCHEMA, main
 
 from oracles import (FROBENIUS_CELLS, frobenius_grams, ideals_report, json_report,
-                     reference_parser, strata_report)
+                     reference_parser, strata_report, write_gate_grams)
 
 
 def run(argv, capsys):
@@ -783,6 +783,25 @@ def test_certify_output_bytes_are_pinned(capsys):
         "e96f1f51665c9ed30ceaf8eed08f93c69b80f5adbc27355cce9022acd56da570")
 
 
+GATE_GRAM_DIGESTS = {
+    "bound32": "d47575941746707a1826e8f52c9b23b0369964e87b7bdc6b4a8e0b9541759b0a",
+    "last32": "758c313fe94638542f7c6e1ef8e8ea7458cc3ec76acf11671033e14a0548b110",
+    "sparse32": "d8f3e56354a6cebc7102daf3b8367a3152ad0d83bfe652cabc71dce68b928968",
+    "int32": "1e7e70e6e217c6b0a83bbf09e1843f9bf534f873c659de1f00400954ffad7d59",
+    "dev": "cad5e44b5bf4de06e800f547548baf3787c5f36df31ad6a4d7e02e0826817dbc",
+    "rational5": "9b4e0dd21da8dc0349a8b868187b350b30853bf4c86c06420e44bf3488267ee3",
+    "rational6": "701b065ed0379d1eab57bd8f3805d8d1b29d0cfa724f4db2db83b439a49f7daa",
+}
+
+
+def test_gate_gram_files_are_pinned(tmp_path):
+    # every gram file CI's gates read, written as the workflow writes it: a
+    # changed draw fails here, not only in CI
+    paths = [tmp_path / f"{name}.json" for name in GATE_GRAM_DIGESTS]
+    write_gate_grams(paths)
+    assert {p.stem: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths} == GATE_GRAM_DIGESTS
+
+
 def test_certify_bytes_are_pinned_past_the_default_pins(tmp_path, monkeypatch, capsys):
     # `certify --seed 3` in both formats where the pins above stop: near the
     # cap on the default gram, on a 4 x 4 gram of signature (3, 1) with a
@@ -790,8 +809,7 @@ def test_certify_bytes_are_pinned_past_the_default_pins(tmp_path, monkeypatch, c
     # not obstructed (verdict inconclusive, exit 1); the exit code of every
     # report is hashed too
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "dev.json").write_text(json.dumps(
-        {"dim": 4, "rows": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, "2/3", 0], [0, 0, 0, 2]]}))
+    write_gate_grams([tmp_path / "dev.json"])
     argvs = [["certify", "--n", str(n)] for n in (91, 100)]
     argvs += [["certify", "--n", str(n), "--gram", "dev.json"] for n in (3, 6, 10, 28, 91)]
     digest = hashlib.sha256()
