@@ -15,11 +15,16 @@ from types import SimpleNamespace
 
 # each report imports the layers it runs when it runs, so that a report
 # loads only those layers: `certify` loads `linalg` only to check a gram file
-# or to build the lattice of a triangular n.  No layer imports `dataclasses`
-# (or `inspect`), and `betti`, `strata`, `punctual` and `ideals` load neither
-# `fractions` nor the `decimal` it imports.  Well-formed argv is read without
-# `argparse` (and the `gettext` and `locale` it loads), and `json` is loaded
-# only to read a gram file or to escape a string
+# or to build the lattice of a triangular n.  The same holds for the report
+# code itself, which is compiled on every run when no bytecode is cached:
+# this module keeps the bounds, the argv reader, the emitter and the three
+# short reports; `betti` and `strata` run in `_stratum_reports`, `frobenius`
+# in `_frobenius_report`, and `_gram_file` loads only to read a --gram file.
+# No layer imports `dataclasses` (or `inspect`), and `betti`, `strata`,
+# `punctual` and `ideals` load neither `fractions` nor the `decimal` it
+# imports.  Well-formed argv is read without `argparse` (and the `gettext`
+# and `locale` it loads), and `json` is loaded only to read a gram file or
+# to escape a string
 
 SCHEMA = "hilbk3.report/1"
 # bound on |p| and q for every gram entry p/q; the exact arithmetic on a
@@ -141,168 +146,32 @@ def _emit(payload: dict, as_json: bool) -> None:
         sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _surface_number(text: str) -> int:
-    # the digits are counted before the text is converted, as for a gram
-    # entry: without sign, underscores and leading zeros, a longer digit
-    # string is over the bound
-    digits = text.strip().lstrip("+-").replace("_", "").lstrip("0")
-    value = MAX_SURFACE_BETTI + 1
-    if len(digits) <= len(str(MAX_SURFACE_BETTI)):
-        value = int(text)
-    if abs(value) > MAX_SURFACE_BETTI:
-        raise ValueError(f"--surface entries must have |b| <= {MAX_SURFACE_BETTI}")
-    return value
-
-
-def _parse_surface(text: str | None):
-    from . import cohomology
-
-    if text is None:
-        return cohomology.SurfaceBetti.k3()
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError("--surface expects b0,b2,b4")
-    return cohomology.SurfaceBetti(*map(_surface_number, parts))
-
-
-def _gram_entries(rows) -> list[list]:
-    """The value of each entry of a gram file's rows, row by row: an int
-    when it is integral and a Fraction otherwise, the package's one rule.
-    re and the pattern are loaded once per file."""
-    import re
-    from fractions import Fraction
-
-    # sign, then the digits of p and of q without their leading zeros
-    rational = re.compile(r"(-?)0*([0-9]+)(?:/0*([0-9]+))?")
-    digits = len(str(MAX_GRAM_ENTRY))
-
-    def entry(x):
-        # only the documented forms, each bounded; an exponent string such as
-        # "1e999999999" would ask for an unbounded amount of exact arithmetic
-        if isinstance(x, int) and not isinstance(x, bool):
-            p, q = x, 1
-        elif isinstance(x, str) and (m := rational.fullmatch(x)):
-            sign, num, den = m.groups("1")
-            # with no leading zeros a longer digit string is over the bound,
-            # and it is never converted
-            too_long = max(len(num), len(den)) > digits
-            p, q = (MAX_GRAM_ENTRY + 1, 1) if too_long else (int(sign + num), int(den))
-        else:
-            p, q = 0, 0
-        if abs(p) > MAX_GRAM_ENTRY or q > MAX_GRAM_ENTRY:
-            raise ValueError(f"gram entries p/q must have |p| <= {MAX_GRAM_ENTRY} "
-                             f"and q <= {MAX_GRAM_ENTRY}")
-        if q == 0:
-            # another form, or a zero denominator
-            raise ValueError("gram entries must be integers or 'p/q' strings")
-        return p // q if p % q == 0 else Fraction(p, q)
-
-    return [[entry(x) for x in row] for row in rows]
-
-
-def _load_gram(path: str | None, dim_v: int | None = None):
-    """The checked `linalg.Gram` of a gram file, None for no path.  A dim_v
-    that the file's size must match is compared before the gram is
-    eliminated, since the Gram check is the costliest step."""
+def _read_gram(path: str | None, dim_v: int | None = None):
+    """The checked `linalg.Gram` of a --gram file, None for no path; the
+    reader is loaded only for a path."""
     if path is None:
         return None
-    import json
-    import os
-    import stat
+    from . import _gram_file
 
-    from . import linalg
-
-    # opened without blocking and checked before it is read: a FIFO with no
-    # writer would block open() and read() with no bound
-    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
-    try:
-        if not stat.S_ISREG(os.fstat(fd).st_mode):
-            raise ValueError("gram file must be a regular file")
-        with open(fd, closefd=False) as fh:
-            text = fh.read(MAX_GRAM_CHARS + 1)
-    finally:
-        os.close(fd)
-    if len(text) > MAX_GRAM_CHARS:
-        raise ValueError(f"gram files are capped at {MAX_GRAM_CHARS} characters")
-    try:
-        data = json.loads(text)
-    except RecursionError:
-        # a RuntimeError, which would read as an internal failure
-        raise ValueError("gram file is nested too deeply") from None
-    if not (isinstance(data, dict) and "dim" in data and isinstance(data.get("rows"), list)
-            and all(isinstance(r, list) for r in data["rows"])):
-        raise ValueError('gram file must be a JSON object {"dim": d, "rows": [[...], ...]}')
-    if len(data["rows"]) > MAX_GRAM_DIM or any(len(r) > MAX_GRAM_DIM for r in data["rows"]):
-        raise ValueError(f"gram files are capped at dimension {MAX_GRAM_DIM}")
-    dim = data["dim"]
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise ValueError("gram file dim must be a positive integer")
-    rows = _gram_entries(data["rows"])
-    if len(rows) != dim or any(len(r) != dim for r in rows):
-        raise ValueError("gram file dimensions are inconsistent")
-    if dim_v not in (None, dim):
-        raise ValueError("--dimv disagrees with the gram file")
-    return linalg.Gram(rows)
+    return _gram_file.load(path, dim_v)
 
 
 def cmd_betti(args) -> tuple[dict, list[dict]]:
-    from . import cohomology
+    from . import _stratum_reports
 
-    if args.max_degree is not None and args.max_degree < 0:
-        raise ValueError("max-degree must be >= 0")
-    surface = _parse_surface(args.surface)
-    ledger = cohomology.hilbert_stratum_ledger(surface, args.n)
-    poly = ledger.total()
-    betti = list(poly.betti)
-    if args.max_degree is not None:
-        betti = betti[: args.max_degree + 1]
-    degree2 = [
-        {"diagram": _plain(d), "contribution": b} for d, b in ledger.entries_in_degree(2)
-    ]
-    checks = [
-        {"name": "b0-is-1", "ok": poly.coefficient(0) == 1},
-        {"name": "odd-degrees-vanish", "ok": poly.has_only_even_degrees},
-        {"name": "poincare-duality", "ok": poly.is_palindromic},
-    ]
-    if args.n >= 2:
-        checks.append({"name": "degree-2-ledger-has-two-strata", "ok": len(degree2) == 2})
-        checks.append({"name": "b2-is-surface-b2-plus-1",
-                       "ok": poly.coefficient(2) == surface.b2 + 1})
-    result = {
-        "n": args.n,
-        "surface": _plain(surface),
-        "betti": betti,
-        "top_degree": poly.top_degree,
-        "euler_characteristic": poly.euler_characteristic,
-        "degree_2_entries": degree2,
-    }
-    return result, checks
+    return _stratum_reports.betti(args)
 
 
 def cmd_strata(args) -> tuple[dict, list[dict]]:
-    from . import cohomology, partitions
+    from . import _stratum_reports
 
-    surface = _parse_surface(args.surface)
-    strata = cohomology.hilbert_strata(surface, args.n)
-    # the strata of one multiplicity signature share a polynomial, rendered once;
-    # for --json at its depth in the payload (result, strata, row: 8 spaces)
-    texts = {p: _Text(_json(list(p.betti), " " * 8)) if args.json
-             else " ".join(map(str, p.betti)) for p in {c.poincare for c in strata}}
-    rows = [{
-        "diagram": list(c.diagram),
-        "codim": c.codim,
-        "fiber_dimension": partitions.fiber_dimension(c.diagram),
-        "semismall": partitions.verify_semismall(c.diagram),
-        "poincare": texts[c.poincare],
-    } for c in strata]
-    checks = [{"name": "semismall-equality-all-strata", "ok": all(r["semismall"] for r in rows)}]
-    return {"n": args.n, "surface": _plain(surface), "strata": rows}, checks
+    return _stratum_reports.strata(args)
 
 
 def cmd_certify(args) -> tuple[dict, list[dict]]:
     from . import bb_lattice
 
-    gram = _load_gram(args.gram)
+    gram = _read_gram(args.gram)
     report = bb_lattice.certify_no_trianalytic(args.n, gram=gram, seed=args.seed)
     checks = [{"name": "verdict-certified", "ok": report.verdict == "certified"}]
     return _plain(report), checks
@@ -345,41 +214,9 @@ def cmd_punctual(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_frobenius(args) -> tuple[dict, list[dict]]:
-    from math import comb
+    from . import _frobenius_report
 
-    from . import frobenius, linalg
-
-    # the pattern first: an argument over its budget is reported before the
-    # gram file is read, and the file's size before its Gram check
-    pattern = frobenius.algebra_dimension_pattern(args.dimv, args.n)
-    gram = _load_gram(args.gram, args.dimv)
-    # each entry's mirror recounted from the harmonic dimensions dim H_k =
-    # C(d+k-1, k) - C(d+k-3, k-2): Sym^m = H_m + q Sym^(m-2), so dim Sym^m
-    # is S_m = H_m + S_(m-2).  Both lists start two places early, at 0:
-    # c[k + 2] = C(d+k-1, k) and sym[k + 2] = S_k
-    d, n, c, sym = args.dimv, args.n, [0, 0], [0, 0]
-    for k in range(n + 1):
-        c.append(comb(d + k - 1, k))
-        sym.append(c[k + 2] - c[k] + sym[k])
-    mirror = tuple(sym[2 + min(i, 2 * n - i)] for i in range(2 * n + 1))
-    checks = [{"name": "dimension-pattern-palindromic", "ok": pattern[::-1] == mirror}]
-    result = {
-        "dim_v": args.dimv,
-        "n": args.n,
-        "dimensions": list(pattern),
-        "total_dimension": sum(pattern),
-    }
-    if frobenius.full_table(args.dimv, args.n):
-        if gram is None:
-            gram = linalg.identity(args.dimv)
-        algebra = frobenius.build_algebra(gram, args.n)
-        result["mode"] = "full"
-        checks.append({"name": "pairing-nondegenerate",
-                       "ok": algebra.check_pairing_nondegenerate()})
-        checks.append({"name": "associative", "ok": algebra.check_associative()})
-    else:
-        result["mode"] = "dimensions-only"
-    return result, checks
+    return _frobenius_report.report(args)
 
 
 _COMMANDS = {

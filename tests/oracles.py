@@ -1115,13 +1115,17 @@ def signature(gram):
 # signature (3, 1) and a p/q entry; rational5 and rational6 are
 # `frobenius_grams`' p/q grams.
 
+def pq_text(x):
+    """A rational as a gram file writes it: the string "p/q", q >= 1."""
+    return f"{x.numerator}/{x.denominator}"
+
+
 def gate_gram(name):
     """The rows of a gate gram file, ints and "p/q" strings, drawn here once."""
     if name == "dev":
         return [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, "2/3", 0], [0, 0, 0, 2]]
     if name.startswith("rational"):
-        return [[f"{x.numerator}/{x.denominator}" for x in row]
-                for row in frobenius_grams(int(name[8:]))["rational"]]
+        return [list(map(pq_text, row)) for row in frobenius_grams(int(name[8:]))["rational"]]
     r, b = random.Random({"bound32": 1, "last32": 2, "sparse32": 3, "int32": 4}[name]), 10 ** 6
 
     def q():
@@ -1139,7 +1143,7 @@ def gate_gram(name):
             for i, row in enumerate(block):
                 for j, x in enumerate(row):
                     if x:
-                        rows[off + i][off + j] = f"{(x * s).numerator}/{(x * s).denominator}"
+                        rows[off + i][off + j] = pq_text(x * s)
             off += len(block)
         return rows
 

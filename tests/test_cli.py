@@ -15,10 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hilbk3
-from hilbk3 import bb_lattice, cli, cohomology, frobenius, invariant_ideals, linalg
+from hilbk3 import _gram_file, bb_lattice, cli, cohomology, frobenius, invariant_ideals, linalg
 from hilbk3.cli import SCHEMA, main
 
-from oracles import (FROBENIUS_CELLS, frobenius_grams, ideals_report, json_report,
+from oracles import (FROBENIUS_CELLS, frobenius_grams, ideals_report, json_report, pq_text,
                      reference_parser, strata_report, write_gate_grams)
 
 
@@ -270,18 +270,18 @@ def test_gram_entries_are_bounded_before_they_are_converted():
     bound = cli.MAX_GRAM_ENTRY
     assert bound == 10 ** 6
     for x in (bound, -bound, f"-{bound}/{bound - 1}", f"000{bound}/0{bound}"):
-        assert abs(cli._gram_entries([[x]])[0][0]) <= bound
+        assert abs(_gram_file.entries([[x]])[0][0]) <= bound
     # over the bound, also with more digits than int() converts by default
     for x in (bound + 1, -bound - 1, f"{bound + 1}", f"1/{bound + 1}", "9" * 5000,
               f"-1/{'9' * 5000}", 10 ** 1000):
         with pytest.raises(ValueError, match=f"<= {bound}"):
-            cli._gram_entries([[x]])
+            _gram_file.entries([[x]])
 
 
 def test_gram_entries_are_ints_where_integral():
     # the package's one rule: an int when the denominator divides out, a
     # Fraction otherwise
-    [row] = cli._gram_entries([[3, "-4", "6/3", "1/2", "007"]])
+    [row] = _gram_file.entries([[3, "-4", "6/3", "1/2", "007"]])
     assert row == [3, -4, 2, Fraction(1, 2), 7]
     assert [type(x) for x in row] == [int, int, int, Fraction, int]
 
@@ -300,7 +300,7 @@ def test_every_malformed_gram_file_ends_in_one_error_payload(tmp_path_factory, t
     path = tmp_path_factory.getbasetemp() / "fuzzed_gram.json"
     path.write_text(text)
     with pytest.raises(ValueError):
-        cli._load_gram(str(path))
+        _gram_file.load(str(path))
     for argv in GRAM_READERS:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -597,6 +597,17 @@ def test_each_failable_check_is_seen_failing(monkeypatch, capsys, name):
     assert {c["name"]: c["ok"] for c in payload["checks"]}[name] is False
 
 
+# two patterns whose entries 0..n are those of (23, 2): one is not a
+# palindrome, and the other is a palindrome one entry too long
+@pytest.mark.parametrize("pattern", [(1, 23, 276, 24, 1), (1, 23, 276, 276, 23, 1)],
+                         ids=["asymmetric", "long"])
+def test_a_pattern_right_up_to_the_middle_can_fail_its_check(monkeypatch, capsys, pattern):
+    monkeypatch.setattr(frobenius, "algebra_dimension_pattern", lambda dim_v, n: pattern)
+    code, payload = run_json(["frobenius", "--dimv", "23", "--n", "2"], capsys)
+    assert (code, payload["status"]) == (1, "failed")
+    assert payload["checks"] == [{"name": "dimension-pattern-palindromic", "ok": False}]
+
+
 class SameDraws(random.Random):
     """A Random whose every randint is its lower bound: each period-triple
     draw mixes the positive basis three times alike, a singular mix."""
@@ -846,7 +857,7 @@ def frobenius_gram_argvs(tmp_path, cells, kinds):
             if kind not in kinds:
                 continue
             path = f"{kind}{dim}.json"
-            entries = [[f"{x.numerator}/{x.denominator}" for x in row] for row in rows]
+            entries = [list(map(pq_text, row)) for row in rows]
             (tmp_path / path).write_text(json.dumps({"dim": dim, "rows": entries}))
             argvs.append(["frobenius", "--dimv", str(dim), "--n", str(n),
                           "--gram", path, "--json"])
@@ -1176,7 +1187,8 @@ def test_package_namespace_resolves_names_on_first_use():
 GRAM = "<gram file>"
 _LOADED_BY = {
     (): {"hilbk3"},
-    ("frobenius", "--dimv", "2", "--n", "2"): {"hilbk3", "cli", "frobenius", "linalg"},
+    ("frobenius", "--dimv", "2", "--n", "2"): {"hilbk3", "cli", "_frobenius_report", "frobenius",
+                                               "linalg"},
     # the staircase walk and the slice certificates eliminate nothing: they
     # read e on single monomials, so neither report loads the linear algebra
     ("punctual", "--i", "6"): {"hilbk3", "cli", "invariant_ideals", "partitions"},
@@ -1185,10 +1197,10 @@ _LOADED_BY = {
     # off the triangular n no candidate needs a lattice
     ("certify", "--n", "7"): {"hilbk3", "cli", "bb_lattice", "partitions"},
     # the gram file is bounded and checked without the Frobenius layer
-    ("certify", "--n", "3", "--gram", GRAM): {"hilbk3", "cli", "bb_lattice", "partitions",
-                                              "linalg"},
-    ("betti", "--n", "3"): {"hilbk3", "cli", "cohomology", "partitions"},
-    ("strata", "--n", "3"): {"hilbk3", "cli", "cohomology", "partitions"},
+    ("certify", "--n", "3", "--gram", GRAM): {"hilbk3", "cli", "_gram_file", "bb_lattice",
+                                              "partitions", "linalg"},
+    ("betti", "--n", "3"): {"hilbk3", "cli", "_stratum_reports", "cohomology", "partitions"},
+    ("strata", "--n", "3"): {"hilbk3", "cli", "_stratum_reports", "cohomology", "partitions"},
 }
 
 _LOADED_SCRIPT = """

@@ -228,6 +228,8 @@ def test_mirrored_pattern_is_the_per_entry_binomial():
 def test_reduce_and_power_of_linear_refuse_what_is_not_in_the_algebra():
     alg = build_algebra(U, 1)
     assert alg.reduce(3, [1] * 4) == []  # past degree 2n
+    # degree 2n is the top degree, still in the algebra: x y spans it
+    assert alg.reduce(2, [0, 1, 0]) == [1] == alg.multiply(1, [1, 0], 1, [0, 1])
     with pytest.raises(ValueError, match="^coefficient length mismatch$"):
         alg.reduce(1, [1])
     with pytest.raises(ValueError, match="^power must be nonnegative$"):
