@@ -318,21 +318,20 @@ def random_period_triple(lat: H2Lattice, rng: random.Random) -> PeriodTriple:
     for _ in range(256):
         mixes, noise = [], []
         for _ in range(3):
-            mixes.append([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in basis])
+            mixes.append([Fraction(rng.randint(-4, 4), rng.randint(1, 3) * d) for _, d in basis])
             noise.append([rng.randint(-1, 1) for _ in range(dim)])
         if linalg.det(mixes) != 0:
             break
     else:
         raise RuntimeError("failed to draw a valid period triple")
-    # a mix sum_b m_b B_b / d_b is N / D in ints, D = prod_b q_b d_b for
-    # m_b = p_b / q_b; cancelling gcd(D, *N) leaves the `numerators` of its
-    # reduced entries
+    # a mix's coefficients are drawn as m_b / d_b, so the mix
+    # sum_b m_b B_b / d_b is N / D in ints, with (C, D) their `numerators`
+    # and N = sum_b C_b B_b; cancelling gcd(D, *N) leaves the `numerators`
+    # of its reduced entries
     vs = []
     for mix in mixes:
-        dens = [m.denominator * d for m, (_, d) in zip(mix, basis)]
-        big = prod(dens)
-        fs = [m.numerator * (big // q) for m, q in zip(mix, dens)]
-        num = [sum(f * b[i] for f, (b, _) in zip(fs, basis)) for i in range(dim)]
+        cs, big = linalg.numerators(mix)
+        num = [sum(c * b[i] for c, (b, _) in zip(cs, basis)) for i in range(dim)]
         k = gcd(big, *num)
         vs.append(([a // k for a in num], big // k))
     rows = lat.integral[1]  # the surface classes below read its surface block

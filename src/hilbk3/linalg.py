@@ -70,8 +70,7 @@ def _subtract(x: dict, f, y: dict) -> None:
     for j, b in y.items():
         a = x.get(j, 0) - f * b
         if a:
-            # `_exact` written out: this is the elimination's inner loop
-            x[j] = a if type(a) is int or a.denominator != 1 else a.numerator
+            x[j] = _exact(a)
         else:
             del x[j]
 
@@ -102,9 +101,8 @@ class Echelon:
             return None
         lead = min(r)
         value = r[lead]
-        if value != 1:
-            inv = 1 / Fraction(value)
-            r = {j: _exact(a * inv) for j, a in r.items()}
+        inv = 1 / Fraction(value)
+        r = {j: _exact(a * inv) for j, a in r.items()}
         for row in self._rows.values():
             f = row.get(lead)
             if f:

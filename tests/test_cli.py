@@ -15,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hilbk3
-from hilbk3 import _gram_file, bb_lattice, cli, cohomology, frobenius, invariant_ideals, linalg
+from hilbk3 import (_gram_file, bb_lattice, cli, cohomology, frobenius, invariant_ideals, linalg,
+                    partitions)
 from hilbk3.cli import SCHEMA, main
 
 from oracles import (FROBENIUS_CELLS, frobenius_grams, ideals_report, json_report, pq_text,
@@ -568,6 +569,15 @@ def _symmetric_wrong_pattern(monkeypatch):
                         lambda dim_v, n: (1, 24, 276, 24, 1))
 
 
+def _fiber_dimension_off_by_one(monkeypatch):
+    real = partitions.fiber_dimension
+    monkeypatch.setattr(partitions, "fiber_dimension", lambda diagram: real(diagram) + 1)
+
+
+def _no_staircase_rows(monkeypatch):
+    monkeypatch.setattr(invariant_ideals, "_staircase_rows", lambda previous, remaining: ())
+
+
 # each printed check that a defect in its computation can fail: the report,
 # and the defect injected (None where the input alone fails the check)
 FAILABLE_CHECKS = {
@@ -584,6 +594,10 @@ FAILABLE_CHECKS = {
     # dimensions only: the full build checks the pattern itself
     "dimension-pattern-palindromic": (["frobenius", "--dimv", "23", "--n", "2"],
                                       _symmetric_wrong_pattern),
+    # one side of each comparison: a defect in the parts both sides read, or
+    # in `is_triangular`, still goes unseen (ROADMAP item 6)
+    "semismall-equality-all-strata": (["strata", "--n", "3"], _fiber_dimension_off_by_one),
+    "unique-fixed-point-iff-triangular": (["punctual", "--i", "6"], _no_staircase_rows),
 }
 
 
@@ -595,6 +609,16 @@ def test_each_failable_check_is_seen_failing(monkeypatch, capsys, name):
     code, payload = run_json(argv, capsys)
     assert (code, payload["status"]) == (1, "failed")
     assert {c["name"]: c["ok"] for c in payload["checks"]}[name] is False
+
+
+def test_every_printed_check_is_in_the_failable_table(capsys):
+    # one in-range run of each report, with `frobenius` in both modes
+    argvs = [["betti", "--n", "2"], ["strata", "--n", "3"], ["certify", "--n", "3"],
+             ["frobenius", "--dimv", "2", "--n", "2"], ["frobenius", "--dimv", "23", "--n", "2"],
+             ["ideals", "--N", "5"], ["punctual", "--i", "6"]]
+    names = {c["name"] for argv in argvs for c in run_json(argv, capsys)[1]["checks"]}
+    assert len(names) == 13
+    assert names == set(FAILABLE_CHECKS)
 
 
 # two patterns whose entries 0..n are those of (23, 2): one is not a

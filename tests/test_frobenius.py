@@ -243,16 +243,41 @@ def test_pattern_matches_hilbert_even_betti():
     assert algebra_dimension_pattern(23, 2) == even
 
 
+def _verbitsky_break(pattern, even, n):
+    """The first i at which Verbitsky's bound breaks between the (23, n)
+    pattern and the even Betti numbers of Hilb^n(K3), or None.
+
+    Sym^i H^2 -> H^2i is injective for i <= n (Verbitsky, GAFA 6, 1996), and
+    by duality the pattern is at most b_2i at every i.  Equality holds at
+    every i for n = 2, and exactly at i in {0, 1, 2n - 1, 2n} for n >= 3."""
+    assert len(pattern) == len(even) == 2 * n + 1
+    equal = range(2 * n + 1) if n == 2 else {0, 1, 2 * n - 1, 2 * n}
+    return next((i for i, (a, b) in enumerate(zip(pattern, even))
+                 if a > b or (a == b) != (i in equal)), None)
+
+
+def _verbitsky_sides(n):
+    # two independent routes: a mirrored binomial, and the graded Euler
+    # recurrence of the stratum ledger
+    return (list(algebra_dimension_pattern(23, n)),
+            list(hilbert_stratum_ledger(SurfaceBetti.k3(), n).total().betti[::2]))
+
+
 def test_pattern_is_bounded_by_hilbert_even_betti():
     # the pattern is that of the subalgebra of H^*(Hilb^n(K3)) generated by
-    # H^2 (Verbitsky), so degree by degree it is at most the even Betti
-    # number, and it is all of the cohomology only at n = 2
-    for n in range(2, 41):
-        even = hilbert_stratum_ledger(SurfaceBetti.k3(), n).total().betti[::2]
-        pattern = algebra_dimension_pattern(23, n)
-        assert len(pattern) == len(even)
-        assert all(a <= b for a, b in zip(pattern, even)), n
-        assert (pattern == even) == (n == 2), n
+    # H^2, so degree by degree it is at most the even Betti number, and it
+    # is all of the cohomology only at n = 2
+    for n in range(2, 61):
+        assert _verbitsky_break(*_verbitsky_sides(n), n) is None, n
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["pattern", "betti"])
+def test_a_plus_one_at_i_1_on_either_side_breaks_verbitsky(side):
+    # on the pattern the bound breaks, on the Betti table the equality
+    for n in (2, 3, 60):
+        sides = _verbitsky_sides(n)
+        sides[side][1] += 1
+        assert _verbitsky_break(*sides, n) == 1, n
 
 
 def test_algebra_dimensions_and_checks():
